@@ -1,5 +1,16 @@
 """Class predicates (domestic/tame/pet, the miserability family, forced,
-returnable), witness extraction, and candidate-set verification."""
+returnable), the six SM=P conditions, witness extraction, and candidate-set
+verification.
+
+All of them are answered from two bit masks per node.  One pass over the
+edges, options before the positions that move to them, records the label
+classes a node is in and the classes its options reach; ``properties`` turns
+the two masks into one bit per paper property.  Every predicate is a row
+naming the properties of which each node needs at least one, and its witness
+is the violating node that is smallest by (depth, position string).
+Candidate-set verification feeds ``properties`` masks built from the
+candidate sets instead of the labels.
+"""
 
 from __future__ import annotations
 
@@ -8,134 +19,182 @@ from dataclasses import dataclass, field
 from .core import MissingSet, ReachableGraph, UnknownPredicate
 from .grundy import LabeledGraph, sg_labels, sort_key
 
-PREDICATES = (
-    "domestic",
-    "tame",
-    "pet",
-    "miserable",
-    "strongly_miserable",
-    "t_miserable",
-    "weakly_miserable",
-    "forced",
-    "returnable",
-)
+# --- classes a node is in or its options reach --------------------------------
+
+V01, V10, V00, V11, OTHER = 1, 2, 4, 8, 16  # partition of the labels
+SWAP = V01 | V10
+PARTITION = SWAP | V00 | V11 | OTHER
+G0, G1 = 1 << 5, 1 << 6            # normal value 0, normal value 1
+GM0, GM1 = 1 << 7, 1 << 8          # misere value 0, misere value 1
+KK = 1 << 9                        # (k,k) with k >= 2
+NOT_DOMESTIC = 1 << 10             # (0,k) or (k,0) with k >= 2
+NB01, NB10 = 1 << 11, 1 << 12      # non-terminal, no move to V01 resp. V10
+_CLASS_BITS = 13
+_CLASS_MASK = (1 << _CLASS_BITS) - 1
+
+_PAIR_CLASS = {(0, 1): V01, (1, 0): V10, (0, 0): V00, (1, 1): V11}
+_SET_LABELS = {"v01": (0, 1), "v10": (1, 0), "v00": (0, 0), "v11": (1, 1)}
+
+# --- properties, one bit each -------------------------------------------------
+
+(P_A, P_A0, P_B, P_C, P_C0, P_C1, P_E, P_KK, P_DOMESTIC, P_FORCED,
+ P_RETURNABLE, P_NO00, P_NO00_11, P_FERGUSON, P_FERGUSON_MISERE) = (
+    1 << i for i in range(15))
+
+# movable to both of two classes: (c), (c0), (c1), (e)
+_BOTH = ((P_C, V01 | V10), (P_C0, V01 | V00), (P_C1, V10 | V00),
+         (P_E, V00 | V11))
 
 
-# --- per-position properties -------------------------------------------------
-
-def prop_a(lg, x):
-    return lg.labels[x].is_swap
-
-
-def prop_a0(lg, x):
-    return tuple(lg.labels[x]) in ((0, 1), (1, 0), (0, 0), (1, 1))
-
-
-def prop_b(lg, x):
-    swap = lg.vset(0, 1) | lg.vset(1, 0)
-    return not lg.movable_to(x, swap)
-
-
-def prop_c(lg, x):
-    return lg.movable_to(x, lg.vset(0, 1)) and lg.movable_to(x, lg.vset(1, 0))
-
-
-def prop_c0(lg, x):
-    return lg.movable_to(x, lg.vset(0, 1)) and lg.movable_to(x, lg.vset(0, 0))
-
-
-def prop_c1(lg, x):
-    return lg.movable_to(x, lg.vset(1, 0)) and lg.movable_to(x, lg.vset(0, 0))
-
-
-def prop_e(lg, x):
-    return lg.movable_to(x, lg.vset(0, 0)) and lg.movable_to(x, lg.vset(1, 1))
-
-
-# --- node-level violation tests ----------------------------------------------
-
-def _violates_domestic(lg, x):
-    g, gm = lg.labels[x]
-    if (g == 0 and gm >= 2) or (gm == 0 and g >= 2):
-        return f"({g},{gm})-position breaks domesticity"
-    return None
+def properties(own: int, reach: int) -> int:
+    """Property bits of a node in the classes ``own`` whose options reach
+    the classes ``reach``.  Only terminals reach nothing."""
+    props = 0
+    for bit, both in _BOTH:
+        if reach & both == both:
+            props |= bit
+    if own & SWAP:
+        props |= P_A
+    if own & (SWAP | V00 | V11):
+        props |= P_A0
+    if not reach & SWAP:
+        props |= P_B
+    if own & KK:
+        props |= P_KK
+    if not own & NOT_DOMESTIC:
+        props |= P_DOMESTIC
+    if not own & V00:
+        props |= P_NO00
+    if not own & (V00 | V11):
+        props |= P_NO00_11
+    # forced: every option of a swap position lies in the opposite swap set
+    if not (own & V01 and reach & (PARTITION ^ V10)
+            or own & V10 and reach & (PARTITION ^ V01)):
+        props |= P_FORCED
+    # returnable: every non-terminal option can move back to the parallel set
+    if not (own & V01 and reach & NB01 or own & V10 and reach & NB10):
+        props |= P_RETURNABLE
+    if not (own & G0 and reach and not reach & G1):
+        props |= P_FERGUSON
+    if not (own & GM0 and not reach & GM1):
+        props |= P_FERGUSON_MISERE
+    return props
 
 
-def _violates_tame(lg, x):
-    g, gm = lg.labels[x]
-    if lg.labels[x].is_swap or g == gm:
-        return None
-    return f"({g},{gm})-position is neither swap nor equal-valued"
+def _label_classes(g: int, gm: int) -> int:
+    return (_PAIR_CLASS.get((g, gm), OTHER)
+            | (G0 if g == 0 else G1 if g == 1 else 0)
+            | (GM0 if gm == 0 else GM1 if gm == 1 else 0)
+            | (KK if g == gm >= 2 else 0)
+            | (NOT_DOMESTIC if min(g, gm) == 0 and max(g, gm) >= 2 else 0))
 
 
-def _violates_pet(lg, x):
-    g, gm = lg.labels[x]
-    if lg.labels[x].is_swap or (g == gm and g >= 2):
-        return None
-    return f"({g},{gm})-position is neither swap nor (k,k) with k>=2"
+def _packed_masks(lg: LabeledGraph) -> dict:
+    """node -> its classes in the low bits, its property bits above them.
+
+    Options are visited before the positions that move to them, so each
+    node's reach is the union of its options' finished classes.
+    """
+    succ = lg.graph.succ
+    labels = lg.labels
+    packed = dict.fromkeys(succ, 0)
+    by_label = {}
+    for x in reversed(lg.graph.topo):
+        reach = 0
+        for y in succ[x]:
+            reach |= packed[y]
+        reach &= _CLASS_MASK
+        lab = labels[x]
+        own = by_label.get(lab)
+        if own is None:
+            own = by_label[lab] = _label_classes(*lab)
+        if reach and not reach & V01:
+            own |= NB01
+        if reach and not reach & V10:
+            own |= NB10
+        packed[x] = own | properties(own, reach) << _CLASS_BITS
+    return packed
 
 
-def _violates_strongly_miserable(lg, x):
-    if prop_a(lg, x) or prop_c(lg, x):
-        return None
-    return "neither swap nor movable to both a (0,1)- and a (1,0)-position"
+# --- rows: properties of which every node needs at least one ------------------
 
-
-def _violates_miserable(lg, x):
-    if prop_a(lg, x) or prop_b(lg, x) or prop_c(lg, x):
-        return None
-    return "movable to exactly one kind of swap position while not swap itself"
-
-
-def _violates_t_miserable(lg, x):
-    if prop_a0(lg, x) or prop_c(lg, x) or prop_e(lg, x):
-        return None
-    return "fails all three t-miserability properties"
-
-
-def _violates_weakly_miserable(lg, x):
-    if (prop_a(lg, x) or prop_b(lg, x) or prop_c(lg, x)
-            or prop_c0(lg, x) or prop_c1(lg, x)):
-        return None
-    return "fails all five weak-miserability properties"
-
-
-def _violates_forced(lg, x):
-    lab = tuple(lg.labels[x])
-    if lab not in ((0, 1), (1, 0)):
-        return None
-    opposite = (1, 0) if lab == (0, 1) else (0, 1)
-    for y in lg.graph.succ[x]:
-        if tuple(lg.labels[y]) != opposite:
-            return (f"move to {y!r} with label {tuple(lg.labels[y])} "
-                    f"instead of {opposite}")
-    return None
-
-
-def _violates_returnable(lg, x):
-    lab = tuple(lg.labels[x])
-    if lab not in ((0, 1), (1, 0)):
-        return None
-    parallel = lg.vset(*lab)
-    for y in lg.graph.succ[x]:
-        if lg.graph.is_terminal(y):
-            continue
-        if not lg.movable_to(y, parallel):
-            return f"move to {y!r} cannot be answered back to a {lab}-position"
-    return None
-
-
-_VIOLATION_TESTS = {
-    "domestic": _violates_domestic,
-    "tame": _violates_tame,
-    "pet": _violates_pet,
-    "miserable": _violates_miserable,
-    "strongly_miserable": _violates_strongly_miserable,
-    "t_miserable": _violates_t_miserable,
-    "weakly_miserable": _violates_weakly_miserable,
-    "forced": _violates_forced,
-    "returnable": _violates_returnable,
+# predicate -> (row, witness reason); a reason of None names the offending
+# option and is built for the witness only
+_CLASS_ROWS = {
+    "domestic": (P_DOMESTIC, "({g},{gm})-position breaks domesticity"),
+    "tame": (P_A0 | P_KK,
+             "({g},{gm})-position is neither swap nor equal-valued"),
+    "pet": (P_A | P_KK,
+            "({g},{gm})-position is neither swap nor (k,k) with k>=2"),
+    "miserable": (P_A | P_B | P_C, "movable to exactly one kind of swap "
+                  "position while not swap itself"),
+    "strongly_miserable": (P_A | P_C, "neither swap nor movable to both a "
+                           "(0,1)- and a (1,0)-position"),
+    "t_miserable": (P_A0 | P_C | P_E,
+                    "fails all three t-miserability properties"),
+    "weakly_miserable": (P_A | P_B | P_C | P_C0 | P_C1,
+                         "fails all five weak-miserability properties"),
+    "forced": (P_FORCED, None),
+    "returnable": (P_RETURNABLE, None),
 }
+
+PREDICATES = tuple(_CLASS_ROWS)
+
+# the six equivalent formulations of being pet
+_PET_CONDITIONS = {
+    "i_strongly_miserable": (P_A | P_C, ""),
+    "ii_pet": (P_A | P_KK, ""),
+    "iii_no_00": (P_NO00, "(0,0)-position"),
+    "iv_no_00_no_11": (P_NO00_11, "(0,0)- or (1,1)-position"),
+    "v_ferguson_normal": (P_FERGUSON, ""),
+    "vi_ferguson_misere": (P_FERGUSON_MISERE, ""),
+}
+
+
+def _witnesses(lg: LabeledGraph, rows: dict) -> dict:
+    """name -> (node, label, reason) for every row some node violates.
+
+    The witness is the smallest violating node by ``sort_key``; ties go to
+    the first in graph order.
+    """
+    packed = _packed_masks(lg)
+    violated = {}   # property bits -> names of the rows they violate
+    best = {}
+    for x, bits in packed.items():
+        props = bits >> _CLASS_BITS
+        names = violated.get(props)
+        if names is None:
+            names = violated[props] = [name for name, (row, _) in rows.items()
+                                       if not props & row]
+        if not names:
+            continue
+        key = sort_key(lg, x)
+        for name in names:
+            if name not in best or key < best[name][0]:
+                best[name] = (key, x)
+    out = {}
+    for name, (_, reason) in rows.items():
+        if name in best:
+            x = best[name][1]
+            lab = lg.labels[x]
+            if reason is None:
+                reason = _option_reason(lg, packed, x, name)
+            else:
+                reason = reason.format(g=lab.g, gm=lab.g_minus)
+            out[name] = (x, lab, reason)
+    return out
+
+
+def _option_reason(lg, packed, x, predicate):
+    lab = tuple(lg.labels[x])
+    if predicate == "forced":
+        opposite = (1, 0) if lab == (0, 1) else (0, 1)
+        y = next(y for y in lg.graph.succ[x] if lg.labels[y] != opposite)
+        return (f"move to {y!r} with label {tuple(lg.labels[y])} "
+                f"instead of {opposite}")
+    stuck = NB01 if lab == (0, 1) else NB10
+    y = next(y for y in lg.graph.succ[x] if packed[y] & stuck)
+    return f"move to {y!r} cannot be answered back to a {lab}-position"
 
 
 @dataclass
@@ -163,33 +222,17 @@ def find_witness(lg: LabeledGraph, predicate: str):
     Ties break to the lexicographically smallest position string.
     """
     try:
-        test = _VIOLATION_TESTS[predicate]
+        row = _CLASS_ROWS[predicate]
     except KeyError:
         raise UnknownPredicate(f"unknown predicate {predicate!r}") from None
-    best = None
-    for x in lg.graph.nodes:
-        reason = test(lg, x)
-        if reason is None:
-            continue
-        key = sort_key(lg, x)
-        if best is None or key < best[0]:
-            best = (key, x, reason)
-    if best is None:
-        return None
-    _, x, reason = best
-    return (x, lg.labels[x], reason)
+    return _witnesses(lg, {predicate: row}).get(predicate)
 
 
 def classify(lg: LabeledGraph) -> ClassReport:
-    """Evaluate every predicate literally from its definition over all
-    enumerated nodes; every negative verdict carries a witness."""
-    verdicts = {}
-    witnesses = {}
-    for pred in PREDICATES:
-        wit = find_witness(lg, pred)
-        verdicts[pred] = wit is None
-        if wit is not None:
-            witnesses[pred] = wit
+    """Evaluate every predicate over all enumerated nodes; every negative
+    verdict carries a witness."""
+    witnesses = _witnesses(lg, _CLASS_ROWS)
+    verdicts = {pred: pred not in witnesses for pred in PREDICATES}
     return ClassReport(verdicts, witnesses, lg.graph.describe_bound())
 
 
@@ -210,62 +253,11 @@ class EquivalenceReport:
 
 
 def check_sm_equivalences(lg: LabeledGraph) -> EquivalenceReport:
-    """The six equivalent formulations of being pet, each evaluated from
-    scratch; a theorem guarantees they always agree."""
-    conditions = {}
-    witnesses = {}
-
-    def record(name, witness, reason=""):
-        conditions[name] = witness is None
-        if witness is not None:
-            witnesses[name] = (witness, lg.labels[witness], reason)
-
-    record("i_strongly_miserable",
-           _first(lg, _violates_strongly_miserable))
-    record("ii_pet", _first(lg, _violates_pet))
-    record("iii_no_00", _first_in_set(lg, lg.vset(0, 0)), "(0,0)-position")
-    record("iv_no_00_no_11",
-           _first_in_set(lg, lg.vset(0, 0) | lg.vset(1, 1)),
-           "(0,0)- or (1,1)-position")
-
-    def bad_v(x):
-        lab = lg.labels[x]
-        if lab.g != 0 or lg.graph.is_terminal(x):
-            return None
-        if any(lg.labels[y].g == 1 for y in lg.graph.succ[x]):
-            return None
-        return "non-terminal 0-position with no option of value 1"
-
-    def bad_vi(x):
-        if lg.labels[x].g_minus != 0:
-            return None
-        if any(lg.labels[y].g_minus == 1 for y in lg.graph.succ[x]):
-            return None
-        return "misere 0-position with no option of misere value 1"
-
-    record("v_ferguson_normal", _first_reason(lg, bad_v))
-    record("vi_ferguson_misere", _first_reason(lg, bad_vi))
+    """The six equivalent formulations of being pet, each evaluated as its
+    own row; a theorem guarantees they always agree."""
+    witnesses = _witnesses(lg, _PET_CONDITIONS)
+    conditions = {name: name not in witnesses for name in _PET_CONDITIONS}
     return EquivalenceReport(conditions, witnesses)
-
-
-def _first(lg, test):
-    for x in sorted(lg.graph.nodes, key=lambda n: sort_key(lg, n)):
-        if test(lg, x) is not None:
-            return x
-    return None
-
-
-def _first_reason(lg, test):
-    for x in sorted(lg.graph.nodes, key=lambda n: sort_key(lg, n)):
-        if test(x) is not None:
-            return x
-    return None
-
-
-def _first_in_set(lg, nodes):
-    if not nodes:
-        return None
-    return min(nodes, key=lambda n: sort_key(lg, n))
 
 
 # --- candidate-set verification ----------------------------------------------
@@ -312,6 +304,32 @@ _REQUIRED = {
     "domestic": ("v01", "v10", "v00"),
 }
 
+# target -> structural rows (condition, members, must reach, must not reach);
+# "rest" is every node in none of v01, v10 and v00
+_STRUCTURE = {
+    "pet": (("iii", "v01 - terminals", V10, 0), ("iv", "v10", V01, 0)),
+    "tame": (("iii", "v01 - terminals", V10, 0), ("iii", "v01", 0, V00 | V11),
+             ("iv", "v10", V01, V00 | V11), ("v", "v00", 0, SWAP),
+             ("vi", "v11", V00, SWAP), ("vii", "rest", SWAP | V00, 0)),
+    "domestic": (("iii", "v01 - terminals", V10, V00), ("iv", "v10", V01, V00),
+                 ("v", "v00", 0, SWAP), ("vi", "rest", SWAP | V00, 0)),
+}
+_STRUCTURE["miserable"] = _STRUCTURE["pet"]
+
+_REACH_NAMES = {V01: "v01", V10: "v10", V00: "v00", V00 | V11: "v00 or v11",
+                SWAP: "a swap set", SWAP | V00: "v01, v10, or v00"}
+
+# target -> covering condition (condition, row, reason); pet asks for
+# exactly one of its row's properties, the others for at least one
+_COVERING = {
+    "pet": ("SM(v)", P_A | P_C,
+            "exactly one of membership / double-movability must hold"),
+    "miserable": ("M(v)", P_A | P_B | P_C, "none of (a'),(b'),(c') hold"),
+    "tame": ("T(viii)", P_A0 | P_C | P_E, "none of (a0'),(c'),(e') hold"),
+    "domestic": ("D(vii)", P_A | P_B | P_C | P_C0 | P_C1,
+                 "none of the five properties hold"),
+}
+
 
 def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
                           target: str, *, structural_only: bool = False) -> VerifyReport:
@@ -332,19 +350,20 @@ def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
     report = VerifyReport(target)
     fail = report.failures.append
     succ = graph.succ
-    v01, v10 = cand.v01, cand.v10
-    v00 = cand.v00 if cand.v00 is not None else set()
-    v11 = cand.v11 if cand.v11 is not None else set()
+    named = [(name, sets[name]) for name in _REQUIRED[target]]
     terminals = set(graph.terminals())
 
-    def movable(x, target_set):
-        return any(y in target_set for y in succ[x])
-
-    named = [("v01", v01), ("v10", v10)]
-    if target in ("tame", "domestic"):
-        named.append(("v00", v00))
-    if target == "tame":
-        named.append(("v11", v11))
+    own = dict.fromkeys(succ, 0)
+    for name, s in named:
+        for x in s:
+            if x in own:
+                own[x] |= _PAIR_CLASS[_SET_LABELS[name]]
+    reach = {}
+    for x, ys in succ.items():
+        r = 0
+        for y in ys:
+            r |= own[y]
+        reach[x] = r
 
     # pairwise disjoint
     for i, (na, sa) in enumerate(named):
@@ -356,12 +375,11 @@ def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
     # (i) independence
     for name, s in named:
         for x in s:
-            if x in succ and movable(x, s):
+            if x in succ and reach[x] & _PAIR_CLASS[_SET_LABELS[name]]:
                 fail(("i", x, f"move inside {name}"))
 
     # (ii) terminals
-    missing_t = terminals - v01
-    for x in sorted(missing_t, key=repr):
+    for x in sorted(terminals - cand.v01, key=repr):
         fail(("ii", x, "terminal not in v01"))
 
     unknown = [x for _, s in named for x in s if x not in succ]
@@ -370,95 +388,29 @@ def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
     if unknown:
         return report
 
-    if target in ("pet", "miserable"):
-        for x in v01 - terminals:
-            if not movable(x, v10):
-                fail(("iii", x, "v01 position not movable to v10"))
-        for x in v10:
-            if not movable(x, v01):
-                fail(("iv", x, "v10 position not movable to v01"))
-        if not structural_only:
-            for x in succ:
-                a = x in v01 or x in v10
-                c = movable(x, v01) and movable(x, v10)
-                if target == "pet":
-                    if a == c:
-                        fail(("SM(v)", x,
-                              "exactly one of membership / double-movability must hold"))
-                else:
-                    b = not movable(x, v01 | v10)
-                    if not (a or b or c):
-                        fail(("M(v)", x, "none of (a'),(b'),(c') hold"))
+    members = dict(named, rest=[x for x in succ if not own[x] & (SWAP | V00)])
+    members["v01 - terminals"] = cand.v01 - terminals
+    for cond, name, need, avoid in _STRUCTURE[target]:
+        who = "" if name == "rest" else f"{name[:3]} position "
+        for x in members[name]:
+            if need and not reach[x] & need:
+                fail((cond, x, f"{who}not movable to {_REACH_NAMES[need]}"))
+            if reach[x] & avoid:
+                fail((cond, x, f"{who}movable to {_REACH_NAMES[avoid]}"))
 
-    elif target == "tame":
-        for x in v01 - terminals:
-            if not movable(x, v10):
-                fail(("iii", x, "v01 position not movable to v10"))
-        for x in v01:
-            if movable(x, v00 | v11):
-                fail(("iii", x, "v01 position movable to v00 or v11"))
-        for x in v10:
-            if not movable(x, v01):
-                fail(("iv", x, "v10 position not movable to v01"))
-            if movable(x, v00 | v11):
-                fail(("iv", x, "v10 position movable to v00 or v11"))
-        for x in v00:
-            if movable(x, v01 | v10):
-                fail(("v", x, "v00 position movable to a swap set"))
-        for x in v11:
-            if not movable(x, v00):
-                fail(("vi", x, "v11 position not movable to v00"))
-            if movable(x, v01 | v10):
-                fail(("vi", x, "v11 position movable to a swap set"))
-        rest = [x for x in succ if x not in v01 and x not in v10 and x not in v00]
-        for x in rest:
-            if not movable(x, v01 | v10 | v00):
-                fail(("vii", x, "not movable to v01, v10, or v00"))
-        if not structural_only:
-            for x in succ:
-                a0 = x in v01 or x in v10 or x in v00 or x in v11
-                c = movable(x, v01) and movable(x, v10)
-                e = movable(x, v00) and movable(x, v11)
-                if not (a0 or c or e):
-                    fail(("T(viii)", x, "none of (a0'),(c'),(e') hold"))
-
-    elif target == "domestic":
-        for x in v01 - terminals:
-            if not movable(x, v10):
-                fail(("iii", x, "v01 position not movable to v10"))
-            if movable(x, v00):
-                fail(("iii", x, "v01 position movable to v00"))
-        for x in v10:
-            if not movable(x, v01):
-                fail(("iv", x, "v10 position not movable to v01"))
-            if movable(x, v00):
-                fail(("iv", x, "v10 position movable to v00"))
-        for x in v00:
-            if movable(x, v01 | v10):
-                fail(("v", x, "v00 position movable to a swap set"))
-        rest = [x for x in succ if x not in v01 and x not in v10 and x not in v00]
-        for x in rest:
-            if not movable(x, v01 | v10 | v00):
-                fail(("vi", x, "not movable to v01, v10, or v00"))
-        if not structural_only:
-            for x in succ:
-                a = x in v01 or x in v10
-                b = not movable(x, v01 | v10)
-                c = movable(x, v01) and movable(x, v10)
-                c0 = movable(x, v01) and movable(x, v00)
-                c1 = movable(x, v10) and movable(x, v00)
-                if not (a or b or c or c0 or c1):
-                    fail(("D(vii)", x, "none of the five properties hold"))
+    if not structural_only:
+        cond, row, reason = _COVERING[target]
+        for x in succ:
+            held = properties(own[x], reach[x]) & row
+            if not held or (target == "pet" and held == row):
+                fail((cond, x, reason))
 
     # "Moreover" clause: on a clean structural pass, candidates must equal
     # the solver's own sets.
     if report.conditions_ok:
         lg = sg_labels(graph)
-        truth = {"v01": lg.vset(0, 1), "v10": lg.vset(1, 0),
-                 "v00": lg.vset(0, 0), "v11": lg.vset(1, 1)}
         for name, s in named:
-            if s != truth[name]:
-                extra = s - truth[name]
-                missing = truth[name] - s
-                report.set_mismatches.append((name, extra, missing))
+            truth = lg.vset(*_SET_LABELS[name])
+            if s != truth:
+                report.set_mismatches.append((name, s - truth, truth - s))
     return report

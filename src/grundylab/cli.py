@@ -4,6 +4,7 @@ verification suites, and analyze disjunctive sums."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -344,8 +345,7 @@ def sum_cmd(game_specs, target, table_path):
             game, roots = _load_game_spec(path)
             games.append(game)
             rootsets.append(roots)
-        product_roots = [tuple(combo) for combo
-                         in _cartesian(rootsets)]
+        product_roots = list(itertools.product(*rootsets))
         lg = sg_labels(sum_graph(games, product_roots))
         report = classify(lg)
         out = {"summands": [g.family for g in games],
@@ -370,13 +370,6 @@ def sum_cmd(game_specs, target, table_path):
         _fail(f"bad game spec: {exc!r}")
     click.echo(json.dumps(out, indent=2))
     sys.exit(0)
-
-
-def _cartesian(rootsets):
-    combos = [()]
-    for roots in rootsets:
-        combos = [c + (r,) for c in combos for r in roots]
-    return combos
 
 
 @main.command(name="fixtures")

@@ -52,15 +52,12 @@ def game_from_adjacency(name: str, adj: dict) -> GameDef:
 
 def load_fixture(name: str) -> GameDef:
     """Load a named fixture from the bundled data directory."""
-    if name not in FIXTURE_NAMES:
-        raise UnknownFixture(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
-    text = resources.files("grundylab.data").joinpath(f"{name}.game").read_text()
-    return game_from_adjacency(name, parse_fixture_text(text))
+    return game_from_adjacency(name, fixture_adjacency(name))
 
 
 def fixture_adjacency(name: str) -> dict:
     if name not in FIXTURE_NAMES:
-        raise UnknownFixture(f"unknown fixture {name!r}")
+        raise UnknownFixture(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
     text = resources.files("grundylab.data").joinpath(f"{name}.game").read_text()
     return parse_fixture_text(text)
 

@@ -48,9 +48,6 @@ class LabeledGraph:
     def label(self, x) -> Label:
         return self.labels[x]
 
-    def movable_to(self, x, target: set) -> bool:
-        return any(y in target for y in self.graph.succ[x])
-
 
 def sg_labels(graph: ReachableGraph) -> LabeledGraph:
     """Fill both SG recursions bottom-up in topological order.
