@@ -73,11 +73,19 @@ _TWO_PILE = {"euclid_cd", "euclid_grossman", "wythoff", "wyt_a", "wyt_ab"}
 _ONE_PILE = {"subtraction", "mark"}
 
 
-def _family_dims(family, params):
+def _fixed_arity(family):
+    """Coordinates per position of a fixed-arity family, else None."""
     if family in _TWO_PILE:
         return 2
     if family in _ONE_PILE:
         return 1
+    return None
+
+
+def _family_dims(family, params):
+    dims = _fixed_arity(family)
+    if dims is not None:
+        return dims
     if family == "ho_nim":
         return zoo.ho_nim_block_count(params.get("shape"), params.get("n"))
     n = params.get("n")
@@ -153,20 +161,30 @@ def _cache_dir(override):
 
 
 def _cache_fetch(directory, key):
+    """The cached text, or None when the entry is missing or fails its
+    checksum header."""
     path = os.path.join(directory, key)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            header, _, body = fh.read().partition(b"\n")
     except OSError:
         return None
+    if header != _checksum_header(body):
+        return None
+    return body.decode("utf-8")
+
+
+def _checksum_header(body: bytes) -> bytes:
+    return b"sha256:" + hashlib.sha256(body).hexdigest().encode()
 
 
 def _cache_store(directory, key, text):
+    body = text.encode("utf-8")
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_checksum_header(body) + b"\n" + body)
         os.replace(tmp, os.path.join(directory, key))
     except OSError:
         try:
@@ -314,15 +332,37 @@ def verify(suite, seed, samples, max_nodes, fmt):
 def _load_game_spec(path):
     with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
+
+    def bad(problem):
+        _fail(f"bad game spec {path}: {problem}")
+
+    if not isinstance(spec, dict):
+        bad("expected a JSON object")
+    roots = spec.get("roots")
+    if roots is not None and not isinstance(roots, list):
+        bad("roots must be a list")
     if "fixture" in spec:
         game = load_fixture(spec["fixture"])
-        roots = spec.get("roots") or fixture_roots(spec["fixture"])
+        roots = roots or fixture_roots(spec["fixture"])
         roots = [tuple(r) if isinstance(r, list) else r for r in roots]
     else:
-        game = zoo.make_family(spec["family"], spec.get("params", {}),
+        family, params = spec.get("family"), spec.get("params") or {}
+        if not isinstance(family, str):
+            bad("needs a family name or a fixture")
+        if not isinstance(params, dict):
+            bad("params must be a JSON object")
+        if roots is None:
+            bad("a family spec needs roots")
+        roots = [tuple(r) if isinstance(r, list) else (r,) for r in roots]
+        arity = _fixed_arity(family)
+        for r in roots:
+            if not all(isinstance(c, int) for c in r):
+                bad(f"root {list(r)} must hold integers")
+            if arity is not None and len(r) != arity:
+                bad(f"{family} positions have {arity} coordinates, "
+                    f"root {list(r)} has {len(r)}")
+        game = zoo.make_family(family, params,
                                use_symmetry=bool(spec.get("symmetry")))
-        roots = [tuple(r) if isinstance(r, list) else (r,)
-                 for r in spec["roots"]]
     return game, [game.canon(r) for r in roots]
 
 
@@ -346,12 +386,15 @@ def sum_cmd(game_specs, target, table_path):
             games.append(game)
             rootsets.append(roots)
         product_roots = list(itertools.product(*rootsets))
-        lg = sg_labels(sum_graph(games, product_roots))
-        report = classify(lg)
+        if target is None:
+            lg = sg_labels(sum_graph(games, product_roots))
+            report = classify(lg)
+        else:
+            closure = check_closure(target, games, product_roots)
+            lg, report = closure.sum_labels, closure.sum_report
         out = {"summands": [g.family for g in games],
                "report": report.to_dict()}
         if target is not None:
-            closure = check_closure(target, games, product_roots)
             out["closure"] = {
                 "target": target,
                 "summands_in_class": [r.verdicts.get(target, False)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import xor
 
 from .core import GameDef, NotTameLabel, ReachableGraph, enumerate_subgame
-from .grundy import Label, sg_labels
+from .grundy import Label, LabeledGraph, sg_labels
 from .classify import ClassReport, classify
 
 
@@ -35,11 +35,41 @@ def sum_game(games: list[GameDef]) -> GameDef:
 def sum_graph(games: list[GameDef], roots: list, **kwargs) -> ReachableGraph:
     """Explicit product subgame reachable from the root tuple(s).
 
-    ``roots`` is one root per summand, or a list of such tuples.
+    ``roots`` is one root per summand, or a list of such tuples.  The
+    summands are enumerated first and the product reads their move tables;
+    the result equals ``enumerate_subgame(sum_game(games), roots)``.
     """
-    game = sum_game(games)
     root_tuples = _normalize_roots(games, roots)
-    return enumerate_subgame(game, root_tuples, **kwargs)
+    summands = _summand_graphs(games, root_tuples, **kwargs)
+    return _product_graph(games, summands, root_tuples, **kwargs)
+
+
+def _summand_graphs(games, root_tuples, **kwargs) -> list[ReachableGraph]:
+    """Each summand's subgame, from the component roots of every product root."""
+    return [enumerate_subgame(g, dict.fromkeys(r[i] for r in root_tuples),
+                              **kwargs)
+            for i, g in enumerate(games)]
+
+
+def _product_graph(games, summands, root_tuples, **kwargs) -> ReachableGraph:
+    """Enumerate the sum with every component move read from ``summands``.
+
+    A summand's ``succ`` holds its canonical, deduplicated moves, so the
+    product's options come out in ``sum_game``'s order and need no further
+    canonicalisation; only the roots are canonicalised, per summand.
+    """
+    tables = [g.succ for g in summands]
+
+    def options(pos):
+        out = []
+        for i, succ in enumerate(tables):
+            for y in succ[pos[i]]:
+                out.append(pos[:i] + (y,) + pos[i + 1:])
+        return out
+
+    product = replace(sum_game(games), options=options, canonical=None)
+    roots = [tuple(g.canon(p) for g, p in zip(games, r)) for r in root_tuples]
+    return enumerate_subgame(product, roots, **kwargs)
 
 
 def _normalize_roots(games, roots):
@@ -81,6 +111,7 @@ class ClosureReport:
     sum_report: ClassReport
     holds: bool
     label_mismatches: list
+    sum_labels: LabeledGraph  # the labelled product the verdicts came from
 
     @property
     def fast_path_ok(self) -> bool:
@@ -91,20 +122,16 @@ def check_closure(target: str, games: list[GameDef], roots: list,
                   **kwargs) -> ClosureReport:
     """Classify the explicit sum and report whether ``target`` survives.
 
-    For tame or miserable summands the theorem-derived fast path
+    Each summand and the product are enumerated, labelled and classified
+    once.  For tame or miserable summands the theorem-derived fast path
     (``tame_sum_label``) is cross-checked against every sum label.
     """
-    summand_lgs = []
-    summand_reports = []
     root_tuples = _normalize_roots(games, roots)
-    for i, g in enumerate(games):
-        comp_roots = {r[i] for r in root_tuples}
-        lg = sg_labels(enumerate_subgame(g, comp_roots, **kwargs))
-        summand_lgs.append(lg)
-        summand_reports.append(classify(lg))
+    summands = _summand_graphs(games, root_tuples, **kwargs)
+    summand_lgs = [sg_labels(graph) for graph in summands]
+    summand_reports = [classify(lg) for lg in summand_lgs]
 
-    graph = sum_graph(games, root_tuples, **kwargs)
-    sum_lg = sg_labels(graph)
+    sum_lg = sg_labels(_product_graph(games, summands, root_tuples, **kwargs))
     sum_report = classify(sum_lg)
     holds = sum_report.verdicts.get(target, False)
 
@@ -115,4 +142,5 @@ def check_closure(target: str, games: list[GameDef], roots: list,
             predicted = tame_sum_label(comp_labels)
             if tuple(predicted) != tuple(lab):
                 mismatches.append((pos, tuple(lab), tuple(predicted)))
-    return ClosureReport(target, summand_reports, sum_report, holds, mismatches)
+    return ClosureReport(target, summand_reports, sum_report, holds,
+                         mismatches, sum_lg)

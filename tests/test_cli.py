@@ -2,6 +2,8 @@ import json
 
 from click.testing import CliRunner
 
+import grundylab.cli
+import grundylab.sums
 from grundylab.cli import main
 
 
@@ -113,6 +115,20 @@ def test_table_cache_corruption_recovered(tmp_path):
     assert rebuilt.output == cold.output
 
 
+def test_table_cache_garbage_entry_rewritten(tmp_path):
+    env = {"GRUNDY_CACHE_DIR": str(tmp_path)}
+    args = ("table", "--family", "nim", "--piles", "2,2", "--sg")
+    cold = run(*args, env=env)
+    (entry,) = tmp_path.iterdir()
+    entry.write_bytes(b"garbage")
+    warm = run(*args, env=env)
+    assert warm.exit_code == 0
+    assert warm.output == cold.output
+    # the failed entry was rewritten and now serves a cache hit
+    assert entry.read_bytes() != b"garbage"
+    assert run(*args, env=env).output == cold.output
+
+
 def test_verify_fixtures_passes():
     result = run("verify", "fixtures")
     assert result.exit_code == 0
@@ -176,6 +192,63 @@ def test_sum_bad_spec(tmp_path):
     other = tmp_path / "ok.json"
     other.write_text(json.dumps({"family": "nim", "roots": [[1]]}))
     assert run("sum", "--game", str(spec), "--game", str(other)).exit_code == 2
+
+
+def _sum_with_spec(tmp_path, spec):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    other = tmp_path / "ok.json"
+    other.write_text(json.dumps({"family": "nim", "roots": [[1]]}))
+    return run("sum", "--game", str(bad), "--game", str(other))
+
+
+def _assert_one_error_line(result):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: bad game spec")
+
+
+def test_sum_spec_not_an_object(tmp_path):
+    _assert_one_error_line(_sum_with_spec(tmp_path, [1]))
+
+
+def test_sum_spec_roots_not_a_list(tmp_path):
+    _assert_one_error_line(_sum_with_spec(tmp_path,
+                                          {"family": "nim", "roots": 5}))
+
+
+def test_sum_spec_root_wrong_arity(tmp_path):
+    result = _sum_with_spec(tmp_path, {"family": "wythoff", "roots": [[3]]})
+    _assert_one_error_line(result)
+    assert "2 coordinates" in result.output
+
+
+def test_sum_builds_product_once(tmp_path, monkeypatch):
+    calls = {"sg_labels": 0, "classify": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (grundylab.cli, grundylab.sums):
+        for name in calls:
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+    spec1 = tmp_path / "g1.json"
+    spec2 = tmp_path / "g2.json"
+    spec1.write_text(json.dumps({"family": "nim", "roots": [[2, 3]]}))
+    spec2.write_text(json.dumps({"family": "subtraction",
+                                 "params": {"x": [1, 2]}, "roots": [[5]]}))
+    result = run("sum", "--game", str(spec1), "--game", str(spec2),
+                 "--target", "tame", "--table", str(tmp_path / "sum.csv"))
+    assert result.exit_code == 0
+    assert json.loads(result.output)["closure"]["sum_in_class"] is True
+    # two summands plus one product
+    assert calls == {"sg_labels": 3, "classify": 3}
 
 
 def test_fixtures_listing():

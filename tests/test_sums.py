@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from grundylab import (
     GameDef,
     Label,
+    LimitExceeded,
     NotTameLabel,
     check_closure,
     enumerate_subgame,
@@ -15,7 +18,7 @@ from grundylab import (
     tame_sum_label,
 )
 from grundylab.fixtures import fixture_roots
-from grundylab.random_games import random_dag_stream
+from grundylab.random_games import random_dag, random_dag_stream
 from grundylab.zoo import make_family
 
 
@@ -144,3 +147,57 @@ def test_closure_pet_fails_on_single_piles():
     # the sum acquires a (0,0)-position at the doubled pile
     lg = sg_labels(sum_graph([nim, nim], [((2,), (2,))]))
     assert tuple(lg.labels[((2,), (2,))]) == (0, 0)
+
+
+# sum_graph reads the summands' move tables; the reference enumerates the
+# literal product rule object
+
+
+def assert_same_graph(got, want):
+    assert list(got.succ.items()) == list(want.succ.items())
+    assert got.topo == want.topo
+    assert got.roots == want.roots
+    assert [got.depth(x) for x in want.topo] == [want.depth(x) for x in want.topo]
+
+
+@st.composite
+def random_sums(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    graphs = [random_dag(rng, max_nodes=6, edge_prob=0.4)
+              for _ in range(draw(st.integers(2, 3)))]
+    games = [GameDef("r", {}, lambda p, fr=dict(g.succ): list(fr[p]))
+             for g in graphs]
+    root = st.tuples(*(st.sampled_from(sorted(g.succ)) for g in graphs))
+    return games, draw(st.lists(root, min_size=1, max_size=4))
+
+
+@given(random_sums())
+def test_sum_graph_matches_literal_product_on_random_dags(case):
+    games, roots = case
+    assert_same_graph(sum_graph(games, roots),
+                      enumerate_subgame(sum_game(games), roots))
+
+
+SYMMETRIC_PAIRS = [
+    ("nim", {}, "wythoff", {}, [((3, 1, 2), (4, 2)), ((1, 3, 0), (2, 4))]),
+    ("wyt_a", {"a": 2}, "nim", {}, [((1, 3), (2, 0, 1))]),
+    ("extended_nim", {"n": 2, "k": 1}, "ho_nim", {"shape": "cycle", "n": 4},
+     [((1, 2, 1), (1, 0, 2, 1))]),
+]
+
+
+@pytest.mark.parametrize("pair", SYMMETRIC_PAIRS, ids=lambda p: f"{p[0]}+{p[2]}")
+def test_sum_graph_matches_literal_product_with_symmetry(pair):
+    fa, pa, fb, pb, roots = pair
+    games = [make_family(fa, pa, use_symmetry=True),
+             make_family(fb, pb, use_symmetry=True)]
+    want = enumerate_subgame(sum_game(games), roots)
+    assert_same_graph(sum_graph(games, roots), want)
+    # both builds stop at the same node cap
+    n = len(want)
+    for cap in (1, n // 2, n - 1):
+        with pytest.raises(LimitExceeded):
+            enumerate_subgame(sum_game(games), roots, node_cap=cap)
+        with pytest.raises(LimitExceeded):
+            sum_graph(games, roots, node_cap=cap)
+    assert_same_graph(sum_graph(games, roots, node_cap=n), want)
