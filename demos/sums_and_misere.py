@@ -43,6 +43,6 @@ print(f"  the doubled pile is {tuple(lg.labels[((2,), (2,))])}")
 
 # domestic is NOT closed either: two domestic five-node games
 g1, g2 = load_fixture("sodo_g1"), load_fixture("sodo_g2")
-lg = sg_labels(sum_graph([g1, g2], ["E", "Y"]))
+lg = sg_labels(sum_graph([g1, g2], [("E", "Y")]))
 print(f"\ndomestic + domestic at the top: {tuple(lg.labels[('E', 'Y')])}")
 print(f"  sum domestic: {classify(lg).verdicts['domestic']}")

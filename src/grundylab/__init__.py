@@ -1,6 +1,7 @@
 """Normal and misere Sprague-Grundy analysis of finite impartial games."""
 
 from .core import (
+    BadSumRoot,
     CycleDetected,
     GameDef,
     InvalidParams,

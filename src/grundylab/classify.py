@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import MissingSet, ReachableGraph, UnknownPredicate
-from .grundy import LabeledGraph, sg_labels, sort_key
+from .grundy import Label, LabeledGraph, position_key, sg_labels
 
 # --- classes a node is in or its options reach --------------------------------
 
@@ -89,22 +89,24 @@ def _label_classes(g: int, gm: int) -> int:
             | (NOT_DOMESTIC if min(g, gm) == 0 and max(g, gm) >= 2 else 0))
 
 
-def _packed_masks(lg: LabeledGraph) -> dict:
-    """node -> its classes in the low bits, its property bits above them.
+def _packed_masks(lg: LabeledGraph) -> list:
+    """Per node number: its classes in the low bits, its property bits
+    above them.
 
     Options are visited before the positions that move to them, so each
     node's reach is the union of its options' finished classes.
     """
-    succ = lg.graph.succ
-    labels = lg.labels
-    packed = dict.fromkeys(succ, 0)
+    graph = lg.graph
+    offsets, targets = graph.offsets, graph.targets
+    g, gm = lg.g, lg.g_minus
+    packed = [0] * len(graph)
     by_label = {}
-    for x in reversed(lg.graph.topo):
+    for x in reversed(graph.order):
         reach = 0
-        for y in succ[x]:
+        for y in targets[offsets[x]:offsets[x + 1]]:
             reach |= packed[y]
         reach &= _CLASS_MASK
-        lab = labels[x]
+        lab = (g[x], gm[x])
         own = by_label.get(lab)
         if own is None:
             own = by_label[lab] = _label_classes(*lab)
@@ -158,9 +160,10 @@ def _witnesses(lg: LabeledGraph, rows: dict) -> dict:
     the first in graph order.
     """
     packed = _packed_masks(lg)
+    depths, positions = lg.graph.depths, lg.graph.positions
     violated = {}   # property bits -> names of the rows they violate
     best = {}
-    for x, bits in packed.items():
+    for x, bits in enumerate(packed):
         props = bits >> _CLASS_BITS
         names = violated.get(props)
         if names is None:
@@ -168,7 +171,7 @@ def _witnesses(lg: LabeledGraph, rows: dict) -> dict:
                                        if not props & row]
         if not names:
             continue
-        key = sort_key(lg, x)
+        key = (depths[x], position_key(positions[x]))
         for name in names:
             if name not in best or key < best[name][0]:
                 best[name] = (key, x)
@@ -176,25 +179,28 @@ def _witnesses(lg: LabeledGraph, rows: dict) -> dict:
     for name, (_, reason) in rows.items():
         if name in best:
             x = best[name][1]
-            lab = lg.labels[x]
+            lab = Label(lg.g[x], lg.g_minus[x])
             if reason is None:
                 reason = _option_reason(lg, packed, x, name)
             else:
                 reason = reason.format(g=lab.g, gm=lab.g_minus)
-            out[name] = (x, lab, reason)
+            out[name] = (positions[x], lab, reason)
     return out
 
 
 def _option_reason(lg, packed, x, predicate):
-    lab = tuple(lg.labels[x])
+    graph = lg.graph
+    lab = (lg.g[x], lg.g_minus[x])
+    opts = graph.targets[graph.offsets[x]:graph.offsets[x + 1]]
     if predicate == "forced":
         opposite = (1, 0) if lab == (0, 1) else (0, 1)
-        y = next(y for y in lg.graph.succ[x] if lg.labels[y] != opposite)
-        return (f"move to {y!r} with label {tuple(lg.labels[y])} "
-                f"instead of {opposite}")
+        y = next(y for y in opts if (lg.g[y], lg.g_minus[y]) != opposite)
+        return (f"move to {graph.positions[y]!r} with label "
+                f"{(lg.g[y], lg.g_minus[y])} instead of {opposite}")
     stuck = NB01 if lab == (0, 1) else NB10
-    y = next(y for y in lg.graph.succ[x] if packed[y] & stuck)
-    return f"move to {y!r} cannot be answered back to a {lab}-position"
+    y = next(y for y in opts if packed[y] & stuck)
+    return (f"move to {graph.positions[y]!r} cannot be answered back to a "
+            f"{lab}-position")
 
 
 @dataclass
@@ -349,21 +355,22 @@ def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
 
     report = VerifyReport(target)
     fail = report.failures.append
-    succ = graph.succ
+    index, positions = graph.index, graph.positions
+    offsets, targets = graph.offsets, graph.targets
     named = [(name, sets[name]) for name in _REQUIRED[target]]
     terminals = set(graph.terminals())
 
-    own = dict.fromkeys(succ, 0)
+    own = [0] * len(graph)
     for name, s in named:
         for x in s:
-            if x in own:
-                own[x] |= _PAIR_CLASS[_SET_LABELS[name]]
-    reach = {}
-    for x, ys in succ.items():
+            if x in index:
+                own[index[x]] |= _PAIR_CLASS[_SET_LABELS[name]]
+    reach = []
+    for x in range(len(graph)):
         r = 0
-        for y in ys:
+        for y in targets[offsets[x]:offsets[x + 1]]:
             r |= own[y]
-        reach[x] = r
+        reach.append(r)
 
     # pairwise disjoint
     for i, (na, sa) in enumerate(named):
@@ -375,33 +382,35 @@ def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
     # (i) independence
     for name, s in named:
         for x in s:
-            if x in succ and reach[x] & _PAIR_CLASS[_SET_LABELS[name]]:
+            if x in index and reach[index[x]] & _PAIR_CLASS[_SET_LABELS[name]]:
                 fail(("i", x, f"move inside {name}"))
 
     # (ii) terminals
     for x in sorted(terminals - cand.v01, key=repr):
         fail(("ii", x, "terminal not in v01"))
 
-    unknown = [x for _, s in named for x in s if x not in succ]
+    unknown = [x for _, s in named for x in s if x not in index]
     for x in unknown:
         fail(("membership", x, "candidate position not in graph"))
     if unknown:
         return report
 
-    members = dict(named, rest=[x for x in succ if not own[x] & (SWAP | V00)])
+    members = dict(named, rest=[x for i, x in enumerate(positions)
+                                if not own[i] & (SWAP | V00)])
     members["v01 - terminals"] = cand.v01 - terminals
     for cond, name, need, avoid in _STRUCTURE[target]:
         who = "" if name == "rest" else f"{name[:3]} position "
         for x in members[name]:
-            if need and not reach[x] & need:
+            r = reach[index[x]]
+            if need and not r & need:
                 fail((cond, x, f"{who}not movable to {_REACH_NAMES[need]}"))
-            if reach[x] & avoid:
+            if r & avoid:
                 fail((cond, x, f"{who}movable to {_REACH_NAMES[avoid]}"))
 
     if not structural_only:
         cond, row, reason = _COVERING[target]
-        for x in succ:
-            held = properties(own[x], reach[x]) & row
+        for i, x in enumerate(positions):
+            held = properties(own[i], reach[i]) & row
             if not held or (target == "pet" and held == row):
                 fail((cond, x, reason))
 

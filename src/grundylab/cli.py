@@ -12,9 +12,10 @@ import tempfile
 
 import click
 
-from .core import GameError
+from .core import GameError, InvalidParams, UnknownPosition
 from .core import enumerate_subgame
-from .fixtures import FIXTURE_NAMES, fixture_roots, load_fixture
+from .fixtures import (FIXTURE_NAMES, fixture_adjacency, fixture_roots,
+                       load_fixture)
 from .grundy import sg_labels, to_csv, to_json
 from .classify import classify
 from .suites import SUITES, run_suite
@@ -29,24 +30,37 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
-def _parse_root(text: str):
-    parts = [p.strip() for p in text.split(",")]
+def _parse_root(text: str, family: str):
+    """A family position from comma-separated integer coordinates."""
     try:
-        coords = tuple(int(p) for p in parts)
+        root = tuple(int(p) for p in text.split(","))
     except ValueError:
-        # fixture node ids stay strings
-        return text if len(parts) == 1 else tuple(parts)
-    return coords
+        raise InvalidParams(
+            f"root {text!r} must be comma-separated integers") from None
+    arity = _fixed_arity(family)
+    if arity is not None and len(root) != arity:
+        raise InvalidParams(f"{family} positions have {arity} coordinates, "
+                            f"root {text!r} has {len(root)}")
+    return root
 
 
 def _merge_params(params_json, a, b, n, k, shape, subtraction_set):
-    params = dict(json.loads(params_json)) if params_json else {}
+    try:
+        params = json.loads(params_json) if params_json else {}
+    except ValueError as exc:
+        raise InvalidParams(f"--params is not JSON: {exc}") from None
+    if not isinstance(params, dict):
+        raise InvalidParams("--params must be a JSON object")
     for key, value in (("a", a), ("b", b), ("n", n), ("k", k),
                        ("shape", shape)):
         if value is not None:
             params[key] = value
     if subtraction_set:
-        params["x"] = tuple(int(v) for v in subtraction_set.split(","))
+        try:
+            params["x"] = tuple(int(v) for v in subtraction_set.split(","))
+        except ValueError:
+            raise InvalidParams(f"--set {subtraction_set!r} must be "
+                                "comma-separated integers") from None
     return params
 
 
@@ -59,10 +73,16 @@ def _build_game(family, fixture, params, use_symmetry):
 
 
 def _resolve_roots(roots, fixture, box, family, params):
-    if roots:
-        return [_parse_root(r) for r in roots]
     if fixture is not None:
-        return fixture_roots(fixture)
+        if not roots:
+            return fixture_roots(fixture)
+        nodes = fixture_adjacency(fixture)
+        for r in roots:
+            if r not in nodes:
+                raise UnknownPosition(f"fixture {fixture} has no node {r!r}")
+        return list(roots)
+    if roots:
+        return [_parse_root(r, family) for r in roots]
     if box is not None:
         dims = _family_dims(family, params)
         return zoo.box_roots(dims, box)

@@ -6,7 +6,8 @@ non-negative ints; explicit fixtures use string node ids.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
@@ -55,6 +56,10 @@ class NotTameLabel(GameError):
     pass
 
 
+class BadSumRoot(GameError):
+    """A sum root is not a tuple with one position per summand."""
+
+
 class _MisereTerminal:
     """Unique sentinel node adjoined below the former terminals."""
 
@@ -97,41 +102,64 @@ class GameDef:
 
 
 class ReachableGraph:
-    """The finite subgame generated by a root set: explicit nodes and moves.
+    """The finite subgame generated by a root set: numbered nodes and moves.
 
-    Immutable after construction.  ``topo`` lists nodes with every move
-    source before its targets; solvers iterate it in reverse.
+    Nodes are numbered 0..N-1.  ``positions[i]`` is node i's position and
+    ``index`` maps a position back to its number.  Node i's options are
+    ``targets[offsets[i]:offsets[i + 1]]`` (compressed sparse rows of
+    ``array('i')``).  ``order`` lists the node numbers with every move
+    source before its targets, and ``depths[i]`` is d(node i).  ``succ``,
+    ``topo`` and ``nodes`` are read-only views of the same data in terms of
+    positions.  Immutable after construction.
     """
 
-    def __init__(self, roots, succ, topo, depth):
+    def __init__(self, roots, positions, index, offsets, targets):
         self.roots = frozenset(roots)
-        self.succ = succ          # node -> tuple of option nodes
-        self.topo = topo          # nodes, parents before children
-        self._depth = depth       # node -> d(x)
+        self.positions = positions
+        self.index = index
+        self.offsets = offsets
+        self.targets = targets
+        self.order, self.depths = _order_and_depths(positions, offsets, targets)
+
+    @property
+    def succ(self) -> NodeView:
+        """position -> tuple of its option positions, in node order."""
+        return NodeView(self.index, lambda: self.positions, self._options)
+
+    def _options(self, i) -> tuple:
+        return tuple(map(self.positions.__getitem__,
+                         self.targets[self.offsets[i]:self.offsets[i + 1]]))
+
+    @property
+    def topo(self) -> list:
+        """Positions with every move source before its targets."""
+        return list(map(self.positions.__getitem__, self.order))
 
     @property
     def nodes(self):
         return self.succ.keys()
 
     def __len__(self):
-        return len(self.succ)
+        return len(self.positions)
 
     def __contains__(self, x):
-        return x in self.succ
+        return x in self.index
 
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.succ.values())
+        return len(self.targets)
 
     def terminals(self):
-        return [x for x, opts in self.succ.items() if not opts]
+        off = self.offsets
+        return [x for i, x in enumerate(self.positions) if off[i] == off[i + 1]]
 
     def is_terminal(self, x) -> bool:
-        return not self.succ[x]
+        i = self.index[x]
+        return self.offsets[i] == self.offsets[i + 1]
 
     def depth(self, x) -> int:
         """d(x): the greatest number of successive moves from x to a terminal."""
         try:
-            return self._depth[x]
+            return self.depths[self.index[x]]
         except KeyError:
             raise UnknownPosition(f"position {x!r} not in graph") from None
 
@@ -145,82 +173,125 @@ class ReachableGraph:
         return f"roots={root_str}; nodes={len(self)}"
 
 
+class NodeView(Mapping):
+    """Read-only mapping from position to ``value(i)`` of its node number i,
+    iterating positions in the order ``keys()`` gives."""
+
+    __slots__ = ("_index", "_keys", "_value")
+
+    def __init__(self, index: dict, keys, value):
+        self._index, self._keys, self._value = index, keys, value
+
+    def __getitem__(self, x):
+        return self._value(self._index[x])
+
+    def __iter__(self):
+        return iter(self._keys())
+
+    def __len__(self):
+        return len(self._index)
+
+    def __contains__(self, x):
+        return x in self._index
+
+
 def enumerate_subgame(game: GameDef, roots: Iterable[Position],
                       node_cap: int = DEFAULT_NODE_CAP) -> ReachableGraph:
     """Materialize the subgame reachable from ``roots``.
 
-    Breadth-first closure under the move rule, then a DFS topological sort
-    that doubles as the mandatory cycle check.
+    Breadth-first closure under the move rule that numbers each node when
+    it is first seen, then one depth-first pass that orders the nodes and
+    doubles as the mandatory cycle check.
     """
-    root_set = list(dict.fromkeys(game.canon(r) for r in roots))
-    succ: dict = {}
-    queue = deque(root_set)
-    while queue:
-        x = queue.popleft()
-        if x in succ:
-            continue
-        opts = tuple(game.moves(x))
-        succ[x] = opts
-        if len(succ) > node_cap:
+    positions = list(dict.fromkeys(game.canon(r) for r in roots))
+    root_count = len(positions)
+    index = {x: i for i, x in enumerate(positions)}
+    get = index.get
+    options, canonical = game.options, game.canonical
+    offsets, targets = array("i", [0]), array("i")
+    i = 0
+    while i < len(positions):
+        if len(positions) > node_cap:
             raise LimitExceeded(f"node cap {node_cap} exceeded")
+        opts = options(positions[i])
+        if canonical is not None:
+            opts = map(canonical, opts)
+        ids = []
         for y in opts:
-            if y not in succ:
-                queue.append(y)
-    topo = _topological_order(succ)
-    depth = _compute_depths(succ, topo)
-    return ReachableGraph(root_set, succ, topo, depth)
+            j = get(y)
+            if j is None:
+                j = index[y] = len(positions)
+                positions.append(y)
+            ids.append(j)
+        # first-seen order without repeats, as GameDef.moves
+        targets.extend(dict.fromkeys(ids))
+        offsets.append(len(targets))
+        i += 1
+    return ReachableGraph(positions[:root_count], positions, index,
+                          offsets, targets)
 
 
 def graph_from_adjacency(adj: dict, roots=None) -> ReachableGraph:
-    """Build a ReachableGraph from an explicit node -> successors mapping."""
-    succ = {x: tuple(ys) for x, ys in adj.items()}
-    for x, ys in succ.items():
-        for y in ys:
-            if y not in succ:
-                raise UnknownPosition(f"edge target {y!r} has no node entry")
+    """Build a ReachableGraph from an explicit node -> successors mapping.
+
+    Nodes are numbered in the mapping's order; repeated successors are
+    kept once.
+    """
+    positions = list(adj)
+    index = {x: i for i, x in enumerate(positions)}
+    offsets, targets = array("i", [0]), array("i")
+    for ys in adj.values():
+        ids = dict.fromkeys(map(index.get, ys))
+        if None in ids:
+            y = next(y for y in ys if y not in index)
+            raise UnknownPosition(f"edge target {y!r} has no node entry")
+        targets.extend(ids)
+        offsets.append(len(targets))
     if roots is None:
-        targets = {y for ys in succ.values() for y in ys}
-        roots = [x for x in succ if x not in targets] or list(succ)
-    topo = _topological_order(succ)
-    depth = _compute_depths(succ, topo)
-    return ReachableGraph(roots, succ, topo, depth)
+        has_parent = set(targets)
+        roots = [x for i, x in enumerate(positions)
+                 if i not in has_parent] or positions
+    return ReachableGraph(roots, positions, index, offsets, targets)
 
 
-def _topological_order(succ: dict) -> list:
-    """Iterative DFS order (parents first); raises CycleDetected on back edges."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(succ, WHITE)
-    order = []
-    for start in succ:
-        if color[start] != WHITE:
+def _order_and_depths(positions, offsets, targets):
+    """Parents-first node order and every node's depth, from one iterative
+    post-order DFS that raises CycleDetected on a back edge."""
+    n = len(positions)
+    state = bytearray(n)          # 0 unvisited, 1 on the path, 2 finished
+    depths = array("i", [0]) * n
+    order = array("i")
+    for start in range(n):
+        if state[start]:
             continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = GRAY
-        while stack:
-            x, it = stack[-1]
-            advanced = False
-            for y in it:
-                if color[y] == GRAY:
-                    raise CycleDetected(f"position {y!r} recurs on the expansion path")
-                if color[y] == WHITE:
-                    color[y] = GRAY
-                    stack.append((y, iter(succ[y])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[x] = BLACK
+        state[start] = 1
+        # frame: node, its options not yet scanned, 1 + deepest finished option
+        path = [[start, iter(targets[offsets[start]:offsets[start + 1]]), 0]]
+        while path:
+            frame = path[-1]
+            x, options, depth = frame
+            for y in options:
+                seen = state[y]
+                if seen == 2:
+                    if depths[y] >= depth:
+                        depth = depths[y] + 1
+                    continue
+                if seen == 1:
+                    raise CycleDetected(
+                        f"position {positions[y]!r} recurs on the expansion path")
+                frame[2] = depth
+                state[y] = 1
+                path.append([y, iter(targets[offsets[y]:offsets[y + 1]]), 0])
+                break
+            else:
+                path.pop()
+                state[x] = 2
                 order.append(x)
-                stack.pop()
+                depths[x] = depth
+                if path and depth >= path[-1][2]:
+                    path[-1][2] = depth + 1
     order.reverse()
-    return order
-
-
-def _compute_depths(succ: dict, topo: list) -> dict:
-    depth = {}
-    for x in reversed(topo):
-        opts = succ[x]
-        depth[x] = 1 + max(depth[y] for y in opts) if opts else 0
-    return depth
+    return order, depths
 
 
 def adjoin_misere_terminal(graph: ReachableGraph) -> ReachableGraph:
@@ -229,8 +300,8 @@ def adjoin_misere_terminal(graph: ReachableGraph) -> ReachableGraph:
     Normal SG values of the result, restricted to the original nodes, equal
     the misere SG values of the input.
     """
-    succ = {}
-    for x, opts in graph.succ.items():
-        succ[x] = opts if opts else (MISERE_TERMINAL,)
+    positions, off, targets = graph.positions, graph.offsets, graph.targets
+    succ = {x: [positions[y] for y in targets[off[i]:off[i + 1]]]
+            or (MISERE_TERMINAL,) for i, x in enumerate(positions)}
     succ[MISERE_TERMINAL] = ()
     return graph_from_adjacency(succ, roots=graph.roots)

@@ -115,7 +115,7 @@ def suite_fixtures(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
 
     # two domestic summands whose sum is not domestic
     g1, g2 = load_fixture("sodo_g1"), load_fixture("sodo_g2")
-    lg = sg_labels(sum_graph([g1, g2], ["E", "Y"]))
+    lg = sg_labels(sum_graph([g1, g2], [("E", "Y")]))
     lab = tuple(lg.labels[("E", "Y")])
     res.add("sodo_sum:root_label", lab == (0, 3), f"label {lab}")
     res.add("sodo_sum:not_domestic",
@@ -219,7 +219,7 @@ def suite_sums(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
             forced.sum_report.verdicts["miserable"], "")
 
     g1, g2 = load_fixture("sodo_g1"), load_fixture("sodo_g2")
-    report = check_closure("domestic", [g1, g2], ["E", "Y"])
+    report = check_closure("domestic", [g1, g2], [("E", "Y")])
     res.add("domestic_not_closed", not report.holds,
             "domestic summands, non-domestic sum")
 

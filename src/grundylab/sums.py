@@ -6,7 +6,8 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from operator import xor
 
-from .core import GameDef, NotTameLabel, ReachableGraph, enumerate_subgame
+from .core import (BadSumRoot, GameDef, NotTameLabel, ReachableGraph,
+                   enumerate_subgame)
 from .grundy import Label, LabeledGraph, sg_labels
 from .classify import ClassReport, classify
 
@@ -33,13 +34,14 @@ def sum_game(games: list[GameDef]) -> GameDef:
 
 
 def sum_graph(games: list[GameDef], roots: list, **kwargs) -> ReachableGraph:
-    """Explicit product subgame reachable from the root tuple(s).
+    """Explicit product subgame reachable from the product roots.
 
-    ``roots`` is one root per summand, or a list of such tuples.  The
-    summands are enumerated first and the product reads their move tables;
-    the result equals ``enumerate_subgame(sum_game(games), roots)``.
+    ``roots`` is a list of product roots, each a tuple with one position
+    per summand.  The summands are enumerated first and the product reads
+    their move arrays; the result equals
+    ``enumerate_subgame(sum_game(games), roots)``.
     """
-    root_tuples = _normalize_roots(games, roots)
+    root_tuples = _product_roots(games, roots)
     summands = _summand_graphs(games, root_tuples, **kwargs)
     return _product_graph(games, summands, root_tuples, **kwargs)
 
@@ -54,17 +56,19 @@ def _summand_graphs(games, root_tuples, **kwargs) -> list[ReachableGraph]:
 def _product_graph(games, summands, root_tuples, **kwargs) -> ReachableGraph:
     """Enumerate the sum with every component move read from ``summands``.
 
-    A summand's ``succ`` holds its canonical, deduplicated moves, so the
+    A summand's move arrays hold its canonical, deduplicated moves, so the
     product's options come out in ``sum_game``'s order and need no further
     canonicalisation; only the roots are canonicalised, per summand.
     """
-    tables = [g.succ for g in summands]
+    tables = [(g.index, g.positions, g.offsets, g.targets) for g in summands]
 
     def options(pos):
         out = []
-        for i, succ in enumerate(tables):
-            for y in succ[pos[i]]:
-                out.append(pos[:i] + (y,) + pos[i + 1:])
+        for i, (index, positions, offsets, targets) in enumerate(tables):
+            head, tail = pos[:i], pos[i + 1:]
+            k = index[pos[i]]
+            for y in targets[offsets[k]:offsets[k + 1]]:
+                out.append(head + (positions[y],) + tail)
         return out
 
     product = replace(sum_game(games), options=options, canonical=None)
@@ -72,13 +76,13 @@ def _product_graph(games, summands, root_tuples, **kwargs) -> ReachableGraph:
     return enumerate_subgame(product, roots, **kwargs)
 
 
-def _normalize_roots(games, roots):
-    # accept one component root per summand as shorthand for a single
-    # product root; otherwise expect a list of product-root tuples
+def _product_roots(games, roots) -> list:
+    """``roots`` as a list, after checking each has one position per summand."""
     roots = list(roots)
-    if len(roots) == len(games) and not all(
-            isinstance(r, tuple) and len(r) == len(games) for r in roots):
-        return [tuple(roots)]
+    for r in roots:
+        if not isinstance(r, tuple) or len(r) != len(games):
+            raise BadSumRoot(f"sum root {r!r} is not a tuple of "
+                             f"{len(games)} summand positions")
     return roots
 
 
@@ -126,7 +130,7 @@ def check_closure(target: str, games: list[GameDef], roots: list,
     once.  For tame or miserable summands the theorem-derived fast path
     (``tame_sum_label``) is cross-checked against every sum label.
     """
-    root_tuples = _normalize_roots(games, roots)
+    root_tuples = _product_roots(games, roots)
     summands = _summand_graphs(games, root_tuples, **kwargs)
     summand_lgs = [sg_labels(graph) for graph in summands]
     summand_reports = [classify(lg) for lg in summand_lgs]
@@ -138,7 +142,7 @@ def check_closure(target: str, games: list[GameDef], roots: list,
     mismatches = []
     if all(r.verdicts["tame"] for r in summand_reports):
         for pos, lab in sum_lg.labels.items():
-            comp_labels = [summand_lgs[i].labels[pos[i]] for i in range(len(games))]
+            comp_labels = [lg.label(p) for lg, p in zip(summand_lgs, pos)]
             predicted = tame_sum_label(comp_labels)
             if tuple(predicted) != tuple(lab):
                 mismatches.append((pos, tuple(lab), tuple(predicted)))

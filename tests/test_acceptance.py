@@ -53,7 +53,7 @@ def fixture_graph(name):
 @functools.lru_cache(maxsize=None)
 def sodo_sum_graph():
     return sum_graph([load_fixture("sodo_g1"), load_fixture("sodo_g2")],
-                     ["E", "Y"])
+                     [("E", "Y")])
 
 
 def _tame_pair_instances():

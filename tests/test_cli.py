@@ -52,6 +52,39 @@ def test_analyze_bad_params_exit_2():
     assert "error" in result.output
 
 
+def _assert_error_line(result, text):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert lines == [lines[0]] and lines[0].startswith("error: ")
+    assert text in lines[0]
+
+
+def test_analyze_root_wrong_arity():
+    _assert_error_line(run("analyze", "--family", "wythoff", "--roots", "3"),
+                       "2 coordinates")
+
+
+def test_analyze_fixture_root_not_a_node():
+    _assert_error_line(run("analyze", "--fixture", "pet", "--roots", "1"),
+                       "no node '1'")
+
+
+def test_analyze_root_not_integers():
+    _assert_error_line(run("analyze", "--family", "nim", "--roots", "3,x"),
+                       "comma-separated integers")
+
+
+def test_analyze_params_not_an_object():
+    _assert_error_line(run("analyze", "--family", "nim", "--params", "[1]",
+                           "--roots", "3"), "JSON object")
+
+
+def test_table_root_wrong_arity():
+    _assert_error_line(run("table", "--sg", "--family", "wythoff",
+                           "--roots", "3"), "2 coordinates")
+
+
 def test_table_p_sequence():
     result = run("table", "--family", "wythoff", "--p-sequence", "--n", "10")
     assert result.exit_code == 0

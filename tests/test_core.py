@@ -1,4 +1,9 @@
+import gc
+import tracemalloc
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grundylab import (
     CycleDetected,
@@ -9,7 +14,13 @@ from grundylab import (
     adjoin_misere_terminal,
     enumerate_subgame,
     graph_from_adjacency,
+    mex,
+    sg_labels,
 )
+from grundylab.core import GameError
+from grundylab.fixtures import (FIXTURE_NAMES, fixture_adjacency,
+                                fixture_roots, load_fixture)
+from grundylab.zoo import box_roots, make_family
 
 
 def one_pile_nim():
@@ -96,3 +107,236 @@ def test_adjoin_terminal_shape():
 
 def test_misere_sentinel_repr():
     assert repr(MISERE_TERMINAL) == "x_T"
+
+
+def test_adjacency_keeps_repeated_successor_once():
+    graph = graph_from_adjacency({"a": ["b", "b", "c"], "b": ["c"], "c": []})
+    assert graph.succ["a"] == ("b", "c")
+    assert graph.edge_count() == 3
+
+
+# --- reference: the dict-based closure, DFS order and depth pass -------------
+
+def ref_topological_order(succ):
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = dict.fromkeys(succ, WHITE)
+    order = []
+    for start in succ:
+        if color[start] != WHITE:
+            continue
+        stack = [(start, iter(succ[start]))]
+        color[start] = GRAY
+        while stack:
+            x, it = stack[-1]
+            advanced = False
+            for y in it:
+                if color[y] == GRAY:
+                    raise CycleDetected(f"position {y!r} recurs on the expansion path")
+                if color[y] == WHITE:
+                    color[y] = GRAY
+                    stack.append((y, iter(succ[y])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[x] = BLACK
+                order.append(x)
+                stack.pop()
+    order.reverse()
+    return order
+
+
+def ref_depths(succ, topo):
+    depth = {}
+    for x in reversed(topo):
+        opts = succ[x]
+        depth[x] = 1 + max(depth[y] for y in opts) if opts else 0
+    return depth
+
+
+def ref_enumerate(game, roots, node_cap=10**9):
+    root_set = list(dict.fromkeys(game.canon(r) for r in roots))
+    succ = {}
+    queue = deque(root_set)
+    while queue:
+        x = queue.popleft()
+        if x in succ:
+            continue
+        opts = tuple(game.moves(x))
+        succ[x] = opts
+        if len(succ) > node_cap:
+            raise LimitExceeded(f"node cap {node_cap} exceeded")
+        for y in opts:
+            if y not in succ:
+                queue.append(y)
+    topo = ref_topological_order(succ)
+    return root_set, succ, topo, ref_depths(succ, topo)
+
+
+def ref_graph_from_adjacency(adj, roots=None):
+    succ = {x: tuple(ys) for x, ys in adj.items()}
+    if roots is None:
+        targets = {y for ys in succ.values() for y in ys}
+        roots = [x for x in succ if x not in targets] or list(succ)
+    topo = ref_topological_order(succ)
+    return roots, succ, topo, ref_depths(succ, topo)
+
+
+def ref_labels(succ, topo):
+    labels = {}
+    for x in reversed(topo):
+        opts = succ[x]
+        if not opts:
+            labels[x] = (0, 1)
+        else:
+            labels[x] = (mex(labels[y][0] for y in opts),
+                         mex(labels[y][1] for y in opts))
+    return labels
+
+
+def assert_matches_reference(graph, ref):
+    roots, succ, topo, depth = ref
+    assert list(graph.succ.items()) == list(succ.items())
+    assert graph.topo == topo
+    assert [graph.depth(x) for x in topo] == [depth[x] for x in topo]
+    assert graph.roots == frozenset(roots)
+    assert graph.terminals() == [x for x, opts in succ.items() if not opts]
+    assert graph.edge_count() == sum(map(len, succ.values()))
+    assert (list(sg_labels(graph).labels.items())
+            == list(ref_labels(succ, topo).items()))
+
+
+def assert_same_outcome(build, reference):
+    """Both raise the same GameError with the same message, or both build
+    the same graph."""
+    try:
+        ref = reference()
+    except GameError as exc:
+        with pytest.raises(type(exc)) as got:
+            build()
+        assert str(got.value) == str(exc)
+        return None
+    graph = build()
+    assert_matches_reference(graph, ref)
+    return graph
+
+
+def assert_caps_match(game, roots, n):
+    for cap in sorted({1, n // 2, n - 1}):
+        if cap < n:
+            with pytest.raises(LimitExceeded):
+                ref_enumerate(game, roots, node_cap=cap)
+            with pytest.raises(LimitExceeded, match=f"node cap {cap} "):
+                enumerate_subgame(game, roots, node_cap=cap)
+    assert_matches_reference(enumerate_subgame(game, roots, node_cap=n),
+                             ref_enumerate(game, roots, node_cap=n))
+
+
+@st.composite
+def random_moves(draw, acyclic=True):
+    """Option lists on nodes 0..n-1 that may repeat a node, plus a root list
+    that may repeat one too."""
+    n = draw(st.integers(1, 14))
+    moves = {}
+    for i in range(n):
+        pool = range(i) if acyclic else range(n)
+        moves[i] = (draw(st.lists(st.sampled_from(pool), max_size=6))
+                    if pool else [])
+    roots = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    return moves, roots
+
+
+def rule(moves):
+    return GameDef("r", {}, lambda p: list(moves[p]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_moves())
+def test_enumerate_matches_reference_on_random_dags(case):
+    moves, roots = case
+    game = rule(moves)
+    graph = assert_same_outcome(lambda: enumerate_subgame(game, roots),
+                                lambda: ref_enumerate(game, roots))
+    assert_caps_match(game, roots, len(graph))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_moves(acyclic=False))
+def test_enumerate_matches_reference_on_cyclic_rules(case):
+    moves, roots = case
+    game = rule(moves)
+    assert_same_outcome(lambda: enumerate_subgame(game, roots),
+                        lambda: ref_enumerate(game, roots))
+
+
+def test_cycle_message_matches_reference():
+    game = GameDef("cycle", {}, lambda p: [(p + 1) % 3])
+    with pytest.raises(CycleDetected) as want:
+        ref_enumerate(game, [0])
+    with pytest.raises(CycleDetected) as got:
+        enumerate_subgame(game, [0])
+    assert (str(got.value) == str(want.value)
+            == "position 0 recurs on the expansion path")
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_moves(acyclic=False), st.booleans())
+def test_adjacency_matches_reference(case, infer_roots):
+    moves, roots = case
+    # the reference keeps repeated successors; graph_from_adjacency does not
+    adj = {x: list(dict.fromkeys(ys)) for x, ys in moves.items()}
+    roots = None if infer_roots else roots
+    graph = assert_same_outcome(lambda: graph_from_adjacency(adj, roots),
+                                lambda: ref_graph_from_adjacency(adj, roots))
+    if graph is not None:
+        want = {x: opts or (MISERE_TERMINAL,) for x, opts in graph.succ.items()}
+        want[MISERE_TERMINAL] = ()
+        assert_matches_reference(adjoin_misere_terminal(graph),
+                                 ref_graph_from_adjacency(want, graph.roots))
+
+
+ZOO_GAMES = [
+    ("nim", {}, [(3, 2, 2)]),
+    ("wythoff", {}, box_roots(2, 6)),
+    ("wythoff", {}, [(7, 5)]),
+    ("moore_nim", {"n": 3, "k": 2}, [(2, 3, 1)]),
+    ("extended_nim", {"n": 2, "k": 1}, [(1, 2, 3)]),
+    ("ho_nim", {"shape": "cycle", "n": 5}, [(2, 1, 2, 0, 1)]),
+    ("subtraction", {"x": (1, 3, 4)}, [(30,), (12,)]),
+    ("mark", {}, [(25,)]),
+    ("euclid_grossman", {}, [(5, 8), (3, 7)]),
+    ("wyt_a", {"a": 2}, [(6, 4)]),
+]
+
+
+@pytest.mark.parametrize("symmetry", [False, True], ids=["raw", "symmetry"])
+@pytest.mark.parametrize("family,params,roots", ZOO_GAMES,
+                         ids=[f"{g[0]}{i}" for i, g in enumerate(ZOO_GAMES)])
+def test_enumerate_matches_reference_on_zoo(family, params, roots, symmetry):
+    game = make_family(family, params, use_symmetry=symmetry)
+    graph = enumerate_subgame(game, roots)
+    assert_matches_reference(graph, ref_enumerate(game, roots))
+    assert_caps_match(game, roots, len(graph))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_enumerate_matches_reference_on_fixtures(name):
+    game, roots = load_fixture(name), fixture_roots(name)
+    assert_matches_reference(enumerate_subgame(game, roots),
+                             ref_enumerate(game, roots))
+    adj = fixture_adjacency(name)
+    assert_matches_reference(graph_from_adjacency(adj),
+                             ref_graph_from_adjacency(adj))
+
+
+def test_graph_memory_per_edge():
+    game = make_family("wythoff")
+    roots = box_roots(2, 60)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = enumerate_subgame(game, roots)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count() == 297_070
+    assert held / graph.edge_count() <= 8

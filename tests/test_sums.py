@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grundylab import (
+    BadSumRoot,
     GameDef,
     Label,
     LimitExceeded,
@@ -47,13 +48,29 @@ def test_two_unit_piles_diamond():
 
 def test_component_shorthand_roots():
     game = make_family("nim")
-    graph = sum_graph([game, game], [(2,), (2,)])
+    graph = sum_graph([game, game], [((2,), (2,))])
     assert len(graph) == 9
+
+
+def test_sum_root_of_the_wrong_length_is_an_error():
+    nim = make_family("nim")
+    roots = [(1, 2, 3), (4, 5, 6)]
+    with pytest.raises(BadSumRoot, match=r"\(1, 2, 3\)"):
+        sum_graph([nim, nim], roots)
+    with pytest.raises(BadSumRoot):
+        check_closure("tame", [nim, nim], roots)
+
+
+def test_sum_roots_of_pile_tuples():
+    nim = make_family("nim")
+    graph = sum_graph([nim, nim], [((1, 2), (3, 4))])
+    assert ((1, 2), (3, 4)) in graph
+    assert len(graph) == 2 * 3 * 4 * 5
 
 
 def test_sodo_sum_label():
     g1, g2 = load_fixture("sodo_g1"), load_fixture("sodo_g2")
-    lg = sg_labels(sum_graph([g1, g2], ["E", "Y"]))
+    lg = sg_labels(sum_graph([g1, g2], [("E", "Y")]))
     assert tuple(lg.labels[("E", "Y")]) == (0, 3)
 
 
@@ -134,7 +151,7 @@ def test_closure_nim_forced():
 
 def test_closure_domestic_fails_on_sodo():
     g1, g2 = load_fixture("sodo_g1"), load_fixture("sodo_g2")
-    report = check_closure("domestic", [g1, g2], ["E", "Y"])
+    report = check_closure("domestic", [g1, g2], [("E", "Y")])
     assert all(r.verdicts["domestic"] for r in report.summand_reports)
     assert not report.holds
 
