@@ -30,18 +30,26 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
-def _parse_root(text: str, family: str):
+def _parse_root(text: str, family: str, params: dict):
     """A family position from comma-separated integer coordinates."""
     try:
         root = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InvalidParams(
             f"root {text!r} must be comma-separated integers") from None
-    arity = _fixed_arity(family)
+    _check_root(root, family, params)
+    return root
+
+
+def _check_root(root, family, params):
+    """Raise unless ``root`` has the family's arity and no negative
+    coordinate."""
+    arity = _arity(family, params)
     if arity is not None and len(root) != arity:
         raise InvalidParams(f"{family} positions have {arity} coordinates, "
-                            f"root {text!r} has {len(root)}")
-    return root
+                            f"root {list(root)} has {len(root)}")
+    if any(c < 0 for c in root):
+        raise InvalidParams(f"root {list(root)} has a negative coordinate")
 
 
 def _merge_params(params_json, a, b, n, k, shape, subtraction_set):
@@ -82,36 +90,35 @@ def _resolve_roots(roots, fixture, box, family, params):
                 raise UnknownPosition(f"fixture {fixture} has no node {r!r}")
         return list(roots)
     if roots:
-        return [_parse_root(r, family) for r in roots]
+        return [_parse_root(r, family, params) for r in roots]
     if box is not None:
-        dims = _family_dims(family, params)
+        dims = _arity(family, params)
+        if dims is None:  # nim takes its pile count from --n
+            dims = params.get("n")
+            if not isinstance(dims, int) or dims < 0:
+                raise InvalidParams(f"--box needs a pile count --n >= 0 "
+                                    f"for family {family}")
+        if box < 0:
+            raise InvalidParams(f"--box {box} is negative")
         return zoo.box_roots(dims, box)
     raise click.UsageError("no positions given: use --roots/--piles or --box")
 
 
-_TWO_PILE = {"euclid_cd", "euclid_grossman", "wythoff", "wyt_a", "wyt_ab"}
-_ONE_PILE = {"subtraction", "mark"}
+_ARITY = {"subtraction": 1, "mark": 1, "euclid_cd": 2, "euclid_grossman": 2,
+          "wythoff": 2, "wyt_a": 2, "wyt_ab": 2}
 
 
-def _fixed_arity(family):
-    """Coordinates per position of a fixed-arity family, else None."""
-    if family in _TWO_PILE:
-        return 2
-    if family in _ONE_PILE:
-        return 1
-    return None
-
-
-def _family_dims(family, params):
-    dims = _fixed_arity(family)
-    if dims is not None:
-        return dims
+def _arity(family, params):
+    """Coordinates per position of ``family`` with ``params`` (which
+    ``make_family`` has accepted); None for nim, which has any number of
+    piles."""
+    if family == "nim":
+        return None
     if family == "ho_nim":
         return zoo.ho_nim_block_count(params.get("shape"), params.get("n"))
-    n = params.get("n")
-    if n is None:
-        raise click.UsageError(f"--box needs a pile count for family {family}")
-    return n + 1 if family == "extended_nim" else n
+    if family in _ARITY:
+        return _ARITY[family]
+    return params["n"] + 1 if family == "extended_nim" else params["n"]
 
 
 @click.group()
@@ -374,15 +381,15 @@ def _load_game_spec(path):
         if roots is None:
             bad("a family spec needs roots")
         roots = [tuple(r) if isinstance(r, list) else (r,) for r in roots]
-        arity = _fixed_arity(family)
+        game = zoo.make_family(family, params,
+                               use_symmetry=bool(spec.get("symmetry")))
         for r in roots:
             if not all(isinstance(c, int) for c in r):
                 bad(f"root {list(r)} must hold integers")
-            if arity is not None and len(r) != arity:
-                bad(f"{family} positions have {arity} coordinates, "
-                    f"root {list(r)} has {len(r)}")
-        game = zoo.make_family(family, params,
-                               use_symmetry=bool(spec.get("symmetry")))
+            try:
+                _check_root(r, family, params)
+            except InvalidParams as exc:
+                bad(str(exc))
     return game, [game.canon(r) for r in roots]
 
 

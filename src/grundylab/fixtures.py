@@ -58,7 +58,7 @@ def load_fixture(name: str) -> GameDef:
 def fixture_adjacency(name: str) -> dict:
     if name not in FIXTURE_NAMES:
         raise UnknownFixture(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
-    text = resources.files("grundylab.data").joinpath(f"{name}.game").read_text()
+    text = (resources.files("grundylab") / "data" / f"{name}.game").read_text()
     return parse_fixture_text(text)
 
 

@@ -2,10 +2,15 @@
 
 Each suite returns a SuiteResult with one entry per check; a check is a
 (name, ok, detail) triple.  Suites are deterministic given the seed.
+
+The case tables and ``check_*`` functions below are the only definition of
+each battery.  The acceptance gate (``tests/test_acceptance.py``) runs the
+same functions, at its own larger sizes or over its own extra instances.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -18,7 +23,7 @@ from .grundy import (
 )
 from .classify import CandidateSets, check_sm_equivalences, classify, verify_candidate_sets
 from .random_games import random_dag
-from .sums import check_closure, sum_graph, tame_sum_label
+from .sums import check_closure, sum_graph
 from . import zoo
 
 SUITES = (
@@ -59,6 +64,9 @@ class SuiteResult:
 def run_suite(name: str, seed: int = 0, samples: int = 1000,
               max_nodes: int = 12) -> list[SuiteResult]:
     """Run one named suite, or every suite for ``all``."""
+    if samples < 1 or max_nodes < 1:
+        raise InvalidParams(f"samples ({samples}) and max_nodes "
+                            f"({max_nodes}) must be at least 1")
     if name == "all":
         return [_RUNNERS[s](seed, samples, max_nodes) for s in SUITES]
     try:
@@ -75,6 +83,20 @@ def _labeled_fixture(name):
     return sg_labels(enumerate_subgame(game, fixture_roots(name)))
 
 
+def _tag(family, params):
+    """A case name: the shape and size for ho_nim, else the family."""
+    if family == "ho_nim":
+        return params["shape"] + str(params.get("n", ""))
+    return family
+
+
+def check_verdicts(res, name, graph, expected):
+    """Classify ``graph`` and compare the verdicts named in ``expected``."""
+    verdicts = classify(sg_labels(graph)).verdicts
+    bad = {p: verdicts[p] for p in expected if verdicts[p] != expected[p]}
+    res.add(name, not bad, f"unexpected {bad}" if bad else "")
+
+
 # the caption facts each bundled example exists to demonstrate
 FIXTURE_EXPECTATIONS = {
     "not_domestic": {"domestic": False, "forced": True, "returnable": True},
@@ -85,7 +107,7 @@ FIXTURE_EXPECTATIONS = {
     "not_returnable": {"returnable": False},
     "returnable_not_forced": {"returnable": True, "forced": False},
     "tame_not_miserable": {"tame": True, "miserable": False},
-    "abc_chain": {"pet": True},
+    "abc_chain": {"pet": True, "tame": True},
     "sodo_g1": {"domestic": True, "tame": False},
     "sodo_g2": {"domestic": True, "pet": True},
 }
@@ -123,7 +145,8 @@ def suite_fixtures(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     return res
 
 
-_HIERARCHY = [
+# (a, b): every game in class a is in class b
+HIERARCHY = [
     ("pet", "tame"),
     ("tame", "domestic"),
     ("strongly_miserable", "miserable"),
@@ -134,11 +157,19 @@ _HIERARCHY = [
     ("forced", "returnable"),
 ]
 
-_EQUALITIES = [
+# (a, b): a game is in class a exactly when it is in class b
+EQUALITIES = [
     ("domestic", "weakly_miserable"),
     ("tame", "t_miserable"),
     ("pet", "strongly_miserable"),
 ]
+
+
+def adjoined_terminal_agrees(graph, lg) -> bool:
+    """Normal play on ``graph`` with one terminal adjoined below its
+    terminals gives every position its misère value from ``lg``."""
+    mis = misere_via_adjoined_terminal(graph)
+    return all(mis[x] == lg.labels[x].g_minus for x in graph.nodes)
 
 
 def suite_equalities(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
@@ -149,18 +180,17 @@ def suite_equalities(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
         graph = random_dag(rng, max_nodes)
         lg = sg_labels(graph)
         verdicts = classify(lg).verdicts
-        for a, b in _HIERARCHY:
+        for a, b in HIERARCHY:
             if verdicts[a] and not verdicts[b]:
                 bad_impl.append((i, a, b))
-        for a, b in _EQUALITIES:
+        for a, b in EQUALITIES:
             if verdicts[a] != verdicts[b]:
                 bad_eq.append((i, a, b))
         if not check_sm_equivalences(lg).agree:
             bad_sm.append(i)
         if not verify_sg_consistency(lg).ok:
             bad_cons.append(i)
-        mis = misere_via_adjoined_terminal(graph)
-        if any(mis[x] != lg.labels[x].g_minus for x in graph.nodes):
+        if not adjoined_terminal_agrees(graph, lg):
             bad_misere.append(i)
     res.add("hierarchy_implications", not bad_impl, f"violations {bad_impl[:3]}")
     res.add("class_equalities", not bad_eq, f"violations {bad_eq[:3]}")
@@ -172,48 +202,64 @@ def suite_equalities(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     return res
 
 
-def _random_explicit_game(rng, max_nodes):
-    graph = random_dag(rng, max_nodes)
-    frozen = dict(graph.succ)
-    game = GameDef("random", {"nodes": len(frozen)},
-                   lambda p, fr=frozen: list(fr[p]))
-    return game, list(frozen)
+def check_xor_pairs(res, rng, pairs):
+    """The XOR rule on every position of ``pairs`` sums of two random DAGs
+    of at most 8 nodes, each summand rooted at all of its nodes."""
+    bad = []
+    for i in range(pairs):
+        graphs = [random_dag(rng, 8) for _ in range(2)]
+        games = [GameDef("random", {"nodes": len(g)},
+                         lambda p, succ=dict(g.succ): list(succ[p]))
+                 for g in graphs]
+        comp = [sg_labels(g) for g in graphs]
+        roots = list(itertools.product(*(g.nodes for g in graphs)))
+        lg = sg_labels(sum_graph(games, roots))
+        for (p0, p1), lab in lg.labels.items():
+            if lab.g != comp[0].labels[p0].g ^ comp[1].labels[p1].g:
+                bad.append((i, (p0, p1)))
+    res.add("xor_rule_random_pairs", not bad,
+            f"{pairs} pairs; violations {bad[:3]}")
+
+
+def fixture_summand(name):
+    """A fixture as a (name, game, roots) summand."""
+    return f"fixture:{name}", load_fixture(name), fixture_roots(name)
+
+
+def summand_pairs(summands):
+    """(name, games, product roots) for each pair of (name, game, roots)
+    summands, a summand paired with itself included."""
+    for i, (na, ga, ra) in enumerate(summands):
+        for nb, gb, rb in summands[i:]:
+            yield f"{na}+{nb}", [ga, gb], list(itertools.product(ra, rb))
+
+
+def check_tame_closure(res, summands):
+    """For each pair of ``summands``: both are tame, their sum is tame, every
+    sum label is ``tame_sum_label``'s, and the sum is miserable when both
+    summands are."""
+    for name, games, roots in summand_pairs(summands):
+        report = check_closure("tame", games, roots)
+        parts = [r.verdicts for r in report.summand_reports]
+        ok = (all(v["tame"] for v in parts) and report.holds
+              and report.fast_path_ok
+              and (report.sum_report.verdicts["miserable"]
+                   or not all(v["miserable"] for v in parts)))
+        res.add(f"tame_closure:{name}", ok,
+                f"label mismatches {report.label_mismatches[:3]}")
 
 
 def suite_sums(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     res = SuiteResult("sums", seed)
-    rng = random.Random(seed)
-    pairs = max(1, min(200, samples))
-    bad_xor = []
-    for i in range(pairs):
-        games, nodesets = zip(*(_random_explicit_game(rng, 8) for _ in range(2)))
-        comp = [sg_labels(enumerate_subgame(g, ns))
-                for g, ns in zip(games, nodesets)]
-        roots = [(a, b) for a in nodesets[0] for b in nodesets[1]]
-        lg = sg_labels(sum_graph(list(games), roots))
-        for (p0, p1), lab in lg.labels.items():
-            if lab.g != comp[0].labels[p0].g ^ comp[1].labels[p1].g:
-                bad_xor.append((i, (p0, p1)))
-    res.add("xor_rule_random_pairs", not bad_xor,
-            f"{pairs} pairs; violations {bad_xor[:3]}")
-
-    tame_summands = [
-        ("fixture:tame_not_pet", load_fixture("tame_not_pet"),
-         fixture_roots("tame_not_pet")),
-        ("fixture:tame_not_miserable", load_fixture("tame_not_miserable"),
-         fixture_roots("tame_not_miserable")),
-        ("nim:3,4", zoo.make_family("nim"), [(3, 4)]),
-        ("euclid_grossman:2,5", zoo.make_family("euclid_grossman"), [(2, 5)]),
-    ]
-    for i, (na, ga, ra) in enumerate(tame_summands):
-        for nb, gb, rb in tame_summands[i:]:
-            roots = [(x, y) for x in ra for y in rb]
-            report = check_closure("tame", [ga, gb], roots)
-            res.add(f"tame_closure:{na}+{nb}",
-                    report.holds and report.fast_path_ok,
-                    f"label mismatches {report.label_mismatches[:3]}")
-
+    check_xor_pairs(res, random.Random(seed), max(1, min(200, samples)))
     nim = zoo.make_family("nim")
+    check_tame_closure(res, [
+        fixture_summand("tame_not_pet"),
+        fixture_summand("tame_not_miserable"),
+        ("nim:3,4", nim, [(3, 4)]),
+        ("euclid_grossman:2,5", zoo.make_family("euclid_grossman"), [(2, 5)]),
+    ])
+
     forced = check_closure("forced", [nim, nim], [((2, 3), (1, 4))])
     res.add("nim_sum_forced", forced.holds and
             forced.sum_report.verdicts["miserable"], "")
@@ -229,21 +275,32 @@ def suite_sums(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     return res
 
 
-def suite_ferguson(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
-    res = SuiteResult("ferguson", seed)
-    rng = random.Random(seed)
-    sets = [{1}, {1, 2}, {2, 3}, {1, 4}, {3, 5, 7}]
-    while len(sets) < 25:
-        size = rng.randint(1, 5)
-        xs = set(rng.sample(range(1, 13), size))
+def subtraction_sets(rng, count, sets=()):
+    """``sets``, then random sets of 1 to 5 elements of 1..12 not yet
+    drawn, until there are ``count``."""
+    sets = [frozenset(xs) for xs in sets]
+    while len(sets) < count:
+        xs = frozenset(rng.sample(range(1, 13), rng.randint(1, 5)))
         if xs not in sets:
             sets.append(xs)
+    return sets
+
+
+def check_ferguson(res, sets):
+    """Ferguson's shift and escape laws for each subtraction set, to 200."""
     bad = []
     for xs in sets:
         report = zoo.ferguson_check(xs, 200)
         if not report.ok:
             bad.append((sorted(xs), report.failures[:2]))
     res.add("shift_and_escape_laws", not bad, f"{len(sets)} sets; failures {bad}")
+
+
+def suite_ferguson(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
+    res = SuiteResult("ferguson", seed)
+    sets = subtraction_sets(random.Random(seed), 25,
+                            [{1}, {1, 2}, {2, 3}, {1, 4}, {3, 5, 7}])
+    check_ferguson(res, sets)
 
     pet_bad = []
     for xs in sets[:8]:
@@ -255,48 +312,57 @@ def suite_ferguson(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     return res
 
 
-def suite_wythoff(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
-    res = SuiteResult("wythoff", seed)
-    n_max = max(100, min(samples, 2000))
-    used = set()
-    bad = []
-    # recompute the P-sequence by the mex recursion, compare with the formula
-    x, n = 0, 0
-    while n <= n_max:
+def check_beatty(res, n_max):
+    """``BeattyPair(n)`` for n <= n_max against the mex recursion: x_n is the
+    least number not in an earlier pair and y_n = x_n + n."""
+    used, x, bad = set(), 0, []
+    for n in range(n_max + 1):
         pair = zoo.BeattyPair(n)
         if (x, x + n) != (pair.x, pair.y):
             bad.append(n)
-        used.add(x)
-        used.add(x + n)
-        n += 1
+        used.update((x, x + n))
         while x in used:
             x += 1
     res.add("beatty_formula_vs_recursion", not bad,
             f"n <= {n_max}; mismatches {bad[:3]}")
 
-    game = zoo.make_family("wythoff", use_symmetry=True)
-    lg = sg_labels(enumerate_subgame(game, [(25, 25)]))
-    normal = {p for p, lab in lg.labels.items() if lab.g == 0}
-    misere = {p for p, lab in lg.labels.items() if lab.g_minus == 0}
-    pred_n, pred_m = set(), set()
-    n = 0
-    while True:
-        pn = zoo.wythoff_p(n)
-        if pn[0] > 25:
-            break
-        if pn[1] <= 25:
-            pred_n.add(pn)
-        pm = zoo.wythoff_p(n, "misere")
-        if max(pm) <= 25:
-            pred_m.add(pm)
-        n += 1
-    res.add("normal_p_set", pred_n == normal,
-            f"diff {sorted(pred_n ^ normal)[:4]}")
-    res.add("misere_p_set", pred_m == misere,
-            f"diff {sorted(pred_m ^ misere)[:4]}")
+
+def _zeros(lg, value):
+    return {p for p, lab in lg.labels.items() if getattr(lab, value) == 0}
+
+
+def _in_either_order(lg, pairs):
+    """The positions of ``lg`` that are one of ``pairs``, in either order."""
+    return {q for x, y in pairs for q in ((x, y), (y, x)) if q in lg.graph}
+
+
+def check_p_sets(res, name, lg, sequence):
+    """Per convention, the P-positions of the two-pile game ``lg`` are the
+    pairs of ``sequence(convention)`` that are positions of ``lg``.
+    ``name`` is formatted with the convention."""
+    for conv, value in (("normal", "g"), ("misere", "g_minus")):
+        want, got = _in_either_order(lg, sequence(conv)), _zeros(lg, value)
+        res.add(name.format(conv), want == got,
+                f"diff {sorted(want ^ got)[:4]}")
+
+
+def check_wythoff(res, lg, bound):
+    """Wythoff's P-positions in ``lg`` (coordinates at most ``bound``) are
+    ``wythoff_p``'s, and the conventions differ only at (0,0), (1,2), (0,1)
+    and (2,2), in either order."""
+    check_p_sets(res, "{}_p_set", lg,
+                 lambda conv: [zoo.wythoff_p(n, conv) for n in range(bound + 1)])
+    diff = _zeros(lg, "g") ^ _zeros(lg, "g_minus")
     res.add("six_position_difference",
-            normal ^ misere == {(0, 0), (1, 2), (0, 1), (2, 2)},
-            f"sorted-pair difference {sorted(normal ^ misere)}")
+            diff == _in_either_order(lg, [(0, 0), (1, 2), (0, 1), (2, 2)]),
+            f"sorted-pair difference {sorted(diff)}")
+
+
+def suite_wythoff(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
+    res = SuiteResult("wythoff", seed)
+    check_beatty(res, max(100, min(samples, 2000)))
+    game = zoo.make_family("wythoff", use_symmetry=True)
+    check_wythoff(res, sg_labels(enumerate_subgame(game, [(25, 25)])), 25)
 
     report = classify(sg_labels(enumerate_subgame(game, [(20, 20)])))
     ok = (report.verdicts["miserable"] and report.verdicts["returnable"]
@@ -305,23 +371,23 @@ def suite_wythoff(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     return res
 
 
+# (a, b) of the two-parameter Wythoff games checked against the mex_b recursion
+WYT_AB_PAIRS = ((2, 1), (3, 1), (1, 2), (2, 2), (2, 3))
+
+
+def check_wyt_ab(res, lg, a, b, bound):
+    """The P-positions of the (a, b) game ``lg`` against ``wyt_ab_sequence``."""
+    check_p_sets(res, f"a{a}_b{b}_{{}}", lg,
+                 lambda conv: zoo.wyt_ab_sequence(a, b, 2 * bound, conv))
+
+
 def suite_wyt_ab(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     res = SuiteResult("wyt_ab", seed)
     bound = 25
-    for a, b in [(2, 1), (3, 1), (1, 2), (2, 2), (2, 3)]:
+    for a, b in WYT_AB_PAIRS:
         game = zoo.make_family("wyt_ab", {"a": a, "b": b}, use_symmetry=True)
         lg = sg_labels(enumerate_subgame(game, [(bound, bound)]))
-        for conv, value in (("normal", "g"), ("misere", "g_minus")):
-            solver = {p for p, lab in lg.labels.items()
-                      if getattr(lab, value) == 0}
-            predicted = set()
-            for x, y in zoo.wyt_ab_sequence(a, b, 2 * bound, conv):
-                if x <= y <= bound:
-                    predicted.add((x, y))
-                if max(x, y) > bound:
-                    break
-            res.add(f"a{a}_b{b}_{conv}", predicted == solver,
-                    f"diff {sorted(predicted ^ solver)[:4]}")
+        check_wyt_ab(res, lg, a, b, bound)
 
     for a in (2, 3):
         game = zoo.make_family("wyt_a", {"a": a}, use_symmetry=True)
@@ -364,7 +430,9 @@ def suite_moore(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     return res
 
 
-_HO_EXPECT = [
+# (params, root, expected verdicts) of hypergraph Nim; the acceptance gate
+# checks the cycle and path rows from every position of the box 3
+HO_NIM_VERDICTS = [
     ({"shape": "cycle", "n": 4}, (2,) * 4,
      {"miserable": True, "forced": True}),
     ({"shape": "cycle", "n": 5}, (2,) * 5,
@@ -380,16 +448,41 @@ _HO_EXPECT = [
     ({"shape": "conj2"}, (2,) * 4, {"domestic": True}),
 ]
 
+# (family, params, position, its (g, g_minus) label); the ho_nim suite
+# checks the ho_nim rows, the acceptance gate every row
+LABEL_SPOTS = [
+    ("mark", {}, (8,), (0, 2)),
+    ("wythoff", {}, (3, 5), (0, 0)),
+    ("exact_nim", {"n": 5, "k": 2}, (1, 2, 3, 3, 3), (0, 2)),
+    ("slow_nim", {"n": 4, "k": 2}, (1, 1, 2, 3), (4, 0)),
+    ("ho_nim", {"shape": "cycle", "n": 5}, (2, 0, 1, 1, 1), (5, 1)),
+    ("ho_nim", {"shape": "cycle", "n": 6}, (1,) * 6, (0, 2)),
+    ("ho_nim", {"shape": "path", "n": 4}, (1, 1, 1, 2), (5, 1)),
+    ("ho_nim", {"shape": "path", "n": 5}, (1, 1, 1, 2, 0), (5, 1)),
+    ("ho_nim", {"shape": "path", "n": 6}, (1, 0, 1, 1, 1, 2), (4, 0)),
+    ("ho_nim", {"shape": "conj2"}, (1, 2, 2, 2), (7, 1)),
+    ("ho_nim", {"shape": "conj1"}, (1, 1, 1, 1, 1), (1, 5)),
+]
+
+
+def spot_graph(family, params, pos):
+    """The subgame below one ``LABEL_SPOTS`` position."""
+    return enumerate_subgame(zoo.make_family(family, params), [pos])
+
+
+def check_label_spots(res, spots):
+    for family, params, pos, expected in spots:
+        lab = tuple(sg_labels(spot_graph(family, params, pos)).labels[pos])
+        res.add(f"{_tag(family, params)}_label_{'-'.join(map(str, pos))}",
+                lab == expected, f"got {lab}, want {expected}")
+
 
 def suite_ho_nim(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     res = SuiteResult("ho_nim", seed)
-    for params, root, expected in _HO_EXPECT:
+    for params, root, expected in HO_NIM_VERDICTS:
         game = zoo.make_family("ho_nim", params, use_symmetry=True)
-        lg = sg_labels(enumerate_subgame(game, [root]))
-        verdicts = classify(lg).verdicts
-        bad = {p: verdicts[p] for p in expected if verdicts[p] != expected[p]}
-        tag = params["shape"] + str(params.get("n", ""))
-        res.add(f"{tag}_verdicts", not bad, f"unexpected {bad}" if bad else "")
+        check_verdicts(res, f"{_tag('ho_nim', params)}_verdicts",
+                       enumerate_subgame(game, [root]), expected)
 
     # cycle zero-position patterns
     g4 = zoo.make_family("ho_nim", {"shape": "cycle", "n": 4},
@@ -414,22 +507,7 @@ def suite_ho_nim(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     res.add("c5_zero_set", want == lg5.vset(0, 0),
             f"diff {sorted(want ^ lg5.vset(0, 0))[:4]}")
 
-    spot = [
-        (({"shape": "cycle", "n": 5}), (2, 0, 1, 1, 1), (5, 1)),
-        (({"shape": "cycle", "n": 6}), (1,) * 6, (0, 2)),
-        (({"shape": "path", "n": 4}), (1, 1, 1, 2), (5, 1)),
-        (({"shape": "path", "n": 5}), (1, 1, 1, 2, 0), (5, 1)),
-        (({"shape": "path", "n": 6}), (1, 0, 1, 1, 1, 2), (4, 0)),
-        (({"shape": "conj2"}), (1, 2, 2, 2), (7, 1)),
-        (({"shape": "conj1"}), (1, 1, 1, 1, 1), (1, 5)),
-    ]
-    for params, pos, expected in spot:
-        game = zoo.make_family("ho_nim", params)
-        lg = sg_labels(enumerate_subgame(game, [pos]))
-        lab = tuple(lg.labels[pos])
-        tag = params["shape"] + str(params.get("n", ""))
-        res.add(f"{tag}_label_{'-'.join(map(str, pos))}", lab == expected,
-                f"got {lab}, want {expected}")
+    check_label_spots(res, [s for s in LABEL_SPOTS if s[0] == "ho_nim"])
     return res
 
 

@@ -23,6 +23,7 @@ from grundylab.classify import PREDICATES
 from grundylab.fixtures import fixture_roots
 from grundylab.grundy import SWAP_LABELS, sort_key
 from grundylab.random_games import random_dag, random_dag_stream
+from grundylab.suites import EQUALITIES, FIXTURE_EXPECTATIONS, HIERARCHY
 from grundylab.zoo import box_roots, euclid_swap_oracle, make_family, moore_swap_oracle
 
 
@@ -45,11 +46,9 @@ def test_domestic_not_tame_witness():
 
 
 def test_tame_not_pet_verdicts():
-    report = classify(labeled_fixture("tame_not_pet"))
-    assert report.verdicts["tame"]
-    assert not report.verdicts["pet"]
-    assert report.verdicts["miserable"]
-    assert not report.verdicts["strongly_miserable"]
+    verdicts = classify(labeled_fixture("tame_not_pet")).verdicts
+    for pred, want in FIXTURE_EXPECTATIONS["tame_not_pet"].items():
+        assert verdicts[pred] == want, pred
 
 
 def test_wythoff_returnable_not_forced():
@@ -70,25 +69,11 @@ def test_mark_not_domestic_witness_8():
 
 
 def test_hierarchy_nesting_on_random_graphs():
-    implications = [
-        ("pet", "tame"), ("tame", "domestic"),
-        ("strongly_miserable", "miserable"),
-        ("miserable", "t_miserable"),
-        ("t_miserable", "weakly_miserable"),
-        ("miserable", "tame"),
-        ("strongly_miserable", "returnable"),
-        ("forced", "returnable"),
-    ]
-    equalities = [
-        ("domestic", "weakly_miserable"),
-        ("tame", "t_miserable"),
-        ("pet", "strongly_miserable"),
-    ]
     for graph in random_dag_stream(1, 200):
         verdicts = classify(sg_labels(graph)).verdicts
-        for a, b in implications:
+        for a, b in HIERARCHY:
             assert not verdicts[a] or verdicts[b], (a, b)
-        for a, b in equalities:
+        for a, b in EQUALITIES:
             assert verdicts[a] == verdicts[b], (a, b)
 
 

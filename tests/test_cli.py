@@ -1,10 +1,17 @@
 import json
+import os
+import tempfile
 
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import grundylab.cli
 import grundylab.sums
 from grundylab.cli import main
+from grundylab.fixtures import FIXTURE_NAMES
+from grundylab.suites import SUITES
+from grundylab.zoo import FAMILIES
 
 
 def run(*args, env=None):
@@ -292,3 +299,105 @@ def test_fixtures_listing():
     data = json.loads(result.output)
     assert len(data) == 10
     assert all("verdicts" in row for row in data)
+
+
+def test_analyze_ho_nim_root_wrong_arity():
+    _assert_error_line(run("analyze", "--family", "ho_nim", "--shape", "cycle",
+                           "--n", "5", "--roots", "1,1"), "5 coordinates")
+
+
+def test_analyze_moore_nim_root_wrong_arity():
+    _assert_error_line(run("analyze", "--family", "moore_nim", "--n", "3",
+                           "--k", "2", "--roots", "1,1"), "3 coordinates")
+
+
+def test_sum_spec_ho_nim_root_wrong_arity(tmp_path):
+    result = _sum_with_spec(tmp_path, {
+        "family": "ho_nim", "params": {"shape": "cycle", "n": 5},
+        "roots": [[1, 1]]})
+    _assert_one_error_line(result)
+    assert "5 coordinates" in result.output
+
+
+def test_analyze_mark_negative_root():
+    _assert_error_line(run("analyze", "--family", "mark", "--roots", "-3"),
+                       "negative coordinate")
+
+
+def test_analyze_nim_negative_root():
+    _assert_error_line(run("analyze", "--family", "nim", "--roots", "-3"),
+                       "negative coordinate")
+
+
+def test_verify_max_nodes_below_one():
+    _assert_error_line(run("verify", "equalities", "--max-nodes", "0"),
+                       "must be at least 1")
+
+
+def test_verify_samples_below_one():
+    _assert_error_line(run("verify", "equalities", "--samples", "-5"),
+                       "must be at least 1")
+
+
+_FUZZ_JUNK = st.sampled_from(["x", "", "1,,2", "2.5", "A", "E"])
+
+
+@st.composite
+def _fuzz_command(draw):
+    """argv for one CLI call, and the game spec a ``sum`` call reads."""
+    command = draw(st.sampled_from(["analyze", "table", "verify", "fixtures",
+                                    "sum"]))
+    small = st.integers(-2, 3)
+    if command == "fixtures":
+        return ["fixtures"], None
+    if command == "verify":
+        return ["verify", draw(st.sampled_from(SUITES + ("all",))),
+                "--samples", str(draw(small)),
+                "--max-nodes", str(draw(small))], None
+    coordinates = st.lists(st.integers(-3, 6), min_size=1, max_size=3)
+    family = draw(st.sampled_from(FAMILIES))
+    params = draw(st.fixed_dictionaries({}, optional={
+        "n": st.integers(-1, 4), "k": st.integers(-1, 4), "a": small,
+        "b": small, "shape": st.sampled_from(["cycle", "path", "conj1",
+                                              "conj2", "star"])}))
+    if command == "sum":
+        roots = draw(st.lists(coordinates, max_size=2))
+        return ["sum"], {"family": family, "params": params, "roots": roots}
+    argv = [command] + (["--sg"] if command == "table" else [])
+    if draw(st.booleans()):
+        argv += ["--fixture", draw(st.sampled_from(FIXTURE_NAMES))]
+    else:
+        argv += ["--family", family]
+        for key, value in params.items():
+            argv += [f"--{key}", str(value)]
+        if family == "subtraction" and draw(st.booleans()):
+            argv += ["--set", draw(st.sampled_from(["1,2", "0", "2,x"]))]
+    for root in draw(st.lists(st.one_of(
+            coordinates.map(lambda cs: ",".join(map(str, cs))), _FUZZ_JUNK),
+            max_size=2)):
+        argv += ["--roots", root]
+    if draw(st.booleans()):
+        argv += ["--box", str(draw(st.integers(-2, 3)))]
+    return argv, None
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_fuzz_command())
+def test_cli_argv_fuzz(command):
+    """Every argv of the grammar exits 0, 1 (verify only) or 2, without a
+    traceback."""
+    argv, spec = command
+    with tempfile.TemporaryDirectory() as tmp:
+        if spec is not None:
+            paths = [os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")]
+            for path, content in zip(paths, [spec, {"family": "nim",
+                                                    "roots": [[1]]}]):
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(content, fh)
+            argv = argv + ["--game", paths[0], "--game", paths[1]]
+        result = CliRunner().invoke(main, argv)
+    assert result.exception is None or isinstance(result.exception,
+                                                  SystemExit), (argv, spec)
+    assert result.exit_code in (0, 1, 2), (argv, spec)
+    assert result.exit_code != 1 or argv[0] == "verify", (argv, spec)

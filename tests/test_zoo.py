@@ -10,6 +10,13 @@ from grundylab import (
     mex,
     sg_labels,
 )
+from grundylab.suites import (
+    SuiteResult,
+    check_beatty,
+    check_p_sets,
+    check_wyt_ab,
+    subtraction_sets,
+)
 from grundylab.zoo import (
     BeattyPair,
     box_roots,
@@ -134,15 +141,9 @@ def test_beatty_pair_identity():
 
 
 def test_beatty_matches_recursion():
-    used = set()
-    x = 0
-    for n in range(2000):
-        pair = BeattyPair(n)
-        assert (pair.x, pair.y) == (x, x + n)
-        used.add(x)
-        used.add(x + n)
-        while x in used:
-            x += 1
+    res = SuiteResult("wythoff", 0)
+    check_beatty(res, 1999)
+    assert res.ok, res.checks
 
 
 def test_wythoff_p_examples():
@@ -169,16 +170,12 @@ def test_wyt_a_examples():
 
 
 def test_wyt_a_marks_solver_p_positions():
+    res = SuiteResult("wyt_a", 0)
     for a in (2, 3):
         lg = labels("wyt_a", {"a": a}, box_roots(2, 20))
-        for conv, attr in (("normal", "g"), ("misere", "g_minus")):
-            predicted = set()
-            for x, y in wyt_a_sequence(a, 40, conv):
-                if max(x, y) <= 20:
-                    predicted.update({(x, y), (y, x)})
-            solver = {p for p, lab in lg.labels.items()
-                      if getattr(lab, attr) == 0}
-            assert predicted == solver, (a, conv)
+        check_p_sets(res, f"a{a}_{{}}", lg,
+                     lambda conv: wyt_a_sequence(a, 40, conv))
+    assert res.ok, res.checks
 
 
 def test_mex_b_examples():
@@ -211,16 +208,11 @@ def test_wyt_ab_misere_starts():
 
 
 def test_wyt_ab_marks_solver_p_positions():
+    res = SuiteResult("wyt_ab", 0)
     for a, b in ((2, 1), (1, 2), (2, 2)):
-        lg = labels("wyt_ab", {"a": a, "b": b}, box_roots(2, 20))
-        for conv, attr in (("normal", "g"), ("misere", "g_minus")):
-            predicted = set()
-            for x, y in wyt_ab_sequence(a, b, 40, conv):
-                if max(x, y) <= 20:
-                    predicted.update({(x, y), (y, x)})
-            solver = {p for p, lab in lg.labels.items()
-                      if getattr(lab, attr) == 0}
-            assert predicted == solver, (a, b, conv)
+        check_wyt_ab(res, labels("wyt_ab", {"a": a, "b": b}, box_roots(2, 20)),
+                     a, b, 20)
+    assert res.ok, res.checks
 
 
 # --- swap oracles ------------------------------------------------------------
@@ -312,9 +304,7 @@ def test_ferguson_examples():
 
 
 def test_ferguson_random_sets():
-    rng = random.Random(0)
-    for _ in range(25):
-        xs = set(rng.sample(range(1, 13), rng.randint(1, 5)))
+    for xs in subtraction_sets(random.Random(0), 25):
         assert ferguson_check(xs, 150).ok, xs
 
 
