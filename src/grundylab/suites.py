@@ -331,30 +331,36 @@ def _zeros(lg, value):
     return {p for p, lab in lg.labels.items() if getattr(lab, value) == 0}
 
 
-def _in_either_order(lg, pairs):
-    """The positions of ``lg`` that are one of ``pairs``, in either order."""
-    return {q for x, y in pairs for q in ((x, y), (y, x)) if q in lg.graph}
+def _box_pairs(pairs, bound, symmetric):
+    """The positions ``(x, y)`` or ``(y, x)`` for ``(x, y)`` in ``pairs``
+    with both coordinates at most ``bound``; only those with x <= y when
+    ``symmetric`` (a graph enumerated with pile symmetry holds only those)."""
+    return {(x, y) for p in pairs for x, y in (p, p[::-1])
+            if max(x, y) <= bound and (x <= y or not symmetric)}
 
 
-def check_p_sets(res, name, lg, sequence):
-    """Per convention, the P-positions of the two-pile game ``lg`` are the
-    pairs of ``sequence(convention)`` that are positions of ``lg``.
+def check_p_sets(res, name, lg, sequence, bound, symmetric):
+    """Per convention, the P-positions of the two-pile game ``lg``, the box
+    of side ``bound``, are the pairs of ``sequence(convention)`` in the box.
     ``name`` is formatted with the convention."""
     for conv, value in (("normal", "g"), ("misere", "g_minus")):
-        want, got = _in_either_order(lg, sequence(conv)), _zeros(lg, value)
+        want = _box_pairs(sequence(conv), bound, symmetric)
+        got = _zeros(lg, value)
         res.add(name.format(conv), want == got,
                 f"diff {sorted(want ^ got)[:4]}")
 
 
-def check_wythoff(res, lg, bound):
-    """Wythoff's P-positions in ``lg`` (coordinates at most ``bound``) are
+def check_wythoff(res, lg, bound, symmetric):
+    """Wythoff's P-positions in ``lg`` (the box of side ``bound``) are
     ``wythoff_p``'s, and the conventions differ only at (0,0), (1,2), (0,1)
     and (2,2), in either order."""
     check_p_sets(res, "{}_p_set", lg,
-                 lambda conv: [zoo.wythoff_p(n, conv) for n in range(bound + 1)])
+                 lambda conv: [zoo.wythoff_p(n, conv) for n in range(bound + 1)],
+                 bound, symmetric)
     diff = _zeros(lg, "g") ^ _zeros(lg, "g_minus")
     res.add("six_position_difference",
-            diff == _in_either_order(lg, [(0, 0), (1, 2), (0, 1), (2, 2)]),
+            diff == _box_pairs([(0, 0), (1, 2), (0, 1), (2, 2)], bound,
+                               symmetric),
             f"sorted-pair difference {sorted(diff)}")
 
 
@@ -362,7 +368,8 @@ def suite_wythoff(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     res = SuiteResult("wythoff", seed)
     check_beatty(res, max(100, min(samples, 2000)))
     game = zoo.make_family("wythoff", use_symmetry=True)
-    check_wythoff(res, sg_labels(enumerate_subgame(game, [(25, 25)])), 25)
+    check_wythoff(res, sg_labels(enumerate_subgame(game, [(25, 25)])), 25,
+                  symmetric=True)
 
     report = classify(sg_labels(enumerate_subgame(game, [(20, 20)])))
     ok = (report.verdicts["miserable"] and report.verdicts["returnable"]
@@ -375,10 +382,11 @@ def suite_wythoff(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
 WYT_AB_PAIRS = ((2, 1), (3, 1), (1, 2), (2, 2), (2, 3))
 
 
-def check_wyt_ab(res, lg, a, b, bound):
+def check_wyt_ab(res, lg, a, b, bound, symmetric):
     """The P-positions of the (a, b) game ``lg`` against ``wyt_ab_sequence``."""
     check_p_sets(res, f"a{a}_b{b}_{{}}", lg,
-                 lambda conv: zoo.wyt_ab_sequence(a, b, 2 * bound, conv))
+                 lambda conv: zoo.wyt_ab_sequence(a, b, 2 * bound, conv),
+                 bound, symmetric)
 
 
 def suite_wyt_ab(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
@@ -387,7 +395,7 @@ def suite_wyt_ab(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     for a, b in WYT_AB_PAIRS:
         game = zoo.make_family("wyt_ab", {"a": a, "b": b}, use_symmetry=True)
         lg = sg_labels(enumerate_subgame(game, [(bound, bound)]))
-        check_wyt_ab(res, lg, a, b, bound)
+        check_wyt_ab(res, lg, a, b, bound, symmetric=True)
 
     for a in (2, 3):
         game = zoo.make_family("wyt_a", {"a": a}, use_symmetry=True)

@@ -136,11 +136,12 @@ def test_criterion_5_oracle_agreement():
     graphs = oracle_graphs()
     for a, b in suites.WYT_AB_PAIRS:
         lg = sg_labels(graphs[(a, b)])
-        suites.check_wyt_ab(res, lg, a, b, 60)
+        suites.check_wyt_ab(res, lg, a, b, 60, symmetric=False)
         if b == 1:  # the wyt_a recursion covers the b = 1 games as well
             suites.check_p_sets(res, f"wyt_a{a}_{{}}", lg,
-                                lambda conv: wyt_a_sequence(a, 120, conv))
-    suites.check_wythoff(res, sg_labels(graphs["wythoff"]), 60)
+                                lambda conv: wyt_a_sequence(a, 120, conv),
+                                60, symmetric=False)
+    suites.check_wythoff(res, sg_labels(graphs["wythoff"]), 60, symmetric=False)
     _report(5, "closed-form oracles", res, start, 120)
 
 

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from grundylab.suites import (
     SuiteResult,
     check_beatty,
     check_p_sets,
+    check_wythoff,
     check_wyt_ab,
     subtraction_sets,
 )
@@ -174,7 +176,7 @@ def test_wyt_a_marks_solver_p_positions():
     for a in (2, 3):
         lg = labels("wyt_a", {"a": a}, box_roots(2, 20))
         check_p_sets(res, f"a{a}_{{}}", lg,
-                     lambda conv: wyt_a_sequence(a, 40, conv))
+                     lambda conv: wyt_a_sequence(a, 40, conv), 20, False)
     assert res.ok, res.checks
 
 
@@ -211,8 +213,30 @@ def test_wyt_ab_marks_solver_p_positions():
     res = SuiteResult("wyt_ab", 0)
     for a, b in ((2, 1), (1, 2), (2, 2)):
         check_wyt_ab(res, labels("wyt_ab", {"a": a, "b": b}, box_roots(2, 20)),
-                     a, b, 20)
+                     a, b, 20, False)
     assert res.ok, res.checks
+
+
+@pytest.mark.parametrize("sym", [False, True])
+def test_p_set_checks_fail_when_a_box_position_is_missing(sym):
+    """The expected P-sets come from the sequences and the box alone, so a
+    position that enumeration left out fails the checks."""
+    roots = [(20, 20)] if sym else box_roots(2, 20)
+    for family, params, check, missing in (
+            ("wythoff", {}, lambda res, lg: check_wythoff(res, lg, 20, sym),
+             (1, 2)),
+            ("wyt_ab", {"a": 2, "b": 2},
+             lambda res, lg: check_wyt_ab(res, lg, 2, 2, 20, sym),
+             wyt_ab_p(2, 2, 2))):
+        lg = labels(family, params, roots, sym)
+        res = SuiteResult(family, 0)
+        check(res, lg)
+        assert res.ok, res.checks
+        dropped = SimpleNamespace(labels={p: lab for p, lab in lg.labels.items()
+                                          if p != missing})
+        res = SuiteResult(family, 0)
+        check(res, dropped)
+        assert not res.ok, (family, missing)
 
 
 # --- swap oracles ------------------------------------------------------------
