@@ -19,7 +19,7 @@ from .core import (
     graph_from_adjacency,
 )
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .grundy import Label, LabeledGraph, mex, sg_labels, swap_sets, verify_sg_consistency
+from .grundy import Label, LabeledGraph, mex, sg_labels, verify_sg_consistency
 from .classify import (
     CandidateSets,
     ClassReport,

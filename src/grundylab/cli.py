@@ -30,24 +30,24 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
-def _parse_root(text: str, family: str, params: dict):
+def _parse_root(text: str, game):
     """A family position from comma-separated integer coordinates."""
     try:
         root = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InvalidParams(
             f"root {text!r} must be comma-separated integers") from None
-    _check_root(root, family, params)
+    _check_root(root, game)
     return root
 
 
-def _check_root(root, family, params):
+def _check_root(root, game):
     """Raise unless ``root`` has the family's arity and no negative
     coordinate."""
-    arity = _arity(family, params)
+    arity = zoo.TABLE[game.family].arity(game.params)
     if arity is not None and len(root) != arity:
-        raise InvalidParams(f"{family} positions have {arity} coordinates, "
-                            f"root {list(root)} has {len(root)}")
+        raise InvalidParams(f"{game.family} positions have {arity} "
+                            f"coordinates, root {list(root)} has {len(root)}")
     if any(c < 0 for c in root):
         raise InvalidParams(f"root {list(root)} has a negative coordinate")
 
@@ -80,7 +80,7 @@ def _build_game(family, fixture, params, use_symmetry):
     return zoo.make_family(family, params, use_symmetry=use_symmetry), params
 
 
-def _resolve_roots(roots, fixture, box, family, params):
+def _resolve_roots(roots, fixture, box, game):
     if fixture is not None:
         if not roots:
             return fixture_roots(fixture)
@@ -90,35 +90,18 @@ def _resolve_roots(roots, fixture, box, family, params):
                 raise UnknownPosition(f"fixture {fixture} has no node {r!r}")
         return list(roots)
     if roots:
-        return [_parse_root(r, family, params) for r in roots]
+        return [_parse_root(r, game) for r in roots]
     if box is not None:
-        dims = _arity(family, params)
-        if dims is None:  # nim takes its pile count from --n
-            dims = params.get("n")
+        dims = zoo.TABLE[game.family].arity(game.params)
+        if dims is None:  # any pile count: take it from --n
+            dims = game.params.get("n")
             if not isinstance(dims, int) or dims < 0:
                 raise InvalidParams(f"--box needs a pile count --n >= 0 "
-                                    f"for family {family}")
+                                    f"for family {game.family}")
         if box < 0:
             raise InvalidParams(f"--box {box} is negative")
         return zoo.box_roots(dims, box)
     raise click.UsageError("no positions given: use --roots/--piles or --box")
-
-
-_ARITY = {"subtraction": 1, "mark": 1, "euclid_cd": 2, "euclid_grossman": 2,
-          "wythoff": 2, "wyt_a": 2, "wyt_ab": 2}
-
-
-def _arity(family, params):
-    """Coordinates per position of ``family`` with ``params`` (which
-    ``make_family`` has accepted); None for nim, which has any number of
-    piles."""
-    if family == "nim":
-        return None
-    if family == "ho_nim":
-        return zoo.ho_nim_block_count(params.get("shape"), params.get("n"))
-    if family in _ARITY:
-        return _ARITY[family]
-    return params["n"] + 1 if family == "extended_nim" else params["n"]
 
 
 @click.group()
@@ -165,7 +148,7 @@ def analyze(family, fixture, params_json, a, b, n_param, k, shape,
         params = _merge_params(params_json, a, b, n_param, k, shape,
                                subtraction_set)
         game, params = _build_game(family, fixture, params, symmetry)
-        root_list = _resolve_roots(roots, fixture, box, family, params or {})
+        root_list = _resolve_roots(roots, fixture, box, game)
         lg = sg_labels(enumerate_subgame(game, root_list))
         report = classify(lg)
     except GameError as exc:
@@ -181,10 +164,6 @@ def analyze(family, fixture, params_json, a, b, n_param, k, shape,
                 line += f"   witness {pos!r} {tuple(lab)}: {reason}"
             click.echo(line)
     sys.exit(0)
-
-
-def _cache_dir(override):
-    return override or os.environ.get("GRUNDY_CACHE_DIR")
 
 
 def _cache_fetch(directory, key):
@@ -228,26 +207,12 @@ def _cache_key(payload: dict) -> str:
     return f"{digest}.cache"
 
 
-def _p_sequence_text(family, params, upto, convention, fmt):
-    if family == "wythoff":
-        pairs = [zoo.wythoff_p(i, convention) for i in range(upto + 1)]
-    elif family == "wyt_a":
-        if params.get("a") is None:
-            raise click.UsageError("wyt_a needs --a")
-        pairs = zoo.wyt_a_sequence(params["a"], upto, convention)
-    elif family == "wyt_ab":
-        if params.get("a") is None or params.get("b") is None:
-            raise click.UsageError("wyt_ab needs --a and --b")
-        pairs = zoo.wyt_ab_sequence(params["a"], params["b"], upto, convention)
-    else:
-        raise click.UsageError(
-            f"--p-sequence supports wythoff, wyt_a, wyt_ab, not {family}")
-    rows = [(i, x, y, convention) for i, (x, y) in enumerate(pairs)]
+def _p_sequence_text(pairs, convention, fmt):
     if fmt == "json":
-        return json.dumps([{"n": i, "x": x, "y": y, "convention": c}
-                           for i, x, y, c in rows], indent=2) + "\n"
+        return json.dumps([{"n": i, "x": x, "y": y, "convention": convention}
+                           for i, (x, y) in enumerate(pairs)], indent=2) + "\n"
     lines = ["n,x,y,convention"]
-    lines.extend(f"{i},{x},{y},{c}" for i, x, y, c in rows)
+    lines.extend(f"{i},{x},{y},{convention}" for i, (x, y) in enumerate(pairs))
     return "\n".join(lines) + "\n"
 
 
@@ -273,26 +238,30 @@ def table(family, fixture, params_json, a, b, n_param, k, shape,
     try:
         params = _merge_params(params_json, a, b, n_param, k, shape,
                                subtraction_set)
-        directory = _cache_dir(cache_dir)
+        directory = cache_dir or os.environ.get("GRUNDY_CACHE_DIR")
 
         if want_pseq:
             if family is None:
                 raise click.UsageError("--p-sequence needs --family")
+            sequence = zoo.TABLE[family].p_sequence
+            if sequence is None:
+                raise InvalidParams(f"{family} has no P-position sequence")
+            checked = zoo.check_params(family, params)
             # historical flag spelling: --n doubles as the sequence length
-            # when it is not a family parameter
-            if upto is None and family != "ho_nim":
+            # (no family with a P-sequence has a parameter n)
+            if upto is None:
                 upto = params.pop("n", None)
             if upto is None:
                 raise click.UsageError("--p-sequence needs --upto")
+            if upto < 0:
+                raise InvalidParams(f"sequence length {upto} is negative")
             payload = {"kind": "pseq", "family": family, "params": params,
                        "upto": upto, "convention": convention, "format": fmt}
-            text = _cached_text(
-                directory, payload,
-                lambda: _p_sequence_text(family, params, upto, convention, fmt))
+            text = _cached_text(directory, payload, lambda: _p_sequence_text(
+                sequence(checked, upto, convention), convention, fmt))
         else:
             game, params = _build_game(family, fixture, params, symmetry)
-            root_list = _resolve_roots(roots, fixture, box, family,
-                                       params or {})
+            root_list = _resolve_roots(roots, fixture, box, game)
             payload = {"kind": "sg", "family": game.family,
                        "params": params or {}, "roots": root_list,
                        "symmetry": symmetry, "format": fmt}
@@ -387,7 +356,7 @@ def _load_game_spec(path):
             if not all(isinstance(c, int) for c in r):
                 bad(f"root {list(r)} must hold integers")
             try:
-                _check_root(r, family, params)
+                _check_root(r, game)
             except InvalidParams as exc:
                 bad(str(exc))
     return game, [game.canon(r) for r in roots]

@@ -74,7 +74,7 @@ MISERE_TERMINAL = _MisereTerminal()
 
 @dataclass(frozen=True)
 class GameDef:
-    """Rule object for one game instance: option enumeration + terminal test.
+    """Rule object for one game instance: option enumeration and symmetry.
 
     ``options`` must return a finite collection of positions, each strictly
     smaller in some well-founded measure.  ``canonical`` (optional) maps a
@@ -96,9 +96,6 @@ class GameDef:
             seen = dict.fromkeys(self.options(p))
             return list(seen)
         return list(dict.fromkeys(self.canonical(y) for y in self.options(p)))
-
-    def is_terminal(self, p: Position) -> bool:
-        return not self.options(p)
 
 
 class ReachableGraph:
@@ -151,10 +148,6 @@ class ReachableGraph:
     def terminals(self):
         off = self.offsets
         return [x for i, x in enumerate(self.positions) if off[i] == off[i + 1]]
-
-    def is_terminal(self, x) -> bool:
-        i = self.index[x]
-        return self.offsets[i] == self.offsets[i + 1]
 
     def depth(self, x) -> int:
         """d(x): the greatest number of successive moves from x to a terminal."""
@@ -297,11 +290,21 @@ def _order_and_depths(positions, offsets, targets):
 def adjoin_misere_terminal(graph: ReachableGraph) -> ReachableGraph:
     """Remark-3 transform: one fresh terminal below every former terminal.
 
-    Normal SG values of the result, restricted to the original nodes, equal
-    the misere SG values of the input.
+    The new terminal is node N; every other node keeps its number and its
+    options, and each former terminal gets the single option N.  Normal SG
+    values of the result, restricted to the original nodes, equal the
+    misere SG values of the input.
     """
-    positions, off, targets = graph.positions, graph.offsets, graph.targets
-    succ = {x: [positions[y] for y in targets[off[i]:off[i + 1]]]
-            or (MISERE_TERMINAL,) for i, x in enumerate(positions)}
-    succ[MISERE_TERMINAL] = ()
-    return graph_from_adjacency(succ, roots=graph.roots)
+    n, off, targets = len(graph), graph.offsets, graph.targets
+    offsets, rows = array("i", [0]), array("i")
+    for i in range(n):
+        if off[i] == off[i + 1]:
+            rows.append(n)
+        else:
+            rows.extend(targets[off[i]:off[i + 1]])
+        offsets.append(len(rows))
+    offsets.append(len(rows))
+    index = dict(graph.index)
+    index[MISERE_TERMINAL] = n
+    return ReachableGraph(graph.roots, graph.positions + [MISERE_TERMINAL],
+                          index, offsets, rows)

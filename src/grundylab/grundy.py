@@ -143,11 +143,6 @@ def verify_sg_consistency(lg: LabeledGraph) -> ConsistencyReport:
     return report
 
 
-def swap_sets(lg: LabeledGraph):
-    """(V01, V10, V00, V11) as sets of positions."""
-    return (lg.vset(0, 1), lg.vset(1, 0), lg.vset(0, 0), lg.vset(1, 1))
-
-
 def position_key(x) -> str:
     """Serialize a position for tables: dash-joined coords, or the node id."""
     if isinstance(x, tuple):

@@ -1,8 +1,10 @@
 """Parametric game families and the closed-form oracles known for them.
 
-Every constructor returns a GameDef whose ``options`` implement the family's
-move rule exactly; oracles are independent formulas or recursions used to
-cross-check the solver.
+``TABLE`` holds one record per family: its move rule, parameter schema,
+arity, symmetry and P-sequence.  ``make_family`` checks parameters against
+it and returns a GameDef whose ``options`` implement the family's move rule
+exactly; oracles are independent formulas or recursions used to cross-check
+the solver.
 """
 
 from __future__ import annotations
@@ -10,30 +12,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from math import isqrt
+from typing import Callable
 
 from .core import GameDef, InvalidParams, UnsupportedParams
 from .grundy import mex
 
-FAMILIES = (
-    "nim",
-    "moore_nim",
-    "extended_nim",
-    "exact_nim",
-    "slow_nim",
-    "subtraction",
-    "euclid_cd",
-    "euclid_grossman",
-    "wythoff",
-    "wyt_a",
-    "wyt_ab",
-    "mark",
-    "ho_nim",
-)
-
 
 def _sorted_canonical(p):
     return tuple(sorted(p))
+
+
+def _sort_tail(p):
+    return (p[0],) + tuple(sorted(p[1:]))
 
 
 def _min_rotation(p):
@@ -41,112 +33,77 @@ def _min_rotation(p):
     return min(tuple(p[i:] + p[:i]) for i in range(n))
 
 
-# --- constructors ------------------------------------------------------------
-
-def make_family(family: str, params: dict | None = None, *,
-                use_symmetry: bool = False) -> GameDef:
-    """Build a GameDef for one of the built-in families.
-
-    ``use_symmetry`` turns on the family's canonicalization hook (pile
-    sorting, or minimal rotation for cyclic heap structures) to shrink the
-    reachable state space.  Off by default so enumerated nodes are the raw
-    coordinate vectors.
-    """
-    params = dict(params or {})
-    try:
-        builder = _BUILDERS[family]
-    except KeyError:
-        raise InvalidParams(f"unknown family {family!r}") from None
-    return builder(params, use_symmetry)
+def _fixed(value):
+    """A table entry that does not depend on the parameters."""
+    return lambda params: value
 
 
-def _make_nim(params, use_symmetry):
-    def options(p):
-        out = []
-        for i, x in enumerate(p):
-            for v in range(x):
-                out.append(p[:i] + (v,) + p[i + 1:])
-        return out
+# --- move rules: checked params -> option function; a family without
+# parameters has its option function here instead ---------------------------
 
-    return GameDef("nim", params, options,
-                   _sorted_canonical if use_symmetry else None)
+def _nim(p):
+    out = []
+    for i, x in enumerate(p):
+        for v in range(x):
+            out.append(p[:i] + (v,) + p[i + 1:])
+    return out
 
 
-def _make_subtraction(params, use_symmetry):
-    xset = sorted(set(params.get("x", ())))
-    if not xset or xset[0] < 1:
-        raise InvalidParams("subtraction set must be nonempty positive integers")
-    params["x"] = tuple(xset)
+def _subtraction(params):
+    xset = params["x"]
 
     def options(p):
         (n,) = p
         return [(n - s,) for s in xset if n - s >= 0]
 
-    return GameDef("subtraction", params, options)
+    return options
 
 
-def _make_mark(params, use_symmetry):
-    def options(p):
-        (n,) = p
-        if n == 0:
-            return []
-        return list({(n - 1,), (n // 2,)})
-
-    return GameDef("mark", params, options)
+def _mark(p):
+    (n,) = p
+    if n == 0:
+        return []
+    return list({(n - 1,), (n // 2,)})
 
 
-def _make_euclid_cd(params, use_symmetry):
-    def options(p):
-        x, y = p
-        out = []
-        if 0 < x:
-            for mult in range(1, y // x + 1):
-                out.append((x, y - mult * x))
-        if 0 < y:
-            for mult in range(1, x // y + 1):
-                out.append((x - mult * y, y))
-        return out
-
-    return GameDef("euclid_cd", params, options,
-                   _sorted_canonical if use_symmetry else None)
-
-
-def _make_euclid_grossman(params, use_symmetry):
-    def options(p):
-        x, y = p
-        if x < 1 or y < 1:
-            return []
-        out = []
-        for mult in range(1, (y - 1) // x + 1):
+def _euclid_cd(p):
+    x, y = p
+    out = []
+    if 0 < x:
+        for mult in range(1, y // x + 1):
             out.append((x, y - mult * x))
-        for mult in range(1, (x - 1) // y + 1):
+    if 0 < y:
+        for mult in range(1, x // y + 1):
             out.append((x - mult * y, y))
-        return out
-
-    return GameDef("euclid_grossman", params, options,
-                   _sorted_canonical if use_symmetry else None)
+    return out
 
 
-def _make_wythoff(params, use_symmetry):
-    def options(p):
-        x, y = p
-        out = []
-        for v in range(x):
-            out.append((v, y))
-        for v in range(y):
-            out.append((x, v))
-        for k in range(1, min(x, y) + 1):
-            out.append((x - k, y - k))
-        return out
-
-    return GameDef("wythoff", params, options,
-                   _sorted_canonical if use_symmetry else None)
+def _euclid_grossman(p):
+    x, y = p
+    if x < 1 or y < 1:
+        return []
+    out = []
+    for mult in range(1, (y - 1) // x + 1):
+        out.append((x, y - mult * x))
+    for mult in range(1, (x - 1) // y + 1):
+        out.append((x - mult * y, y))
+    return out
 
 
-def _make_wyt_a(params, use_symmetry):
-    a = params.get("a")
-    if a is None or a < 1:
-        raise InvalidParams("wyt_a requires a >= 1")
+def _wythoff(p):
+    x, y = p
+    out = []
+    for v in range(x):
+        out.append((v, y))
+    for v in range(y):
+        out.append((x, v))
+    for k in range(1, min(x, y) + 1):
+        out.append((x - k, y - k))
+    return out
+
+
+def _wyt_a(params):
+    a = params["a"]
 
     def options(p):
         x, y = p
@@ -160,14 +117,11 @@ def _make_wyt_a(params, use_symmetry):
                 out.append((x - k, y - l))
         return out
 
-    return GameDef("wyt_a", params, options,
-                   _sorted_canonical if use_symmetry else None)
+    return options
 
 
-def _make_wyt_ab(params, use_symmetry):
-    a, b = params.get("a"), params.get("b")
-    if a is None or b is None or a < 0 or b < 1:
-        raise InvalidParams("wyt_ab requires a >= 0 and b >= 1")
+def _wyt_ab(params):
+    a, b = params["a"], params["b"]
 
     def options(p):
         x, y = p
@@ -187,24 +141,11 @@ def _make_wyt_ab(params, use_symmetry):
                 out.append((x - dx, y - dy))
         return out
 
-    return GameDef("wyt_ab", params, options,
-                   _sorted_canonical if use_symmetry else None)
+    return options
 
 
-def _multi_nim_params(params):
-    n, k = params.get("n"), params.get("k")
-    if n is None or k is None or not 1 <= k <= n:
-        raise InvalidParams("requires pile count n and 1 <= k <= n")
-    return n, k
-
-
-def _reductions(values):
-    """All strict-or-equal coordinate reductions of a value tuple."""
-    return itertools.product(*(range(v + 1) for v in values))
-
-
-def _make_moore_nim(params, use_symmetry):
-    n, k = _multi_nim_params(params)
+def _moore_nim(params):
+    n, k = params["n"], params["k"]
 
     def options(p):
         out = []
@@ -218,14 +159,11 @@ def _make_moore_nim(params, use_symmetry):
                     out.append(tuple(q))
         return out
 
-    return GameDef("moore_nim", params, options,
-                   _sorted_canonical if use_symmetry else None)
+    return options
 
 
-def _make_extended_nim(params, use_symmetry):
-    n, k = _multi_nim_params(params)
-    if k >= n:
-        raise InvalidParams("extended_nim requires k < n")
+def _extended_nim(params):
+    n, k = params["n"], params["k"]
 
     def options(p):
         x0, rest = p[0], p[1:]
@@ -243,12 +181,11 @@ def _make_extended_nim(params, use_symmetry):
                         out.add((new0,) + tuple(q))
         return list(out)
 
-    canonical = (lambda p: (p[0],) + tuple(sorted(p[1:]))) if use_symmetry else None
-    return GameDef("extended_nim", params, options, canonical)
+    return options
 
 
-def _make_exact_nim(params, use_symmetry):
-    n, k = _multi_nim_params(params)
+def _exact_nim(params):
+    n, k = params["n"], params["k"]
 
     def options(p):
         idx = [i for i in range(n) if p[i] > 0]
@@ -263,12 +200,11 @@ def _make_exact_nim(params, use_symmetry):
                 out.append(tuple(q))
         return out
 
-    return GameDef("exact_nim", params, options,
-                   _sorted_canonical if use_symmetry else None)
+    return options
 
 
-def _make_slow_nim(params, use_symmetry):
-    n, k = _multi_nim_params(params)
+def _slow_nim(params):
+    n, k = params["n"], params["k"]
 
     def options(p):
         idx = [i for i in range(n) if p[i] > 0]
@@ -281,39 +217,24 @@ def _make_slow_nim(params, use_symmetry):
                 out.append(tuple(q))
         return out
 
-    return GameDef("slow_nim", params, options,
-                   _sorted_canonical if use_symmetry else None)
+    return options
 
 
-# hyperedges as index sets over the block-count vector
+# hyperedges as index sets over the block-count vector, by shape
+_HO_NIM_SHAPES = {
+    "cycle": lambda n: [(i, (i + 1) % n) for i in range(n)],
+    "path": lambda n: [(i, i + 1) for i in range(n - 1)],
+    "conj1": lambda n: [(0, 1, 4), (2, 3, 4), (0, 2, 4), (1, 3)],
+    "conj2": lambda n: [(0, 3), (1, 3), (2, 3), (0, 1, 2)],
+}
+
+
 def ho_nim_hyperedges(shape: str, n: int | None = None) -> list:
-    if shape == "cycle":
-        if n is None or n < 3:
-            raise InvalidParams("ho_nim cycle requires n >= 3")
-        return [((i, (i + 1) % n)) for i in range(n)]
-    if shape == "path":
-        if n is None or n < 3:
-            raise InvalidParams("ho_nim path requires n >= 3")
-        return [(i, i + 1) for i in range(n - 1)]
-    if shape == "conj2":
-        return [(0, 3), (1, 3), (2, 3), (0, 1, 2)]
-    if shape == "conj1":
-        return [(0, 1, 4), (2, 3, 4), (0, 2, 4), (1, 3)]
-    raise InvalidParams(f"unknown ho_nim shape {shape!r}")
+    return _HO_NIM_SHAPES[shape](n)
 
 
-def ho_nim_block_count(shape: str, n: int | None = None) -> int:
-    if shape in ("cycle", "path"):
-        return n
-    return 4 if shape == "conj2" else 5
-
-
-def _make_ho_nim(params, use_symmetry):
-    shape = params.get("shape")
-    n = params.get("n")
-    edges = ho_nim_hyperedges(shape, n)
-    blocks = ho_nim_block_count(shape, n)
-    params["blocks"] = blocks
+def _ho_nim(params):
+    edges = ho_nim_hyperedges(params["shape"], params.get("n"))
 
     def options(p):
         out = set()
@@ -328,25 +249,126 @@ def _make_ho_nim(params, use_symmetry):
                 out.add(tuple(q))
         return list(out)
 
-    canonical = _min_rotation if (use_symmetry and shape == "cycle") else None
-    return GameDef("ho_nim", params, options, canonical)
+    return options
 
 
-_BUILDERS = {
-    "nim": _make_nim,
-    "subtraction": _make_subtraction,
-    "mark": _make_mark,
-    "euclid_cd": _make_euclid_cd,
-    "euclid_grossman": _make_euclid_grossman,
-    "wythoff": _make_wythoff,
-    "wyt_a": _make_wyt_a,
-    "wyt_ab": _make_wyt_ab,
-    "moore_nim": _make_moore_nim,
-    "extended_nim": _make_extended_nim,
-    "exact_nim": _make_exact_nim,
-    "slow_nim": _make_slow_nim,
-    "ho_nim": _make_ho_nim,
+# --- the family table --------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One family's move rule and what its parameters and positions look like.
+
+    ``schema`` gives each parameter's integer lower bound, the tuple of its
+    allowed values, or, as a list ``[m]``, a non-empty set of integers >= m.
+    Schema parameters are required unless named in ``optional``;
+    ``conditions`` are (holds(params), requirement) pairs across them.  The
+    callables take checked parameters: ``rule`` gives the option function,
+    ``arity`` the coordinates of a position (None: any number), ``symmetry``
+    the canonicalization hook or None, and ``p_sequence(params, upto,
+    convention)`` the P-position pairs 0..upto.
+    """
+
+    rule: Callable[[dict], Callable]
+    arity: Callable[[dict], int | None]
+    schema: dict = field(default_factory=dict)
+    optional: tuple = ()
+    conditions: tuple = ()
+    symmetry: Callable[[dict], Callable | None] | None = None
+    p_sequence: Callable[[dict, int, str], list] | None = None
+
+
+_SORTING = _fixed(_sorted_canonical)
+_PILES = {"n": 1, "k": 1}
+_K_AT_MOST_N = ((lambda p: p["k"] <= p["n"], "k <= n"),)
+
+TABLE = {
+    "nim": Family(_fixed(_nim), _fixed(None), symmetry=_SORTING),
+    "moore_nim": Family(_moore_nim, lambda p: p["n"], _PILES,
+                        conditions=_K_AT_MOST_N, symmetry=_SORTING),
+    "extended_nim": Family(_extended_nim, lambda p: p["n"] + 1, _PILES,
+                           conditions=((lambda p: p["k"] < p["n"], "k < n"),),
+                           symmetry=_fixed(_sort_tail)),
+    "exact_nim": Family(_exact_nim, lambda p: p["n"], _PILES,
+                        conditions=_K_AT_MOST_N, symmetry=_SORTING),
+    "slow_nim": Family(_slow_nim, lambda p: p["n"], _PILES,
+                       conditions=_K_AT_MOST_N, symmetry=_SORTING),
+    "subtraction": Family(_subtraction, _fixed(1), {"x": [1]}),
+    "euclid_cd": Family(_fixed(_euclid_cd), _fixed(2), symmetry=_SORTING),
+    "euclid_grossman": Family(_fixed(_euclid_grossman), _fixed(2),
+                              symmetry=_SORTING),
+    "wythoff": Family(_fixed(_wythoff), _fixed(2), symmetry=_SORTING,
+                      p_sequence=lambda p, upto, conv: [
+                          wythoff_p(i, conv) for i in range(upto + 1)]),
+    "wyt_a": Family(_wyt_a, _fixed(2), {"a": 1}, symmetry=_SORTING,
+                    p_sequence=lambda p, upto, conv: wyt_a_sequence(
+                        p["a"], upto, conv)),
+    "wyt_ab": Family(_wyt_ab, _fixed(2), {"a": 0, "b": 1}, symmetry=_SORTING,
+                     p_sequence=lambda p, upto, conv: wyt_ab_sequence(
+                         p["a"], p["b"], upto, conv)),
+    "mark": Family(_fixed(_mark), _fixed(1)),
+    # arity: the blocks the hyperedges cover
+    "ho_nim": Family(
+        _ho_nim, lambda p: 1 + max(map(max, ho_nim_hyperedges(
+            p["shape"], p.get("n")))),
+        {"shape": tuple(_HO_NIM_SHAPES), "n": 0}, optional=("n",),
+        conditions=((lambda p: p["shape"] not in ("cycle", "path")
+                     or (p.get("n") or 0) >= 3,
+                     "n >= 3 for the cycle and path shapes"),),
+        symmetry=lambda p: _min_rotation if p["shape"] == "cycle" else None),
 }
+
+FAMILIES = tuple(TABLE)
+
+
+def _is_integer(value, low) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= low)
+
+
+def check_params(family: str, params: dict | None = None) -> dict:
+    """A copy of ``params`` that meets the family's schema and conditions,
+    with its set of integers as a sorted tuple; raises InvalidParams
+    otherwise.  Parameters outside the schema pass unchecked."""
+    if family not in TABLE:
+        raise InvalidParams(f"unknown family {family!r}")
+    record, params = TABLE[family], dict(params or {})
+    for name, spec in record.schema.items():
+        value = params.get(name)
+        if isinstance(spec, tuple):
+            ok, want = value in spec, "one of " + ", ".join(spec)
+        elif isinstance(spec, list):
+            ok = (isinstance(value, (list, tuple, set, frozenset)) and value
+                  and all(_is_integer(v, spec[0]) for v in value))
+            want = f"a non-empty set of integers >= {spec[0]}"
+            if ok:
+                params[name] = tuple(sorted(set(value)))
+        else:
+            ok, want = _is_integer(value, spec), f"an integer >= {spec}"
+        if not ok and not (value is None and name in record.optional):
+            got = "missing" if value is None else repr(value)
+            raise InvalidParams(
+                f"{family} parameter {name} must be {want} (got {got})")
+    for holds, requirement in record.conditions:
+        if not holds(params):
+            raise InvalidParams(f"{family} requires {requirement}")
+    return params
+
+
+def make_family(family: str, params: dict | None = None, *,
+                use_symmetry: bool = False) -> GameDef:
+    """Build a GameDef for one of the families of ``TABLE``, once its
+    parameters pass ``check_params``.
+
+    ``use_symmetry`` turns on the family's canonicalization hook (pile
+    sorting, or minimal rotation for cyclic heap structures) to shrink the
+    reachable state space.  Off by default so enumerated nodes are the raw
+    coordinate vectors.
+    """
+    params = check_params(family, params)
+    record = TABLE[family]
+    canonical = (record.symmetry(params)
+                 if use_symmetry and record.symmetry else None)
+    return GameDef(family, params, record.rule(params), canonical)
 
 
 def box_roots(dims: int, bound: int, floor: int = 0) -> list:
@@ -405,15 +427,15 @@ def mex_b(b: int, s) -> int:
     return prev + b
 
 
-def _mex_sequence(start_pair, step):
-    """Generate (x_n, y_n) pairs where x_n excludes all previously used
-    coordinates and y_n = x_n + step(n)."""
+def _mex_sequence(start_pair, step, excludant=mex):
+    """Generate (x_n, y_n) pairs where x_n is the excludant of all
+    previously used coordinates and y_n = x_n + step(n)."""
     used = set(start_pair)
     yield start_pair
     n = 0
     while True:
         n += 1
-        x = mex(used)
+        x = excludant(used)
         y = x + step(n)
         used.add(x)
         used.add(y)
@@ -438,34 +460,20 @@ def wyt_a_sequence(a: int, upto: int, convention: str = "normal") -> list:
     return list(itertools.islice(gen, upto + 1))
 
 
-def _mexb_sequence(b, start_pair, step):
-    used = set(start_pair)
-    yield start_pair
-    n = 0
-    while True:
-        n += 1
-        x = mex_b(b, used)
-        y = x + step(n)
-        used.add(x)
-        used.add(y)
-        yield (x, y)
-
-
 def wyt_ab_sequence(a: int, b: int, upto: int,
                     convention: str = "normal") -> list:
     """P-position pairs of the two-parameter game, by the mex_b recursion."""
-    if a < 0 or b < 1:
-        raise InvalidParams("requires a >= 0 and b >= 1")
+    check_params("wyt_ab", {"a": a, "b": b})
+    excludant = partial(mex_b, b)
     if convention == "normal":
-        first = (0, 0)
-        gen = _mexb_sequence(b, first, lambda n: a * n)
+        gen = _mex_sequence((0, 0), lambda n: a * n, excludant)
     elif convention == "misere":
         if a == 0:
             raise UnsupportedParams("no misere recursion is known for a = 0")
         if a == 1:
-            gen = _mexb_sequence(b, (b + 1, b + 1), lambda n: a * n)
+            gen = _mex_sequence((b + 1, b + 1), lambda n: a * n, excludant)
         else:
-            gen = _mexb_sequence(b, (0, 1), lambda n: a * n + 1)
+            gen = _mex_sequence((0, 1), lambda n: a * n + 1, excludant)
     else:
         raise InvalidParams(f"unknown convention {convention!r}")
     return list(itertools.islice(gen, upto + 1))
@@ -553,9 +561,7 @@ def ferguson_check(x_set, bound: int) -> CheckReport:
     """Subtraction-game sanity battery: the min-element shift law
     (G(x) = 0 iff G(x + min X) = 1) and the value-1 escape from every
     non-terminal zero position."""
-    xs = sorted(set(x_set))
-    if not xs or xs[0] < 1:
-        raise InvalidParams("subtraction set must be nonempty positive integers")
+    xs = check_params("subtraction", {"x": x_set})["x"]
     k = xs[0]
     g = []
     for n in range(bound + 1):

@@ -2,6 +2,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ import grundylab.sums
 from grundylab.cli import main
 from grundylab.fixtures import FIXTURE_NAMES
 from grundylab.suites import SUITES
-from grundylab.zoo import FAMILIES
+from grundylab.zoo import FAMILIES, TABLE
 
 
 def run(*args, env=None):
@@ -339,7 +340,88 @@ def test_verify_samples_below_one():
                        "must be at least 1")
 
 
+_BAD_PARAMS = [
+    pytest.param(["analyze", "--family", "moore_nim", "--params",
+                  '{"n": "3", "k": 2}', "--roots", "1,1,1"], None,
+                 "moore_nim parameter n", id="moore_nim-string"),
+    pytest.param(["analyze", "--family", "ho_nim", "--params",
+                  '{"shape": "cycle", "n": "5"}', "--roots", "1,1,1,1,1"],
+                 None, "ho_nim parameter n", id="ho_nim-string"),
+    pytest.param(["analyze", "--family", "subtraction", "--params",
+                  '{"x": ["1", 2]}', "--roots", "5"], None,
+                 "subtraction parameter x", id="subtraction-string"),
+    pytest.param(["analyze", "--family", "subtraction", "--params",
+                  '{"x": [1.5]}', "--roots", "5"], None,
+                 "subtraction parameter x", id="subtraction-float"),
+    pytest.param(["analyze", "--family", "wyt_a", "--params", '{"a": "2"}',
+                  "--roots", "3,3"], None, "wyt_a parameter a",
+                 id="wyt_a-string"),
+    pytest.param(["analyze", "--family", "wyt_a", "--params", '{"a": 2.0}',
+                  "--roots", "3,3"], None, "wyt_a parameter a",
+                 id="wyt_a-float"),
+    pytest.param(["analyze", "--family", "wyt_ab", "--params",
+                  '{"a": 2, "b": "1"}', "--roots", "3,3"], None,
+                 "wyt_ab parameter b", id="wyt_ab-string"),
+    pytest.param(["analyze", "--family", "wyt_a", "--params", '{"a": true}',
+                  "--roots", "3,3"], None, "wyt_a parameter a",
+                 id="wyt_a-bool"),
+    pytest.param(["sum"], {"family": "moore_nim", "params": {"n": "3", "k": 2},
+                           "roots": [[1, 1, 1]]}, "moore_nim parameter n",
+                 id="sum-moore_nim-string"),
+    pytest.param(["sum"], {"family": "wyt_ab", "params": {"a": 1.5, "b": 1},
+                           "roots": [[1, 1]]}, "wyt_ab parameter a",
+                 id="sum-wyt_ab-float"),
+    pytest.param(["sum"], {"family": "subtraction", "params": {"x": [True]},
+                           "roots": [[3]]}, "subtraction parameter x",
+                 id="sum-subtraction-bool"),
+    pytest.param(["table", "--p-sequence", "--family", "wyt_a", "--a", "0"],
+                 None, "wyt_a parameter a", id="p-sequence-wyt_a-a0"),
+    pytest.param(["table", "--family", "wythoff", "--p-sequence", "--n",
+                  "-3"], None, "sequence length -3",
+                 id="p-sequence-negative-n"),
+    pytest.param(["table", "--family", "wythoff", "--p-sequence", "--upto",
+                  "-3"], None, "sequence length -3",
+                 id="p-sequence-negative-upto"),
+]
+
+
+def _invoke_with_spec(argv, spec, directory):
+    """Run ``argv``; a ``sum`` spec is summed with a one-pile nim."""
+    if spec is not None:
+        paths = [os.path.join(directory, "a.json"),
+                 os.path.join(directory, "b.json")]
+        for path, content in zip(paths, [spec, {"family": "nim",
+                                                "roots": [[1]]}]):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(content, fh)
+        argv = argv + ["--game", paths[0], "--game", paths[1]]
+    return CliRunner().invoke(main, argv)
+
+
+@pytest.mark.parametrize("argv,spec,text", _BAD_PARAMS)
+def test_bad_parameter_exits_2(argv, spec, text, tmp_path):
+    _assert_error_line(_invoke_with_spec(argv, spec, str(tmp_path)), text)
+
+
 _FUZZ_JUNK = st.sampled_from(["x", "", "1,,2", "2.5", "A", "E"])
+# parameter values of the wrong type for every schema
+_FUZZ_WRONG_TYPES = st.sampled_from(["3", 2.0, 1.5, True, False, [1], None,
+                                     {"n": 1}])
+
+
+def _fuzz_params(family):
+    """A value for each of the family's schema keys: in range, out of range
+    or of the wrong type."""
+    values = {}
+    for name, spec in TABLE[family].schema.items():
+        if isinstance(spec, tuple):
+            valid = st.sampled_from(spec + ("star",))
+        elif isinstance(spec, list):
+            valid = st.lists(st.integers(spec[0] - 1, 5), max_size=3)
+        else:
+            valid = st.integers(spec - 2, spec + 4)
+        values[name] = st.one_of(valid, _FUZZ_WRONG_TYPES)
+    return st.fixed_dictionaries(values)
 
 
 @st.composite
@@ -360,16 +442,25 @@ def _fuzz_command(draw):
         "n": st.integers(-1, 4), "k": st.integers(-1, 4), "a": small,
         "b": small, "shape": st.sampled_from(["cycle", "path", "conj1",
                                               "conj2", "star"])}))
+    schema_params = draw(_fuzz_params(family))
     if command == "sum":
         roots = draw(st.lists(coordinates, max_size=2))
-        return ["sum"], {"family": family, "params": params, "roots": roots}
-    argv = [command] + (["--sg"] if command == "table" else [])
+        return ["sum"], {"family": family, "params": {**params,
+                                                      **schema_params},
+                         "roots": roots}
+    argv = [command]
+    if command == "table":
+        argv.append(draw(st.sampled_from(["--sg", "--p-sequence"])))
+        if draw(st.booleans()):
+            argv += ["--upto", str(draw(st.integers(-2, 3)))]
     if draw(st.booleans()):
         argv += ["--fixture", draw(st.sampled_from(FIXTURE_NAMES))]
     else:
         argv += ["--family", family]
         for key, value in params.items():
             argv += [f"--{key}", str(value)]
+        if schema_params:
+            argv += ["--params", json.dumps(schema_params)]
         if family == "subtraction" and draw(st.booleans()):
             argv += ["--set", draw(st.sampled_from(["1,2", "0", "2,x"]))]
     for root in draw(st.lists(st.one_of(
@@ -389,14 +480,7 @@ def test_cli_argv_fuzz(command):
     traceback."""
     argv, spec = command
     with tempfile.TemporaryDirectory() as tmp:
-        if spec is not None:
-            paths = [os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")]
-            for path, content in zip(paths, [spec, {"family": "nim",
-                                                    "roots": [[1]]}]):
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(content, fh)
-            argv = argv + ["--game", paths[0], "--game", paths[1]]
-        result = CliRunner().invoke(main, argv)
+        result = _invoke_with_spec(argv, spec, tmp)
     assert result.exception is None or isinstance(result.exception,
                                                   SystemExit), (argv, spec)
     assert result.exit_code in (0, 1, 2), (argv, spec)

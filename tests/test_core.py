@@ -40,8 +40,8 @@ def test_canonical_applied_to_moves():
 
 def test_is_terminal():
     game = one_pile_nim()
-    assert game.is_terminal((0,))
-    assert not game.is_terminal((3,))
+    assert not game.moves((0,))
+    assert game.moves((3,))
 
 
 def test_enumerate_single_pile():

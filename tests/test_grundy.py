@@ -6,7 +6,6 @@ from grundylab import (
     load_fixture,
     mex,
     sg_labels,
-    swap_sets,
     verify_sg_consistency,
 )
 from grundylab.fixtures import fixture_roots
@@ -84,7 +83,8 @@ def test_consistency_on_fixture():
 def test_nim_unit_pile_swap_sets():
     game = make_family("nim")
     lg = sg_labels(enumerate_subgame(game, [(1, 1, 1)]))
-    v01, v10, v00, v11 = swap_sets(lg)
+    v01, v10, v00, v11 = (lg.vset(0, 1), lg.vset(1, 0), lg.vset(0, 0),
+                          lg.vset(1, 1))
     assert v01 == {p for p in lg.labels if sum(p) % 2 == 0}
     assert v10 == {p for p in lg.labels if sum(p) % 2 == 1}
     assert v00 == set() and v11 == set()
@@ -93,7 +93,7 @@ def test_nim_unit_pile_swap_sets():
 def test_wythoff_swap_sets_bound_10():
     game = make_family("wythoff")
     lg = sg_labels(enumerate_subgame(game, box_roots(2, 10)))
-    v01, v10, _, _ = swap_sets(lg)
+    v01, v10 = lg.vset(0, 1), lg.vset(1, 0)
     assert v01 == {(0, 0), (1, 2), (2, 1)}
     assert v10 == {(0, 1), (1, 0), (2, 2)}
 

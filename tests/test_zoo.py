@@ -20,6 +20,8 @@ from grundylab.suites import (
     subtraction_sets,
 )
 from grundylab.zoo import (
+    FAMILIES,
+    TABLE,
     BeattyPair,
     box_roots,
     euclid_swap_oracle,
@@ -121,6 +123,66 @@ def test_multi_pile_param_validation():
         make_family("ho_nim", {"shape": "cycle", "n": 2})
     with pytest.raises(InvalidParams):
         make_family("ho_nim", {"shape": "donut"})
+
+
+# valid parameters of every family, and a small box side for its positions
+FAMILY_SAMPLES = {
+    "nim": [({}, 2)],
+    "moore_nim": [({"n": 3, "k": 1}, 2), ({"n": 3, "k": 3}, 2)],
+    "extended_nim": [({"n": 3, "k": 2}, 2)],
+    "exact_nim": [({"n": 3, "k": 2}, 2)],
+    "slow_nim": [({"n": 3, "k": 2}, 2)],
+    "subtraction": [({"x": (4, 1, 1)}, 9)],
+    "euclid_cd": [({}, 5)],
+    "euclid_grossman": [({}, 5)],
+    "wythoff": [({}, 5)],
+    "wyt_a": [({"a": 2}, 5)],
+    "wyt_ab": [({"a": 0, "b": 1}, 4), ({"a": 2, "b": 3}, 5)],
+    "mark": [({}, 9)],
+    "ho_nim": [({"shape": "cycle", "n": 4}, 2), ({"shape": "path", "n": 3}, 2),
+               ({"shape": "conj1"}, 1), ({"shape": "conj2"}, 1)],
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_arity_and_symmetry(family):
+    """Every position of a small box and each of its options has the
+    family's arity, and the symmetry hook commutes with the move rule."""
+    for params, side in FAMILY_SAMPLES[family]:
+        arity = TABLE[family].arity(params)
+        plain = make_family(family, params)
+        sym = make_family(family, params, use_symmetry=True)
+        for p in box_roots(3 if arity is None else arity, side):
+            options = plain.options(p)
+            if arity is not None:
+                assert all(len(y) == arity for y in options), (params, p)
+            assert (set(sym.moves(sym.canon(p)))
+                    == {sym.canon(y) for y in options}), (params, p)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("moore_nim", {"n": "3", "k": 2}),
+    ("moore_nim", {"n": 3, "k": True}),
+    ("exact_nim", {"n": 3}),
+    ("extended_nim", {"n": 2, "k": 2}),
+    ("ho_nim", {"shape": "cycle", "n": "5"}),
+    ("ho_nim", {"shape": "path"}),
+    ("ho_nim", {"shape": "conj1", "n": -1}),
+    ("subtraction", {"x": ["1", 2]}),
+    ("subtraction", {"x": [1.5]}),
+    ("subtraction", {"x": "12"}),
+    ("subtraction", {"x": [True, 2]}),
+    ("wyt_a", {"a": "2"}),
+    ("wyt_a", {"a": 2.0}),
+    ("wyt_a", {"a": True}),
+    ("wyt_a", {"a": 0}),
+    ("wyt_a", {"a": None}),
+    ("wyt_ab", {"a": 2, "b": "1"}),
+    ("wyt_ab", {"a": 1.5, "b": 1}),
+])
+def test_bad_params_rejected(family, params):
+    with pytest.raises(InvalidParams):
+        make_family(family, params)
 
 
 def test_ho_nim_hyperedges_shapes():
