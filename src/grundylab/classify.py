@@ -171,10 +171,15 @@ def _witnesses(lg: LabeledGraph, rows: dict) -> dict:
                                        if not props & row]
         if not names:
             continue
-        key = (depths[x], position_key(positions[x]))
+        # the position string is built only for a node that may win a row
+        depth, key = depths[x], None
         for name in names:
-            if name not in best or key < best[name][0]:
-                best[name] = (key, x)
+            held = best.get(name)
+            if held is None or depth <= held[0][0]:
+                if key is None:
+                    key = (depth, position_key(positions[x]))
+                if held is None or key < held[0]:
+                    best[name] = (key, x)
     out = {}
     for name, (_, reason) in rows.items():
         if name in best:

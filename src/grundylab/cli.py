@@ -19,7 +19,7 @@ from .fixtures import (FIXTURE_NAMES, fixture_adjacency, fixture_roots,
 from .grundy import sg_labels, to_csv, to_json
 from .classify import classify
 from .suites import SUITES, run_suite
-from .sums import check_closure, sum_graph
+from .sums import check_closure, product_graph
 from . import zoo
 
 CACHE_FORMAT_VERSION = 1
@@ -353,7 +353,8 @@ def _load_game_spec(path):
         game = zoo.make_family(family, params,
                                use_symmetry=bool(spec.get("symmetry")))
         for r in roots:
-            if not all(isinstance(c, int) for c in r):
+            if not all(isinstance(c, int) and not isinstance(c, bool)
+                       for c in r):
                 bad(f"root {list(r)} must hold integers")
             try:
                 _check_root(r, game)
@@ -383,7 +384,7 @@ def sum_cmd(game_specs, target, table_path):
             rootsets.append(roots)
         product_roots = list(itertools.product(*rootsets))
         if target is None:
-            lg = sg_labels(sum_graph(games, product_roots))
+            lg = sg_labels(product_graph(games, product_roots))
             report = classify(lg)
         else:
             closure = check_closure(target, games, product_roots)

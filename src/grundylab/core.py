@@ -102,12 +102,13 @@ class ReachableGraph:
     """The finite subgame generated by a root set: numbered nodes and moves.
 
     Nodes are numbered 0..N-1.  ``positions[i]`` is node i's position and
-    ``index`` maps a position back to its number.  Node i's options are
-    ``targets[offsets[i]:offsets[i + 1]]`` (compressed sparse rows of
-    ``array('i')``).  ``order`` lists the node numbers with every move
-    source before its targets, and ``depths[i]`` is d(node i).  ``succ``,
-    ``topo`` and ``nodes`` are read-only views of the same data in terms of
-    positions.  Immutable after construction.
+    the mapping ``index`` maps a position back to its number (a product of
+    summand graphs keeps both as read-only views over the summands' own).
+    Node i's options are ``targets[offsets[i]:offsets[i + 1]]`` (compressed
+    sparse rows of ``array('i')``).  ``order`` lists the node numbers with
+    every move source before its targets, and ``depths[i]`` is d(node i).
+    ``succ``, ``topo`` and ``nodes`` are read-only views of the same data in
+    terms of positions.  Immutable after construction.
     """
 
     def __init__(self, roots, positions, index, offsets, targets):
@@ -117,6 +118,17 @@ class ReachableGraph:
         self.offsets = offsets
         self.targets = targets
         self.order, self.depths = _order_and_depths(positions, offsets, targets)
+
+    @classmethod
+    def from_order(cls, roots, positions, index, offsets, targets,
+                   order, depths) -> "ReachableGraph":
+        """A graph whose parents-first ``order`` and ``depths`` are already
+        known, so no ordering pass and no cycle check runs."""
+        graph = cls.__new__(cls)
+        vars(graph).update(roots=frozenset(roots), positions=positions,
+                           index=index, offsets=offsets, targets=targets,
+                           order=order, depths=depths)
+        return graph
 
     @property
     def succ(self) -> NodeView:
@@ -306,5 +318,5 @@ def adjoin_misere_terminal(graph: ReachableGraph) -> ReachableGraph:
     offsets.append(len(rows))
     index = dict(graph.index)
     index[MISERE_TERMINAL] = n
-    return ReachableGraph(graph.roots, graph.positions + [MISERE_TERMINAL],
+    return ReachableGraph(graph.roots, [*graph.positions, MISERE_TERMINAL],
                           index, offsets, rows)

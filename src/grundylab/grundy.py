@@ -157,11 +157,8 @@ def sort_key(lg_or_graph, x):
 
 
 def table_rows(lg: LabeledGraph) -> list:
-    positions = lg.graph.positions
-    rows = [(position_key(positions[x]), lg.g[x], lg.g_minus[x])
-            for x in reversed(lg.graph.order)]
-    rows.sort()
-    return rows
+    # a sort of whole (key, g, g_minus) tuples: node order cannot change it
+    return sorted(zip(map(position_key, lg.graph.positions), lg.g, lg.g_minus))
 
 
 def to_csv(lg: LabeledGraph, header_comment: str | None = None) -> str:

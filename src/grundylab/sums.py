@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+import sys
+from array import array
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from functools import reduce
+from math import prod
 from operator import xor
 
-from .core import (BadSumRoot, GameDef, NotTameLabel, ReachableGraph,
-                   enumerate_subgame)
+from .core import (DEFAULT_NODE_CAP, BadSumRoot, GameDef, LimitExceeded,
+                   NotTameLabel, ReachableGraph, enumerate_subgame)
 from .grundy import Label, LabeledGraph, sg_labels
 from .classify import ClassReport, classify
 
@@ -15,8 +20,7 @@ from .classify import ClassReport, classify
 def sum_game(games: list[GameDef]) -> GameDef:
     """Product rule object: a position is a tuple of component positions and
     a move is a move in exactly one component."""
-    if len(games) < 2:
-        raise ValueError("a disjunctive sum needs at least two summands")
+    _check_summand_count(games)
 
     def options(pos):
         out = []
@@ -39,11 +43,38 @@ def sum_graph(games: list[GameDef], roots: list, **kwargs) -> ReachableGraph:
     ``roots`` is a list of product roots, each a tuple with one position
     per summand.  The summands are enumerated first and the product reads
     their move arrays; the result equals
-    ``enumerate_subgame(sum_game(games), roots)``.
+    ``enumerate_subgame(sum_game(games), roots)``, node numbers included.
     """
     root_tuples = _product_roots(games, roots)
     summands = _summand_graphs(games, root_tuples, **kwargs)
-    return _product_graph(games, summands, root_tuples, **kwargs)
+    return _enumerated_product(summands, _canonical_roots(games, root_tuples),
+                               **kwargs)
+
+
+def product_graph(games: list[GameDef], roots: list,
+                  **kwargs) -> ReachableGraph:
+    """The subgame ``sum_graph`` builds, numbered in mixed radix when the
+    product roots are the Cartesian product of the component roots.
+
+    Then node (c_1, ..., c_k), in the summands' node numbers, is
+    ``(...(c_1·N_2 + c_2)·N_3 + ...) + c_k`` and no product position is
+    stored; other root sets are enumerated as ``sum_graph`` does.
+    """
+    return _summands_and_product(games, roots, **kwargs)[1]
+
+
+def _summands_and_product(games, roots, node_cap: int = DEFAULT_NODE_CAP):
+    """Each summand's graph, the product graph, and whether the product is
+    the full Cartesian product of the summand graphs."""
+    root_tuples = _product_roots(games, roots)
+    summands = _summand_graphs(games, root_tuples, node_cap=node_cap)
+    canonical = _canonical_roots(games, root_tuples)
+    # every canonical root is in the product of the summands' root sets, so
+    # it is all of it iff the counts agree
+    if len(canonical) == prod(len(g.roots) for g in summands):
+        return summands, _cartesian_product(summands, canonical, node_cap), True
+    return (summands, _enumerated_product(summands, canonical,
+                                          node_cap=node_cap), False)
 
 
 def _summand_graphs(games, root_tuples, **kwargs) -> list[ReachableGraph]:
@@ -53,12 +84,18 @@ def _summand_graphs(games, root_tuples, **kwargs) -> list[ReachableGraph]:
             for i, g in enumerate(games)]
 
 
-def _product_graph(games, summands, root_tuples, **kwargs) -> ReachableGraph:
+def _canonical_roots(games, root_tuples) -> list:
+    """The product roots canonicalised per summand, without repeats."""
+    return list(dict.fromkeys(tuple(g.canon(p) for g, p in zip(games, r))
+                              for r in root_tuples))
+
+
+def _enumerated_product(summands, roots, **kwargs) -> ReachableGraph:
     """Enumerate the sum with every component move read from ``summands``.
 
     A summand's move arrays hold its canonical, deduplicated moves, so the
     product's options come out in ``sum_game``'s order and need no further
-    canonicalisation; only the roots are canonicalised, per summand.
+    canonicalisation.
     """
     tables = [(g.index, g.positions, g.offsets, g.targets) for g in summands]
 
@@ -71,19 +108,157 @@ def _product_graph(games, summands, root_tuples, **kwargs) -> ReachableGraph:
                 out.append(head + (positions[y],) + tail)
         return out
 
-    product = replace(sum_game(games), options=options, canonical=None)
-    roots = [tuple(g.canon(p) for g, p in zip(games, r)) for r in root_tuples]
-    return enumerate_subgame(product, roots, **kwargs)
+    return enumerate_subgame(GameDef("sum", options=options), roots, **kwargs)
+
+
+def _cartesian_product(summands, roots, node_cap) -> ReachableGraph:
+    """The full product of the summand graphs, numbered in mixed radix.
+
+    Listing the nodes lexicographically over the summands' parents-first
+    orders is parents-first, and a node's depth is the sum of its
+    components' depths; the summands passed the cycle check, so the
+    product needs none.  Summands are folded in one at a time, as the
+    mixed-radix numbering nests.
+    """
+    if prod(map(len, summands)) > node_cap:
+        raise LimitExceeded(f"node cap {node_cap} exceeded")
+    first = summands[0]
+    offsets, targets = first.offsets, first.targets
+    order, depths = first.order, first.depths
+    for g in summands[1:]:
+        offsets, targets = _csr_product(offsets, targets, g.offsets, g.targets)
+        m = len(g)
+        order = _outer_sum(array("i", [i * m for i in order]), g.order)
+        depths = _outer_sum(depths, g.depths)
+    return ReachableGraph.from_order(
+        roots, _ProductPositions(summands), _ProductIndex(summands),
+        offsets, targets, order, depths)
+
+
+def _csr_product(off1, tg1, off2, tg2):
+    """CSR rows of the product of two graphs: node i·N₂ + j moves first in
+    the left factor (j fixed), then in the right (i fixed), which is
+    ``sum_game``'s option order.
+
+    Left node i gives a block of N₂ rows.  Its offsets, its right-factor
+    moves and its left-factor moves are each one packed add (``_lanes``);
+    the two kinds of moves are then interleaved row by row.
+    """
+    n2, e2 = len(off2) - 1, len(tg2)
+    offsets, targets = array("i", [0]), array("i")
+    right_moves, right_ones = _lanes(tg2), _ones(e2)
+    row_ends, row_ones = _lanes(off2[1:]), _ones(n2)
+    row_steps = _lanes(array("i", range(1, n2 + 1)))
+    spread = {}     # d -> every j of the right factor written d times
+    for i in range(len(off1) - 1):
+        lo, hi = off1[i], off1[i + 1]
+        d = hi - lo
+        # row i·N₂ + j ends d·(j + 1) + off2[j + 1] after the block starts
+        offsets += _unlanes(row_ends + offsets[-1] * row_ones + d * row_steps,
+                            n2)
+        right = _unlanes(right_moves + i * n2 * right_ones, e2)
+        if not d:
+            targets += right
+            continue
+        if d not in spread:
+            spread[d] = _lanes(array("i", [j for j in range(n2)
+                                           for _ in range(d)]))
+        heads = array("i", [t * n2 for t in tg1[lo:hi]])
+        left = _unlanes(_lanes(heads * n2) + spread[d], d * n2)
+        for j in range(n2):
+            targets += left[j * d:(j + 1) * d]
+            targets += right[off2[j]:off2[j + 1]]
+    return offsets, targets
+
+
+def _outer_sum(a, b) -> array:
+    """``[x + y for x in a for y in b]`` as an ``array('i')``."""
+    packed, ones, out = _lanes(b), _ones(len(b)), array("i")
+    for x in a:
+        out += _unlanes(packed + x * ones, len(b))
+    return out
+
+
+def _lanes(values: array) -> int:
+    """An ``array('i')`` of non-negative entries as one integer, one entry
+    per lane of ``itemsize`` bytes.  Adding two such integers adds them
+    entry by entry, at C speed, as long as no entry sum reaches 2**31; the
+    entries here are node numbers, depths and row offsets of arrays held
+    in memory, far below that."""
+    return int.from_bytes(values.tobytes(), sys.byteorder)
+
+
+def _unlanes(number: int, n: int) -> array:
+    """The ``n`` lanes of ``number`` as an ``array('i')``."""
+    out = array("i")
+    out.frombytes(number.to_bytes(n * out.itemsize, sys.byteorder))
+    return out
+
+
+def _ones(n: int) -> int:
+    return _lanes(array("i", [1]) * n)
+
+
+class _ProductPositions(Sequence):
+    """Node number -> product position, read from the summands' positions."""
+
+    __slots__ = ("_summands", "_len")
+
+    def __init__(self, summands):
+        self._summands, self._len = summands, prod(map(len, summands))
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return itertools.product(*(g.positions for g in self._summands))
+
+    def __getitem__(self, n):
+        n = range(self._len)[n]
+        coords = []
+        for g in reversed(self._summands):
+            n, c = divmod(n, len(g))
+            coords.append(g.positions[c])
+        return tuple(reversed(coords))
+
+
+class _ProductIndex(Mapping):
+    """Product position -> node number, read from the summands' indexes."""
+
+    __slots__ = ("_summands",)
+
+    def __init__(self, summands):
+        self._summands = summands
+
+    def __len__(self):
+        return prod(map(len, self._summands))
+
+    def __iter__(self):
+        return iter(_ProductPositions(self._summands))
+
+    def __getitem__(self, x):
+        if not isinstance(x, tuple) or len(x) != len(self._summands):
+            raise KeyError(x)
+        n = 0
+        for g, p in zip(self._summands, x):
+            n = n * len(g) + g.index[p]
+        return n
 
 
 def _product_roots(games, roots) -> list:
     """``roots`` as a list, after checking each has one position per summand."""
+    _check_summand_count(games)
     roots = list(roots)
     for r in roots:
         if not isinstance(r, tuple) or len(r) != len(games):
             raise BadSumRoot(f"sum root {r!r} is not a tuple of "
                              f"{len(games)} summand positions")
     return roots
+
+
+def _check_summand_count(games):
+    if len(games) < 2:
+        raise ValueError("a disjunctive sum needs at least two summands")
 
 
 def sum_sg(values) -> int:
@@ -130,21 +305,31 @@ def check_closure(target: str, games: list[GameDef], roots: list,
     once.  For tame or miserable summands the theorem-derived fast path
     (``tame_sum_label``) is cross-checked against every sum label.
     """
-    root_tuples = _product_roots(games, roots)
-    summands = _summand_graphs(games, root_tuples, **kwargs)
+    summands, product, cartesian = _summands_and_product(games, roots,
+                                                          **kwargs)
     summand_lgs = [sg_labels(graph) for graph in summands]
     summand_reports = [classify(lg) for lg in summand_lgs]
 
-    sum_lg = sg_labels(_product_graph(games, summands, root_tuples, **kwargs))
+    sum_lg = sg_labels(product)
     sum_report = classify(sum_lg)
     holds = sum_report.verdicts.get(target, False)
 
     mismatches = []
     if all(r.verdicts["tame"] for r in summand_reports):
-        for pos, lab in sum_lg.labels.items():
-            comp_labels = [lg.label(p) for lg, p in zip(summand_lgs, pos)]
-            predicted = tame_sum_label(comp_labels)
-            if tuple(predicted) != tuple(lab):
-                mismatches.append((pos, tuple(lab), tuple(predicted)))
+        labels = [list(zip(lg.g, lg.g_minus)) for lg in summand_lgs]
+        if cartesian:
+            components = itertools.product(*labels)
+        else:
+            components = (tuple(lab[g.index[p]]
+                                for lab, g, p in zip(labels, summands, pos))
+                          for pos in product.positions)
+        predicted = {}
+        for x, (comps, lab) in enumerate(zip(components,
+                                             zip(sum_lg.g, sum_lg.g_minus))):
+            want = predicted.get(comps)
+            if want is None:
+                want = predicted[comps] = tuple(tame_sum_label(comps))
+            if want != lab:
+                mismatches.append((product.positions[x], lab, want))
     return ClosureReport(target, summand_reports, sum_report, holds,
                          mismatches, sum_lg)

@@ -451,6 +451,8 @@ def wyt_a_p(a: int, n: int, convention: str = "normal") -> tuple:
 
 
 def wyt_a_sequence(a: int, upto: int, convention: str = "normal") -> list:
+    if a == 1:  # Wythoff's game, whose misere pairs the recursion misses
+        return [wythoff_p(n, convention) for n in range(upto + 1)]
     if convention == "normal":
         gen = _mex_sequence((0, 0), lambda n: a * n)
     elif convention == "misere":

@@ -4,7 +4,7 @@ import tempfile
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import grundylab.cli
@@ -266,6 +266,13 @@ def test_sum_spec_root_wrong_arity(tmp_path):
     assert "2 coordinates" in result.output
 
 
+def test_sum_spec_boolean_root(tmp_path):
+    result = _sum_with_spec(tmp_path, {"family": "wythoff",
+                                       "roots": [[True, 2]]})
+    _assert_one_error_line(result)
+    assert "must hold integers" in result.output
+
+
 def test_sum_builds_product_once(tmp_path, monkeypatch):
     calls = {"sg_labels": 0, "classify": 0}
 
@@ -444,7 +451,9 @@ def _fuzz_command(draw):
                                               "conj2", "star"])}))
     schema_params = draw(_fuzz_params(family))
     if command == "sum":
-        roots = draw(st.lists(coordinates, max_size=2))
+        coordinate = st.one_of(st.integers(-3, 6), st.booleans())
+        roots = draw(st.lists(st.lists(coordinate, min_size=1, max_size=3),
+                              max_size=2))
         return ["sum"], {"family": family, "params": {**params,
                                                       **schema_params},
                          "roots": roots}
@@ -475,6 +484,7 @@ def _fuzz_command(draw):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_fuzz_command())
+@example((["sum"], {"family": "wythoff", "params": {}, "roots": [[True, 2]]}))
 def test_cli_argv_fuzz(command):
     """Every argv of the grammar exits 0, 1 (verify only) or 2, without a
     traceback."""
@@ -485,3 +495,6 @@ def test_cli_argv_fuzz(command):
                                                   SystemExit), (argv, spec)
     assert result.exit_code in (0, 1, 2), (argv, spec)
     assert result.exit_code != 1 or argv[0] == "verify", (argv, spec)
+    if spec is not None and any(isinstance(c, bool)
+                                for root in spec["roots"] for c in root):
+        assert result.exit_code == 2, (argv, spec)

@@ -1,24 +1,31 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from grundylab import (
     BadSumRoot,
+    CandidateSets,
     GameDef,
     Label,
     LimitExceeded,
     NotTameLabel,
+    adjoin_misere_terminal,
     check_closure,
+    classify,
     enumerate_subgame,
     load_fixture,
+    product_graph,
     sg_labels,
     sum_game,
     sum_graph,
     sum_sg,
     tame_sum_label,
+    verify_candidate_sets,
 )
 from grundylab.fixtures import fixture_roots
+from grundylab.grundy import to_csv
 from grundylab.random_games import random_dag, random_dag_stream
 from grundylab.zoo import make_family
 
@@ -218,3 +225,146 @@ def test_sum_graph_matches_literal_product_with_symmetry(pair):
         with pytest.raises(LimitExceeded):
             sum_graph(games, roots, node_cap=cap)
     assert_same_graph(sum_graph(games, roots, node_cap=n), want)
+
+
+# product_graph numbers a Cartesian product in mixed radix instead of
+# enumerating it; every answer must equal the one sum_graph gives
+
+CLOSURE_TARGETS = ("domestic", "tame", "pet", "miserable", "forced",
+                   "returnable")
+
+
+def random_games(draw, count):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    graphs = [random_dag(rng, max_nodes=6, edge_prob=0.4)
+              for _ in range(count)]
+    games = [GameDef("r", {}, lambda p, fr=dict(g.succ): list(fr[p]))
+             for g in graphs]
+    return games, [sorted(g.succ) for g in graphs]
+
+
+@st.composite
+def cartesian_sums(draw):
+    """Random DAG summands, roots the product of component root lists with
+    repeats, in a random order."""
+    games, nodes = random_games(draw, draw(st.integers(2, 3)))
+    parts = [draw(st.lists(st.sampled_from(ns), min_size=1, max_size=3))
+             for ns in nodes]
+    return games, draw(st.permutations(list(itertools.product(*parts))))
+
+
+SYMMETRIC_SUMMANDS = [("nim", {}, 2), ("wythoff", {}, 2),
+                      ("wyt_a", {"a": 2}, 2), ("subtraction", {"x": [1, 3]}, 1),
+                      ("nim", {}, 3)]
+
+
+@st.composite
+def symmetric_cartesian_sums(draw):
+    """Summands with symmetry, roots the product of component root lists
+    that hold non-canonical and repeated positions."""
+    picks = draw(st.lists(st.sampled_from(SYMMETRIC_SUMMANDS), min_size=2,
+                          max_size=3))
+    games = [make_family(f, p, use_symmetry=True) for f, p, _ in picks]
+    parts = [draw(st.lists(st.tuples(*[st.integers(0, 2)] * arity),
+                           min_size=1, max_size=3))
+             for _, _, arity in picks]
+    return games, list(itertools.product(*parts))
+
+
+def assert_same_answers(games, roots):
+    got, want = product_graph(games, roots), sum_graph(games, roots)
+    assert dict(got.succ) == dict(want.succ)
+    assert {x: got.depth(x) for x in got.nodes} == {
+        x: want.depth(x) for x in want.nodes}
+    assert got.roots == want.roots
+    assert [got.index[x] for x in got.positions] == list(range(len(got)))
+    got_lg, want_lg = sg_labels(got), sg_labels(want)
+    assert dict(got_lg.labels) == dict(want_lg.labels)
+    report = classify(want_lg)
+    assert classify(got_lg).to_dict() == report.to_dict()
+    assert to_csv(got_lg) == to_csv(want_lg)
+
+    misere = dict(zip(got.positions, sg_labels(
+        adjoin_misere_terminal(got)).g))
+    assert misere == {x: lab.g_minus for x, lab in want_lg.labels.items()}
+    solver = CandidateSets(*(want_lg.vset(*lab)
+                             for lab in ((0, 1), (1, 0), (0, 0), (1, 1))))
+    for target in ("pet", "miserable", "tame", "domestic"):
+        got_v = verify_candidate_sets(got, solver, target)
+        want_v = verify_candidate_sets(want, solver, target)
+        assert sorted(got_v.failures) == sorted(want_v.failures)
+        assert got_v.set_mismatches == want_v.set_mismatches
+
+    summands = [sg_labels(enumerate_subgame(g, dict.fromkeys(r[i]
+                                                            for r in roots)))
+                for i, g in enumerate(games)]
+    summand_reports = [classify(lg).to_dict() for lg in summands]
+    mismatches = []
+    if all(r["verdicts"]["tame"] for r in summand_reports):
+        for pos, lab in want_lg.labels.items():
+            predicted = tame_sum_label([lg.label(p)
+                                        for lg, p in zip(summands, pos)])
+            if predicted != lab:
+                mismatches.append((pos, tuple(lab), tuple(predicted)))
+    for target in CLOSURE_TARGETS:
+        closure = check_closure(target, games, roots)
+        assert closure.holds == report.verdicts[target]
+        assert closure.sum_report.to_dict() == report.to_dict()
+        assert dict(closure.sum_labels.labels) == dict(want_lg.labels)
+        assert [r.to_dict() for r in closure.summand_reports] == \
+            summand_reports
+        assert sorted(closure.label_mismatches) == sorted(mismatches)
+
+    n = len(want)
+    for cap in {1, n // 2, n - 1}:
+        if cap < n:
+            with pytest.raises(LimitExceeded):
+                product_graph(games, roots, node_cap=cap)
+            with pytest.raises(LimitExceeded):
+                check_closure("tame", games, roots, node_cap=cap)
+    assert len(product_graph(games, roots, node_cap=n)) == n
+
+
+@settings(deadline=None)  # a case runs check_closure six times
+@given(cartesian_sums())
+def test_cartesian_product_matches_sum_graph_on_random_dags(case):
+    assert_same_answers(*case)
+
+
+@settings(deadline=None)  # a case runs check_closure six times
+@given(symmetric_cartesian_sums())
+def test_cartesian_product_matches_sum_graph_with_symmetry(case):
+    assert_same_answers(*case)
+
+
+@st.composite
+def diagonal_roots(draw):
+    """Two roots differing in every summand: not a Cartesian product."""
+    games, nodes = random_games(draw, draw(st.integers(2, 3)))
+    assume(all(len(ns) >= 2 for ns in nodes))
+    pairs = [draw(st.lists(st.sampled_from(ns), min_size=2, max_size=2,
+                           unique=True)) for ns in nodes]
+    return games, list(zip(*pairs))
+
+
+@settings(deadline=None)  # a case runs check_closure six times
+@given(diagonal_roots())
+def test_non_cartesian_roots_keep_the_enumerated_product(case):
+    games, roots = case
+    assert_same_graph(product_graph(games, roots), sum_graph(games, roots))
+    assert_same_answers(games, roots)
+
+
+@pytest.mark.parametrize("roots", [[((1, 2), (3,)), ((0, 2), (3,))],
+                                   [((1, 2), (3,)), ((0, 2), (2,))]],
+                         ids=["cartesian", "diagonal"])
+def test_tame_cross_check_lists_every_disagreement(roots, monkeypatch):
+    # a wrong fast path must be reported at every product node, in node order
+    monkeypatch.setattr("grundylab.sums.tame_sum_label",
+                        lambda labels: Label(99, 99))
+    games = [make_family("nim"), make_family("subtraction", {"x": [1, 2]})]
+    closure = check_closure("tame", games, roots)
+    lg = closure.sum_labels
+    assert closure.label_mismatches == [
+        (x, (a, b), (99, 99))
+        for x, a, b in zip(lg.graph.positions, lg.g, lg.g_minus)]

@@ -242,6 +242,18 @@ def test_wyt_a_marks_solver_p_positions():
     assert res.ok, res.checks
 
 
+@pytest.mark.parametrize("convention", ["normal", "misere"])
+@pytest.mark.parametrize("a", [1, 2, 3, 4])
+def test_wyt_a_sequence_is_the_solvers_p_positions(a, convention):
+    lg = labels("wyt_a", {"a": a}, box_roots(2, 30))
+    value = "g" if convention == "normal" else "g_minus"
+    solver = {(x, y) for (x, y), lab in lg.labels.items()
+              if x <= y and getattr(lab, value) == 0}
+    sequence = {(x, y) for x, y in wyt_a_sequence(a, 30, convention)
+                if y <= 30}
+    assert sequence == solver
+
+
 def test_mex_b_examples():
     assert mex_b(3, set()) == 0
     assert mex_b(2, {0, 1, 4}) == 3
