@@ -81,41 +81,48 @@ def properties(own: int, reach: int) -> int:
     return props
 
 
-def _label_classes(g: int, gm: int) -> int:
-    return (_PAIR_CLASS.get((g, gm), OTHER)
-            | (G0 if g == 0 else G1 if g == 1 else 0)
-            | (GM0 if gm == 0 else GM1 if gm == 1 else 0)
-            | (KK if g == gm >= 2 else 0)
-            | (NOT_DOMESTIC if min(g, gm) == 0 and max(g, gm) >= 2 else 0))
-
-
 def _packed_masks(lg: LabeledGraph) -> list:
     """Per node number: its classes in the low bits, its property bits
-    above them.
+    above them.  Built on the first call and kept on ``lg``.
 
     Options are visited before the positions that move to them, so each
-    node's reach is the union of its options' finished classes.
+    node's reach is the union of its options' finished classes.  A node's
+    word depends only on its label and its reach, so it is computed once
+    per distinct (g, g_minus, reach).
     """
+    if lg.packed_masks is not None:
+        return lg.packed_masks
     graph = lg.graph
     offsets, targets = graph.offsets, graph.targets
     g, gm = lg.g, lg.g_minus
     packed = [0] * len(graph)
-    by_label = {}
+    words = {}
     for x in reversed(graph.order):
         reach = 0
         for y in targets[offsets[x]:offsets[x + 1]]:
             reach |= packed[y]
-        reach &= _CLASS_MASK
-        lab = (g[x], gm[x])
-        own = by_label.get(lab)
-        if own is None:
-            own = by_label[lab] = _label_classes(*lab)
-        if reach and not reach & V01:
-            own |= NB01
-        if reach and not reach & V10:
-            own |= NB10
-        packed[x] = own | properties(own, reach) << _CLASS_BITS
+        key = (g[x], gm[x], reach & _CLASS_MASK)
+        word = words.get(key)
+        if word is None:
+            word = words[key] = _word(*key)
+        packed[x] = word
+    lg.packed_masks = packed
     return packed
+
+
+def _word(g: int, gm: int, reach: int) -> int:
+    """Packed classes and properties of a node labelled (g, gm) whose
+    options reach the classes ``reach``."""
+    own = (_PAIR_CLASS.get((g, gm), OTHER)
+           | (G0 if g == 0 else G1 if g == 1 else 0)
+           | (GM0 if gm == 0 else GM1 if gm == 1 else 0)
+           | (KK if g == gm >= 2 else 0)
+           | (NOT_DOMESTIC if min(g, gm) == 0 and max(g, gm) >= 2 else 0))
+    if reach and not reach & V01:
+        own |= NB01
+    if reach and not reach & V10:
+        own |= NB10
+    return own | properties(own, reach) << _CLASS_BITS
 
 
 # --- rows: properties of which every node needs at least one ------------------

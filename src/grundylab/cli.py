@@ -3,7 +3,6 @@ verification suites, and analyze disjunctive sums."""
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -181,25 +180,35 @@ def _cache_fetch(directory, key):
 
 
 def _checksum_header(body: bytes) -> bytes:
+    # imported here: only the cache needs it, and its OpenSSL backend adds
+    # about 4 MB to every command that imports it
+    import hashlib
+
     return b"sha256:" + hashlib.sha256(body).hexdigest().encode()
 
 
 def _cache_store(directory, key, text):
+    """Write the entry, or nothing: the cache is best-effort, so a
+    directory that cannot be made or written to is ignored."""
     body = text.encode("utf-8")
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(_checksum_header(body) + b"\n" + body)
         os.replace(tmp, os.path.join(directory, key))
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 def _cache_key(payload: dict) -> str:
+    import hashlib
+
     payload = dict(payload, version=CACHE_FORMAT_VERSION)
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()

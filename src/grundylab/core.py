@@ -79,7 +79,9 @@ class GameDef:
     ``options`` must return a finite collection of positions, each strictly
     smaller in some well-founded measure.  ``canonical`` (optional) maps a
     position to the representative of its symmetry orbit; it must commute
-    with the move rule.
+    with the move rule and be idempotent (``canonical(canonical(p)) ==
+    canonical(p)``): enumeration looks a raw option up before
+    canonicalising it, and trusts a hit.
     """
 
     family: str
@@ -218,12 +220,14 @@ def enumerate_subgame(game: GameDef, roots: Iterable[Position],
     while i < len(positions):
         if len(positions) > node_cap:
             raise LimitExceeded(f"node cap {node_cap} exceeded")
-        opts = options(positions[i])
-        if canonical is not None:
-            opts = map(canonical, opts)
         ids = []
-        for y in opts:
+        for y in options(positions[i]):
+            # a numbered position is canonical and ``canonical`` is
+            # idempotent, so a raw option found in ``index`` is its own form
             j = get(y)
+            if j is None and canonical is not None:
+                y = canonical(y)
+                j = get(y)
             if j is None:
                 j = index[y] = len(positions)
                 positions.append(y)

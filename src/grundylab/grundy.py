@@ -37,8 +37,12 @@ class LabeledGraph:
     ``g[i]`` and misere value ``g_minus[i]``.
 
     ``labels`` is a read-only position -> Label view, children before
-    parents.
+    parents.  Immutable after construction: ``packed_masks`` holds the
+    per-node class and property masks ``classify`` derives from the graph
+    and the labels, built once on first use and shared by every predicate.
     """
+
+    packed_masks = None
 
     def __init__(self, graph: ReachableGraph, labels):
         """``labels`` maps every node of ``graph`` to its (g, g_minus) pair."""

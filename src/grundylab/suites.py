@@ -14,16 +14,13 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .core import GameDef, InvalidParams, UnsupportedParams, enumerate_subgame
+from .core import (GameDef, InvalidParams, UnsupportedParams,
+                   adjoin_misere_terminal, enumerate_subgame)
 from .fixtures import FIXTURE_NAMES, fixture_roots, load_fixture
-from .grundy import (
-    misere_via_adjoined_terminal,
-    sg_labels,
-    verify_sg_consistency,
-)
+from .grundy import sg_labels, verify_sg_consistency
 from .classify import CandidateSets, check_sm_equivalences, classify, verify_candidate_sets
 from .random_games import random_dag
-from .sums import check_closure, sum_graph
+from .sums import check_closure, product_graph, sum_graph
 from . import zoo
 
 SUITES = (
@@ -168,8 +165,9 @@ EQUALITIES = [
 def adjoined_terminal_agrees(graph, lg) -> bool:
     """Normal play on ``graph`` with one terminal adjoined below its
     terminals gives every position its misère value from ``lg``."""
-    mis = misere_via_adjoined_terminal(graph)
-    return all(mis[x] == lg.labels[x].g_minus for x in graph.nodes)
+    # the adjoined graph keeps every node number and appends the terminal
+    extended = sg_labels(adjoin_misere_terminal(graph))
+    return extended.g[:len(graph)] == lg.g_minus
 
 
 def suite_equalities(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
@@ -211,12 +209,15 @@ def check_xor_pairs(res, rng, pairs):
         games = [GameDef("random", {"nodes": len(g)},
                          lambda p, succ=dict(g.succ): list(succ[p]))
                  for g in graphs]
-        comp = [sg_labels(g) for g in graphs]
-        roots = list(itertools.product(*(g.nodes for g in graphs)))
-        lg = sg_labels(sum_graph(games, roots))
-        for (p0, p1), lab in lg.labels.items():
-            if lab.g != comp[0].labels[p0].g ^ comp[1].labels[p1].g:
-                bad.append((i, (p0, p1)))
+        g0, g1 = (sg_labels(g).g for g in graphs)
+        roots = list(itertools.product(*(g.positions for g in graphs)))
+        lg = sg_labels(product_graph(games, roots))
+        # each summand is enumerated from all its nodes in node order, so
+        # product node i·N₂ + j is (node i, node j) of ``graphs``
+        want = [a ^ b for a in g0 for b in g1]
+        bad.extend((i, lg.graph.positions[x])
+                   for x, (got, xor) in enumerate(zip(lg.g, want))
+                   if got != xor)
     res.add("xor_rule_random_pairs", not bad,
             f"{pairs} pairs; violations {bad[:3]}")
 

@@ -21,7 +21,7 @@ from grundylab import (
 )
 from grundylab.classify import PREDICATES
 from grundylab.fixtures import fixture_roots
-from grundylab.grundy import SWAP_LABELS, sort_key
+from grundylab.grundy import SWAP_LABELS, LabeledGraph, sort_key
 from grundylab.random_games import random_dag, random_dag_stream
 from grundylab.suites import EQUALITIES, FIXTURE_EXPECTATIONS, HIERARCHY
 from grundylab.zoo import box_roots, euclid_swap_oracle, make_family, moore_swap_oracle
@@ -82,6 +82,18 @@ def test_sm_equivalences_agree_on_random_graphs():
         report = check_sm_equivalences(sg_labels(graph))
         assert report.agree
         assert len(report.conditions) == 6
+
+
+def test_shared_masks_give_the_same_reports_in_either_call_order():
+    # the masks are built by whichever call comes first and reused after
+    for graph in random_dag_stream(3, 200):
+        lg = sg_labels(graph)
+        fresh = LabeledGraph.from_arrays(graph, lg.g, lg.g_minus)
+        first = classify(lg).to_dict(), check_sm_equivalences(lg)
+        sm = check_sm_equivalences(fresh)
+        assert fresh.packed_masks is not None
+        assert (classify(fresh).to_dict(), sm) == first
+        assert fresh.packed_masks == lg.packed_masks
 
 
 def test_sm_equivalences_on_pet_fixture():

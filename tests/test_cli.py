@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -168,6 +170,31 @@ def test_table_cache_garbage_entry_rewritten(tmp_path):
     # the failed entry was rewritten and now serves a cache hit
     assert entry.read_bytes() != b"garbage"
     assert run(*args, env=env).output == cold.output
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_table_unusable_cache_dir_is_ignored(tmp_path, below):
+    # a regular file where the cache directory should be, or on its path
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory")
+    cache = blocker / "sub" if below else blocker
+    args = ("table", "--family", "nim", "--roots", "2,2", "--sg")
+    plain = run(*args)
+    cached = run(*args, "--cache-dir", str(cache))
+    assert cached.exit_code == 0, cached.output
+    assert cached.output == plain.output
+    assert blocker.read_text() == "not a directory"
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # only the table cache needs hashlib; its OpenSSL backend costs memory
+    src = os.path.dirname(os.path.dirname(grundylab.cli.__file__))
+    code = ("import sys, grundylab.cli; "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "[]\n"
 
 
 def test_verify_fixtures_passes():

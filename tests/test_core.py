@@ -1,5 +1,7 @@
 import gc
+import itertools
 import tracemalloc
+from array import array
 from collections import deque
 
 import pytest
@@ -17,10 +19,10 @@ from grundylab import (
     mex,
     sg_labels,
 )
-from grundylab.core import GameError
+from grundylab.core import DEFAULT_NODE_CAP, GameError, ReachableGraph
 from grundylab.fixtures import (FIXTURE_NAMES, fixture_adjacency,
                                 fixture_roots, load_fixture)
-from grundylab.zoo import box_roots, make_family
+from grundylab.zoo import TABLE, box_roots, make_family
 
 
 def one_pile_nim():
@@ -292,6 +294,82 @@ def test_adjacency_matches_reference(case, infer_roots):
         want[MISERE_TERMINAL] = ()
         assert_matches_reference(adjoin_misere_terminal(graph),
                                  ref_graph_from_adjacency(want, graph.roots))
+
+
+# enumerate_subgame canonicalises an option only when the raw option is not
+# already a node; the reference canonicalises every option first
+
+
+def ref_enumerate_canonicalising(game, roots, node_cap=DEFAULT_NODE_CAP):
+    positions = list(dict.fromkeys(game.canon(r) for r in roots))
+    root_count = len(positions)
+    index = {x: i for i, x in enumerate(positions)}
+    offsets, targets = array("i", [0]), array("i")
+    i = 0
+    while i < len(positions):
+        if len(positions) > node_cap:
+            raise LimitExceeded(f"node cap {node_cap} exceeded")
+        ids = []
+        for y in map(game.canonical, game.options(positions[i])):
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(positions)
+                positions.append(y)
+            ids.append(j)
+        targets.extend(dict.fromkeys(ids))
+        offsets.append(len(targets))
+        i += 1
+    return ReachableGraph(positions[:root_count], positions, index,
+                          offsets, targets)
+
+
+# the symmetry hooks of zoo.TABLE: pile sorting, sorting all but the first
+# pile, and least rotation
+HOOKS = [TABLE["nim"].symmetry({}), TABLE["extended_nim"].symmetry({}),
+         TABLE["ho_nim"].symmetry({"shape": "cycle"})]
+
+
+@st.composite
+def symmetric_rules(draw):
+    """A rule on small tuples with a symmetry hook, acyclic or not, whose
+    option lists hold raw (non-canonical) and repeated positions, and a root
+    list that may repeat a position or give it in non-canonical form."""
+    arity = draw(st.integers(1, 3))
+    side = draw(st.integers(1, 3 if arity < 3 else 2))
+    raw = list(itertools.product(range(side + 1), repeat=arity))
+    acyclic = draw(st.booleans())
+    moves = {}
+    for p in raw:
+        pool = [y for y in raw if sum(y) < sum(p)] if acyclic else raw
+        moves[p] = (draw(st.lists(st.sampled_from(pool), max_size=5))
+                    if pool else [])
+    game = GameDef("r", {}, lambda p: list(moves[p]),
+                   draw(st.sampled_from(HOOKS)))
+    return game, draw(st.lists(st.sampled_from(raw), min_size=1, max_size=4))
+
+
+def enumeration_outcome(build):
+    """The graph's arrays and roots, or the error type and message."""
+    try:
+        g = build()
+    except GameError as exc:
+        return type(exc), str(exc)
+    return (list(g.positions), g.offsets, g.targets, g.order, g.depths,
+            g.roots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_rules())
+def test_enumerate_with_symmetry_matches_canonicalising_reference(case):
+    game, roots = case
+    full = enumeration_outcome(lambda: ref_enumerate_canonicalising(game,
+                                                                    roots))
+    n = len(full[0]) if isinstance(full[0], list) else 8
+    for cap in sorted({DEFAULT_NODE_CAP, 1, n // 2, n - 1, n}):
+        assert (enumeration_outcome(
+                    lambda: enumerate_subgame(game, roots, node_cap=cap))
+                == enumeration_outcome(
+                    lambda: ref_enumerate_canonicalising(game, roots, cap)))
 
 
 ZOO_GAMES = [

@@ -1,3 +1,5 @@
+from array import array
+
 from hypothesis import given, strategies as st
 
 from grundylab import (
@@ -18,6 +20,7 @@ from grundylab.grundy import (
     to_json,
 )
 from grundylab.random_games import random_dag_stream
+from grundylab.suites import adjoined_terminal_agrees
 from grundylab.zoo import box_roots, make_family
 
 
@@ -103,6 +106,17 @@ def test_adjoined_terminal_equals_misere():
         lg = sg_labels(graph)
         mis = misere_via_adjoined_terminal(graph)
         assert all(mis[x] == lg.labels[x].g_minus for x in graph.nodes)
+
+
+def test_adjoined_terminal_check_reports_any_wrong_misere_value():
+    for graph in random_dag_stream(7, 30):
+        lg = sg_labels(graph)
+        assert adjoined_terminal_agrees(graph, lg)
+        for x in range(len(graph)):
+            wrong = array("i", lg.g_minus)
+            wrong[x] += 1
+            bad = LabeledGraph.from_arrays(graph, lg.g, wrong)
+            assert not adjoined_terminal_agrees(graph, bad), x
 
 
 def test_edge_values_differ():

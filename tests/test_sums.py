@@ -27,6 +27,7 @@ from grundylab import (
 from grundylab.fixtures import fixture_roots
 from grundylab.grundy import to_csv
 from grundylab.random_games import random_dag, random_dag_stream
+from grundylab.suites import SuiteResult, check_xor_pairs
 from grundylab.zoo import make_family
 
 
@@ -107,6 +108,27 @@ def test_xor_rule_on_random_pairs():
         lg = sg_labels(sum_graph(games, roots))
         for (p0, p1), lab in lg.labels.items():
             assert lab.g == comp[0].labels[p0].g ^ comp[1].labels[p1].g
+
+
+@pytest.mark.parametrize("node", [0, -1], ids=["first", "last"])
+def test_xor_check_reports_a_wrong_product_label(node, monkeypatch):
+    # random DAG nodes are integers, product nodes tuples of them
+    def corrupted(graph):
+        lg = sg_labels(graph)
+        if isinstance(graph.positions[0], tuple):
+            lg.g[node] ^= 1
+        return lg
+
+    monkeypatch.setattr("grundylab.suites.sg_labels", corrupted)
+    res = SuiteResult("sums", 0)
+    check_xor_pairs(res, random.Random(0), 3)
+    ((name, ok, detail),) = res.checks
+    assert name == "xor_rule_random_pairs" and not ok
+    rng, sizes = random.Random(0), []
+    for _ in range(3):
+        sizes.append([len(random_dag(rng, 8)) for _ in range(2)])
+    corner = [(0, 0) if node == 0 else (a - 1, b - 1) for a, b in sizes]
+    assert detail == f"3 pairs; violations {list(enumerate(corner))}"
 
 
 def test_tame_sum_label_swaps():
@@ -269,6 +291,14 @@ def symmetric_cartesian_sums(draw):
                            min_size=1, max_size=3))
              for _, _, arity in picks]
     return games, list(itertools.product(*parts))
+
+
+@given(symmetric_cartesian_sums())
+def test_sum_game_canonical_is_idempotent(case):
+    games, roots = case
+    canon = sum_game(games).canonical
+    for r in roots:
+        assert canon(canon(r)) == canon(r)
 
 
 def assert_same_answers(games, roots):

@@ -160,6 +160,26 @@ def test_family_arity_and_symmetry(family):
                     == {sym.canon(y) for y in options}), (params, p)
 
 
+SYMMETRIC_SAMPLES = [(family, params) for family in FAMILIES
+                     for params, _ in FAMILY_SAMPLES[family]
+                     if make_family(family, params,
+                                    use_symmetry=True).canonical]
+
+
+@pytest.mark.parametrize("family,params", SYMMETRIC_SAMPLES,
+                         ids=[f"{f}{i}" for i, (f, _) in
+                              enumerate(SYMMETRIC_SAMPLES)])
+@given(data=st.data())
+def test_symmetry_hook_is_idempotent(family, params, data):
+    # enumeration trusts a raw option that is already a node to be canonical
+    arity = TABLE[family].arity(params)
+    size = data.draw(st.integers(0, 6) if arity is None else st.just(arity))
+    p = tuple(data.draw(st.lists(st.integers(0, 40), min_size=size,
+                                 max_size=size)))
+    canon = make_family(family, params, use_symmetry=True).canonical
+    assert canon(canon(p)) == canon(p)
+
+
 @pytest.mark.parametrize("family,params", [
     ("moore_nim", {"n": "3", "k": 2}),
     ("moore_nim", {"n": 3, "k": True}),
