@@ -102,11 +102,12 @@ def sg_labels(graph: ReachableGraph) -> LabeledGraph:
     return LabeledGraph.from_arrays(graph, g, gm)
 
 
-def misere_via_adjoined_terminal(graph: ReachableGraph) -> dict:
+def misere_via_adjoined_terminal(graph: ReachableGraph) -> array:
     """Misere values computed the roundabout way: normal SG on the
-    adjoined-terminal graph, restricted to the original nodes."""
-    extended = sg_labels(adjoin_misere_terminal(graph))
-    return dict(zip(graph.positions, extended.g))
+    adjoined-terminal graph, restricted to the original nodes.  Indexed
+    by node number, as ``LabeledGraph.g_minus``."""
+    # the adjoined graph keeps every node number and appends the terminal
+    return sg_labels(adjoin_misere_terminal(graph)).g[:len(graph)]
 
 
 @dataclass

@@ -14,10 +14,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .core import (GameDef, InvalidParams, UnsupportedParams,
-                   adjoin_misere_terminal, enumerate_subgame)
+from .core import GameDef, InvalidParams, UnsupportedParams, enumerate_subgame
 from .fixtures import FIXTURE_NAMES, fixture_roots, load_fixture
-from .grundy import sg_labels, verify_sg_consistency
+from .grundy import (misere_via_adjoined_terminal, sg_labels,
+                     verify_sg_consistency)
 from .classify import CandidateSets, check_sm_equivalences, classify, verify_candidate_sets
 from .random_games import random_dag
 from .sums import check_closure, product_graph, sum_graph
@@ -165,9 +165,7 @@ EQUALITIES = [
 def adjoined_terminal_agrees(graph, lg) -> bool:
     """Normal play on ``graph`` with one terminal adjoined below its
     terminals gives every position its misère value from ``lg``."""
-    # the adjoined graph keeps every node number and appends the terminal
-    extended = sg_labels(adjoin_misere_terminal(graph))
-    return extended.g[:len(graph)] == lg.g_minus
+    return misere_via_adjoined_terminal(graph) == lg.g_minus
 
 
 def suite_equalities(seed=0, samples=1000, max_nodes=12) -> SuiteResult:

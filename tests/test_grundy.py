@@ -105,7 +105,8 @@ def test_adjoined_terminal_equals_misere():
     for graph in random_dag_stream(7, 100):
         lg = sg_labels(graph)
         mis = misere_via_adjoined_terminal(graph)
-        assert all(mis[x] == lg.labels[x].g_minus for x in graph.nodes)
+        assert all(mis[graph.index[x]] == lg.labels[x].g_minus
+                   for x in graph.nodes)
 
 
 def test_adjoined_terminal_check_reports_any_wrong_misere_value():
