@@ -1,7 +1,6 @@
 """Normal and misere Sprague-Grundy analysis of finite impartial games."""
 
 from .core import (
-    BadSumRoot,
     CycleDetected,
     GameDef,
     InvalidParams,
@@ -28,8 +27,7 @@ from .classify import (
     find_witness,
     verify_candidate_sets,
 )
-from .sums import (check_closure, product_graph, sum_game, sum_graph, sum_sg,
-                   tame_sum_label)
+from .sums import check_closure, sum_game, sum_graph, sum_sg, tame_sum_label
 from . import zoo
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,7 +3,6 @@ verification suites, and analyze disjunctive sums."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import sys
@@ -18,7 +17,7 @@ from .fixtures import (FIXTURE_NAMES, fixture_adjacency, fixture_roots,
 from .grundy import sg_labels, to_csv, to_json
 from .classify import classify
 from .suites import SUITES, run_suite
-from .sums import check_closure, product_graph
+from .sums import check_closure, sum_graph
 from . import zoo
 
 CACHE_FORMAT_VERSION = 1
@@ -79,15 +78,21 @@ def _build_game(family, fixture, params, use_symmetry):
     return zoo.make_family(family, params, use_symmetry=use_symmetry), params
 
 
+def _fixture_root_list(fixture, roots):
+    """``roots`` after checking each names a node of ``fixture``; the
+    fixture's source nodes when ``roots`` is empty."""
+    if not roots:
+        return fixture_roots(fixture)
+    nodes = fixture_adjacency(fixture)
+    for r in roots:
+        if not isinstance(r, str) or r not in nodes:
+            raise UnknownPosition(f"fixture {fixture} has no node {r!r}")
+    return list(roots)
+
+
 def _resolve_roots(roots, fixture, box, game):
     if fixture is not None:
-        if not roots:
-            return fixture_roots(fixture)
-        nodes = fixture_adjacency(fixture)
-        for r in roots:
-            if r not in nodes:
-                raise UnknownPosition(f"fixture {fixture} has no node {r!r}")
-        return list(roots)
+        return _fixture_root_list(fixture, roots)
     if roots:
         return [_parse_root(r, game) for r in roots]
     if box is not None:
@@ -348,16 +353,18 @@ def _load_game_spec(path):
         bad("roots must be a list")
     if "fixture" in spec:
         game = load_fixture(spec["fixture"])
-        roots = roots or fixture_roots(spec["fixture"])
-        roots = [tuple(r) if isinstance(r, list) else r for r in roots]
+        try:
+            roots = _fixture_root_list(spec["fixture"], roots)
+        except UnknownPosition as exc:
+            bad(str(exc))
     else:
         family, params = spec.get("family"), spec.get("params") or {}
         if not isinstance(family, str):
             bad("needs a family name or a fixture")
         if not isinstance(params, dict):
             bad("params must be a JSON object")
-        if roots is None:
-            bad("a family spec needs roots")
+        if not roots:
+            bad("a family spec needs at least one root")
         roots = [tuple(r) if isinstance(r, list) else (r,) for r in roots]
         game = zoo.make_family(family, params,
                                use_symmetry=bool(spec.get("symmetry")))
@@ -369,7 +376,7 @@ def _load_game_spec(path):
                 _check_root(r, game)
             except InvalidParams as exc:
                 bad(str(exc))
-    return game, [game.canon(r) for r in roots]
+    return game, roots
 
 
 @main.command(name="sum")
@@ -386,19 +393,15 @@ def sum_cmd(game_specs, target, table_path):
     if len(game_specs) < 2:
         raise click.UsageError("a sum needs at least two --game specs")
     try:
-        games, rootsets = [], []
-        for path in game_specs:
-            game, roots = _load_game_spec(path)
-            games.append(game)
-            rootsets.append(roots)
-        product_roots = list(itertools.product(*rootsets))
+        specs = [_load_game_spec(path) for path in game_specs]
+        summands = [enumerate_subgame(game, roots) for game, roots in specs]
         if target is None:
-            lg = sg_labels(product_graph(games, product_roots))
+            lg = sg_labels(sum_graph(summands))
             report = classify(lg)
         else:
-            closure = check_closure(target, games, product_roots)
+            closure = check_closure(target, summands)
             lg, report = closure.sum_labels, closure.sum_report
-        out = {"summands": [g.family for g in games],
+        out = {"summands": [game.family for game, _ in specs],
                "report": report.to_dict()}
         if target is not None:
             out["closure"] = {

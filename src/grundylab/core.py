@@ -56,10 +56,6 @@ class NotTameLabel(GameError):
     pass
 
 
-class BadSumRoot(GameError):
-    """A sum root is not a tuple with one position per summand."""
-
-
 class _MisereTerminal:
     """Unique sentinel node adjoined below the former terminals."""
 

@@ -44,18 +44,8 @@ class LabeledGraph:
 
     packed_masks = None
 
-    def __init__(self, graph: ReachableGraph, labels):
-        """``labels`` maps every node of ``graph`` to its (g, g_minus) pair."""
-        pairs = [labels[x] for x in graph.positions]
-        self.graph = graph
-        self.g = array("i", [p[0] for p in pairs])
-        self.g_minus = array("i", [p[1] for p in pairs])
-
-    @classmethod
-    def from_arrays(cls, graph: ReachableGraph, g, g_minus) -> "LabeledGraph":
-        lg = cls.__new__(cls)
-        lg.graph, lg.g, lg.g_minus = graph, g, g_minus
-        return lg
+    def __init__(self, graph: ReachableGraph, g: array, g_minus: array):
+        self.graph, self.g, self.g_minus = graph, g, g_minus
 
     @property
     def labels(self) -> NodeView:
@@ -99,7 +89,7 @@ def sg_labels(graph: ReachableGraph) -> LabeledGraph:
         while k in seen_m:
             k += 1
         g[x], gm[x] = m, k
-    return LabeledGraph.from_arrays(graph, g, gm)
+    return LabeledGraph(graph, g, gm)
 
 
 def misere_via_adjoined_terminal(graph: ReachableGraph) -> array:

@@ -10,17 +10,16 @@ same functions, at its own larger sizes or over its own extra instances.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
-from .core import GameDef, InvalidParams, UnsupportedParams, enumerate_subgame
+from .core import InvalidParams, UnsupportedParams, enumerate_subgame
 from .fixtures import FIXTURE_NAMES, fixture_roots, load_fixture
 from .grundy import (misere_via_adjoined_terminal, sg_labels,
                      verify_sg_consistency)
 from .classify import CandidateSets, check_sm_equivalences, classify, verify_candidate_sets
 from .random_games import random_dag
-from .sums import check_closure, product_graph, sum_graph
+from .sums import check_closure, sum_graph
 from . import zoo
 
 SUITES = (
@@ -133,8 +132,7 @@ def suite_fixtures(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
             not full.conditions_ok, f"failures={full.failures[:2]}")
 
     # two domestic summands whose sum is not domestic
-    g1, g2 = load_fixture("sodo_g1"), load_fixture("sodo_g2")
-    lg = sg_labels(sum_graph([g1, g2], [("E", "Y")]))
+    lg = sg_labels(sum_graph(sodo_summands()))
     lab = tuple(lg.labels[("E", "Y")])
     res.add("sodo_sum:root_label", lab == (0, 3), f"label {lab}")
     res.add("sodo_sum:not_domestic",
@@ -200,17 +198,12 @@ def suite_equalities(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
 
 def check_xor_pairs(res, rng, pairs):
     """The XOR rule on every position of ``pairs`` sums of two random DAGs
-    of at most 8 nodes, each summand rooted at all of its nodes."""
+    of at most 8 nodes."""
     bad = []
     for i in range(pairs):
         graphs = [random_dag(rng, 8) for _ in range(2)]
-        games = [GameDef("random", {"nodes": len(g)},
-                         lambda p, succ=dict(g.succ): list(succ[p]))
-                 for g in graphs]
         g0, g1 = (sg_labels(g).g for g in graphs)
-        roots = list(itertools.product(*(g.positions for g in graphs)))
-        lg = sg_labels(product_graph(games, roots))
-        # each summand is enumerated from all its nodes in node order, so
+        lg = sg_labels(sum_graph(graphs))
         # product node i·N₂ + j is (node i, node j) of ``graphs``
         want = [a ^ b for a in g0 for b in g1]
         bad.extend((i, lg.graph.positions[x])
@@ -221,24 +214,37 @@ def check_xor_pairs(res, rng, pairs):
 
 
 def fixture_summand(name):
-    """A fixture as a (name, game, roots) summand."""
-    return f"fixture:{name}", load_fixture(name), fixture_roots(name)
+    """A fixture as a (name, graph) summand, rooted at its source nodes."""
+    return f"fixture:{name}", enumerate_subgame(load_fixture(name),
+                                                fixture_roots(name))
+
+
+def family_summand(family, root):
+    """A family's subgame below ``root`` as a (name, graph) summand."""
+    return f"{family}:{','.join(map(str, root))}", spot_graph(family, {}, root)
+
+
+def sodo_summands():
+    """The two domestic fixtures whose sum is not domestic, rooted at E
+    and Y."""
+    return [enumerate_subgame(load_fixture(name), [root])
+            for name, root in (("sodo_g1", "E"), ("sodo_g2", "Y"))]
 
 
 def summand_pairs(summands):
-    """(name, games, product roots) for each pair of (name, game, roots)
-    summands, a summand paired with itself included."""
-    for i, (na, ga, ra) in enumerate(summands):
-        for nb, gb, rb in summands[i:]:
-            yield f"{na}+{nb}", [ga, gb], list(itertools.product(ra, rb))
+    """(name, graphs) for each pair of (name, graph) summands, a summand
+    paired with itself included."""
+    for i, (na, ga) in enumerate(summands):
+        for nb, gb in summands[i:]:
+            yield f"{na}+{nb}", [ga, gb]
 
 
 def check_tame_closure(res, summands):
     """For each pair of ``summands``: both are tame, their sum is tame, every
     sum label is ``tame_sum_label``'s, and the sum is miserable when both
     summands are."""
-    for name, games, roots in summand_pairs(summands):
-        report = check_closure("tame", games, roots)
+    for name, graphs in summand_pairs(summands):
+        report = check_closure("tame", graphs)
         parts = [r.verdicts for r in report.summand_reports]
         ok = (all(v["tame"] for v in parts) and report.holds
               and report.fast_path_ok
@@ -251,24 +257,24 @@ def check_tame_closure(res, summands):
 def suite_sums(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     res = SuiteResult("sums", seed)
     check_xor_pairs(res, random.Random(seed), max(1, min(200, samples)))
-    nim = zoo.make_family("nim")
     check_tame_closure(res, [
         fixture_summand("tame_not_pet"),
         fixture_summand("tame_not_miserable"),
-        ("nim:3,4", nim, [(3, 4)]),
-        ("euclid_grossman:2,5", zoo.make_family("euclid_grossman"), [(2, 5)]),
+        family_summand("nim", (3, 4)),
+        family_summand("euclid_grossman", (2, 5)),
     ])
 
-    forced = check_closure("forced", [nim, nim], [((2, 3), (1, 4))])
+    forced = check_closure("forced", [spot_graph("nim", {}, (2, 3)),
+                                      spot_graph("nim", {}, (1, 4))])
     res.add("nim_sum_forced", forced.holds and
             forced.sum_report.verdicts["miserable"], "")
 
-    g1, g2 = load_fixture("sodo_g1"), load_fixture("sodo_g2")
-    report = check_closure("domestic", [g1, g2], [("E", "Y")])
+    report = check_closure("domestic", sodo_summands())
     res.add("domestic_not_closed", not report.holds,
             "domestic summands, non-domestic sum")
 
-    pair = check_closure("pet", [nim, nim], [((2,), (2,))])
+    pile = spot_graph("nim", {}, (2,))
+    pair = check_closure("pet", [pile, pile])
     res.add("pet_not_closed", not pair.holds,
             "single-pile summands are pet, their sum has a (0,0)-position")
     return res
@@ -473,7 +479,7 @@ LABEL_SPOTS = [
 
 
 def spot_graph(family, params, pos):
-    """The subgame below one ``LABEL_SPOTS`` position."""
+    """The subgame of ``family`` below one position."""
     return enumerate_subgame(zoo.make_family(family, params), [pos])
 
 

@@ -11,8 +11,8 @@ from functools import reduce
 from math import prod
 from operator import xor
 
-from .core import (DEFAULT_NODE_CAP, BadSumRoot, GameDef, LimitExceeded,
-                   NotTameLabel, ReachableGraph, enumerate_subgame)
+from .core import (DEFAULT_NODE_CAP, GameDef, LimitExceeded, NotTameLabel,
+                   ReachableGraph)
 from .grundy import Label, LabeledGraph, sg_labels
 from .classify import ClassReport, classify
 
@@ -37,89 +37,22 @@ def sum_game(games: list[GameDef]) -> GameDef:
                    options=options, canonical=canonical)
 
 
-def sum_graph(games: list[GameDef], roots: list, **kwargs) -> ReachableGraph:
-    """Explicit product subgame reachable from the product roots.
+def sum_graph(summands: list[ReachableGraph],
+              node_cap: int = DEFAULT_NODE_CAP) -> ReachableGraph:
+    """The sum of the summand graphs, rooted at every tuple of summand roots.
 
-    ``roots`` is a list of product roots, each a tuple with one position
-    per summand.  The summands are enumerated first and the product reads
-    their move arrays; the result equals
-    ``enumerate_subgame(sum_game(games), roots)``, node numbers included.
-    """
-    root_tuples = _product_roots(games, roots)
-    summands = _summand_graphs(games, root_tuples, **kwargs)
-    return _enumerated_product(summands, _canonical_roots(games, root_tuples),
-                               **kwargs)
-
-
-def product_graph(games: list[GameDef], roots: list,
-                  **kwargs) -> ReachableGraph:
-    """The subgame ``sum_graph`` builds, numbered in mixed radix when the
-    product roots are the Cartesian product of the component roots.
-
-    Then node (c_1, ..., c_k), in the summands' node numbers, is
-    ``(...(c_1·N_2 + c_2)·N_3 + ...) + c_k`` and no product position is
-    stored; other root sets are enumerated as ``sum_graph`` does.
-    """
-    return _summands_and_product(games, roots, **kwargs)[1]
-
-
-def _summands_and_product(games, roots, node_cap: int = DEFAULT_NODE_CAP):
-    """Each summand's graph, the product graph, and whether the product is
-    the full Cartesian product of the summand graphs."""
-    root_tuples = _product_roots(games, roots)
-    summands = _summand_graphs(games, root_tuples, node_cap=node_cap)
-    canonical = _canonical_roots(games, root_tuples)
-    # every canonical root is in the product of the summands' root sets, so
-    # it is all of it iff the counts agree
-    if len(canonical) == prod(len(g.roots) for g in summands):
-        return summands, _cartesian_product(summands, canonical, node_cap), True
-    return (summands, _enumerated_product(summands, canonical,
-                                          node_cap=node_cap), False)
-
-
-def _summand_graphs(games, root_tuples, **kwargs) -> list[ReachableGraph]:
-    """Each summand's subgame, from the component roots of every product root."""
-    return [enumerate_subgame(g, dict.fromkeys(r[i] for r in root_tuples),
-                              **kwargs)
-            for i, g in enumerate(games)]
-
-
-def _canonical_roots(games, root_tuples) -> list:
-    """The product roots canonicalised per summand, without repeats."""
-    return list(dict.fromkeys(tuple(g.canon(p) for g, p in zip(games, r))
-                              for r in root_tuples))
-
-
-def _enumerated_product(summands, roots, **kwargs) -> ReachableGraph:
-    """Enumerate the sum with every component move read from ``summands``.
-
-    A summand's move arrays hold its canonical, deduplicated moves, so the
-    product's options come out in ``sum_game``'s order and need no further
-    canonicalisation.
-    """
-    tables = [(g.index, g.positions, g.offsets, g.targets) for g in summands]
-
-    def options(pos):
-        out = []
-        for i, (index, positions, offsets, targets) in enumerate(tables):
-            head, tail = pos[:i], pos[i + 1:]
-            k = index[pos[i]]
-            for y in targets[offsets[k]:offsets[k + 1]]:
-                out.append(head + (positions[y],) + tail)
-        return out
-
-    return enumerate_subgame(GameDef("sum", options=options), roots, **kwargs)
-
-
-def _cartesian_product(summands, roots, node_cap) -> ReachableGraph:
-    """The full product of the summand graphs, numbered in mixed radix.
-
-    Listing the nodes lexicographically over the summands' parents-first
-    orders is parents-first, and a node's depth is the sum of its
-    components' depths; the summands passed the cycle check, so the
+    That subgame is the full Cartesian product of the summand graphs, built
+    from their move arrays and numbered in mixed radix: node
+    (c_1, ..., c_k), in the summands' node numbers, is
+    ``(...(c_1·N_2 + c_2)·N_3 + ...) + c_k``, and no product position is
+    stored.  Listing the nodes lexicographically over the summands'
+    parents-first orders is parents-first, and a node's depth is the sum of
+    its components' depths; the summands passed the cycle check, so the
     product needs none.  Summands are folded in one at a time, as the
-    mixed-radix numbering nests.
+    mixed-radix numbering nests.  Any other list of product roots goes
+    through ``enumerate_subgame(sum_game(games), roots)``.
     """
+    _check_summand_count(summands)
     if prod(map(len, summands)) > node_cap:
         raise LimitExceeded(f"node cap {node_cap} exceeded")
     first = summands[0]
@@ -131,7 +64,8 @@ def _cartesian_product(summands, roots, node_cap) -> ReachableGraph:
         order = _outer_sum(array("i", [i * m for i in order]), g.order)
         depths = _outer_sum(depths, g.depths)
     return ReachableGraph.from_order(
-        roots, _ProductPositions(summands), _ProductIndex(summands),
+        itertools.product(*(g.roots for g in summands)),
+        _ProductPositions(summands), _ProductIndex(summands),
         offsets, targets, order, depths)
 
 
@@ -245,17 +179,6 @@ class _ProductIndex(Mapping):
         return n
 
 
-def _product_roots(games, roots) -> list:
-    """``roots`` as a list, after checking each has one position per summand."""
-    _check_summand_count(games)
-    roots = list(roots)
-    for r in roots:
-        if not isinstance(r, tuple) or len(r) != len(games):
-            raise BadSumRoot(f"sum root {r!r} is not a tuple of "
-                             f"{len(games)} summand positions")
-    return roots
-
-
 def _check_summand_count(games):
     if len(games) < 2:
         raise ValueError("a disjunctive sum needs at least two summands")
@@ -297,16 +220,16 @@ class ClosureReport:
         return not self.label_mismatches
 
 
-def check_closure(target: str, games: list[GameDef], roots: list,
-                  **kwargs) -> ClosureReport:
-    """Classify the explicit sum and report whether ``target`` survives.
+def check_closure(target: str, summands: list[ReachableGraph],
+                  node_cap: int = DEFAULT_NODE_CAP) -> ClosureReport:
+    """Classify the sum of the summand graphs (``sum_graph``) and report
+    whether ``target`` survives.
 
-    Each summand and the product are enumerated, labelled and classified
-    once.  For tame or miserable summands the theorem-derived fast path
+    Each summand and the product are labelled and classified once.  For
+    tame or miserable summands the theorem-derived fast path
     (``tame_sum_label``) is cross-checked against every sum label.
     """
-    summands, product, cartesian = _summands_and_product(games, roots,
-                                                          **kwargs)
+    product = sum_graph(summands, node_cap)
     summand_lgs = [sg_labels(graph) for graph in summands]
     summand_reports = [classify(lg) for lg in summand_lgs]
 
@@ -316,13 +239,9 @@ def check_closure(target: str, games: list[GameDef], roots: list,
 
     mismatches = []
     if all(r.verdicts["tame"] for r in summand_reports):
-        labels = [list(zip(lg.g, lg.g_minus)) for lg in summand_lgs]
-        if cartesian:
-            components = itertools.product(*labels)
-        else:
-            components = (tuple(lab[g.index[p]]
-                                for lab, g, p in zip(labels, summands, pos))
-                          for pos in product.positions)
+        # product node numbers run over the summands' in mixed radix
+        components = itertools.product(*(list(zip(lg.g, lg.g_minus))
+                                         for lg in summand_lgs))
         predicted = {}
         for x, (comps, lab) in enumerate(zip(components,
                                              zip(sum_lg.g, sum_lg.g_minus))):

@@ -28,13 +28,12 @@ def _report(num, desc, res, start, limit):
 
 
 def tame_summands():
-    """Criterion 3's nine tame summands, as (name, game, roots)."""
-    nim = make_family("nim")
+    """Criterion 3's nine tame summands, as (name, graph)."""
     return [suites.fixture_summand(name) for name in (
         "tame_not_pet", "tame_not_miserable", "pet", "abc_chain", "sodo_g2")
-    ] + [("nim:2,3", nim, [(2, 3)]), ("nim:1,4", nim, [(1, 4)]),
-         ("euclid_grossman:2,5", make_family("euclid_grossman"), [(2, 5)]),
-         ("euclid_cd:6,4", make_family("euclid_cd"), [(6, 4)])]
+    ] + [suites.family_summand(family, root) for family, root in (
+        ("nim", (2, 3)), ("nim", (1, 4)), ("euclid_grossman", (2, 5)),
+        ("euclid_cd", (6, 4)))]
 
 
 # the gate's own oracle instances: every position of the box 60
@@ -159,10 +158,9 @@ def test_criterion_7_misere_transform_equivalence():
     instances = [(f"fixture:{name}", enumerate_subgame(load_fixture(name),
                                                        fixture_roots(name)))
                  for name in FIXTURE_NAMES]
-    instances.append(("sodo_sum", sum_graph(
-        [load_fixture("sodo_g1"), load_fixture("sodo_g2")], [("E", "Y")])))
-    instances.extend((f"tame_sum:{name}", sum_graph(games, roots))
-                     for name, games, roots in suites.summand_pairs(tame_summands()))
+    instances.append(("sodo_sum", sum_graph(suites.sodo_summands())))
+    instances.extend((f"tame_sum:{name}", sum_graph(graphs))
+                     for name, graphs in suites.summand_pairs(tame_summands()))
     instances.extend((f"spot:{family}{params}{pos}",
                       suites.spot_graph(family, params, pos))
                      for family, params, pos, _ in suites.LABEL_SPOTS)

@@ -88,7 +88,7 @@ def test_shared_masks_give_the_same_reports_in_either_call_order():
     # the masks are built by whichever call comes first and reused after
     for graph in random_dag_stream(3, 200):
         lg = sg_labels(graph)
-        fresh = LabeledGraph.from_arrays(graph, lg.g, lg.g_minus)
+        fresh = LabeledGraph(graph, lg.g, lg.g_minus)
         first = classify(lg).to_dict(), check_sm_equivalences(lg)
         sm = check_sm_equivalences(fresh)
         assert fresh.packed_masks is not None

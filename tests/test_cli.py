@@ -300,6 +300,29 @@ def test_sum_spec_boolean_root(tmp_path):
     assert "must hold integers" in result.output
 
 
+def test_sum_family_spec_with_no_roots(tmp_path):
+    result = _sum_with_spec(tmp_path, {"family": "nim", "roots": []})
+    _assert_one_error_line(result)
+    assert "at least one root" in result.output
+
+
+def test_sum_fixture_spec_with_no_roots_takes_the_source_nodes(tmp_path):
+    spec = {"fixture": "sodo_g1"}
+    base = json.loads(_sum_with_spec(tmp_path, spec).output)
+    result = _sum_with_spec(tmp_path, dict(spec, roots=[]))
+    assert result.exit_code == 0
+    assert json.loads(result.output) == base
+
+
+def test_sum_fixture_spec_root_names_no_node(tmp_path):
+    result = _sum_with_spec(tmp_path, {"fixture": "pet", "roots": ["nope"]})
+    _assert_one_error_line(result)
+    assert result.output.endswith(": fixture pet has no node 'nope'\n")
+    # the same words as for analyze
+    _assert_error_line(run("analyze", "--fixture", "pet", "--roots", "nope"),
+                       "fixture pet has no node 'nope'")
+
+
 def test_sum_builds_product_once(tmp_path, monkeypatch):
     calls = {"sg_labels": 0, "classify": 0}
 

@@ -69,9 +69,10 @@ def test_consistency_passes_on_solver_output():
 def test_consistency_catches_injected_fault():
     game = make_family("nim")
     lg = sg_labels(enumerate_subgame(game, [(4,)]))
-    corrupted = dict(lg.labels)
-    corrupted[(2,)] = Label(corrupted[(2,)].g + 1, corrupted[(2,)].g_minus)
-    report = verify_sg_consistency(LabeledGraph(lg.graph, corrupted))
+    corrupted = array("i", lg.g)
+    corrupted[lg.graph.index[(2,)]] += 1
+    report = verify_sg_consistency(LabeledGraph(lg.graph, corrupted,
+                                                lg.g_minus))
     assert not report.ok
     assert any(node == (2,) or node == (3,)
                for node, _, _ in report.violations)
@@ -116,7 +117,7 @@ def test_adjoined_terminal_check_reports_any_wrong_misere_value():
         for x in range(len(graph)):
             wrong = array("i", lg.g_minus)
             wrong[x] += 1
-            bad = LabeledGraph.from_arrays(graph, lg.g, wrong)
+            bad = LabeledGraph(graph, lg.g, wrong)
             assert not adjoined_terminal_agrees(graph, bad), x
 
 
