@@ -14,7 +14,7 @@ from .core import GameError, InvalidParams, UnknownPosition
 from .core import enumerate_subgame
 from .fixtures import (FIXTURE_NAMES, fixture_adjacency, fixture_roots,
                        load_fixture)
-from .grundy import sg_labels, to_csv, to_json
+from .grundy import sg_labels, to_csv, to_json, write_csv
 from .classify import classify
 from .suites import SUITES, run_suite
 from .sums import check_closure, sum_graph
@@ -415,7 +415,7 @@ def sum_cmd(game_specs, target, table_path):
             }
         if table_path is not None:
             with open(table_path, "w", encoding="utf-8") as fh:
-                fh.write(to_csv(lg))
+                write_csv(lg, fh)
     except GameError as exc:
         _fail(str(exc))
     except (OSError, json.JSONDecodeError, KeyError) as exc:

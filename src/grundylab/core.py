@@ -229,7 +229,9 @@ def enumerate_subgame(game: GameDef, roots: Iterable[Position],
                 positions.append(y)
             ids.append(j)
         # first-seen order without repeats, as GameDef.moves
-        targets.extend(dict.fromkeys(ids))
+        if len(set(ids)) != len(ids):
+            ids = list(dict.fromkeys(ids))
+        targets.fromlist(ids)
         offsets.append(len(targets))
         i += 1
     return ReachableGraph(positions[:root_count], positions, index,
@@ -246,11 +248,14 @@ def graph_from_adjacency(adj: dict, roots=None) -> ReachableGraph:
     index = {x: i for i, x in enumerate(positions)}
     offsets, targets = array("i", [0]), array("i")
     for ys in adj.values():
-        ids = dict.fromkeys(map(index.get, ys))
-        if None in ids:
+        ids = list(map(index.get, ys))
+        distinct = set(ids)
+        if None in distinct:
             y = next(y for y in ys if y not in index)
             raise UnknownPosition(f"edge target {y!r} has no node entry")
-        targets.extend(ids)
+        if len(distinct) != len(ids):
+            ids = list(dict.fromkeys(ids))
+        targets.fromlist(ids)
         offsets.append(len(targets))
     if roots is None:
         has_parent = set(targets)
@@ -264,7 +269,9 @@ def _order_and_depths(positions, offsets, targets):
     post-order DFS that raises CycleDetected on a back edge."""
     n = len(positions)
     state = bytearray(n)          # 0 unvisited, 1 on the path, 2 finished
-    depths = array("i", [0]) * n
+    # list items read and write without converting to and from C ints, as
+    # the loop does on every edge; the stored form is array("i")
+    depths = [0] * n
     order = array("i")
     for start in range(n):
         if state[start]:
@@ -296,7 +303,7 @@ def _order_and_depths(positions, offsets, targets):
                 if path and depth >= path[-1][2]:
                     path[-1][2] = depth + 1
     order.reverse()
-    return order, depths
+    return order, array("i", depths)
 
 
 def adjoin_misere_terminal(graph: ReachableGraph) -> ReachableGraph:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from array import array
 from dataclasses import dataclass, field
@@ -70,7 +71,9 @@ def sg_labels(graph: ReachableGraph) -> LabeledGraph:
     of the option values.
     """
     n = len(graph)
-    g, gm = array("i", [0]) * n, array("i", [0]) * n
+    # filled as lists, whose items read and write without converting to
+    # and from C ints, and stored as array("i")
+    g, gm = [0] * n, [0] * n
     offsets, targets = graph.offsets, graph.targets
     for x in reversed(graph.order):
         lo, hi = offsets[x], offsets[x + 1]
@@ -89,7 +92,7 @@ def sg_labels(graph: ReachableGraph) -> LabeledGraph:
         while k in seen_m:
             k += 1
         g[x], gm[x] = m, k
-    return LabeledGraph(graph, g, gm)
+    return LabeledGraph(graph, array("i", g), array("i", gm))
 
 
 def misere_via_adjoined_terminal(graph: ReachableGraph) -> array:
@@ -151,18 +154,44 @@ def sort_key(lg_or_graph, x):
     return (graph.depth(x), position_key(x))
 
 
+def position_keys(positions):
+    """``position_key`` of every position, in node order.
+
+    A positions sequence may supply the keys itself through a
+    ``position_keys()`` method, when it can build them faster than one
+    ``position_key`` call per position (a sum's product positions join
+    their summands' keys).
+    """
+    own = getattr(positions, "position_keys", None)
+    return map(position_key, positions) if own is None else own()
+
+
 def table_rows(lg: LabeledGraph) -> list:
     # a sort of whole (key, g, g_minus) tuples: node order cannot change it
-    return sorted(zip(map(position_key, lg.graph.positions), lg.g, lg.g_minus))
+    return sorted(zip(position_keys(lg.graph.positions), lg.g, lg.g_minus))
+
+
+CSV_CHUNK_ROWS = 8192
+
+
+def write_csv(lg: LabeledGraph, fh, header_comment: str | None = None):
+    """Write the CSV table to the text stream ``fh``: the header, then the
+    sorted rows, formatted and written a chunk at a time, so the whole text
+    is never held at once."""
+    if header_comment:
+        fh.write(f"# {header_comment}\n")
+    fh.write("position,g,g_minus\n")
+    rows = table_rows(lg)
+    for lo in range(0, len(rows), CSV_CHUNK_ROWS):
+        fh.write("".join([f"{p},{g},{gm}\n"
+                          for p, g, gm in rows[lo:lo + CSV_CHUNK_ROWS]]))
 
 
 def to_csv(lg: LabeledGraph, header_comment: str | None = None) -> str:
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("position,g,g_minus")
-    lines.extend(f"{p},{g},{gm}" for p, g, gm in table_rows(lg))
-    return "\n".join(lines) + "\n"
+    """The CSV table ``write_csv`` writes, as one string."""
+    buf = io.StringIO()
+    write_csv(lg, buf, header_comment)
+    return buf.getvalue()
 
 
 def to_json(lg: LabeledGraph) -> str:

@@ -155,6 +155,14 @@ class _ProductPositions(Sequence):
             coords.append(g.positions[c])
         return tuple(reversed(coords))
 
+    def position_keys(self):
+        """``grundy.position_key`` of every product position, in node
+        order: the dash-joined ``str`` of its summand positions.  Each
+        summand position is formatted once and the strings are joined in
+        mixed radix, as ``__iter__`` lists the positions."""
+        return map("-".join, itertools.product(
+            *([str(x) for x in g.positions] for g in self._summands)))
+
 
 class _ProductIndex(Mapping):
     """Product position -> node number, read from the summands' indexes."""

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 
 import grundylab.cli
 import grundylab.sums
+from grundylab import (enumerate_subgame, load_fixture, sg_labels,
+                       sum_game)
 from grundylab.cli import main
-from grundylab.fixtures import FIXTURE_NAMES
+from grundylab.fixtures import FIXTURE_NAMES, fixture_roots
+from grundylab.grundy import to_csv
 from grundylab.suites import SUITES
-from grundylab.zoo import FAMILIES, TABLE
+from grundylab.zoo import FAMILIES, TABLE, make_family
 
 
 def run(*args, env=None):
@@ -233,6 +237,25 @@ def test_sum_command(tmp_path):
     assert data["closure"]["sum_in_class"] is True
     assert data["report"]["verdicts"]["miserable"] is True
     assert out_csv.read_text().startswith("position,g,g_minus")
+
+
+def test_sum_table_of_three_summands_equals_literal_product(tmp_path):
+    specs = [{"family": "nim", "roots": [[2, 1]]},
+             {"fixture": "pet"},
+             {"family": "subtraction", "params": {"x": [1, 2]},
+              "roots": [[4], [2]]}]
+    args = ["sum"]
+    for i, spec in enumerate(specs):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps(spec))
+        args += ["--game", str(path)]
+    out_csv = tmp_path / "product.csv"
+    assert run(*args, "--table", str(out_csv)).exit_code == 0
+    games = [make_family("nim"), load_fixture("pet"),
+             make_family("subtraction", {"x": [1, 2]})]
+    roots = itertools.product([(2, 1)], fixture_roots("pet"), [(4,), (2,)])
+    product = enumerate_subgame(sum_game(games), list(roots))
+    assert out_csv.read_bytes() == to_csv(sg_labels(product)).encode()
 
 
 def test_sum_fixture_specs(tmp_path):

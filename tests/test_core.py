@@ -18,6 +18,7 @@ from grundylab import (
     graph_from_adjacency,
     mex,
     sg_labels,
+    sum_graph,
 )
 from grundylab.core import DEFAULT_NODE_CAP, GameError, ReachableGraph
 from grundylab.fixtures import (FIXTURE_NAMES, fixture_adjacency,
@@ -404,6 +405,67 @@ def test_enumerate_matches_reference_on_fixtures(name):
     adj = fixture_adjacency(name)
     assert_matches_reference(graph_from_adjacency(adj),
                              ref_graph_from_adjacency(adj))
+
+
+# every row is GameDef.moves in first-seen order, whether an option repeats
+# as the same raw position or as two raw positions of one canonical form
+
+
+@st.composite
+def repeating_rules(draw):
+    """An acyclic rule on pairs whose option lists repeat raw options and
+    hold mirrored pairs, with or without a symmetry hook under which a pair
+    and its mirror are one position, and a root list."""
+    side = draw(st.integers(1, 3))
+    raw = list(itertools.product(range(side + 1), repeat=2))
+    moves = {}
+    for p in raw:
+        pool = [y for y in raw if sum(y) < sum(p)]
+        opts = draw(st.lists(st.sampled_from(pool), max_size=5)) if pool else []
+        if opts:
+            again = st.lists(st.sampled_from(opts), max_size=4)
+            opts += draw(again) + [y[::-1] for y in draw(again)]
+        moves[p] = draw(st.permutations(opts))
+    canonical = HOOKS[0] if draw(st.booleans()) else None
+    game = GameDef("r", {}, lambda p: list(moves[p]), canonical)
+    return game, draw(st.lists(st.sampled_from(raw), min_size=1, max_size=4))
+
+
+def rows(graph):
+    positions, offsets = graph.positions, graph.offsets
+    return [[positions[j] for j in graph.targets[offsets[i]:offsets[i + 1]]]
+            for i in range(len(graph))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeating_rules())
+def test_enumerate_rows_are_moves_in_first_seen_order(case):
+    game, roots = case
+    graph = enumerate_subgame(game, roots)
+    assert rows(graph) == [game.moves(x) for x in graph.positions]
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_moves(), st.booleans())
+def test_adjacency_rows_keep_first_seen_successors(case, string_nodes):
+    moves, _ = case
+    name = (lambda i: f"n{i}") if string_nodes else (lambda i: i)
+    adj = {name(x): [name(y) for y in ys] for x, ys in moves.items()}
+    graph = graph_from_adjacency(adj)
+    assert list(graph.positions) == list(adj)
+    assert rows(graph) == [list(dict.fromkeys(ys)) for ys in adj.values()]
+
+
+def test_graph_and_label_arrays_stay_int_arrays():
+    wythoff = enumerate_subgame(make_family("wythoff"), box_roots(2, 5))
+    graphs = [wythoff, graph_from_adjacency(fixture_adjacency("pet")),
+              adjoin_misere_terminal(wythoff),
+              sum_graph([wythoff, enumerate_subgame(one_pile_nim(), [(3,)])])]
+    for graph in graphs:
+        lg = sg_labels(graph)
+        for stored in (graph.targets, graph.offsets, graph.order,
+                       graph.depths, lg.g, lg.g_minus):
+            assert type(stored) is array and stored.typecode == "i"
 
 
 def test_graph_memory_per_edge():

@@ -1,6 +1,10 @@
+import io
 from array import array
 
+import pytest
 from hypothesis import given, strategies as st
+
+import grundylab.grundy
 
 from grundylab import (
     Label,
@@ -15,10 +19,13 @@ from grundylab.grundy import (
     LabeledGraph,
     misere_via_adjoined_terminal,
     position_key,
+    position_keys,
     table_rows,
     to_csv,
     to_json,
+    write_csv,
 )
+from grundylab.sums import sum_graph
 from grundylab.random_games import random_dag_stream
 from grundylab.suites import adjoined_terminal_agrees
 from grundylab.zoo import box_roots, make_family
@@ -159,3 +166,57 @@ def test_json_mirrors_rows():
     rows = json.loads(to_json(lg))
     assert rows == [{"position": p, "g": g, "g_minus": gm}
                     for p, g, gm in table_rows(lg)]
+
+
+def joined_csv(lg, header_comment=None):
+    """The table as one joined text, the way it was built before rows were
+    written in chunks."""
+    lines = [f"# {header_comment}"] if header_comment else []
+    lines.append("position,g,g_minus")
+    lines.extend(f"{p},{g},{gm}" for p, g, gm in table_rows(lg))
+    return "\n".join(lines) + "\n"
+
+
+def summand(name):
+    if name == "pet":
+        return enumerate_subgame(load_fixture("pet"), fixture_roots("pet"))
+    if name == "nim":
+        return enumerate_subgame(make_family("nim"), [(2, 3)])
+    return enumerate_subgame(make_family("subtraction", {"x": [1, 2]}),
+                             [(4,)])
+
+
+CSV_GRAPHS = {
+    "wythoff": lambda: enumerate_subgame(make_family("wythoff"),
+                                         box_roots(2, 12)),
+    "fixture": lambda: summand("pet"),
+    "sum3": lambda: sum_graph([summand("nim"), summand("pet"),
+                               summand("subtraction")]),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, grundylab.grundy.CSV_CHUNK_ROWS])
+@pytest.mark.parametrize("header", [None, "family=x v1"])
+@pytest.mark.parametrize("name", CSV_GRAPHS)
+def test_write_csv_equals_to_csv(name, header, chunk, monkeypatch, tmp_path):
+    monkeypatch.setattr(grundylab.grundy, "CSV_CHUNK_ROWS", chunk)
+    lg = sg_labels(CSV_GRAPHS[name]())
+    want = to_csv(lg, header_comment=header)
+    assert want == joined_csv(lg, header)
+    buf = io.StringIO()
+    write_csv(lg, buf, header_comment=header)
+    assert buf.getvalue() == want
+    path = tmp_path / "table.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_csv(lg, fh, header)
+    assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("names", [("nim", "subtraction"), ("pet", "nim"),
+                                   ("nim", "pet", "subtraction"),
+                                   ("pet", "pet", "nim")])
+def test_product_keys_equal_position_key(names):
+    positions = sum_graph([summand(n) for n in names]).positions
+    want = [position_key(x) for x in positions]
+    assert list(positions.position_keys()) == want
+    assert list(position_keys(positions)) == want
