@@ -67,6 +67,9 @@ class _MisereTerminal:
 
 MISERE_TERMINAL = _MisereTerminal()
 
+# enumerate_subgame's row stamp for a node no row has taken yet
+_UNTAKEN = object()
+
 
 @dataclass(frozen=True)
 class GameDef:
@@ -212,12 +215,17 @@ def enumerate_subgame(game: GameDef, roots: Iterable[Position],
     get = index.get
     options, canonical = game.options, game.canonical
     offsets, targets = array("i", [0]), array("i")
+    # taken_by[j]: the position of the last row that took node j, so a
+    # repeat is one identity test and no row resets anything; roots start
+    # with a stamp no position can be
+    taken_by = [_UNTAKEN] * root_count
     i = 0
     while i < len(positions):
         if len(positions) > node_cap:
             raise LimitExceeded(f"node cap {node_cap} exceeded")
+        x = positions[i]
         ids = []
-        for y in options(positions[i]):
+        for y in options(x):
             # a numbered position is canonical and ``canonical`` is
             # idempotent, so a raw option found in ``index`` is its own form
             j = get(y)
@@ -227,13 +235,17 @@ def enumerate_subgame(game: GameDef, roots: Iterable[Position],
             if j is None:
                 j = index[y] = len(positions)
                 positions.append(y)
+                taken_by.append(x)
+            elif taken_by[j] is x:
+                # a repeat: first-seen order, as GameDef.moves
+                continue
+            else:
+                taken_by[j] = x
             ids.append(j)
-        # first-seen order without repeats, as GameDef.moves
-        if len(set(ids)) != len(ids):
-            ids = list(dict.fromkeys(ids))
         targets.fromlist(ids)
         offsets.append(len(targets))
         i += 1
+    del taken_by  # not held through the ordering pass
     return ReachableGraph(positions[:root_count], positions, index,
                           offsets, targets)
 
@@ -268,36 +280,35 @@ def _order_and_depths(positions, offsets, targets):
     """Parents-first node order and every node's depth, from one iterative
     post-order DFS that raises CycleDetected on a back edge."""
     n = len(positions)
-    state = bytearray(n)          # 0 unvisited, 1 on the path, 2 finished
-    # list items read and write without converting to and from C ints, as
-    # the loop does on every edge; the stored form is array("i")
-    depths = [0] * n
+    # -1 unvisited, -2 on the path, else the finished depth; list items read
+    # and write without converting to and from C ints, as the loop does on
+    # every edge, and the stored form is array("i")
+    depths = [-1] * n
     order = array("i")
     for start in range(n):
-        if state[start]:
+        if depths[start] != -1:
             continue
-        state[start] = 1
+        depths[start] = -2
         # frame: node, its options not yet scanned, 1 + deepest finished option
         path = [[start, iter(targets[offsets[start]:offsets[start + 1]]), 0]]
         while path:
             frame = path[-1]
             x, options, depth = frame
             for y in options:
-                seen = state[y]
-                if seen == 2:
-                    if depths[y] >= depth:
-                        depth = depths[y] + 1
-                    continue
-                if seen == 1:
-                    raise CycleDetected(
-                        f"position {positions[y]!r} recurs on the expansion path")
-                frame[2] = depth
-                state[y] = 1
-                path.append([y, iter(targets[offsets[y]:offsets[y + 1]]), 0])
-                break
+                d = depths[y]
+                if d >= depth:
+                    depth = d + 1
+                elif d < 0:
+                    if d == -2:
+                        raise CycleDetected(f"position {positions[y]!r} "
+                                            "recurs on the expansion path")
+                    frame[2] = depth
+                    depths[y] = -2
+                    path.append([y, iter(targets[offsets[y]:offsets[y + 1]]),
+                                 0])
+                    break
             else:
                 path.pop()
-                state[x] = 2
                 order.append(x)
                 depths[x] = depth
                 if path and depth >= path[-1][2]:
@@ -312,7 +323,9 @@ def adjoin_misere_terminal(graph: ReachableGraph) -> ReachableGraph:
     The new terminal is node N; every other node keeps its number and its
     options, and each former terminal gets the single option N.  Normal SG
     values of the result, restricted to the original nodes, equal the
-    misere SG values of the input.
+    misere SG values of the input.  A sink cannot close a cycle, so the
+    order is the input's with N last, and every depth grows by one (each
+    longest play now ends with the move to N).
     """
     n, off, targets = len(graph), graph.offsets, graph.targets
     offsets, rows = array("i", [0]), array("i")
@@ -325,5 +338,7 @@ def adjoin_misere_terminal(graph: ReachableGraph) -> ReachableGraph:
     offsets.append(len(rows))
     index = dict(graph.index)
     index[MISERE_TERMINAL] = n
-    return ReachableGraph(graph.roots, [*graph.positions, MISERE_TERMINAL],
-                          index, offsets, rows)
+    return ReachableGraph.from_order(
+        graph.roots, [*graph.positions, MISERE_TERMINAL], index, offsets,
+        rows, graph.order + array("i", [n]),
+        array("i", [d + 1 for d in graph.depths] + [0]))

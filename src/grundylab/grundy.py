@@ -6,6 +6,7 @@ import io
 import json
 from array import array
 from dataclasses import dataclass, field
+from operator import sub
 from typing import NamedTuple
 
 from .core import NodeView, ReachableGraph, adjoin_misere_terminal
@@ -75,21 +76,27 @@ def sg_labels(graph: ReachableGraph) -> LabeledGraph:
     # and from C ints, and stored as array("i")
     g, gm = [0] * n, [0] * n
     offsets, targets = graph.offsets, graph.targets
+    # marks: sg[v] == x (sm[v] == x) when an option of x has normal
+    # (misere) value v.  A mex of k values is at most k, so g(x) <=
+    # out-degree(x) and g_minus(x) <= max(out-degree(x), 1): with D the
+    # largest out-degree (>= 1 once any x marks), every mark and mex probe
+    # is at most D.
+    width = max(map(sub, offsets[1:], offsets), default=0) + 1
+    sg, sm = [-1] * width, [-1] * width
     for x in reversed(graph.order):
         lo, hi = offsets[x], offsets[x + 1]
         if lo == hi:
             gm[x] = 1
             continue
         # mex inlined: two calls per node made this loop about 1.7x slower
-        seen, seen_m = set(), set()
         for y in targets[lo:hi]:
-            seen.add(g[y])
-            seen_m.add(gm[y])
+            sg[g[y]] = x
+            sm[gm[y]] = x
         m = 0
-        while m in seen:
+        while sg[m] == x:
             m += 1
         k = 0
-        while k in seen_m:
+        while sm[k] == x:
             k += 1
         g[x], gm[x] = m, k
     return LabeledGraph(graph, array("i", g), array("i", gm))

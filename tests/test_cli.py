@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -133,6 +134,28 @@ def test_table_fixture_sg():
     lines = result.output.strip().splitlines()
     assert "F,2,0" in lines
     assert "G,3,2" in lines
+
+
+# SHA-256 of stdout, recorded while enumeration, ordering and labelling
+# still used per-row hash sets: node numbers, labels and formatting must
+# not move
+_PINNED_OUTPUTS = [
+    (("table", "--family", "wythoff", "--box", "60", "--sg"),
+     "91dee541537016fc4125f7bfd9f88da9a0363d9c43e823781bfa8667e550c621"),
+    (("table", "--family", "nim", "--roots", "300", "--sg"),
+     "dc8f6ca220d3244c0c43ee40bb2884bad2e97ee9063088af18c8ddd2c9b79b75"),
+    (("analyze", "--family", "subtraction", "--set", "3,4,8,9,10,12",
+      "--roots", "5000", "--format", "json"),
+     "05274d049edf99dd5b1568bfd329f5130ee93e889ec4723f7eb5751f87419b34"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _PINNED_OUTPUTS,
+                         ids=["wythoff_table", "nim_table", "subtraction"])
+def test_output_bytes_pinned(argv, digest):
+    result = run(*argv, env={"GRUNDY_CACHE_DIR": None})
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
 def test_table_needs_exactly_one_mode():

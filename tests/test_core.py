@@ -297,6 +297,65 @@ def test_adjacency_matches_reference(case, infer_roots):
                                  ref_graph_from_adjacency(want, graph.roots))
 
 
+@pytest.mark.parametrize("summands", [
+    [(one_pile_nim(), [(3,)]), (one_pile_nim(), [(2,)])],
+    [(make_family("subtraction", {"x": [1, 3]}), [(7,)]),
+     (load_fixture("pet"), fixture_roots("pet")),
+     (make_family("nim"), [(1, 2)])],
+], ids=["two", "three"])
+def test_adjoined_product_matches_reference(summands):
+    product = sum_graph([enumerate_subgame(game, roots)
+                         for game, roots in summands])
+    want = {x: opts or (MISERE_TERMINAL,) for x, opts in product.succ.items()}
+    want[MISERE_TERMINAL] = ()
+    assert_matches_reference(adjoin_misere_terminal(product),
+                             ref_graph_from_adjacency(want, product.roots))
+
+
+# --- kernel edge cases: label widths, deep chains, marks -------------------
+
+
+def test_labels_reach_the_out_degree_bound():
+    # single-pile nim: g = out-degree at every node, the widest a mex gets
+    game = one_pile_nim()
+    graph = enumerate_subgame(game, [(300,)])
+    assert_matches_reference(graph, ref_enumerate(game, [(300,)]))
+    lg = sg_labels(graph)
+    offsets = graph.offsets
+    assert list(lg.g) == [offsets[i + 1] - offsets[i]
+                          for i in range(len(graph))]
+    assert max(lg.g) == 300
+
+
+@pytest.mark.parametrize("family,params,root", [
+    ("mark", {}, (20_000,)),
+    ("subtraction", {"x": [1, 2]}, (10_000,)),
+], ids=["mark", "subtraction"])
+def test_deep_chains_match_reference(family, params, root):
+    game = make_family(family, params)
+    graph = enumerate_subgame(game, [root])
+    assert_matches_reference(graph, ref_enumerate(game, [root]))
+    assert graph.depth(root) > 1_000 > max(
+        graph.offsets[i + 1] - graph.offsets[i] for i in range(len(graph)))
+
+
+@pytest.mark.parametrize("roots", [[None, "a"], ["top"], ["a", None]])
+def test_enumerate_with_none_as_a_position(roots):
+    game = rule({"top": [None, "a", None], None: ["a", 0, "a"],
+                 "a": [0, ()], 0: [()], (): []})
+    graph = enumerate_subgame(game, roots)
+    assert None in graph
+    assert_matches_reference(graph, ref_enumerate(game, roots))
+
+
+def test_node_repeated_within_a_row_and_in_the_next():
+    # node 2 repeats in row 0 and is taken again, twice, by row 1
+    game = rule({0: [1, 2, 2, 1], 1: [2, 3, 2], 2: [3], 3: []})
+    graph = enumerate_subgame(game, [0])
+    assert rows(graph)[:2] == [[1, 2], [2, 3]]
+    assert_matches_reference(graph, ref_enumerate(game, [0]))
+
+
 # enumerate_subgame canonicalises an option only when the raw option is not
 # already a node; the reference canonicalises every option first
 
