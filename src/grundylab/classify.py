@@ -15,7 +15,7 @@ candidate sets instead of the labels.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import MissingSet, ReachableGraph, UnknownPredicate
 from .grundy import Label, LabeledGraph, position_key, sg_labels
@@ -217,11 +217,11 @@ def _option_reason(lg, packed, x, predicate):
             f"{lab}-position")
 
 
-@dataclass
 class ClassReport:
-    verdicts: dict
-    witnesses: dict
-    enumerated_bound: str
+    def __init__(self, verdicts: dict, witnesses: dict, enumerated_bound: str):
+        self.verdicts = verdicts
+        self.witnesses = witnesses
+        self.enumerated_bound = enumerated_bound
 
     def to_dict(self) -> dict:
         wit = {}
@@ -258,8 +258,7 @@ def classify(lg: LabeledGraph) -> ClassReport:
 
 # --- SM=P equivalences -------------------------------------------------------
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     conditions: dict
     witnesses: dict
 
@@ -282,12 +281,13 @@ def check_sm_equivalences(lg: LabeledGraph) -> EquivalenceReport:
 
 # --- candidate-set verification ----------------------------------------------
 
-@dataclass
 class CandidateSets:
-    v01: set
-    v10: set
-    v00: set | None = None
-    v11: set | None = None
+    def __init__(self, v01: set, v10: set, v00: set | None = None,
+                 v11: set | None = None):
+        self.v01 = v01
+        self.v10 = v10
+        self.v00 = v00
+        self.v11 = v11
 
     def present(self):
         out = {"v01": self.v01, "v10": self.v10}
@@ -298,11 +298,12 @@ class CandidateSets:
         return out
 
 
-@dataclass
 class VerifyReport:
-    target: str
-    failures: list = field(default_factory=list)
-    set_mismatches: list = field(default_factory=list)
+    def __init__(self, target: str, failures: list | None = None,
+                 set_mismatches: list | None = None):
+        self.target = target
+        self.failures = [] if failures is None else failures
+        self.set_mismatches = [] if set_mismatches is None else set_mismatches
 
     @property
     def conditions_ok(self) -> bool:

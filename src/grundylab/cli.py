@@ -3,10 +3,10 @@ verification suites, and analyze disjunctive sums."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
-import tempfile
 
 import click
 
@@ -195,6 +195,8 @@ def _checksum_header(body: bytes) -> bytes:
 def _cache_store(directory, key, text):
     """Write the entry, or nothing: the cache is best-effort, so a
     directory that cannot be made or written to is ignored."""
+    import tempfile  # only a cache store needs it
+
     body = text.encode("utf-8")
     tmp = None
     try:
@@ -413,13 +415,18 @@ def sum_cmd(game_specs, target, table_path):
                     [list(map(str, pos)), list(got), list(want)]
                     for pos, got, want in closure.label_mismatches[:10]],
             }
-        if table_path is not None:
-            with open(table_path, "w", encoding="utf-8") as fh:
-                write_csv(lg, fh)
     except GameError as exc:
         _fail(str(exc))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            KeyError) as exc:
         _fail(f"bad game spec: {exc!r}")
+    if table_path is not None:
+        try:
+            with open(table_path, "w", encoding="utf-8") as fh:
+                write_csv(lg, fh)
+        except OSError as exc:
+            _fail(f"cannot write --table {table_path}: "
+                  f"{exc.strerror or exc}")
     click.echo(json.dumps(out, indent=2))
     sys.exit(0)
 
@@ -446,5 +453,18 @@ def fixtures_cmd(fmt):
     sys.exit(0)
 
 
-if __name__ == "__main__":
+def run():
+    """Process entry point (``grundylab`` and ``python -m grundylab.cli``).
+
+    Everything alive now, the imported modules and the command table, lives
+    until exit, so ``gc.freeze()`` moves it out of the collector's reach:
+    the full collections of interpreter shutdown then skip it.  ``main``
+    stays the plain click group that tests and in-process callers invoke,
+    so they freeze nothing.
+    """
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

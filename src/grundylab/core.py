@@ -71,6 +71,10 @@ MISERE_TERMINAL = _MisereTerminal()
 _UNTAKEN = object()
 
 
+# The one dataclass in the package: perfbench/spans.py rebuilds GameDefs
+# with dataclasses.replace.  Every other record is a plain class or a
+# NamedTuple, because a dataclass compiles its methods at import (0.3-1.0 ms
+# per class), a cost that every CLI call pays.
 @dataclass(frozen=True)
 class GameDef:
     """Rule object for one game instance: option enumeration and symmetry.

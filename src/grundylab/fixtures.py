@@ -6,8 +6,6 @@ File format is line oriented: ``node <id>`` declarations first, then
 
 from __future__ import annotations
 
-from importlib import resources
-
 from .core import GameDef, UnknownFixture
 
 FIXTURE_NAMES = (
@@ -58,6 +56,8 @@ def load_fixture(name: str) -> GameDef:
 def fixture_adjacency(name: str) -> dict:
     if name not in FIXTURE_NAMES:
         raise UnknownFixture(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    from importlib import resources  # only a fixture read needs it
+
     text = (resources.files("grundylab") / "data" / f"{name}.game").read_text()
     return parse_fixture_text(text)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import json
 from array import array
-from dataclasses import dataclass, field
 from operator import sub
 from typing import NamedTuple
 
@@ -110,10 +109,10 @@ def misere_via_adjoined_terminal(graph: ReachableGraph) -> array:
     return sg_labels(adjoin_misere_terminal(graph)).g[:len(graph)]
 
 
-@dataclass
 class ConsistencyReport:
-    violations: list = field(default_factory=list)
-    total: int = 0
+    def __init__(self, violations: list | None = None, total: int = 0):
+        self.violations = [] if violations is None else violations
+        self.total = total
 
     @property
     def ok(self) -> bool:

@@ -14,10 +14,3 @@ def random_dag(rng: random.Random, max_nodes: int = 12,
     adj = {i: [j for j in range(i) if rng.random() < edge_prob]
            for i in range(n)}
     return graph_from_adjacency(adj, roots=list(adj))
-
-
-def random_dag_stream(seed: int, count: int, max_nodes: int = 12,
-                      edge_prob: float = 0.3):
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield random_dag(rng, max_nodes, edge_prob)

@@ -11,7 +11,6 @@ same functions, at its own larger sizes or over its own extra instances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .core import InvalidParams, UnsupportedParams, enumerate_subgame
 from .fixtures import FIXTURE_NAMES, fixture_roots, load_fixture
@@ -34,11 +33,11 @@ SUITES = (
 )
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    seed: int
-    checks: list = field(default_factory=list)
+    def __init__(self, suite: str, seed: int, checks: list | None = None):
+        self.suite = suite
+        self.seed = seed
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, ok: bool, detail: str = ""):
         self.checks.append((name, bool(ok), detail))

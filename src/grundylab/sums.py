@@ -6,7 +6,6 @@ import itertools
 import sys
 from array import array
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from functools import reduce
 from math import prod
 from operator import xor
@@ -214,14 +213,17 @@ def tame_sum_label(labels: list[Label]) -> Label:
     return Label(g, g)
 
 
-@dataclass
 class ClosureReport:
-    target: str
-    summand_reports: list
-    sum_report: ClassReport
-    holds: bool
-    label_mismatches: list
-    sum_labels: LabeledGraph  # the labelled product the verdicts came from
+    def __init__(self, target: str, summand_reports: list,
+                 sum_report: ClassReport, holds: bool, label_mismatches: list,
+                 sum_labels: LabeledGraph):
+        self.target = target
+        self.summand_reports = summand_reports
+        self.sum_report = sum_report
+        self.holds = holds
+        self.label_mismatches = label_mismatches
+        # the labelled product the verdicts came from
+        self.sum_labels = sum_labels
 
     @property
     def fast_path_ok(self) -> bool:

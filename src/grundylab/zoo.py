@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from math import isqrt
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 from .core import GameDef, InvalidParams, UnsupportedParams
 from .grundy import mex
@@ -254,8 +254,7 @@ def _ho_nim(params):
 
 # --- the family table --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One family's move rule and what its parameters and positions look like.
 
     ``schema`` gives each parameter's integer lower bound, the tuple of its
@@ -270,7 +269,7 @@ class Family:
 
     rule: Callable[[dict], Callable]
     arity: Callable[[dict], int | None]
-    schema: dict = field(default_factory=dict)
+    schema: dict = MappingProxyType({})  # read-only, so records share it
     optional: tuple = ()
     conditions: tuple = ()
     symmetry: Callable[[dict], Callable | None] | None = None
@@ -384,15 +383,11 @@ def floor_phi_n(n: int) -> int:
     return (n + isqrt(5 * n * n)) // 2
 
 
-@dataclass
 class BeattyPair:
-    n: int
-    x: int = field(init=False)
-    y: int = field(init=False)
-
-    def __post_init__(self):
-        self.x = floor_phi_n(self.n)
-        self.y = self.x + self.n
+    def __init__(self, n: int):
+        self.n = n
+        self.x = floor_phi_n(n)
+        self.y = self.x + n
 
 
 def wythoff_p(n: int, convention: str = "normal") -> tuple:
@@ -553,10 +548,10 @@ def slow_swap_oracle(n: int, k: int, x) -> tuple | None:
     return (0, 1) if (s[-1] - i) % 2 == 0 else (1, 0)
 
 
-@dataclass
 class CheckReport:
-    ok: bool
-    failures: list = field(default_factory=list)
+    def __init__(self, ok: bool, failures: list | None = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
 
 
 def ferguson_check(x_set, bound: int) -> CheckReport:

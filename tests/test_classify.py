@@ -22,9 +22,11 @@ from grundylab import (
 from grundylab.classify import PREDICATES
 from grundylab.fixtures import fixture_roots
 from grundylab.grundy import SWAP_LABELS, LabeledGraph, sort_key
-from grundylab.random_games import random_dag, random_dag_stream
+from grundylab.random_games import random_dag
 from grundylab.suites import EQUALITIES, FIXTURE_EXPECTATIONS, HIERARCHY
 from grundylab.zoo import box_roots, euclid_swap_oracle, make_family, moore_swap_oracle
+
+from random_dags import random_dag_stream
 
 
 def labeled_fixture(name):

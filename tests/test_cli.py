@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import json
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
@@ -224,6 +226,50 @@ def test_cli_import_leaves_hashlib_unloaded():
     assert out == "[]\n"
 
 
+def test_cli_import_defers_tempfile_and_resources():
+    # each has one call site (a cache store, a fixture read); without
+    # site-packages' .pth files, importing them costs about 20 ms of CPU
+    code = ("import sys, click; before = set(sys.modules); "
+            "import grundylab.cli; print(sorted({'tempfile', "
+            "'importlib.resources'} & (set(sys.modules) - before)))")
+    # -S: no site-packages .pth file may import them first
+    assert _python("-S", "-c", code).stdout == b"[]\n"
+
+
+def _python(*args):
+    """A fresh interpreter that imports this checkout's grundylab and the
+    click that the tests use, also under -S."""
+    path = [os.path.dirname(os.path.dirname(module.__file__))
+            for module in (grundylab, click)]
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=dict(os.environ,
+                                   PYTHONPATH=os.pathsep.join(path)))
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("verify", "fixtures", "--format", "json"), 0),
+    (("analyze", "--family", "nim"), 2),
+], ids=["success", "usage_error"])
+def test_module_entry_point_matches_the_click_group(argv, code):
+    # python -m grundylab.cli goes through run(), as the console script does
+    proc = _python("-m", "grundylab.cli", *argv)
+    result = CliRunner().invoke(main, list(argv))
+    assert proc.returncode == result.exit_code == code
+    assert proc.stdout == result.stdout_bytes
+
+
+def test_cli_import_freezes_nothing():
+    # only the process entry point freezes the heap, never an importer
+    code = "import gc, grundylab.cli; print(gc.get_freeze_count())"
+    assert _python("-c", code).stdout == b"0\n"
+
+
+def test_run_freezes_the_import_heap_before_the_command():
+    code = ("import gc, grundylab.cli as cli; "
+            "cli.main = lambda: print(gc.get_freeze_count() > 0); cli.run()")
+    assert _python("-c", code).stdout == b"True\n"
+
+
 def test_verify_fixtures_passes():
     result = run("verify", "fixtures")
     assert result.exit_code == 0
@@ -306,6 +352,41 @@ def test_sum_bad_spec(tmp_path):
     other = tmp_path / "ok.json"
     other.write_text(json.dumps({"family": "nim", "roots": [[1]]}))
     assert run("sum", "--game", str(spec), "--game", str(other)).exit_code == 2
+
+
+def test_sum_spec_that_cannot_be_read(tmp_path, monkeypatch):
+    spec = tmp_path / "g.json"
+    spec.write_text(json.dumps({"family": "nim", "roots": [[1]]}))
+
+    def denying_open(path, *args, **kwargs):
+        if path == str(spec):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                  path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(grundylab.cli, "open", denying_open, raising=False)
+    result = run("sum", "--game", str(spec), "--game", str(spec))
+    _assert_one_error_line(result)
+    assert os.strerror(errno.EACCES) in result.output
+
+
+def test_sum_spec_not_utf8(tmp_path):
+    spec = tmp_path / "g.json"
+    spec.write_bytes(b"\xff\xfe{}")
+    _assert_one_error_line(run("sum", "--game", str(spec),
+                               "--game", str(spec)))
+
+
+def test_sum_table_path_that_cannot_be_written(tmp_path):
+    spec = tmp_path / "g.json"
+    spec.write_text(json.dumps({"family": "nim", "roots": [[1]]}))
+    table = tmp_path / "missing" / "t.csv"
+    result = run("sum", "--game", str(spec), "--game", str(spec),
+                 "--table", str(table))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == (f"error: cannot write --table {table}: "
+                             f"{os.strerror(errno.ENOENT)}\n")
 
 
 def _sum_with_spec(tmp_path, spec):

@@ -26,9 +26,10 @@ from grundylab.grundy import (
     write_csv,
 )
 from grundylab.sums import sum_graph
-from grundylab.random_games import random_dag_stream
 from grundylab.suites import adjoined_terminal_agrees
 from grundylab.zoo import box_roots, make_family
+
+from random_dags import random_dag_stream
 
 
 @given(st.sets(st.integers(min_value=0, max_value=50)))

@@ -26,9 +26,11 @@ from grundylab import (
 )
 from grundylab.fixtures import fixture_roots
 from grundylab.grundy import to_csv
-from grundylab.random_games import random_dag, random_dag_stream
+from grundylab.random_games import random_dag
 from grundylab.suites import SuiteResult, check_xor_pairs, sodo_summands
 from grundylab.zoo import make_family
+
+from random_dags import random_dag_stream
 
 
 def nim_from(*piles):
