@@ -3,12 +3,12 @@ verification suites, and analyze disjunctive sums."""
 
 from __future__ import annotations
 
+import argparse
+import errno
 import gc
 import json
 import os
 import sys
-
-import click
 
 from .core import GameError, InvalidParams, UnknownPosition
 from .core import enumerate_subgame
@@ -24,7 +24,7 @@ CACHE_FORMAT_VERSION = 1
 
 
 def _fail(message: str, code: int = 2):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -72,7 +72,7 @@ def _merge_params(params_json, a, b, n, k, shape, subtraction_set):
 
 def _build_game(family, fixture, params, use_symmetry):
     if (family is None) == (fixture is None):
-        raise click.UsageError("give exactly one of --family / --fixture")
+        _fail("give exactly one of --family / --fixture")
     if fixture is not None:
         return load_fixture(fixture), None
     return zoo.make_family(family, params, use_symmetry=use_symmetry), params
@@ -105,46 +105,9 @@ def _resolve_roots(roots, fixture, box, game):
         if box < 0:
             raise InvalidParams(f"--box {box} is negative")
         return zoo.box_roots(dims, box)
-    raise click.UsageError("no positions given: use --roots/--piles or --box")
+    _fail("no positions given: use --roots/--piles or --box")
 
 
-@click.group()
-def main():
-    """Sprague-Grundy analysis of impartial games under both play
-    conventions."""
-
-
-_game_options = [
-    click.option("--family", type=click.Choice(zoo.FAMILIES), default=None),
-    click.option("--fixture", type=click.Choice(FIXTURE_NAMES), default=None),
-    click.option("--params", "params_json", default=None,
-                 help="family parameters as a JSON object"),
-    click.option("--a", type=int, default=None),
-    click.option("--b", type=int, default=None),
-    click.option("--n", "n_param", type=int, default=None),
-    click.option("--k", type=int, default=None),
-    click.option("--shape", default=None),
-    click.option("--set", "subtraction_set", default=None,
-                 help="subtraction set, comma separated"),
-    click.option("--roots", "--piles", "roots", multiple=True,
-                 help="starting positions, comma-separated coordinates"),
-    click.option("--box", type=int, default=None,
-                 help="enumerate from every position with coordinates <= BOX"),
-    click.option("--symmetry/--no-symmetry", default=False,
-                 help="canonicalize positions under the family's symmetry"),
-]
-
-
-def _with_game_options(cmd):
-    for opt in reversed(_game_options):
-        cmd = opt(cmd)
-    return cmd
-
-
-@main.command()
-@_with_game_options
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-              default="text")
 def analyze(family, fixture, params_json, a, b, n_param, k, shape,
             subtraction_set, roots, box, symmetry, fmt):
     """Classify the game reachable from the given positions."""
@@ -158,15 +121,15 @@ def analyze(family, fixture, params_json, a, b, n_param, k, shape,
     except GameError as exc:
         _fail(str(exc))
     if fmt == "json":
-        click.echo(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report.to_dict(), indent=2))
     else:
-        click.echo(f"game: {game.family}  ({report.enumerated_bound})")
+        print(f"game: {game.family}  ({report.enumerated_bound})")
         for pred, verdict in report.verdicts.items():
             line = f"  {pred:20s} {'yes' if verdict else 'no'}"
             if not verdict:
                 pos, lab, reason = report.witnesses[pred]
                 line += f"   witness {pos!r} {tuple(lab)}: {reason}"
-            click.echo(line)
+            print(line)
     sys.exit(0)
 
 
@@ -232,25 +195,12 @@ def _p_sequence_text(pairs, convention, fmt):
     return "\n".join(lines) + "\n"
 
 
-@main.command()
-@_with_game_options
-@click.option("--sg", "want_sg", is_flag=True, help="emit the value table")
-@click.option("--p-sequence", "want_pseq", is_flag=True,
-              help="emit the P-position sequence")
-@click.option("--upto", "--n-max", "upto", type=int, default=None,
-              help="largest sequence index for --p-sequence")
-@click.option("--convention", type=click.Choice(["normal", "misere"]),
-              default="normal")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv")
-@click.option("--cache-dir", default=None,
-              help="cache directory (defaults to $GRUNDY_CACHE_DIR)")
 def table(family, fixture, params_json, a, b, n_param, k, shape,
           subtraction_set, roots, box, symmetry, want_sg, want_pseq,
           upto, convention, fmt, cache_dir):
     """Emit an SG-value table or a P-position sequence."""
     if want_sg == want_pseq:
-        raise click.UsageError("give exactly one of --sg / --p-sequence")
+        _fail("give exactly one of --sg / --p-sequence")
     try:
         params = _merge_params(params_json, a, b, n_param, k, shape,
                                subtraction_set)
@@ -258,7 +208,7 @@ def table(family, fixture, params_json, a, b, n_param, k, shape,
 
         if want_pseq:
             if family is None:
-                raise click.UsageError("--p-sequence needs --family")
+                _fail("--p-sequence needs --family")
             sequence = zoo.TABLE[family].p_sequence
             if sequence is None:
                 raise InvalidParams(f"{family} has no P-position sequence")
@@ -268,7 +218,7 @@ def table(family, fixture, params_json, a, b, n_param, k, shape,
             if upto is None:
                 upto = params.pop("n", None)
             if upto is None:
-                raise click.UsageError("--p-sequence needs --upto")
+                _fail("--p-sequence needs --upto")
             if upto < 0:
                 raise InvalidParams(f"sequence length {upto} is negative")
             payload = {"kind": "pseq", "family": family, "params": params,
@@ -293,7 +243,7 @@ def table(family, fixture, params_json, a, b, n_param, k, shape,
             text = _cached_text(directory, payload, render)
     except GameError as exc:
         _fail(str(exc))
-    click.echo(text, nl=False)
+    sys.stdout.write(text)
     sys.exit(0)
 
 
@@ -309,14 +259,6 @@ def _cached_text(directory, payload, render):
     return text
 
 
-@main.command()
-@click.argument("suite", type=click.Choice(SUITES + ("all",)))
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=1000, show_default=True,
-              help="random-graph sample count for property suites")
-@click.option("--max-nodes", type=int, default=12, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-              default="text")
 def verify(suite, seed, samples, max_nodes, fmt):
     """Run a named verification battery; exit 1 on any failed check."""
     try:
@@ -326,28 +268,34 @@ def verify(suite, seed, samples, max_nodes, fmt):
         _fail(str(exc))
     all_ok = all(r.ok for r in results)
     if fmt == "json":
-        click.echo(json.dumps({"seed": seed, "ok": all_ok,
-                               "suites": [r.to_dict() for r in results]},
-                              indent=2))
+        print(json.dumps({"seed": seed, "ok": all_ok,
+                          "suites": [r.to_dict() for r in results]},
+                         indent=2))
     else:
-        click.echo(f"seed {seed}")
+        print(f"seed {seed}")
         for res in results:
             passed = sum(1 for _, ok, _ in res.checks if ok)
-            click.echo(f"suite {res.suite}: {passed}/{len(res.checks)} checks "
-                       f"{'pass' if res.ok else 'FAIL'}")
+            print(f"suite {res.suite}: {passed}/{len(res.checks)} checks "
+                  f"{'pass' if res.ok else 'FAIL'}")
             for name, ok, detail in res.checks:
                 if not ok:
-                    click.echo(f"  FAIL {name}: {detail}")
+                    print(f"  FAIL {name}: {detail}")
     sys.exit(0 if all_ok else 1)
 
 
 def _load_game_spec(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-
     def bad(problem):
         _fail(f"bad game spec {path}: {problem}")
 
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+    except OSError as exc:
+        bad(exc.strerror or exc)
+    except UnicodeDecodeError as exc:
+        bad(f"not UTF-8: {exc}")
+    except ValueError as exc:
+        bad(f"not JSON: {exc}")
     if not isinstance(spec, dict):
         bad("expected a JSON object")
     roots = spec.get("roots")
@@ -381,19 +329,14 @@ def _load_game_spec(path):
     return game, roots
 
 
-@main.command(name="sum")
-@click.option("--game", "game_specs", multiple=True, required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="JSON game spec; repeat for each summand")
-@click.option("--target", type=click.Choice(
-    ["domestic", "tame", "pet", "miserable", "forced", "returnable"]),
-    default=None, help="class whose closure under the sum to check")
-@click.option("--table", "table_path", type=click.Path(dir_okay=False),
-              default=None, help="also write the product SG table as CSV")
 def sum_cmd(game_specs, target, table_path):
     """Analyze the disjunctive sum of two or more games."""
     if len(game_specs) < 2:
-        raise click.UsageError("a sum needs at least two --game specs")
+        _fail("a sum needs at least two --game specs")
+    if table_path is not None and os.path.isdir(table_path):
+        # refused before the sum is built, not after
+        _fail(f"cannot write --table {table_path}: "
+              f"{os.strerror(errno.EISDIR)}")
     try:
         specs = [_load_game_spec(path) for path in game_specs]
         summands = [enumerate_subgame(game, roots) for game, roots in specs]
@@ -417,9 +360,6 @@ def sum_cmd(game_specs, target, table_path):
             }
     except GameError as exc:
         _fail(str(exc))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-            KeyError) as exc:
-        _fail(f"bad game spec: {exc!r}")
     if table_path is not None:
         try:
             with open(table_path, "w", encoding="utf-8") as fh:
@@ -427,13 +367,10 @@ def sum_cmd(game_specs, target, table_path):
         except OSError as exc:
             _fail(f"cannot write --table {table_path}: "
                   f"{exc.strerror or exc}")
-    click.echo(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2))
     sys.exit(0)
 
 
-@main.command(name="fixtures")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-              default="text")
 def fixtures_cmd(fmt):
     """List the bundled example games with their class verdicts."""
     rows = []
@@ -444,23 +381,133 @@ def fixtures_cmd(fmt):
         rows.append({"name": name, "nodes": len(lg.graph),
                      "verdicts": report.verdicts})
     if fmt == "json":
-        click.echo(json.dumps(rows, indent=2))
+        print(json.dumps(rows, indent=2))
     else:
         for row in rows:
             held = [p for p, v in row["verdicts"].items() if v]
-            click.echo(f"{row['name']:22s} {row['nodes']:3d} nodes  "
-                       f"{', '.join(held) if held else '(none)'}")
+            print(f"{row['name']:22s} {row['nodes']:3d} nodes  "
+                  f"{', '.join(held) if held else '(none)'}")
     sys.exit(0)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose every usage error is one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        _fail(message)
+
+
+def _game_options():
+    """The options shared by ``analyze`` and ``table``."""
+    opts = argparse.ArgumentParser(add_help=False)
+    opts.add_argument("--family", choices=zoo.FAMILIES)
+    opts.add_argument("--fixture", choices=FIXTURE_NAMES)
+    opts.add_argument("--params", dest="params_json", metavar="JSON",
+                      help="family parameters as a JSON object")
+    opts.add_argument("--a", type=int)
+    opts.add_argument("--b", type=int)
+    opts.add_argument("--n", dest="n_param", metavar="N", type=int)
+    opts.add_argument("--k", type=int)
+    opts.add_argument("--shape")
+    opts.add_argument("--set", dest="subtraction_set", metavar="SET",
+                      help="subtraction set, comma separated")
+    opts.add_argument("--roots", "--piles", dest="roots", action="append",
+                      metavar="POSITION",
+                      help="starting positions, comma-separated coordinates")
+    opts.add_argument("--box", type=int,
+                      help="enumerate from every position with coordinates "
+                           "<= BOX")
+    opts.add_argument("--symmetry", action=argparse.BooleanOptionalAction,
+                      default=False,
+                      help="canonicalize positions under the family's "
+                           "symmetry")
+    return opts
+
+
+def _parser(prog):
+    top = _Parser(prog=prog, allow_abbrev=False,
+                  description="Sprague-Grundy analysis of impartial games "
+                              "under both play conventions.")
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+    game = [_game_options()]
+
+    def command(name, handler, parents=()):
+        doc = handler.__doc__
+        cmd = commands.add_parser(name, parents=parents, allow_abbrev=False,
+                                  help=doc, description=doc)
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    cmd = command("analyze", analyze, game)
+    cmd.add_argument("--format", dest="fmt", choices=["json", "text"],
+                     default="text")
+
+    cmd = command("table", table, game)
+    cmd.add_argument("--sg", dest="want_sg", action="store_true",
+                     help="emit the value table")
+    cmd.add_argument("--p-sequence", dest="want_pseq", action="store_true",
+                     help="emit the P-position sequence")
+    cmd.add_argument("--upto", "--n-max", dest="upto", type=int,
+                     help="largest sequence index for --p-sequence")
+    cmd.add_argument("--convention", choices=["normal", "misere"],
+                     default="normal")
+    cmd.add_argument("--format", dest="fmt", choices=["csv", "json"],
+                     default="csv")
+    cmd.add_argument("--cache-dir",
+                     help="cache directory (defaults to $GRUNDY_CACHE_DIR)")
+
+    cmd = command("verify", verify)
+    cmd.add_argument("suite", choices=SUITES + ("all",))
+    cmd.add_argument("--seed", type=int, default=0,
+                     help="(default: %(default)s)")
+    cmd.add_argument("--samples", type=int, default=1000,
+                     help="random-graph sample count for property suites "
+                          "(default: %(default)s)")
+    cmd.add_argument("--max-nodes", type=int, default=12,
+                     help="(default: %(default)s)")
+    cmd.add_argument("--format", dest="fmt", choices=["json", "text"],
+                     default="text")
+
+    cmd = command("sum", sum_cmd)
+    cmd.add_argument("--game", dest="game_specs", action="append",
+                     required=True, metavar="SPEC",
+                     help="JSON game spec; repeat for each summand")
+    cmd.add_argument("--target", choices=["domestic", "tame", "pet",
+                                          "miserable", "forced",
+                                          "returnable"],
+                     help="class whose closure under the sum to check")
+    cmd.add_argument("--table", dest="table_path", metavar="CSV",
+                     help="also write the product SG table as CSV")
+
+    cmd = command("fixtures", fixtures_cmd)
+    cmd.add_argument("--format", dest="fmt", choices=["json", "text"],
+                     default="text")
+    return top
+
+
+class _Main:
+    """The ``grundylab`` command.  ``main()`` runs the command line in
+    ``sys.argv``; ``main.main(args=[...])`` runs ``args``.  Every command
+    ends in ``SystemExit``, which both let out, so ``standalone_mode`` is
+    accepted and changes nothing."""
+
+    def main(self, args=None, prog_name="grundylab", standalone_mode=True):
+        options = vars(_parser(prog_name).parse_args(args))
+        options.pop("handler")(**options)
+
+    __call__ = main
+
+
+main = _Main()
 
 
 def run():
     """Process entry point (``grundylab`` and ``python -m grundylab.cli``).
 
-    Everything alive now, the imported modules and the command table, lives
-    until exit, so ``gc.freeze()`` moves it out of the collector's reach:
-    the full collections of interpreter shutdown then skip it.  ``main``
-    stays the plain click group that tests and in-process callers invoke,
-    so they freeze nothing.
+    Everything alive now, the imported modules above all, lives until exit,
+    so ``gc.freeze()`` moves it out of the collector's reach: the full
+    collections of interpreter shutdown then skip it.  Tests and
+    in-process callers call ``main`` directly, so they freeze nothing.
     """
     gc.freeze()
     main()

@@ -1,15 +1,16 @@
+import contextlib
 import errno
 import hashlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
-import click
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +25,35 @@ from grundylab.suites import SUITES
 from grundylab.zoo import FAMILIES, TABLE, make_family
 
 
+class Result:
+    """One in-process CLI call: exit code, what it wrote, and the exception
+    that ended it (``SystemExit`` for every exit, or an uncaught error)."""
+
+    def __init__(self, exit_code, stdout, stderr, exception):
+        self.exit_code, self.exception = exit_code, exception
+        self.stdout, self.stderr = stdout, stderr
+        self.output = stdout + stderr
+        self.stdout_bytes = stdout.encode()
+
+
 def run(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env or {})
+    """``main`` on ``args`` with its output captured; ``env`` entries set
+    (or, when None, unset) environment variables for the call."""
+    out, err = io.StringIO(), io.StringIO()
+    exit_code, exception = 0, None
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        for key, value in (env or {}).items():
+            os.environ.pop(key, None)
+            if value is not None:
+                os.environ[key] = value
+        try:
+            main.main(args=list(args), prog_name="grundylab")
+        except SystemExit as exc:
+            exit_code, exception = exc.code or 0, exc
+        except Exception as exc:
+            exit_code, exception = 1, exc
+    return Result(exit_code, out.getvalue(), err.getvalue(), exception)
 
 
 def test_analyze_wythoff():
@@ -53,13 +81,16 @@ def test_analyze_mark_witness_8():
 
 
 def test_analyze_requires_one_source():
-    assert run("analyze", "--roots", "1").exit_code == 2
-    assert run("analyze", "--family", "nim", "--fixture", "pet",
-               "--roots", "1").exit_code == 2
+    _assert_error_line(run("analyze", "--roots", "1"),
+                       "exactly one of --family / --fixture")
+    _assert_error_line(run("analyze", "--family", "nim", "--fixture", "pet",
+                           "--roots", "1"),
+                       "exactly one of --family / --fixture")
 
 
 def test_analyze_requires_positions():
-    assert run("analyze", "--family", "nim").exit_code == 2
+    _assert_error_line(run("analyze", "--family", "nim"),
+                       "no positions given")
 
 
 def test_analyze_bad_params_exit_2():
@@ -72,6 +103,7 @@ def test_analyze_bad_params_exit_2():
 def _assert_error_line(result, text):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
     lines = result.output.strip().splitlines()
     assert lines == [lines[0]] and lines[0].startswith("error: ")
     assert text in lines[0]
@@ -161,9 +193,40 @@ def test_output_bytes_pinned(argv, digest):
 
 
 def test_table_needs_exactly_one_mode():
-    assert run("table", "--family", "nim", "--piles", "2").exit_code == 2
-    assert run("table", "--family", "nim", "--piles", "2", "--sg",
-               "--p-sequence").exit_code == 2
+    _assert_error_line(run("table", "--family", "nim", "--piles", "2"),
+                       "exactly one of --sg / --p-sequence")
+    _assert_error_line(run("table", "--family", "nim", "--piles", "2", "--sg",
+                           "--p-sequence"),
+                       "exactly one of --sg / --p-sequence")
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("analyze", "--family", "nim", "--roots", "3", "--colour", "red"),
+     "unrecognized arguments: --colour red"),
+    # no prefix of an option name is accepted
+    (("analyze", "--fam", "nim", "--roots", "3"),
+     "unrecognized arguments: --fam"),
+    (("table", "--family", "wythoff", "--box", "x", "--sg"),
+     "argument --box: invalid int value: 'x'"),
+    (("analyze", "--family", "chess", "--roots", "3"),
+     "argument --family: invalid choice: 'chess'"),
+    (("play", "--family", "nim"), "invalid choice: 'play'"),
+    ((), "required: COMMAND"),
+    (("analyze", "--roots", "3", "--family"),
+     "argument --family: expected one argument"),
+    (("verify",), "required: suite"),
+    (("verify", "all", "--seed"), "argument --seed: expected one argument"),
+    (("sum", "--target", "tame"), "required: --game"),
+    # argparse reads a coordinate list that starts with '-' as an option
+    # ("expected one argument") or, in newer versions, as a value
+    # ("negative coordinate"): one error line either way
+    (("analyze", "--family", "nim", "--roots", "-1,2"), ""),
+], ids=["unknown_option", "option_prefix", "box_not_int", "unknown_family",
+        "unknown_command", "no_command", "option_without_value",
+        "verify_without_suite", "seed_without_value", "sum_without_game",
+        "negative_coordinate_list"])
+def test_usage_error_is_one_line(argv, text):
+    _assert_error_line(run(*argv), text)
 
 
 def test_table_cache_round_trip(tmp_path):
@@ -229,33 +292,70 @@ def test_cli_import_leaves_hashlib_unloaded():
 def test_cli_import_defers_tempfile_and_resources():
     # each has one call site (a cache store, a fixture read); without
     # site-packages' .pth files, importing them costs about 20 ms of CPU
-    code = ("import sys, click; before = set(sys.modules); "
+    code = ("import sys; before = set(sys.modules); "
             "import grundylab.cli; print(sorted({'tempfile', "
             "'importlib.resources'} & (set(sys.modules) - before)))")
     # -S: no site-packages .pth file may import them first
     assert _python("-S", "-c", code).stdout == b"[]\n"
 
 
+def test_cli_import_loads_only_the_standard_library():
+    # -S: no site-packages at all; the CLI needs nothing outside the stdlib
+    code = ("import sys; before = set(sys.modules); import grundylab.cli; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] not in sys.stdlib_module_names "
+            "and m.split('.')[0] != 'grundylab'))")
+    proc = _python("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
+
+
 def _python(*args):
-    """A fresh interpreter that imports this checkout's grundylab and the
-    click that the tests use, also under -S."""
-    path = [os.path.dirname(os.path.dirname(module.__file__))
-            for module in (grundylab, click)]
+    """A fresh interpreter that imports this checkout's grundylab, also
+    under -S."""
+    src = os.path.dirname(os.path.dirname(grundylab.__file__))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          env=dict(os.environ,
-                                   PYTHONPATH=os.pathsep.join(path)))
+                          env=dict(os.environ, PYTHONPATH=src))
 
 
 @pytest.mark.parametrize("argv,code", [
     (("verify", "fixtures", "--format", "json"), 0),
     (("analyze", "--family", "nim"), 2),
 ], ids=["success", "usage_error"])
-def test_module_entry_point_matches_the_click_group(argv, code):
+def test_module_entry_point_matches_in_process_main(argv, code):
     # python -m grundylab.cli goes through run(), as the console script does
     proc = _python("-m", "grundylab.cli", *argv)
-    result = CliRunner().invoke(main, list(argv))
+    result = run(*argv)
     assert proc.returncode == result.exit_code == code
     assert proc.stdout == result.stdout_bytes
+    assert proc.stderr == result.stderr.encode()
+
+
+_GAME_OPTIONS = ("--family", "--fixture", "--params", "--a", "--b", "--n",
+                 "--k", "--shape", "--set", "--roots", "--piles", "--box",
+                 "--symmetry", "--no-symmetry")
+
+
+@pytest.mark.parametrize("argv,names", [
+    ((), ("analyze", "table", "verify", "sum", "fixtures")),
+    (("analyze",), _GAME_OPTIONS + ("--format",)),
+    (("table",), _GAME_OPTIONS + ("--sg", "--p-sequence", "--upto",
+                                  "--n-max", "--convention", "--format",
+                                  "--cache-dir")),
+    (("verify",), ("--seed", "--samples", "--max-nodes", "--format",
+                   *SUITES, "all")),
+    (("sum",), ("--game", "--target", "--table")),
+    (("fixtures",), ("--format",)),
+], ids=["group", "analyze", "table", "verify", "sum", "fixtures"])
+def test_help_names_every_option(argv, names):
+    result = run(*argv, "--help")
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    assert result.stdout.startswith(f"usage: grundylab {' '.join(argv)}")
+    words = set(result.stdout.replace(",", " ").replace("[", " ")
+                .replace("]", " ").replace("{", " ").replace("}", " ")
+                .split())
+    assert set(names) <= words, set(names) - words
 
 
 def test_cli_import_freezes_nothing():
@@ -290,7 +390,8 @@ def test_verify_small_sample_all():
 
 
 def test_verify_unknown_suite():
-    assert run("verify", "chess").exit_code == 2
+    _assert_error_line(run("verify", "chess"),
+                       "argument suite: invalid choice: 'chess'")
 
 
 def test_sum_command(tmp_path):
@@ -343,7 +444,8 @@ def test_sum_fixture_specs(tmp_path):
 def test_sum_needs_two_games(tmp_path):
     spec = tmp_path / "g.json"
     spec.write_text(json.dumps({"family": "nim", "roots": [[1]]}))
-    assert run("sum", "--game", str(spec)).exit_code == 2
+    _assert_error_line(run("sum", "--game", str(spec)),
+                       "a sum needs at least two --game specs")
 
 
 def test_sum_bad_spec(tmp_path):
@@ -351,7 +453,23 @@ def test_sum_bad_spec(tmp_path):
     spec.write_text("{not json")
     other = tmp_path / "ok.json"
     other.write_text(json.dumps({"family": "nim", "roots": [[1]]}))
-    assert run("sum", "--game", str(spec), "--game", str(other)).exit_code == 2
+    _assert_error_line(run("sum", "--game", str(other), "--game", str(spec)),
+                       f"bad game spec {spec}: not JSON: ")
+
+
+@pytest.mark.parametrize("make,reason", [
+    (lambda path: None, errno.ENOENT),
+    (lambda path: path.mkdir(), errno.EISDIR),
+], ids=["missing", "directory"])
+def test_sum_spec_that_is_no_file(tmp_path, make, reason):
+    spec = tmp_path / "g.json"
+    make(spec)
+    other = tmp_path / "ok.json"
+    other.write_text(json.dumps({"family": "nim", "roots": [[1]]}))
+    result = run("sum", "--game", str(other), "--game", str(spec))
+    _assert_error_line(result, f"bad game spec {spec}: ")
+    assert result.stderr == (f"error: bad game spec {spec}: "
+                             f"{os.strerror(reason)}\n")
 
 
 def test_sum_spec_that_cannot_be_read(tmp_path, monkeypatch):
@@ -367,14 +485,17 @@ def test_sum_spec_that_cannot_be_read(tmp_path, monkeypatch):
     monkeypatch.setattr(grundylab.cli, "open", denying_open, raising=False)
     result = run("sum", "--game", str(spec), "--game", str(spec))
     _assert_one_error_line(result)
-    assert os.strerror(errno.EACCES) in result.output
+    assert result.stderr == (f"error: bad game spec {spec}: "
+                             f"{os.strerror(errno.EACCES)}\n")
 
 
 def test_sum_spec_not_utf8(tmp_path):
     spec = tmp_path / "g.json"
     spec.write_bytes(b"\xff\xfe{}")
-    _assert_one_error_line(run("sum", "--game", str(spec),
-                               "--game", str(spec)))
+    result = run("sum", "--game", str(spec), "--game", str(spec))
+    _assert_one_error_line(result)
+    assert result.stderr.startswith(f"error: bad game spec {spec}: "
+                                    "not UTF-8: ")
 
 
 def test_sum_table_path_that_cannot_be_written(tmp_path):
@@ -389,6 +510,15 @@ def test_sum_table_path_that_cannot_be_written(tmp_path):
                              f"{os.strerror(errno.ENOENT)}\n")
 
 
+def test_sum_table_path_that_is_a_directory_is_refused_first(tmp_path):
+    # the specs do not exist: the --table check comes before they are read
+    missing = str(tmp_path / "missing.json")
+    result = run("sum", "--game", missing, "--game", missing,
+                 "--table", str(tmp_path))
+    _assert_error_line(result, f"cannot write --table {tmp_path}: "
+                               f"{os.strerror(errno.EISDIR)}")
+
+
 def _sum_with_spec(tmp_path, spec):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spec))
@@ -400,6 +530,7 @@ def _sum_with_spec(tmp_path, spec):
 def _assert_one_error_line(result):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
     lines = result.output.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: bad game spec")
@@ -579,7 +710,7 @@ def _invoke_with_spec(argv, spec, directory):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(content, fh)
         argv = argv + ["--game", paths[0], "--game", paths[1]]
-    return CliRunner().invoke(main, argv)
+    return run(*argv)
 
 
 @pytest.mark.parametrize("argv,spec,text", _BAD_PARAMS)
@@ -664,7 +795,7 @@ def _fuzz_command(draw):
 @example((["sum"], {"family": "wythoff", "params": {}, "roots": [[True, 2]]}))
 def test_cli_argv_fuzz(command):
     """Every argv of the grammar exits 0, 1 (verify only) or 2, without a
-    traceback."""
+    traceback; an exit 2 writes one ``error:`` line and nothing else."""
     argv, spec = command
     with tempfile.TemporaryDirectory() as tmp:
         result = _invoke_with_spec(argv, spec, tmp)
@@ -672,6 +803,10 @@ def test_cli_argv_fuzz(command):
                                                   SystemExit), (argv, spec)
     assert result.exit_code in (0, 1, 2), (argv, spec)
     assert result.exit_code != 1 or argv[0] == "verify", (argv, spec)
+    if result.exit_code == 2:
+        assert result.stdout == "", (argv, spec)
+        assert result.stderr.count("\n") == 1, (argv, spec, result.stderr)
+        assert result.stderr.startswith("error: "), (argv, spec)
     if spec is not None and any(isinstance(c, bool)
                                 for root in spec["roots"] for c in root):
         assert result.exit_code == 2, (argv, spec)
