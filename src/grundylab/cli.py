@@ -13,10 +13,10 @@ import sys
 from .core import GameError, InvalidParams, UnknownPosition
 from .core import enumerate_subgame
 from .fixtures import (FIXTURE_NAMES, fixture_adjacency, fixture_roots,
-                       load_fixture)
+                       load_fixture, rooted_fixture)
 from .grundy import sg_labels, to_csv, to_json, write_csv
 from .classify import classify
-from .suites import SUITES, run_suite
+from .suites import SUITES, check_sizes, run_suite
 from .sums import check_closure, sum_graph
 from . import zoo
 
@@ -259,11 +259,111 @@ def _cached_text(directory, payload, render):
     return text
 
 
+class _ChildTraceback(Exception):
+    """A suite's traceback in the child process that ran it."""
+
+
+def _suite_outcome(name, *sizes):
+    """(the suite's result, None), or (None, the exception it raised)."""
+    try:
+        return run_suite(name, *sizes)[0], None
+    except Exception as exc:
+        return None, exc
+
+
+def _fork_suite(name, *sizes):
+    """Fork a child that runs one suite and writes its pickled outcome to
+    a pipe, an exception with its traceback; return (pid, read end)."""
+    import pickle  # only the fork path needs it
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    try:
+        result, error = _suite_outcome(name, *sizes)
+        if error is not None:
+            import traceback
+            error = error, "".join(traceback.format_exception(error))
+        with open(write, "wb") as pipe:
+            pickle.dump((result, error), pipe)
+    finally:
+        os._exit(0)  # never run the parent's code or exit handlers
+
+
+def _read_child(name, pid, read):
+    """The outcome a suite's child sent, read to EOF; the child is reaped
+    after the read, also when it fails."""
+    import pickle
+
+    try:
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if not data:
+        return None, RuntimeError(f"suite {name}: its child process ended "
+                                  f"with wait status {status} and no result")
+    result, error = pickle.loads(data)
+    if error is not None:
+        error, trace = error
+        error.__cause__ = _ChildTraceback(
+            f"suite {name}, in its child process:\n{trace}")
+    return result, error
+
+
+def _run_all_forked(seed, samples, max_nodes):
+    """``run_suite("all", ...)``'s results, each suite run in a child
+    process of its own while the others run.
+
+    The sizes are checked before any fork.  The suites run here, one
+    after another, when ``os.sched_getaffinity`` gives one CPU or either
+    it or ``os.fork`` is missing; so do the suites left when a fork fails.
+    Every child is reaped before anything is raised; of the suites that
+    raised, the first in ``SUITES`` order has its exception raised here.
+    """
+    check_sizes(samples, max_nodes)
+    sizes = (seed, samples, max_nodes)
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        return run_suite("all", *sizes)
+    children = []
+    try:
+        for name in SUITES:
+            try:
+                children.append((name, *_fork_suite(name, *sizes)))
+            except OSError:  # out of processes or pipes: run the rest here
+                break
+        outcomes = [_suite_outcome(name, *sizes)
+                    for name in SUITES[len(children):]]
+        forked = []
+        while children:
+            forked.append(_read_child(*children.pop(0)))
+    finally:
+        for _, pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    results = []
+    for result, error in forked + outcomes:
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
+
+
 def verify(suite, seed, samples, max_nodes, fmt):
     """Run a named verification battery; exit 1 on any failed check."""
     try:
-        results = run_suite(suite, seed=seed, samples=samples,
-                            max_nodes=max_nodes)
+        if suite == "all" and _owns_process:
+            results = _run_all_forked(seed, samples, max_nodes)
+        else:
+            results = run_suite(suite, seed, samples, max_nodes)
     except GameError as exc:
         _fail(str(exc))
     all_ok = all(r.ok for r in results)
@@ -375,8 +475,7 @@ def fixtures_cmd(fmt):
     """List the bundled example games with their class verdicts."""
     rows = []
     for name in FIXTURE_NAMES:
-        game = load_fixture(name)
-        lg = sg_labels(enumerate_subgame(game, fixture_roots(name)))
+        lg = sg_labels(enumerate_subgame(*rooted_fixture(name)))
         report = classify(lg)
         rows.append({"name": name, "nodes": len(lg.graph),
                      "verdicts": report.verdicts})
@@ -500,16 +599,24 @@ class _Main:
 
 main = _Main()
 
+# set by run(), for the whole process as gc.freeze() is: only the entry
+# point that owns the process, and starts no thread, forks suite children
+_owns_process = False
+
 
 def run():
     """Process entry point (``grundylab`` and ``python -m grundylab.cli``).
 
     Everything alive now, the imported modules above all, lives until exit,
     so ``gc.freeze()`` moves it out of the collector's reach: the full
-    collections of interpreter shutdown then skip it.  Tests and
-    in-process callers call ``main`` directly, so they freeze nothing.
+    collections of interpreter shutdown then skip it.  ``verify all`` runs
+    its suites in child processes (``_run_all_forked``).  Tests and
+    in-process callers call ``main`` directly, so they freeze nothing and
+    fork nothing.
     """
+    global _owns_process
     gc.freeze()
+    _owns_process = True
     main()
 
 

@@ -258,7 +258,7 @@ def graph_from_adjacency(adj: dict, roots=None) -> ReachableGraph:
     """Build a ReachableGraph from an explicit node -> successors mapping.
 
     Nodes are numbered in the mapping's order; repeated successors are
-    kept once.
+    kept once.  ``roots`` defaults to ``source_nodes(adj)``.
     """
     positions = list(adj)
     index = {x: i for i, x in enumerate(positions)}
@@ -274,10 +274,15 @@ def graph_from_adjacency(adj: dict, roots=None) -> ReachableGraph:
         targets.fromlist(ids)
         offsets.append(len(targets))
     if roots is None:
-        has_parent = set(targets)
-        roots = [x for i, x in enumerate(positions)
-                 if i not in has_parent] or positions
+        roots = source_nodes(adj)
     return ReachableGraph(roots, positions, index, offsets, targets)
+
+
+def source_nodes(adj: dict) -> list:
+    """The nodes of a node -> successors mapping that no edge enters, in
+    mapping order; every node when each has an incoming edge."""
+    targets = {y for ys in adj.values() for y in ys}
+    return [x for x in adj if x not in targets] or list(adj)
 
 
 def _order_and_depths(positions, offsets, targets):

@@ -6,7 +6,7 @@ File format is line oriented: ``node <id>`` declarations first, then
 
 from __future__ import annotations
 
-from .core import GameDef, UnknownFixture
+from .core import GameDef, UnknownFixture, source_nodes
 
 FIXTURE_NAMES = (
     "not_domestic",
@@ -64,6 +64,10 @@ def fixture_adjacency(name: str) -> dict:
 
 def fixture_roots(name: str) -> list:
     """Source nodes (no incoming edge) of the fixture digraph."""
+    return source_nodes(fixture_adjacency(name))
+
+
+def rooted_fixture(name: str) -> tuple:
+    """The fixture's game and its source nodes, from one read of its file."""
     adj = fixture_adjacency(name)
-    targets = {y for ys in adj.values() for y in ys}
-    return [x for x in adj if x not in targets] or list(adj)
+    return game_from_adjacency(name, adj), source_nodes(adj)

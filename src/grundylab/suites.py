@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .core import InvalidParams, UnsupportedParams, enumerate_subgame
-from .fixtures import FIXTURE_NAMES, fixture_roots, load_fixture
+from .fixtures import FIXTURE_NAMES, load_fixture, rooted_fixture
 from .grundy import (misere_via_adjoined_terminal, sg_labels,
                      verify_sg_consistency)
 from .classify import CandidateSets, check_sm_equivalences, classify, verify_candidate_sets
@@ -56,12 +56,17 @@ class SuiteResult:
         }
 
 
-def run_suite(name: str, seed: int = 0, samples: int = 1000,
-              max_nodes: int = 12) -> list[SuiteResult]:
-    """Run one named suite, or every suite for ``all``."""
+def check_sizes(samples: int, max_nodes: int):
+    """Raise InvalidParams unless both sizes are at least 1."""
     if samples < 1 or max_nodes < 1:
         raise InvalidParams(f"samples ({samples}) and max_nodes "
                             f"({max_nodes}) must be at least 1")
+
+
+def run_suite(name: str, seed: int = 0, samples: int = 1000,
+              max_nodes: int = 12) -> list[SuiteResult]:
+    """Run one named suite, or every suite for ``all``."""
+    check_sizes(samples, max_nodes)
     if name == "all":
         return [_RUNNERS[s](seed, samples, max_nodes) for s in SUITES]
     try:
@@ -74,8 +79,7 @@ def run_suite(name: str, seed: int = 0, samples: int = 1000,
 
 
 def _labeled_fixture(name):
-    game = load_fixture(name)
-    return sg_labels(enumerate_subgame(game, fixture_roots(name)))
+    return sg_labels(enumerate_subgame(*rooted_fixture(name)))
 
 
 def _tag(family, params):
@@ -214,8 +218,7 @@ def check_xor_pairs(res, rng, pairs):
 
 def fixture_summand(name):
     """A fixture as a (name, graph) summand, rooted at its source nodes."""
-    return f"fixture:{name}", enumerate_subgame(load_fixture(name),
-                                                fixture_roots(name))
+    return f"fixture:{name}", enumerate_subgame(*rooted_fixture(name))
 
 
 def family_summand(family, root):

@@ -310,12 +310,12 @@ def test_cli_import_loads_only_the_standard_library():
     assert proc.stdout == b"[]\n"
 
 
-def _python(*args):
+def _python(*args, **kwargs):
     """A fresh interpreter that imports this checkout's grundylab, also
-    under -S."""
+    under -S; ``kwargs`` go to ``subprocess.run``."""
     src = os.path.dirname(os.path.dirname(grundylab.__file__))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=src))
+                          env=dict(os.environ, PYTHONPATH=src), **kwargs)
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -392,6 +392,154 @@ def test_verify_small_sample_all():
 def test_verify_unknown_suite():
     _assert_error_line(run("verify", "chess"),
                        "argument suite: invalid choice: 'chess'")
+
+
+def _verify_all(seed, fmt):
+    return ("verify", "all", "--seed", str(seed), "--format", fmt)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_forked_verify_all_matches_in_process(seed):
+    # python -m runs cli.run, which forks one child per suite
+    for fmt in ("json", "text"):
+        proc = _python("-m", "grundylab.cli", *_verify_all(seed, fmt),
+                       timeout=120)
+        result = run(*_verify_all(seed, fmt))
+        assert proc.returncode == result.exit_code == 0
+        assert proc.stdout == result.stdout_bytes
+        assert proc.stderr == result.stderr.encode() == b""
+
+
+# cli.run() with os.fork counted; PRELUDE runs first, and the log file gets
+# the fork count and whether a child was left unreaped
+_FORKING_RUN = """
+import errno, os, sys
+import grundylab.cli as cli
+from grundylab import suites
+log, prelude = sys.argv[1:3]
+sys.argv = ["grundylab", *sys.argv[3:]]
+forks, fork = [], os.fork
+
+def counted_fork():
+    forks.append(None)
+    return fork()
+
+os.fork = counted_fork
+exec(prelude)
+try:
+    cli.run()
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = "a child left"
+    except ChildProcessError:
+        left = "no child left"
+    with open(log, "w") as fh:
+        fh.write(f"{len(forks)} forks, {left}")
+"""
+
+
+def _forking_run(tmp_path, argv, prelude="", **kwargs):
+    """``cli.run()`` on ``argv`` in a fresh interpreter: the process and
+    its log, the fork count and whether any child was left."""
+    log = tmp_path / "forks.log"
+    proc = _python("-c", _FORKING_RUN, str(log), prelude, *argv,
+                   timeout=120, **kwargs)
+    return proc, log.read_text()
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0))
+
+
+def test_forked_verify_all_forks_one_child_per_suite(tmp_path):
+    if _cpus() < 2:
+        pytest.skip("one CPU: verify all runs serially")
+    argv = _verify_all(2, "json")
+    proc, log = _forking_run(tmp_path, argv)
+    assert log == f"{len(SUITES)} forks, no child left"
+    assert (proc.returncode, proc.stdout) == (0, run(*argv).stdout_bytes)
+
+
+def _pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_all_on_one_cpu_runs_serially(tmp_path, fmt):
+    argv = _verify_all(1, fmt)
+    proc, log = _forking_run(tmp_path, argv, preexec_fn=_pin_to_one_cpu)
+    assert log == "0 forks, no child left"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, run(*argv).stdout_bytes, b"")
+
+
+def test_verify_all_runs_the_rest_in_process_when_fork_fails(tmp_path):
+    if _cpus() < 2:
+        pytest.skip("one CPU: verify all runs serially")
+    prelude = ("counted = os.fork\n"
+               "def fork():\n"
+               "    if len(forks) == 3:\n"
+               "        raise OSError(errno.EAGAIN, 'no more processes')\n"
+               "    return counted()\n"
+               "os.fork = fork\n")
+    argv = _verify_all(3, "text")
+    proc, log = _forking_run(tmp_path, argv, prelude)
+    assert log == "3 forks, no child left"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, run(*argv).stdout_bytes, b"")
+
+
+def test_verify_all_bad_sizes_start_no_child(tmp_path):
+    proc, log = _forking_run(tmp_path, ("verify", "all", "--samples", "0"))
+    assert log == "0 forks, no child left"
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [
+        "error: samples (0) and max_nodes (12) must be at least 1"]
+
+
+# the source of a replacement for the moore suite's runner, run in a child
+# interpreter and in-process
+_BROKEN_MOORE = {
+    "failed_check":
+        "    return suites.SuiteResult(\n"
+        "        'moore', seed, [('on_purpose', False, 'this check fails')])\n",
+    "invalid_params": "    raise suites.InvalidParams('moore cannot run')\n",
+    "runtime_error": "    raise RuntimeError('moore broke')\n",
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_MOORE))
+def test_forked_suite_failures_exit_as_in_process(tmp_path, case):
+    source = ("def broken_moore(seed, samples, max_nodes):\n"
+              + _BROKEN_MOORE[case])
+    argv = ("verify", "all", "--samples", "20")
+    proc, log = _forking_run(
+        tmp_path, argv, source + "suites._RUNNERS['moore'] = broken_moore\n")
+    namespace = {"suites": grundylab.suites}
+    exec(source, namespace)
+    with mock.patch.dict(grundylab.suites._RUNNERS,
+                         moore=namespace["broken_moore"]):
+        result = run(*argv)
+    assert log.endswith(" forks, no child left")
+    assert proc.returncode == result.exit_code
+    assert proc.stdout == result.stdout_bytes
+    stderr = proc.stderr.decode()
+    if case == "failed_check":
+        assert result.exit_code == 1 and stderr == ""
+        assert "  FAIL on_purpose: this check fails" in result.stdout
+    elif case == "invalid_params":
+        assert result.exit_code == 2 and result.stdout == ""
+        assert stderr.splitlines() == ["error: moore cannot run"]
+        assert stderr == result.stderr
+    elif _cpus() > 1:
+        assert result.exit_code == 1 and result.stdout == ""
+        # the child's traceback first, as the cause of the parent's raise
+        assert stderr.startswith("grundylab.cli._ChildTraceback: suite "
+                                 "moore, in its child process:\nTraceback")
+        assert (stderr.index("in broken_moore")
+                < stderr.index("in _run_all_forked"))
+        assert stderr.rstrip().endswith("RuntimeError: moore broke")
 
 
 def test_sum_command(tmp_path):
