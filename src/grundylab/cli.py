@@ -11,9 +11,9 @@ import os
 import sys
 
 from .core import GameError, InvalidParams, UnknownPosition
-from .core import enumerate_subgame
-from .fixtures import (FIXTURE_NAMES, fixture_adjacency, fixture_roots,
-                       load_fixture, rooted_fixture)
+from .core import enumerate_subgame, source_nodes
+from .fixtures import (FIXTURE_NAMES, fixture_adjacency, game_from_adjacency,
+                       rooted_fixture)
 from .grundy import sg_labels, to_csv, to_json, write_csv
 from .classify import classify
 from .suites import SUITES, check_sizes, run_suite
@@ -28,99 +28,95 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
-def _parse_root(text: str, game):
-    """A family position from comma-separated integer coordinates."""
+def _params(opts):
+    """The family parameters: ``--params`` with the one-parameter options
+    laid over it."""
     try:
-        root = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise InvalidParams(
-            f"root {text!r} must be comma-separated integers") from None
-    _check_root(root, game)
-    return root
-
-
-def _check_root(root, game):
-    """Raise unless ``root`` has the family's arity and no negative
-    coordinate."""
-    arity = zoo.TABLE[game.family].arity(game.params)
-    if arity is not None and len(root) != arity:
-        raise InvalidParams(f"{game.family} positions have {arity} "
-                            f"coordinates, root {list(root)} has {len(root)}")
-    if any(c < 0 for c in root):
-        raise InvalidParams(f"root {list(root)} has a negative coordinate")
-
-
-def _merge_params(params_json, a, b, n, k, shape, subtraction_set):
-    try:
-        params = json.loads(params_json) if params_json else {}
+        params = json.loads(opts.params) if opts.params else {}
     except ValueError as exc:
         raise InvalidParams(f"--params is not JSON: {exc}") from None
     if not isinstance(params, dict):
         raise InvalidParams("--params must be a JSON object")
-    for key, value in (("a", a), ("b", b), ("n", n), ("k", k),
-                       ("shape", shape)):
-        if value is not None:
-            params[key] = value
-    if subtraction_set:
+    for key in ("a", "b", "n", "k", "shape"):
+        if getattr(opts, key) is not None:
+            params[key] = getattr(opts, key)
+    if opts.set:
         try:
-            params["x"] = tuple(int(v) for v in subtraction_set.split(","))
+            params["x"] = tuple(int(v) for v in opts.set.split(","))
         except ValueError:
-            raise InvalidParams(f"--set {subtraction_set!r} must be "
+            raise InvalidParams(f"--set {opts.set!r} must be "
                                 "comma-separated integers") from None
     return params
 
 
-def _build_game(family, fixture, params, use_symmetry):
-    if (family is None) == (fixture is None):
-        _fail("give exactly one of --family / --fixture")
-    if fixture is not None:
-        return load_fixture(fixture), None
-    return zoo.make_family(family, params, use_symmetry=use_symmetry), params
+def _source(fixture, family, params, symmetry, roots, box=None):
+    """The game and its roots: the fixture named when ``family`` is None,
+    else the family with ``params``.
 
-
-def _fixture_root_list(fixture, roots):
-    """``roots`` after checking each names a node of ``fixture``; the
-    fixture's source nodes when ``roots`` is empty."""
+    A fixture's roots are node names, its source nodes when none are
+    given.  A family's roots are positions, as tuples of integers or as
+    comma-separated integers; when none are given, every position with
+    coordinates <= ``box``.
+    """
+    if family is None:
+        nodes = fixture_adjacency(fixture)
+        game = game_from_adjacency(fixture, nodes)
+        if not roots:
+            return game, source_nodes(nodes)
+        for r in roots:
+            if not isinstance(r, str) or r not in nodes:
+                raise UnknownPosition(f"fixture {fixture} has no node {r!r}")
+        return game, list(roots)
+    game = zoo.make_family(family, params, use_symmetry=symmetry)
+    arity = zoo.TABLE[family].arity(game.params)
     if not roots:
-        return fixture_roots(fixture)
-    nodes = fixture_adjacency(fixture)
-    for r in roots:
-        if not isinstance(r, str) or r not in nodes:
-            raise UnknownPosition(f"fixture {fixture} has no node {r!r}")
-    return list(roots)
-
-
-def _resolve_roots(roots, fixture, box, game):
-    if fixture is not None:
-        return _fixture_root_list(fixture, roots)
-    if roots:
-        return [_parse_root(r, game) for r in roots]
-    if box is not None:
-        dims = zoo.TABLE[game.family].arity(game.params)
-        if dims is None:  # any pile count: take it from --n
-            dims = game.params.get("n")
-            if not isinstance(dims, int) or dims < 0:
+        if box is None:
+            _fail("no positions given: use --roots/--piles or --box")
+        if arity is None:  # any pile count: take it from --n
+            arity = game.params.get("n")
+            if not isinstance(arity, int) or arity < 0:
                 raise InvalidParams(f"--box needs a pile count --n >= 0 "
-                                    f"for family {game.family}")
+                                    f"for family {family}")
         if box < 0:
             raise InvalidParams(f"--box {box} is negative")
-        return zoo.box_roots(dims, box)
-    _fail("no positions given: use --roots/--piles or --box")
+        return game, zoo.box_roots(arity, box)
+    positions = []
+    for root in roots:
+        if isinstance(root, str):
+            try:
+                root = tuple(int(p) for p in root.split(","))
+            except ValueError:
+                raise InvalidParams(f"root {root!r} must be comma-separated "
+                                    "integers") from None
+        elif not all(isinstance(c, int) and not isinstance(c, bool)
+                     for c in root):
+            raise InvalidParams(f"root {list(root)} must hold integers")
+        if arity is not None and len(root) != arity:
+            raise InvalidParams(f"{family} positions have {arity} coordinates,"
+                                f" root {list(root)} has {len(root)}")
+        if any(c < 0 for c in root):
+            raise InvalidParams(f"root {list(root)} has a negative coordinate")
+        positions.append(root)
+    return game, positions
 
 
-def analyze(family, fixture, params_json, a, b, n_param, k, shape,
-            subtraction_set, roots, box, symmetry, fmt):
+def _game(opts, params):
+    """The game and roots that the shared game options name."""
+    if (opts.family is None) == (opts.fixture is None):
+        _fail("give exactly one of --family / --fixture")
+    return _source(opts.fixture, opts.family, params, opts.symmetry,
+                   opts.roots, opts.box)
+
+
+def analyze(opts):
     """Classify the game reachable from the given positions."""
     try:
-        params = _merge_params(params_json, a, b, n_param, k, shape,
-                               subtraction_set)
-        game, params = _build_game(family, fixture, params, symmetry)
-        root_list = _resolve_roots(roots, fixture, box, game)
-        lg = sg_labels(enumerate_subgame(game, root_list))
+        game, roots = _game(opts, _params(opts))
+        lg = sg_labels(enumerate_subgame(game, roots))
         report = classify(lg)
     except GameError as exc:
         _fail(str(exc))
-    if fmt == "json":
+    if opts.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(f"game: {game.family}  ({report.enumerated_bound})")
@@ -195,18 +191,17 @@ def _p_sequence_text(pairs, convention, fmt):
     return "\n".join(lines) + "\n"
 
 
-def table(family, fixture, params_json, a, b, n_param, k, shape,
-          subtraction_set, roots, box, symmetry, want_sg, want_pseq,
-          upto, convention, fmt, cache_dir):
+def table(opts):
     """Emit an SG-value table or a P-position sequence."""
-    if want_sg == want_pseq:
+    if opts.sg == opts.p_sequence:
         _fail("give exactly one of --sg / --p-sequence")
+    family, upto, convention, fmt = (opts.family, opts.upto,
+                                     opts.convention, opts.format)
     try:
-        params = _merge_params(params_json, a, b, n_param, k, shape,
-                               subtraction_set)
-        directory = cache_dir or os.environ.get("GRUNDY_CACHE_DIR")
+        params = _params(opts)
+        directory = opts.cache_dir or os.environ.get("GRUNDY_CACHE_DIR")
 
-        if want_pseq:
+        if opts.p_sequence:
             if family is None:
                 _fail("--p-sequence needs --family")
             sequence = zoo.TABLE[family].p_sequence
@@ -226,18 +221,19 @@ def table(family, fixture, params_json, a, b, n_param, k, shape,
             text = _cached_text(directory, payload, lambda: _p_sequence_text(
                 sequence(checked, upto, convention), convention, fmt))
         else:
-            game, params = _build_game(family, fixture, params, symmetry)
-            root_list = _resolve_roots(roots, fixture, box, game)
-            payload = {"kind": "sg", "family": game.family,
-                       "params": params or {}, "roots": root_list,
-                       "symmetry": symmetry, "format": fmt}
+            game, roots = _game(opts, params)
+            if family is None:
+                params = {}
+            payload = {"kind": "sg", "family": game.family, "params": params,
+                       "roots": roots, "symmetry": opts.symmetry,
+                       "format": fmt}
 
             def render():
-                lg = sg_labels(enumerate_subgame(game, root_list))
+                lg = sg_labels(enumerate_subgame(game, roots))
                 if fmt == "json":
                     return to_json(lg)
-                header = (f"family={game.family} params={params or {}} "
-                          f"roots={root_list} v{CACHE_FORMAT_VERSION}")
+                header = (f"family={game.family} params={params} "
+                          f"roots={roots} v{CACHE_FORMAT_VERSION}")
                 return to_csv(lg, header_comment=header)
 
             text = _cached_text(directory, payload, render)
@@ -357,17 +353,18 @@ def _run_all_forked(seed, samples, max_nodes):
     return results
 
 
-def verify(suite, seed, samples, max_nodes, fmt):
+def verify(opts):
     """Run a named verification battery; exit 1 on any failed check."""
+    seed, sizes = opts.seed, (opts.seed, opts.samples, opts.max_nodes)
     try:
-        if suite == "all" and _owns_process:
-            results = _run_all_forked(seed, samples, max_nodes)
+        if opts.suite == "all" and _owns_process:
+            results = _run_all_forked(*sizes)
         else:
-            results = run_suite(suite, seed, samples, max_nodes)
+            results = run_suite(opts.suite, *sizes)
     except GameError as exc:
         _fail(str(exc))
     all_ok = all(r.ok for r in results)
-    if fmt == "json":
+    if opts.format == "json":
         print(json.dumps({"seed": seed, "ok": all_ok,
                           "suites": [r.to_dict() for r in results]},
                          indent=2))
@@ -398,16 +395,10 @@ def _load_game_spec(path):
         bad(f"not JSON: {exc}")
     if not isinstance(spec, dict):
         bad("expected a JSON object")
-    roots = spec.get("roots")
+    roots, family, params = spec.get("roots"), None, None
     if roots is not None and not isinstance(roots, list):
         bad("roots must be a list")
-    if "fixture" in spec:
-        game = load_fixture(spec["fixture"])
-        try:
-            roots = _fixture_root_list(spec["fixture"], roots)
-        except UnknownPosition as exc:
-            bad(str(exc))
-    else:
+    if "fixture" not in spec:
         family, params = spec.get("family"), spec.get("params") or {}
         if not isinstance(family, str):
             bad("needs a family name or a fixture")
@@ -416,29 +407,24 @@ def _load_game_spec(path):
         if not roots:
             bad("a family spec needs at least one root")
         roots = [tuple(r) if isinstance(r, list) else (r,) for r in roots]
-        game = zoo.make_family(family, params,
-                               use_symmetry=bool(spec.get("symmetry")))
-        for r in roots:
-            if not all(isinstance(c, int) and not isinstance(c, bool)
-                       for c in r):
-                bad(f"root {list(r)} must hold integers")
-            try:
-                _check_root(r, game)
-            except InvalidParams as exc:
-                bad(str(exc))
-    return game, roots
+    try:
+        return _source(spec.get("fixture"), family, params,
+                       bool(spec.get("symmetry")), roots)
+    except GameError as exc:
+        bad(str(exc))
 
 
-def sum_cmd(game_specs, target, table_path):
+def sum_cmd(opts):
     """Analyze the disjunctive sum of two or more games."""
-    if len(game_specs) < 2:
+    target, table_path = opts.target, opts.table
+    if len(opts.game) < 2:
         _fail("a sum needs at least two --game specs")
     if table_path is not None and os.path.isdir(table_path):
         # refused before the sum is built, not after
         _fail(f"cannot write --table {table_path}: "
               f"{os.strerror(errno.EISDIR)}")
     try:
-        specs = [_load_game_spec(path) for path in game_specs]
+        specs = [_load_game_spec(path) for path in opts.game]
         summands = [enumerate_subgame(game, roots) for game, roots in specs]
         if target is None:
             lg = sg_labels(sum_graph(summands))
@@ -471,7 +457,7 @@ def sum_cmd(game_specs, target, table_path):
     sys.exit(0)
 
 
-def fixtures_cmd(fmt):
+def fixtures_cmd(opts):
     """List the bundled example games with their class verdicts."""
     rows = []
     for name in FIXTURE_NAMES:
@@ -479,7 +465,7 @@ def fixtures_cmd(fmt):
         report = classify(lg)
         rows.append({"name": name, "nodes": len(lg.graph),
                      "verdicts": report.verdicts})
-    if fmt == "json":
+    if opts.format == "json":
         print(json.dumps(rows, indent=2))
     else:
         for row in rows:
@@ -501,16 +487,16 @@ def _game_options():
     opts = argparse.ArgumentParser(add_help=False)
     opts.add_argument("--family", choices=zoo.FAMILIES)
     opts.add_argument("--fixture", choices=FIXTURE_NAMES)
-    opts.add_argument("--params", dest="params_json", metavar="JSON",
+    opts.add_argument("--params", metavar="JSON",
                       help="family parameters as a JSON object")
     opts.add_argument("--a", type=int)
     opts.add_argument("--b", type=int)
-    opts.add_argument("--n", dest="n_param", metavar="N", type=int)
+    opts.add_argument("--n", type=int)
     opts.add_argument("--k", type=int)
     opts.add_argument("--shape")
-    opts.add_argument("--set", dest="subtraction_set", metavar="SET",
+    opts.add_argument("--set", metavar="SET",
                       help="subtraction set, comma separated")
-    opts.add_argument("--roots", "--piles", dest="roots", action="append",
+    opts.add_argument("--roots", "--piles", action="append",
                       metavar="POSITION",
                       help="starting positions, comma-separated coordinates")
     opts.add_argument("--box", type=int,
@@ -538,20 +524,18 @@ def _parser(prog):
         return cmd
 
     cmd = command("analyze", analyze, game)
-    cmd.add_argument("--format", dest="fmt", choices=["json", "text"],
-                     default="text")
+    cmd.add_argument("--format", choices=["json", "text"], default="text")
 
     cmd = command("table", table, game)
-    cmd.add_argument("--sg", dest="want_sg", action="store_true",
+    cmd.add_argument("--sg", action="store_true",
                      help="emit the value table")
-    cmd.add_argument("--p-sequence", dest="want_pseq", action="store_true",
+    cmd.add_argument("--p-sequence", action="store_true",
                      help="emit the P-position sequence")
-    cmd.add_argument("--upto", "--n-max", dest="upto", type=int,
+    cmd.add_argument("--upto", "--n-max", type=int,
                      help="largest sequence index for --p-sequence")
     cmd.add_argument("--convention", choices=["normal", "misere"],
                      default="normal")
-    cmd.add_argument("--format", dest="fmt", choices=["csv", "json"],
-                     default="csv")
+    cmd.add_argument("--format", choices=["csv", "json"], default="csv")
     cmd.add_argument("--cache-dir",
                      help="cache directory (defaults to $GRUNDY_CACHE_DIR)")
 
@@ -564,23 +548,21 @@ def _parser(prog):
                           "(default: %(default)s)")
     cmd.add_argument("--max-nodes", type=int, default=12,
                      help="(default: %(default)s)")
-    cmd.add_argument("--format", dest="fmt", choices=["json", "text"],
-                     default="text")
+    cmd.add_argument("--format", choices=["json", "text"], default="text")
 
     cmd = command("sum", sum_cmd)
-    cmd.add_argument("--game", dest="game_specs", action="append",
+    cmd.add_argument("--game", action="append",
                      required=True, metavar="SPEC",
                      help="JSON game spec; repeat for each summand")
     cmd.add_argument("--target", choices=["domestic", "tame", "pet",
                                           "miserable", "forced",
                                           "returnable"],
                      help="class whose closure under the sum to check")
-    cmd.add_argument("--table", dest="table_path", metavar="CSV",
+    cmd.add_argument("--table", metavar="CSV",
                      help="also write the product SG table as CSV")
 
     cmd = command("fixtures", fixtures_cmd)
-    cmd.add_argument("--format", dest="fmt", choices=["json", "text"],
-                     default="text")
+    cmd.add_argument("--format", choices=["json", "text"], default="text")
     return top
 
 
@@ -591,8 +573,8 @@ class _Main:
     accepted and changes nothing."""
 
     def main(self, args=None, prog_name="grundylab", standalone_mode=True):
-        options = vars(_parser(prog_name).parse_args(args))
-        options.pop("handler")(**options)
+        opts = _parser(prog_name).parse_args(args)
+        opts.handler(opts)
 
     __call__ = main
 
@@ -612,12 +594,22 @@ def run():
     collections of interpreter shutdown then skip it.  ``verify all`` runs
     its suites in child processes (``_run_all_forked``).  Tests and
     in-process callers call ``main`` directly, so they freeze nothing and
-    fork nothing.
+    fork nothing.  A stdout whose reader has gone is an exit 2: stdout is
+    flushed here, where that is caught, not at interpreter exit.
     """
     global _owns_process
     gc.freeze()
     _owns_process = True
-    main()
+    try:
+        try:
+            main()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # what is left of the output goes nowhere, so the interpreter's
+        # final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _fail(f"cannot write to stdout: {exc.strerror}")
 
 
 if __name__ == "__main__":

@@ -41,12 +41,21 @@ def _fixed(value):
 # --- move rules: checked params -> option function; a family without
 # parameters has its option function here instead ---------------------------
 
+def _lowered(p, sizes):
+    """Each position reached by choosing a set of non-empty piles of ``p``,
+    of one of ``sizes``, and lowering each to any smaller height."""
+    idx = [i for i, x in enumerate(p) if x > 0]
+    for size in sizes:
+        for subset in itertools.combinations(idx, size):
+            for news in itertools.product(*(range(p[i]) for i in subset)):
+                q = list(p)
+                for i, v in zip(subset, news):
+                    q[i] = v
+                yield tuple(q)
+
+
 def _nim(p):
-    out = []
-    for i, x in enumerate(p):
-        for v in range(x):
-            out.append(p[:i] + (v,) + p[i + 1:])
-    return out
+    return list(_lowered(p, (1,)))
 
 
 def _subtraction(params):
@@ -145,62 +154,30 @@ def _wyt_ab(params):
 
 
 def _moore_nim(params):
-    n, k = params["n"], params["k"]
-
-    def options(p):
-        out = []
-        idx = [i for i in range(n) if p[i] > 0]
-        for size in range(1, min(k, len(idx)) + 1):
-            for subset in itertools.combinations(idx, size):
-                for news in itertools.product(*(range(p[i]) for i in subset)):
-                    q = list(p)
-                    for i, v in zip(subset, news):
-                        q[i] = v
-                    out.append(tuple(q))
-        return out
-
-    return options
+    sizes = range(1, params["k"] + 1)
+    return lambda p: list(_lowered(p, sizes))
 
 
 def _extended_nim(params):
-    n, k = params["n"], params["k"]
+    sizes = range(1, params["k"] + 1)
 
     def options(p):
         x0, rest = p[0], p[1:]
+        tails = list(_lowered(rest, sizes))
         out = set()
-        idx = [i for i in range(n) if rest[i] > 0]
         for new0 in range(x0 + 1):
             if new0 < x0:
                 out.add((new0,) + rest)  # reducing only the extra pile
-            for size in range(1, min(k, len(idx)) + 1):
-                for subset in itertools.combinations(idx, size):
-                    for news in itertools.product(*(range(rest[i]) for i in subset)):
-                        q = list(rest)
-                        for i, v in zip(subset, news):
-                            q[i] = v
-                        out.add((new0,) + tuple(q))
+            for q in tails:
+                out.add((new0,) + q)
         return list(out)
 
     return options
 
 
 def _exact_nim(params):
-    n, k = params["n"], params["k"]
-
-    def options(p):
-        idx = [i for i in range(n) if p[i] > 0]
-        if len(idx) < k:
-            return []
-        out = []
-        for subset in itertools.combinations(idx, k):
-            for news in itertools.product(*(range(p[i]) for i in subset)):
-                q = list(p)
-                for i, v in zip(subset, news):
-                    q[i] = v
-                out.append(tuple(q))
-        return out
-
-    return options
+    sizes = (params["k"],)
+    return lambda p: list(_lowered(p, sizes))
 
 
 def _slow_nim(params):

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import grundylab.cli
+import grundylab.fixtures
 import grundylab.sums
 from grundylab import (enumerate_subgame, load_fixture, sg_labels,
                        sum_game)
@@ -329,6 +330,32 @@ def test_module_entry_point_matches_in_process_main(argv, code):
     assert proc.returncode == result.exit_code == code
     assert proc.stdout == result.stdout_bytes
     assert proc.stderr == result.stderr.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    # about 30 kB: the write itself meets the closed pipe
+    ("table", "--family", "subtraction", "--set", "1,2", "--roots", "3000",
+     "--sg"),
+    # a few hundred bytes, held in the buffer until stdout is flushed
+    ("verify", "fixtures"),
+], ids=["large_write", "final_flush"])
+def test_closed_stdout_exits_2_with_one_line(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(grundylab.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)  # keep stdout buffered
+    try:
+        proc = subprocess.run([sys.executable, "-m", "grundylab.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write)
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert stderr.splitlines() == [
+        f"error: cannot write to stdout: {os.strerror(errno.EPIPE)}"]
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
 _GAME_OPTIONS = ("--family", "--fixture", "--params", "--a", "--b", "--n",
@@ -755,6 +782,27 @@ def test_sum_builds_product_once(tmp_path, monkeypatch):
     assert calls == {"sg_labels": 3, "classify": 3}
 
 
+@pytest.mark.parametrize("argv,spec", [
+    (["analyze", "--fixture", "pet"], None),
+    (["table", "--fixture", "pet", "--sg"], None),
+    (["table", "--fixture", "pet", "--sg", "--roots", "B"], None),
+    (["sum"], {"fixture": "pet"}),
+], ids=["analyze", "table", "table_roots", "sum_spec"])
+def test_fixture_file_is_read_once(argv, spec, tmp_path, monkeypatch):
+    calls = []
+    read = grundylab.fixtures.fixture_adjacency
+
+    def counted(name):
+        calls.append(name)
+        return read(name)
+
+    for module in (grundylab.cli, grundylab.fixtures):
+        monkeypatch.setattr(module, "fixture_adjacency", counted)
+    result = _invoke_with_spec(argv, spec, str(tmp_path))
+    assert result.exit_code == 0, result.output
+    assert calls == ["pet"]
+
+
 def test_fixtures_listing():
     result = run("fixtures")
     assert result.exit_code == 0
@@ -837,6 +885,13 @@ _BAD_PARAMS = [
     pytest.param(["sum"], {"family": "subtraction", "params": {"x": [True]},
                            "roots": [[3]]}, "subtraction parameter x",
                  id="sum-subtraction-bool"),
+    pytest.param(["sum"], {"family": "subtraction", "params": {"x": [0]},
+                           "roots": [[3]]}, "subtraction parameter x",
+                 id="sum-subtraction-zero"),
+    pytest.param(["sum"], {"family": "nope", "roots": [[1]]},
+                 "unknown family 'nope'", id="sum-unknown-family"),
+    pytest.param(["sum"], {"fixture": "nope"}, "unknown fixture 'nope'",
+                 id="sum-unknown-fixture"),
     pytest.param(["table", "--p-sequence", "--family", "wyt_a", "--a", "0"],
                  None, "wyt_a parameter a", id="p-sequence-wyt_a-a0"),
     pytest.param(["table", "--family", "wythoff", "--p-sequence", "--n",
@@ -863,7 +918,11 @@ def _invoke_with_spec(argv, spec, directory):
 
 @pytest.mark.parametrize("argv,spec,text", _BAD_PARAMS)
 def test_bad_parameter_exits_2(argv, spec, text, tmp_path):
-    _assert_error_line(_invoke_with_spec(argv, spec, str(tmp_path)), text)
+    result = _invoke_with_spec(argv, spec, str(tmp_path))
+    _assert_error_line(result, text)
+    if spec is not None:  # the line names the spec's file
+        assert result.stderr.startswith(
+            f"error: bad game spec {tmp_path / 'a.json'}: ")
 
 
 _FUZZ_JUNK = st.sampled_from(["x", "", "1,,2", "2.5", "A", "E"])
