@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
+import io
 import json
 import os
 import sys
@@ -595,11 +596,19 @@ def run():
     its suites in child processes (``_run_all_forked``).  Tests and
     in-process callers call ``main`` directly, so they freeze nothing and
     fork nothing.  A stdout whose reader has gone is an exit 2: stdout is
-    flushed here, where that is caught, not at interpreter exit.
+    flushed here, where that is caught, not at interpreter exit.  An
+    unbuffered stdout (``python -u``, ``PYTHONUNBUFFERED``) is given a
+    buffer first: without one a text write is a single raw write, which
+    may take only part of the text and drop the rest with no error.
     """
     global _owns_process
     gc.freeze()
     _owns_process = True
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(
+            open(out.fileno(), "wb", closefd=False),
+            encoding=out.encoding, errors=out.errors)
     try:
         try:
             main()

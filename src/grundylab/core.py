@@ -6,6 +6,8 @@ non-negative ints; explicit fixtures use string node ids.
 
 from __future__ import annotations
 
+import itertools
+import math
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -85,12 +87,21 @@ class GameDef:
     with the move rule and be idempotent (``canonical(canonical(p)) ==
     canonical(p)``): enumeration looks a raw option up before
     canonicalising it, and trusts a hit.
+
+    ``box_rows`` (optional, never with ``canonical``) builds the rows of a
+    full origin box at once: given the box's largest position ``bounds``, a
+    tuple of integers, it returns ``(offsets, targets)`` for the nodes
+    numbered as ``itertools.product(*(range(b + 1) for b in bounds))``
+    lists them.  Each row must give the same options in the same order as
+    ``options``.  ``enumerate_subgame`` calls it only when the roots are
+    that box, in that order.
     """
 
     family: str
     params: dict = field(default_factory=dict)
     options: Callable[[Position], list] = None
     canonical: Callable[[Position], Position] | None = None
+    box_rows: Callable[[tuple], tuple] | None = None
 
     def canon(self, p: Position) -> Position:
         return p if self.canonical is None else self.canonical(p)
@@ -211,11 +222,20 @@ def enumerate_subgame(game: GameDef, roots: Iterable[Position],
 
     Breadth-first closure under the move rule that numbers each node when
     it is first seen, then one depth-first pass that orders the nodes and
-    doubles as the mandatory cycle check.
+    doubles as the mandatory cycle check.  When the roots are a full origin
+    box (``_box_bounds``) and the game has ``box_rows``, the box is closed
+    and numbered already, so its rows are built at once.
     """
     positions = list(dict.fromkeys(game.canon(r) for r in roots))
     root_count = len(positions)
     index = {x: i for i, x in enumerate(positions)}
+    if game.box_rows is not None:
+        bounds = _box_bounds(positions)
+        if bounds is not None:
+            if root_count > node_cap:
+                raise LimitExceeded(f"node cap {node_cap} exceeded")
+            return ReachableGraph(positions, positions, index,
+                                  *game.box_rows(bounds))
     get = index.get
     options, canonical = game.options, game.canonical
     offsets, targets = array("i", [0]), array("i")
@@ -252,6 +272,22 @@ def enumerate_subgame(game: GameDef, roots: Iterable[Position],
     del taken_by  # not held through the ordering pass
     return ReachableGraph(positions[:root_count], positions, index,
                           offsets, targets)
+
+
+def _box_bounds(positions):
+    """The last position, when ``positions`` are every integer vector of
+    the origin box it bounds in ``itertools.product`` order; else None."""
+    if not positions:
+        return None
+    bounds = positions[-1]
+    try:
+        # the length first: a single root that is not the origin stops here
+        if len(positions) != math.prod(b + 1 for b in bounds):
+            return None
+        box = itertools.product(*(range(b + 1) for b in bounds))
+    except TypeError:  # not a vector of integers
+        return None
+    return bounds if positions == list(box) else None
 
 
 def graph_from_adjacency(adj: dict, roots=None) -> ReachableGraph:

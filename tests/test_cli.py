@@ -182,11 +182,18 @@ _PINNED_OUTPUTS = [
     (("analyze", "--family", "subtraction", "--set", "3,4,8,9,10,12",
       "--roots", "5000", "--format", "json"),
      "05274d049edf99dd5b1568bfd329f5130ee93e889ec4723f7eb5751f87419b34"),
+    # recorded while every box was enumerated breadth-first
+    (("analyze", "--family", "nim", "--n", "3", "--box", "12", "--format",
+      "json"),
+     "edd3fdb6df968f2872ff7aa9500a2bddaed22d88819489db63f442e655d392ab"),
+    (("table", "--family", "nim", "--n", "3", "--box", "8", "--sg"),
+     "e3cea6014b6f6aa2edbf5189beccd02808f7e9aeecc195590bf358addb9decaf"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", _PINNED_OUTPUTS,
-                         ids=["wythoff_table", "nim_table", "subtraction"])
+                         ids=["wythoff_table", "nim_table", "subtraction",
+                              "nim_box_analyze", "nim_box_table"])
 def test_output_bytes_pinned(argv, digest):
     result = run(*argv, env={"GRUNDY_CACHE_DIR": None})
     assert result.exit_code == 0
@@ -332,30 +339,63 @@ def test_module_entry_point_matches_in_process_main(argv, code):
     assert proc.stderr == result.stderr.encode()
 
 
-@pytest.mark.parametrize("argv", [
-    # about 30 kB: the write itself meets the closed pipe
-    ("table", "--family", "subtraction", "--set", "1,2", "--roots", "3000",
-     "--sg"),
-    # a few hundred bytes, held in the buffer until stdout is flushed
-    ("verify", "fixtures"),
-], ids=["large_write", "final_flush"])
-def test_closed_stdout_exits_2_with_one_line(argv):
-    read, write = os.pipe()
-    os.close(read)  # the reader is gone before the command writes
+def _stdout_env(unbuffered):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(grundylab.__file__)))
-    env.pop("PYTHONUNBUFFERED", None)  # keep stdout buffered
-    try:
-        proc = subprocess.run([sys.executable, "-m", "grundylab.cli", *argv],
-                              stdout=write, stderr=subprocess.PIPE, env=env,
-                              timeout=120)
-    finally:
-        os.close(write)
-    stderr = proc.stderr.decode()
-    assert proc.returncode == 2
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return env
+
+
+def _assert_broken_pipe_line(returncode, stderr):
+    stderr = stderr.decode()
+    assert returncode == 2
     assert stderr.splitlines() == [
         f"error: cannot write to stdout: {os.strerror(errno.EPIPE)}"]
     assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+# about 30 kB: the write itself meets the closed pipe
+_LARGE_WRITE = ("table", "--family", "subtraction", "--set", "1,2",
+                "--roots", "3000", "--sg")
+# a few hundred bytes, held in the buffer until stdout is flushed
+_FINAL_FLUSH = ("verify", "fixtures")
+
+
+# each case also runs with PYTHONUNBUFFERED=1, as python -u does
+@pytest.mark.parametrize("argv,unbuffered", [
+    (_LARGE_WRITE, None), (_FINAL_FLUSH, None),
+    (_LARGE_WRITE, "1"), (_FINAL_FLUSH, "1"),
+], ids=["large_write", "final_flush", "large_write_unbuffered",
+        "final_flush_unbuffered"])
+def test_closed_stdout_exits_2_with_one_line(argv, unbuffered):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "grundylab.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE,
+                              env=_stdout_env(unbuffered), timeout=120)
+    finally:
+        os.close(write)
+    _assert_broken_pipe_line(proc.returncode, proc.stderr)
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"],
+                         ids=["buffered", "unbuffered"])
+def test_reader_leaving_mid_write_exits_2_with_one_line(unbuffered):
+    # about 1 MB in one text write, more than a pipe holds: the reader
+    # leaves after one byte, while the write is part done, so an
+    # unbuffered raw write returns short instead of failing
+    argv = ("table", "--family", "mark", "--roots", "100000", "--sg")
+    with subprocess.Popen([sys.executable, "-m", "grundylab.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_stdout_env(unbuffered)) as proc:
+        assert proc.stdout.read(1)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.wait(timeout=120)
+    _assert_broken_pipe_line(proc.returncode, stderr)
 
 
 _GAME_OPTIONS = ("--family", "--fixture", "--params", "--a", "--b", "--n",

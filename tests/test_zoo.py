@@ -1,12 +1,16 @@
+import dataclasses
+import itertools
 import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from grundylab import (
     InvalidParams,
+    LimitExceeded,
     UnsupportedParams,
+    classify,
     enumerate_subgame,
     mex,
     sg_labels,
@@ -434,3 +438,110 @@ def test_ferguson_rejects_bad_set():
 def test_box_roots():
     assert set(box_roots(2, 1)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert set(box_roots(1, 2, floor=1)) == {(1,), (2,)}
+
+
+# --- full boxes by index arithmetic ------------------------------------------
+
+def _box(bounds):
+    return list(itertools.product(*(range(b + 1) for b in bounds)))
+
+
+def _outcome(game, roots):
+    """Everything enumeration, labelling and classification give."""
+    lg = sg_labels(enumerate_subgame(game, roots))
+    graph, report = lg.graph, classify(lg)
+    return (graph.positions, graph.index, graph.offsets, graph.targets,
+            graph.order, graph.depths, lg.g, lg.g_minus, report.verdicts,
+            report.witnesses)
+
+
+def _breadth_first(game):
+    return dataclasses.replace(game, box_rows=None)
+
+
+def _box_only(game):
+    """The game with no option function: only the box path can enumerate."""
+    return dataclasses.replace(game, options=None)
+
+
+def _no_box(game):
+    def refuse(bounds):
+        raise AssertionError(f"box path taken for {bounds}")
+    return dataclasses.replace(game, box_rows=refuse)
+
+
+_WYTHOFF_BOUNDS = st.tuples(st.integers(0, 12), st.integers(0, 12))
+_NIM_BOUNDS = st.lists(st.integers(0, 4), max_size=4).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_bounds=st.one_of(_WYTHOFF_BOUNDS.map(lambda b: ("wythoff", b)),
+                               _NIM_BOUNDS.map(lambda b: ("nim", b))))
+def test_box_path_equals_breadth_first(family_bounds):
+    family, bounds = family_bounds
+    game, roots = make_family(family), _box(bounds)
+    assert game.box_rows is not None
+    assert (_outcome(_box_only(game), roots)
+            == _outcome(_breadth_first(game), roots))
+
+
+def _drop_last_move(offsets, targets):
+    i = max(i for i in range(len(offsets) - 1) if offsets[i] < offsets[i + 1])
+    del targets[offsets[i + 1] - 1]
+    for j in range(i + 1, len(offsets)):
+        offsets[j] -= 1
+
+
+def _swap_two_moves(offsets, targets):
+    i = next(i for i in range(len(offsets) - 1)
+             if offsets[i + 1] - offsets[i] >= 2)
+    a = offsets[i]
+    targets[a], targets[a + 1] = targets[a + 1], targets[a]
+
+
+@pytest.mark.parametrize("mutate", [_drop_last_move, _swap_two_moves])
+@pytest.mark.parametrize("family,bounds", [("wythoff", (3, 4)),
+                                           ("nim", (2, 0, 3))])
+def test_box_path_comparison_catches_a_wrong_rule(family, bounds, mutate):
+    game = make_family(family)
+
+    def mutated(bounds):
+        offsets, targets = game.box_rows(bounds)
+        mutate(offsets, targets)
+        return offsets, targets
+
+    roots = _box(bounds)
+    assert (_outcome(_box_only(dataclasses.replace(game, box_rows=mutated)),
+                     roots)
+            != _outcome(_breadth_first(game), roots))
+
+
+@pytest.mark.parametrize("roots", [
+    _box((3, 3))[:-1],                     # a partial box
+    _box((3, 3))[::-1],                    # the box in another order
+    [(0, 1), (0, 0), (1, 0), (1, 1)],
+    box_roots(2, 3, floor=1),              # not from the origin
+    [(3, 3)],                              # a corner root
+    _box((3, 3)) + [(4, 0)],               # a box and one more root
+], ids=["partial", "reversed", "permuted", "floor", "corner", "extra"])
+def test_other_roots_take_the_breadth_first_path(roots):
+    game = make_family("wythoff")
+    assert (_outcome(_no_box(game), roots)
+            == _outcome(_breadth_first(game), roots))
+
+
+def test_box_path_only_without_symmetry():
+    assert [f for f in FAMILIES if TABLE[f].box_rows] == ["nim", "wythoff"]
+    for family in ("nim", "wythoff"):
+        game = make_family(family, use_symmetry=True)
+        assert game.canonical is not None and game.box_rows is None
+
+
+@pytest.mark.parametrize("game", [_box_only(make_family("wythoff")),
+                                  _breadth_first(make_family("wythoff"))],
+                         ids=["box", "breadth_first"])
+def test_box_node_cap(game):
+    roots = box_roots(2, 3)
+    with pytest.raises(LimitExceeded, match="^node cap 15 exceeded$"):
+        enumerate_subgame(game, roots, node_cap=15)
+    assert len(enumerate_subgame(game, roots, node_cap=16)) == 16
