@@ -165,8 +165,8 @@ _PET_CONDITIONS = {
 def _witnesses(lg: LabeledGraph, rows: dict) -> dict:
     """name -> (node, label, reason) for every row some node violates.
 
-    The witness is the smallest violating node by ``sort_key``; ties go to
-    the first in graph order.
+    The witness is the smallest violating node by (depth, position string);
+    ties go to the first in graph order.
     """
     packed = _packed_masks(lg)
     depths, positions = lg.graph.depths, lg.graph.positions
@@ -373,13 +373,15 @@ def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
     index, positions = graph.index, graph.positions
     offsets, targets = graph.offsets, graph.targets
     named = [(name, sets[name]) for name in _REQUIRED[target]]
-    terminals = set(graph.terminals())
+    # each set's node numbers in ascending order, the order every condition
+    # reports its failures in, whatever the positions' hashes
+    nodes = {name: sorted(i for i in map(index.get, s) if i is not None)
+             for name, s in named}
 
     own = [0] * len(graph)
-    for name, s in named:
-        for x in s:
-            if x in index:
-                own[index[x]] |= _PAIR_CLASS[_SET_LABELS[name]]
+    for name, ids in nodes.items():
+        for i in ids:
+            own[i] |= _PAIR_CLASS[_SET_LABELS[name]]
     reach = []
     for x in range(len(graph)):
         r = 0
@@ -387,36 +389,39 @@ def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
             r |= own[y]
         reach.append(r)
 
-    # pairwise disjoint
+    # pairwise disjoint, naming the shared member of the smallest number
     for i, (na, sa) in enumerate(named):
         for nb, sb in named[i + 1:]:
             overlap = sa & sb
             if overlap:
-                fail(("disjoint", next(iter(overlap)), f"{na} and {nb} overlap"))
+                first = min(overlap, key=lambda x: (index.get(x, len(graph)),
+                                                    repr(x)))
+                fail(("disjoint", first, f"{na} and {nb} overlap"))
 
     # (i) independence
-    for name, s in named:
-        for x in s:
-            if x in index and reach[index[x]] & _PAIR_CLASS[_SET_LABELS[name]]:
-                fail(("i", x, f"move inside {name}"))
+    for name, ids in nodes.items():
+        for i in ids:
+            if reach[i] & _PAIR_CLASS[_SET_LABELS[name]]:
+                fail(("i", positions[i], f"move inside {name}"))
 
     # (ii) terminals
-    for x in sorted(terminals - cand.v01, key=repr):
+    for x in sorted(set(graph.terminals()) - cand.v01, key=repr):
         fail(("ii", x, "terminal not in v01"))
 
-    unknown = [x for _, s in named for x in s if x not in index]
+    unknown = sorted((x for _, s in named for x in s if x not in index),
+                     key=repr)
     for x in unknown:
         fail(("membership", x, "candidate position not in graph"))
     if unknown:
         return report
 
-    members = dict(named, rest=[x for i, x in enumerate(positions)
-                                if not own[i] & (SWAP | V00)])
-    members["v01 - terminals"] = cand.v01 - terminals
+    nodes["rest"] = [i for i in range(len(graph)) if not own[i] & (SWAP | V00)]
+    nodes["v01 - terminals"] = [i for i in nodes["v01"]
+                                if offsets[i] != offsets[i + 1]]
     for cond, name, need, avoid in _STRUCTURE[target]:
         who = "" if name == "rest" else f"{name[:3]} position "
-        for x in members[name]:
-            r = reach[index[x]]
+        for i in nodes[name]:
+            r, x = reach[i], positions[i]
             if need and not r & need:
                 fail((cond, x, f"{who}not movable to {_REACH_NAMES[need]}"))
             if r & avoid:

@@ -13,8 +13,8 @@ import sys
 
 from .core import GameError, InvalidParams, UnknownPosition
 from .core import enumerate_subgame, source_nodes
-from .fixtures import (FIXTURE_NAMES, fixture_adjacency, game_from_adjacency,
-                       rooted_fixture)
+from .fixtures import (FIXTURE_NAMES, fixture_adjacency, fixture_graph,
+                       game_from_adjacency)
 from .grundy import sg_labels, to_csv, to_json, write_csv
 from .classify import classify
 from .suites import SUITES, check_sizes, run_suite
@@ -438,7 +438,7 @@ def sum_cmd(opts):
         if target is not None:
             out["closure"] = {
                 "target": target,
-                "summands_in_class": [r.verdicts.get(target, False)
+                "summands_in_class": [r.verdicts[target]
                                       for r in closure.summand_reports],
                 "sum_in_class": closure.holds,
                 "label_mismatches": [
@@ -462,7 +462,7 @@ def fixtures_cmd(opts):
     """List the bundled example games with their class verdicts."""
     rows = []
     for name in FIXTURE_NAMES:
-        lg = sg_labels(enumerate_subgame(*rooted_fixture(name)))
+        lg = sg_labels(fixture_graph(name))
         report = classify(lg)
         rows.append({"name": name, "nodes": len(lg.graph),
                      "verdicts": report.verdicts})

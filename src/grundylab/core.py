@@ -124,27 +124,21 @@ class ReachableGraph:
     sparse rows of ``array('i')``).  ``order`` lists the node numbers with
     every move source before its targets, and ``depths[i]`` is d(node i).
     ``succ``, ``topo`` and ``nodes`` are read-only views of the same data in
-    terms of positions.  Immutable after construction.
+    terms of positions.  Immutable after construction.  ``order`` and
+    ``depths`` come from one depth-first pass, which is also the cycle
+    check, unless the caller passes both.
     """
 
-    def __init__(self, roots, positions, index, offsets, targets):
+    def __init__(self, roots, positions, index, offsets, targets,
+                 order=None, depths=None):
         self.roots = frozenset(roots)
         self.positions = positions
         self.index = index
         self.offsets = offsets
         self.targets = targets
-        self.order, self.depths = _order_and_depths(positions, offsets, targets)
-
-    @classmethod
-    def from_order(cls, roots, positions, index, offsets, targets,
-                   order, depths) -> "ReachableGraph":
-        """A graph whose parents-first ``order`` and ``depths`` are already
-        known, so no ordering pass and no cycle check runs."""
-        graph = cls.__new__(cls)
-        vars(graph).update(roots=frozenset(roots), positions=positions,
-                           index=index, offsets=offsets, targets=targets,
-                           order=order, depths=depths)
-        return graph
+        if order is None:
+            order, depths = _order_and_depths(positions, offsets, targets)
+        self.order, self.depths = order, depths
 
     @property
     def succ(self) -> NodeView:
@@ -234,6 +228,9 @@ def enumerate_subgame(game: GameDef, roots: Iterable[Position],
         if bounds is not None:
             if root_count > node_cap:
                 raise LimitExceeded(f"node cap {node_cap} exceeded")
+            # the box's numbering is already parents-first, but the
+            # ordering DFS still runs: it is the cycle check, and an
+            # ascending depth pass over the rows measured no faster
             return ReachableGraph(positions, positions, index,
                                   *game.box_rows(bounds))
     get = index.get
@@ -383,7 +380,7 @@ def adjoin_misere_terminal(graph: ReachableGraph) -> ReachableGraph:
     offsets.append(len(rows))
     index = dict(graph.index)
     index[MISERE_TERMINAL] = n
-    return ReachableGraph.from_order(
+    return ReachableGraph(
         graph.roots, [*graph.positions, MISERE_TERMINAL], index, offsets,
         rows, graph.order + array("i", [n]),
         array("i", [d + 1 for d in graph.depths] + [0]))

@@ -6,7 +6,8 @@ File format is line oriented: ``node <id>`` declarations first, then
 
 from __future__ import annotations
 
-from .core import GameDef, UnknownFixture, source_nodes
+from .core import (GameDef, ReachableGraph, UnknownFixture,
+                   graph_from_adjacency, source_nodes)
 
 FIXTURE_NAMES = (
     "not_domestic",
@@ -67,7 +68,6 @@ def fixture_roots(name: str) -> list:
     return source_nodes(fixture_adjacency(name))
 
 
-def rooted_fixture(name: str) -> tuple:
-    """The fixture's game and its source nodes, from one read of its file."""
-    adj = fixture_adjacency(name)
-    return game_from_adjacency(name, adj), source_nodes(adj)
+def fixture_graph(name: str) -> ReachableGraph:
+    """The fixture's graph, rooted at its source nodes."""
+    return graph_from_adjacency(fixture_adjacency(name))

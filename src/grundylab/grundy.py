@@ -154,12 +154,6 @@ def position_key(x) -> str:
     return str(x)
 
 
-def sort_key(lg_or_graph, x):
-    """Deterministic report order: smallest depth, then smallest position."""
-    graph = getattr(lg_or_graph, "graph", lg_or_graph)
-    return (graph.depth(x), position_key(x))
-
-
 def position_keys(positions):
     """``position_key`` of every position, in node order.
 

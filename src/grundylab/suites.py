@@ -13,25 +13,13 @@ from __future__ import annotations
 import random
 
 from .core import InvalidParams, UnsupportedParams, enumerate_subgame
-from .fixtures import FIXTURE_NAMES, load_fixture, rooted_fixture
+from .fixtures import FIXTURE_NAMES, fixture_graph, load_fixture
 from .grundy import (misere_via_adjoined_terminal, sg_labels,
                      verify_sg_consistency)
 from .classify import CandidateSets, check_sm_equivalences, classify, verify_candidate_sets
 from .random_games import random_dag
 from .sums import check_closure, sum_graph
 from . import zoo
-
-SUITES = (
-    "fixtures",
-    "equalities",
-    "sums",
-    "ferguson",
-    "wythoff",
-    "wyt_ab",
-    "moore",
-    "ho_nim",
-)
-
 
 class SuiteResult:
     def __init__(self, suite: str, seed: int, checks: list | None = None):
@@ -78,10 +66,6 @@ def run_suite(name: str, seed: int = 0, samples: int = 1000,
     return [runner(seed, samples, max_nodes)]
 
 
-def _labeled_fixture(name):
-    return sg_labels(enumerate_subgame(*rooted_fixture(name)))
-
-
 def _tag(family, params):
     """A case name: the shape and size for ho_nim, else the family."""
     if family == "ho_nim":
@@ -115,7 +99,7 @@ FIXTURE_EXPECTATIONS = {
 def suite_fixtures(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
     res = SuiteResult("fixtures", seed)
     for name in FIXTURE_NAMES:
-        lg = _labeled_fixture(name)
+        lg = sg_labels(fixture_graph(name))
         report = classify(lg)
         expected = FIXTURE_EXPECTATIONS[name]
         bad = {p: report.verdicts[p] for p in expected
@@ -218,7 +202,7 @@ def check_xor_pairs(res, rng, pairs):
 
 def fixture_summand(name):
     """A fixture as a (name, graph) summand, rooted at its source nodes."""
-    return f"fixture:{name}", enumerate_subgame(*rooted_fixture(name))
+    return f"fixture:{name}", fixture_graph(name)
 
 
 def family_summand(family, root):
@@ -346,24 +330,24 @@ def _box_pairs(pairs, bound, symmetric):
             if max(x, y) <= bound and (x <= y or not symmetric)}
 
 
-def check_p_sets(res, name, lg, sequence, bound, symmetric):
+def check_p_sets(res, name, lg, family, params, bound, symmetric):
     """Per convention, the P-positions of the two-pile game ``lg``, the box
-    of side ``bound``, are the pairs of ``sequence(convention)`` in the box.
-    ``name`` is formatted with the convention."""
+    of side ``bound``, are the box's pairs among those of index at most
+    ``2 * bound`` of ``zoo.TABLE[family].p_sequence``, which ``table
+    --p-sequence`` prints.  ``name`` is formatted with the convention."""
+    sequence = zoo.TABLE[family].p_sequence
     for conv, value in (("normal", "g"), ("misere", "g_minus")):
-        want = _box_pairs(sequence(conv), bound, symmetric)
+        want = _box_pairs(sequence(params, 2 * bound, conv), bound, symmetric)
         got = _zeros(lg, value)
         res.add(name.format(conv), want == got,
                 f"diff {sorted(want ^ got)[:4]}")
 
 
 def check_wythoff(res, lg, bound, symmetric):
-    """Wythoff's P-positions in ``lg`` (the box of side ``bound``) are
-    ``wythoff_p``'s, and the conventions differ only at (0,0), (1,2), (0,1)
+    """Wythoff's P-positions in ``lg`` (the box of side ``bound``) are its
+    P-sequence's, and the conventions differ only at (0,0), (1,2), (0,1)
     and (2,2), in either order."""
-    check_p_sets(res, "{}_p_set", lg,
-                 lambda conv: [zoo.wythoff_p(n, conv) for n in range(bound + 1)],
-                 bound, symmetric)
+    check_p_sets(res, "{}_p_set", lg, "wythoff", {}, bound, symmetric)
     diff = _zeros(lg, "g") ^ _zeros(lg, "g_minus")
     res.add("six_position_difference",
             diff == _box_pairs([(0, 0), (1, 2), (0, 1), (2, 2)], bound,
@@ -390,9 +374,8 @@ WYT_AB_PAIRS = ((2, 1), (3, 1), (1, 2), (2, 2), (2, 3))
 
 
 def check_wyt_ab(res, lg, a, b, bound, symmetric):
-    """The P-positions of the (a, b) game ``lg`` against ``wyt_ab_sequence``."""
-    check_p_sets(res, f"a{a}_b{b}_{{}}", lg,
-                 lambda conv: zoo.wyt_ab_sequence(a, b, 2 * bound, conv),
+    """The P-positions of the (a, b) game ``lg`` against its P-sequence."""
+    check_p_sets(res, f"a{a}_b{b}_{{}}", lg, "wyt_ab", {"a": a, "b": b},
                  bound, symmetric)
 
 
@@ -536,3 +519,5 @@ _RUNNERS = {
     "moore": suite_moore,
     "ho_nim": suite_ho_nim,
 }
+
+SUITES = tuple(_RUNNERS)

@@ -11,9 +11,9 @@ from math import prod
 from operator import xor
 
 from .core import (DEFAULT_NODE_CAP, GameDef, LimitExceeded, NotTameLabel,
-                   ReachableGraph)
+                   ReachableGraph, UnknownPredicate)
 from .grundy import Label, LabeledGraph, sg_labels
-from .classify import ClassReport, classify
+from .classify import PREDICATES, ClassReport, classify
 
 
 def sum_game(games: list[GameDef]) -> GameDef:
@@ -62,7 +62,7 @@ def sum_graph(summands: list[ReachableGraph],
         m = len(g)
         order = _outer_sum(array("i", [i * m for i in order]), g.order)
         depths = _outer_sum(depths, g.depths)
-    return ReachableGraph.from_order(
+    return ReachableGraph(
         itertools.product(*(g.roots for g in summands)),
         _ProductPositions(summands), _ProductIndex(summands),
         offsets, targets, order, depths)
@@ -239,13 +239,15 @@ def check_closure(target: str, summands: list[ReachableGraph],
     tame or miserable summands the theorem-derived fast path
     (``tame_sum_label``) is cross-checked against every sum label.
     """
+    if target not in PREDICATES:
+        raise UnknownPredicate(f"unknown predicate {target!r}")
     product = sum_graph(summands, node_cap)
     summand_lgs = [sg_labels(graph) for graph in summands]
     summand_reports = [classify(lg) for lg in summand_lgs]
 
     sum_lg = sg_labels(product)
     sum_report = classify(sum_lg)
-    holds = sum_report.verdicts.get(target, False)
+    holds = sum_report.verdicts[target]
 
     mismatches = []
     if all(r.verdicts["tame"] for r in summand_reports):

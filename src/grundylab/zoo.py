@@ -317,8 +317,8 @@ TABLE = {
     "euclid_grossman": Family(_fixed(_euclid_grossman), _fixed(2),
                               symmetry=_SORTING),
     "wythoff": Family(_fixed(_wythoff), _fixed(2), symmetry=_SORTING,
-                      p_sequence=lambda p, upto, conv: [
-                          wythoff_p(i, conv) for i in range(upto + 1)],
+                      p_sequence=lambda p, upto, conv: wyt_a_sequence(
+                          1, upto, conv),
                       box_rows=_box_rows(_wythoff_lines)),
     "wyt_a": Family(_wyt_a, _fixed(2), {"a": 1}, symmetry=_SORTING,
                     p_sequence=lambda p, upto, conv: wyt_a_sequence(
@@ -447,7 +447,7 @@ def mex_b(b: int, s) -> int:
     return prev + b
 
 
-def _mex_sequence(start_pair, step, excludant=mex):
+def _mex_sequence(start_pair, step, excludant):
     """Generate (x_n, y_n) pairs where x_n is the excludant of all
     previously used coordinates and y_n = x_n + step(n)."""
     used = set(start_pair)
@@ -471,15 +471,10 @@ def wyt_a_p(a: int, n: int, convention: str = "normal") -> tuple:
 
 
 def wyt_a_sequence(a: int, upto: int, convention: str = "normal") -> list:
+    """P-position pairs 0..upto: for a >= 2 the (a, 1) game's (mex_1 is mex)."""
     if a == 1:  # Wythoff's game, whose misere pairs the recursion misses
         return [wythoff_p(n, convention) for n in range(upto + 1)]
-    if convention == "normal":
-        gen = _mex_sequence((0, 0), lambda n: a * n)
-    elif convention == "misere":
-        gen = _mex_sequence((0, 1), lambda n: a * n + 1)
-    else:
-        raise InvalidParams(f"unknown convention {convention!r}")
-    return list(itertools.islice(gen, upto + 1))
+    return wyt_ab_sequence(a, 1, upto, convention)
 
 
 def wyt_ab_sequence(a: int, b: int, upto: int,

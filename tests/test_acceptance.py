@@ -11,10 +11,10 @@ import functools
 import random
 import time
 
-from grundylab import enumerate_subgame, load_fixture, sg_labels, sum_graph
+from grundylab import enumerate_subgame, sg_labels, sum_graph
 from grundylab import suites
-from grundylab.fixtures import FIXTURE_NAMES, fixture_roots
-from grundylab.zoo import box_roots, make_family, wyt_a_sequence
+from grundylab.fixtures import FIXTURE_NAMES, fixture_graph
+from grundylab.zoo import box_roots, make_family
 
 
 def _report(num, desc, res, start, limit):
@@ -136,10 +136,9 @@ def test_criterion_5_oracle_agreement():
     for a, b in suites.WYT_AB_PAIRS:
         lg = sg_labels(graphs[(a, b)])
         suites.check_wyt_ab(res, lg, a, b, 60, symmetric=False)
-        if b == 1:  # the wyt_a recursion covers the b = 1 games as well
-            suites.check_p_sets(res, f"wyt_a{a}_{{}}", lg,
-                                lambda conv: wyt_a_sequence(a, 120, conv),
-                                60, symmetric=False)
+        if b == 1:  # the wyt_a family's sequence covers the b = 1 games too
+            suites.check_p_sets(res, f"wyt_a{a}_{{}}", lg, "wyt_a",
+                                {"a": a}, 60, symmetric=False)
     suites.check_wythoff(res, sg_labels(graphs["wythoff"]), 60, symmetric=False)
     _report(5, "closed-form oracles", res, start, 120)
 
@@ -155,8 +154,7 @@ def test_criterion_6_family_verdicts():
 
 def test_criterion_7_misere_transform_equivalence():
     start = time.perf_counter()
-    instances = [(f"fixture:{name}", enumerate_subgame(load_fixture(name),
-                                                       fixture_roots(name)))
+    instances = [(f"fixture:{name}", fixture_graph(name))
                  for name in FIXTURE_NAMES]
     instances.append(("sodo_sum", sum_graph(suites.sodo_summands())))
     instances.extend((f"tame_sum:{name}", sum_graph(graphs))

@@ -1,4 +1,8 @@
+import ast
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,9 +23,10 @@ from grundylab import (
     sg_labels,
     verify_candidate_sets,
 )
+import grundylab
 from grundylab.classify import PREDICATES
 from grundylab.fixtures import fixture_roots
-from grundylab.grundy import SWAP_LABELS, LabeledGraph, sort_key
+from grundylab.grundy import SWAP_LABELS, LabeledGraph, position_key
 from grundylab.random_games import random_dag
 from grundylab.suites import EQUALITIES, FIXTURE_EXPECTATIONS, HIERARCHY
 from grundylab.zoo import box_roots, euclid_swap_oracle, make_family, moore_swap_oracle
@@ -233,6 +238,42 @@ def test_pet_covering_rejects_both_membership_and_double_move():
     assert verify_candidate_sets(graph, cand, "miserable").failures == [inside]
 
 
+# not_returnable rooted at its sources; v01 the first half of its positions,
+# v10 the rest, v00 the first two and v11 empty: the target tame then fails
+# the disjointness, independence and structural conditions at string
+# positions, whose set order changes with the hash seed
+_SEEDED_FAILURES = """
+from grundylab import CandidateSets, enumerate_subgame, load_fixture
+from grundylab import verify_candidate_sets
+from grundylab.fixtures import fixture_roots
+graph = enumerate_subgame(load_fixture("not_returnable"),
+                          fixture_roots("not_returnable"))
+p = list(graph.positions)
+cand = CandidateSets(set(p[:len(p) // 2]), set(p[len(p) // 2:]), set(p[:2]),
+                     set())
+print(verify_candidate_sets(graph, cand, "tame").failures)
+"""
+
+
+def test_candidate_set_failures_come_in_node_order_under_any_hash_seed():
+    src = os.path.dirname(os.path.dirname(grundylab.__file__))
+    outs = [subprocess.run([sys.executable, "-c", _SEEDED_FAILURES],
+                           capture_output=True, text=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=src,
+                                    PYTHONHASHSEED=str(seed))).stdout
+            for seed in range(4)]
+    assert outs == outs[:1] * 4
+    graph = enumerate_subgame(load_fixture("not_returnable"),
+                              fixture_roots("not_returnable"))
+    failures = ast.literal_eval(outs[0])
+    assert failures[0] == ("disjoint", graph.positions[0],
+                           "v01 and v00 overlap")
+    for kind in {(cond, reason) for cond, _, reason in failures}:
+        ids = [graph.index[x] for cond, x, reason in failures
+               if (cond, reason) == kind]
+        assert ids == sorted(ids), kind
+
+
 def test_solver_sets_always_verify():
     # the solver's own V sets satisfy every theorem they instantiate
     for name in ("tame_not_pet", "tame_not_miserable"):
@@ -369,7 +410,7 @@ REF_PET_CONDITIONS = {
 
 
 def ref_witness(lg, violates):
-    found = [(sort_key(lg, x), x) for x in lg.graph.nodes
+    found = [((lg.graph.depth(x), position_key(x)), x) for x in lg.graph.nodes
              if violates(lg, x) is not None]
     if not found:
         return None

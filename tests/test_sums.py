@@ -12,6 +12,7 @@ from grundylab import (
     Label,
     LimitExceeded,
     NotTameLabel,
+    UnknownPredicate,
     adjoin_misere_terminal,
     check_closure,
     classify,
@@ -190,6 +191,14 @@ def test_closure_pet_fails_on_single_piles():
     # the sum acquires a (0,0)-position at the doubled pile
     lg = sg_labels(sum_graph([nim_from(2), nim_from(2)]))
     assert tuple(lg.labels[((2,), (2,))]) == (0, 0)
+
+
+def test_closure_unknown_target_raises_before_building_the_sum():
+    # a node cap of 0 makes building the product raise LimitExceeded
+    with pytest.raises(UnknownPredicate, match="'weird'"):
+        check_closure("weird", [nim_from(1), nim_from(2)], node_cap=0)
+    with pytest.raises(LimitExceeded):
+        check_closure("tame", [nim_from(1), nim_from(2)], node_cap=0)
 
 
 # sum_graph builds the product from the summands' move arrays; the reference

@@ -16,12 +16,15 @@ from grundylab import (
     sg_labels,
 )
 from grundylab.suites import (
+    WYT_AB_PAIRS,
     SuiteResult,
     check_beatty,
     check_p_sets,
     check_wythoff,
     check_wyt_ab,
     subtraction_sets,
+    suite_wythoff,
+    suite_wyt_ab,
 )
 from grundylab.zoo import (
     FAMILIES,
@@ -261,8 +264,7 @@ def test_wyt_a_marks_solver_p_positions():
     res = SuiteResult("wyt_a", 0)
     for a in (2, 3):
         lg = labels("wyt_a", {"a": a}, box_roots(2, 20))
-        check_p_sets(res, f"a{a}_{{}}", lg,
-                     lambda conv: wyt_a_sequence(a, 40, conv), 20, False)
+        check_p_sets(res, f"a{a}_{{}}", lg, "wyt_a", {"a": a}, 20, False)
     assert res.ok, res.checks
 
 
@@ -313,6 +315,26 @@ def test_wyt_ab_marks_solver_p_positions():
         check_wyt_ab(res, labels("wyt_ab", {"a": a, "b": b}, box_roots(2, 20)),
                      a, b, 20, False)
     assert res.ok, res.checks
+
+
+@pytest.mark.parametrize("family, suite, checks", [
+    ("wythoff", suite_wythoff, {"normal_p_set", "misere_p_set"}),
+    ("wyt_ab", suite_wyt_ab, {f"a{a}_b{b}_{conv}" for a, b in WYT_AB_PAIRS
+                              for conv in ("normal", "misere")}),
+])
+def test_suites_check_the_table_p_sequences(monkeypatch, family, suite,
+                                            checks):
+    """The suites expect the P-sequence of ``TABLE``, the one ``table
+    --p-sequence`` prints: dropping an in-box pair from it fails them."""
+    record = TABLE[family]
+
+    def dropped(params, upto, convention):
+        pairs = record.p_sequence(params, upto, convention)
+        return pairs[:1] + pairs[2:]
+
+    monkeypatch.setitem(TABLE, family, record._replace(p_sequence=dropped))
+    failed = {name for name, ok, _ in suite(samples=100).checks if not ok}
+    assert failed == checks
 
 
 @pytest.mark.parametrize("sym", [False, True])
