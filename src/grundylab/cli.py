@@ -256,21 +256,10 @@ def _cached_text(directory, payload, render):
     return text
 
 
-class _ChildTraceback(Exception):
-    """A suite's traceback in the child process that ran it."""
-
-
-def _suite_outcome(name, *sizes):
-    """(the suite's result, None), or (None, the exception it raised)."""
-    try:
-        return run_suite(name, *sizes)[0], None
-    except Exception as exc:
-        return None, exc
-
-
 def _fork_suite(name, *sizes):
-    """Fork a child that runs one suite and writes its pickled outcome to
-    a pipe, an exception with its traceback; return (pid, read end)."""
+    """Fork a child that runs one suite and writes its pickled
+    ``SuiteResult`` to a pipe, or nothing when the suite raises; return
+    (pid, read end)."""
     import pickle  # only the fork path needs it
 
     read, write = os.pipe()
@@ -284,84 +273,66 @@ def _fork_suite(name, *sizes):
         os.close(write)
         return pid, read
     try:
-        result, error = _suite_outcome(name, *sizes)
-        if error is not None:
-            import traceback
-            error = error, "".join(traceback.format_exception(error))
+        data = pickle.dumps(run_suite(name, *sizes))
         with open(write, "wb") as pipe:
-            pickle.dump((result, error), pipe)
+            pipe.write(data)
     finally:
         os._exit(0)  # never run the parent's code or exit handlers
 
 
-def _read_child(name, pid, read):
-    """The outcome a suite's child sent, read to EOF; the child is reaped
-    after the read, also when it fails."""
+def _read_child(pid, read):
+    """The result a suite's child sent, read to EOF, or None when it sent
+    nothing; the child is reaped after the read, also when it fails."""
     import pickle
 
     try:
         with open(read, "rb") as pipe:
             data = pipe.read()
     finally:
-        status = os.waitpid(pid, 0)[1]
-    if not data:
-        return None, RuntimeError(f"suite {name}: its child process ended "
-                                  f"with wait status {status} and no result")
-    result, error = pickle.loads(data)
-    if error is not None:
-        error, trace = error
-        error.__cause__ = _ChildTraceback(
-            f"suite {name}, in its child process:\n{trace}")
-    return result, error
+        os.waitpid(pid, 0)
+    return pickle.loads(data) if data else None
 
 
-def _run_all_forked(seed, samples, max_nodes):
-    """``run_suite("all", ...)``'s results, each suite run in a child
-    process of its own while the others run.
+def _run_suites(names, seed, samples, max_nodes):
+    """The named suites' results, in order.
 
-    The sizes are checked before any fork.  The suites run here, one
-    after another, when ``os.sched_getaffinity`` gives one CPU or either
-    it or ``os.fork`` is missing; so do the suites left when a fork fails.
-    Every child is reaped before anything is raised; of the suites that
-    raised, the first in ``SUITES`` order has its exception raised here.
+    The sizes are checked first.  When the CLI owns its process, there is
+    more than one name and ``os.sched_getaffinity`` gives more than one
+    CPU, each suite is forked into a child of its own, until a fork fails.
+    The suites share no state and are seeded, so a suite whose child sent
+    nothing, or that has no child, runs here and returns or raises as it
+    would have in the child.  Every child is reaped before anything is
+    raised.
     """
     check_sizes(samples, max_nodes)
     sizes = (seed, samples, max_nodes)
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1):
-        return run_suite("all", *sizes)
-    children = []
+    children, results = {}, []
     try:
-        for name in SUITES:
-            try:
-                children.append((name, *_fork_suite(name, *sizes)))
-            except OSError:  # out of processes or pipes: run the rest here
-                break
-        outcomes = [_suite_outcome(name, *sizes)
-                    for name in SUITES[len(children):]]
-        forked = []
-        while children:
-            forked.append(_read_child(*children.pop(0)))
+        if (_owns_process and len(names) > 1 and hasattr(os, "fork")
+                and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) > 1):
+            for name in names:
+                try:
+                    children[name] = _fork_suite(name, *sizes)
+                except OSError:  # out of processes or pipes: run the rest here
+                    break
+        for name in names:
+            result = (_read_child(*children.pop(name)) if name in children
+                      else None)
+            results.append(result or run_suite(name, *sizes))
     finally:
-        for _, pid, read in children:
+        for pid, read in children.values():
             os.close(read)
             os.waitpid(pid, 0)
-    results = []
-    for result, error in forked + outcomes:
-        if error is not None:
-            raise error
-        results.append(result)
     return results
 
 
 def verify(opts):
     """Run a named verification battery; exit 1 on any failed check."""
-    seed, sizes = opts.seed, (opts.seed, opts.samples, opts.max_nodes)
+    seed = opts.seed
+    names = SUITES if opts.suite == "all" else (opts.suite,)
     try:
-        if opts.suite == "all" and _owns_process:
-            results = _run_all_forked(*sizes)
-        else:
-            results = run_suite(opts.suite, *sizes)
+        results = _run_suites(names, seed, opts.samples, opts.max_nodes)
     except GameError as exc:
         _fail(str(exc))
     all_ok = all(r.ok for r in results)
@@ -592,8 +563,8 @@ def run():
 
     Everything alive now, the imported modules above all, lives until exit,
     so ``gc.freeze()`` moves it out of the collector's reach: the full
-    collections of interpreter shutdown then skip it.  ``verify all`` runs
-    its suites in child processes (``_run_all_forked``).  Tests and
+    collections of interpreter shutdown then skip it.  ``verify all`` may
+    run its suites in child processes (``_run_suites``).  Tests and
     in-process callers call ``main`` directly, so they freeze nothing and
     fork nothing.  A stdout whose reader has gone is an exit 2: stdout is
     flushed here, where that is caught, not at interpreter exit.  An

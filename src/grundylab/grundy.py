@@ -127,7 +127,8 @@ class ConsistencyReport:
 def verify_sg_consistency(lg: LabeledGraph) -> ConsistencyReport:
     """Check both characterization conditions of the SG value at every node:
     no option repeats the node's value, and every smaller value is realized.
-    Applied to the normal and the misere labels independently."""
+    Applied to the normal and the misere labels independently; a misere
+    terminal's value is 1 by definition, and nothing else is checked there."""
     report = ConsistencyReport()
     graph = lg.graph
     offsets, targets = graph.offsets, graph.targets
@@ -135,13 +136,17 @@ def verify_sg_consistency(lg: LabeledGraph) -> ConsistencyReport:
         opts = targets[offsets[x]:offsets[x + 1]]
         for which, values in (("normal", lg.g), ("misere", lg.g_minus)):
             own = values[x]
+            if which == "misere" and not opts:
+                if own != 1:
+                    report.add(graph.positions[x], which,
+                               f"terminal value {own}, not 1")
+                continue
             realized = {values[y] for y in opts}
             if own in realized:
                 report.add(graph.positions[x], which,
                            f"option repeats value {own}")
             missing = [k for k in range(own) if k not in realized]
-            # misere terminals are initialized to 1 with no options; exempt
-            if missing and not (which == "misere" and not opts):
+            if missing:
                 report.add(graph.positions[x], which,
                            f"values {missing} below {own} unrealized")
     return report

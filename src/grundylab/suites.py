@@ -52,18 +52,16 @@ def check_sizes(samples: int, max_nodes: int):
 
 
 def run_suite(name: str, seed: int = 0, samples: int = 1000,
-              max_nodes: int = 12) -> list[SuiteResult]:
-    """Run one named suite, or every suite for ``all``."""
+              max_nodes: int = 12) -> SuiteResult:
+    """Run the named suite; raise InvalidParams for an unknown name or a
+    size below 1."""
     check_sizes(samples, max_nodes)
-    if name == "all":
-        return [_RUNNERS[s](seed, samples, max_nodes) for s in SUITES]
     try:
         runner = _RUNNERS[name]
     except KeyError:
-        raise InvalidParams(
-            f"unknown suite {name!r}; known: {', '.join(SUITES)} or all"
-        ) from None
-    return [runner(seed, samples, max_nodes)]
+        raise InvalidParams(f"unknown suite {name!r}; known: "
+                            f"{', '.join(SUITES)}") from None
+    return runner(seed, samples, max_nodes)
 
 
 def _tag(family, params):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from functools import partial
 from math import isqrt
 from types import MappingProxyType
 from typing import Callable, NamedTuple
@@ -447,15 +446,25 @@ def mex_b(b: int, s) -> int:
     return prev + b
 
 
-def _mex_sequence(start_pair, step, excludant):
-    """Generate (x_n, y_n) pairs where x_n is the excludant of all
-    previously used coordinates and y_n = x_n + step(n)."""
+def _mex_sequence(start_pair, step, b):
+    """Generate (x_n, y_n) pairs where x_n is ``mex_b(b, used)`` of all
+    previously used coordinates and y_n = x_n + step(n).
+
+    ``top`` is the end of the run of used values that starts at -b with no
+    gap over b, so mex_b is top + b.  Used values are only added, so the
+    run only grows: each step scans on from ``top`` until b values in a
+    row are unused, instead of sorting the whole used set.
+    """
     used = set(start_pair)
+    top = -b
     yield start_pair
-    n = 0
-    while True:
-        n += 1
-        x = excludant(used)
+    for n in itertools.count(1):
+        v = top + 1
+        while v - top <= b:
+            if v in used:
+                top = v
+            v += 1
+        x = top + b
         y = x + step(n)
         used.add(x)
         used.add(y)
@@ -481,16 +490,15 @@ def wyt_ab_sequence(a: int, b: int, upto: int,
                     convention: str = "normal") -> list:
     """P-position pairs of the two-parameter game, by the mex_b recursion."""
     check_params("wyt_ab", {"a": a, "b": b})
-    excludant = partial(mex_b, b)
     if convention == "normal":
-        gen = _mex_sequence((0, 0), lambda n: a * n, excludant)
+        gen = _mex_sequence((0, 0), lambda n: a * n, b)
     elif convention == "misere":
         if a == 0:
             raise UnsupportedParams("no misere recursion is known for a = 0")
         if a == 1:
-            gen = _mex_sequence((b + 1, b + 1), lambda n: a * n, excludant)
+            gen = _mex_sequence((b + 1, b + 1), lambda n: a * n, b)
         else:
-            gen = _mex_sequence((0, 1), lambda n: a * n + 1, excludant)
+            gen = _mex_sequence((0, 1), lambda n: a * n + 1, b)
     else:
         raise InvalidParams(f"unknown convention {convention!r}")
     return list(itertools.islice(gen, upto + 1))

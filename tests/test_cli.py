@@ -601,12 +601,73 @@ def test_forked_suite_failures_exit_as_in_process(tmp_path, case):
         assert stderr == result.stderr
     elif _cpus() > 1:
         assert result.exit_code == 1 and result.stdout == ""
-        # the child's traceback first, as the cause of the parent's raise
-        assert stderr.startswith("grundylab.cli._ChildTraceback: suite "
-                                 "moore, in its child process:\nTraceback")
-        assert (stderr.index("in broken_moore")
-                < stderr.index("in _run_all_forked"))
+        # the child sent nothing, so the suite ran again here and raised
+        assert stderr.count("Traceback (most recent call last)") == 1
+        assert "broken_moore" in stderr
         assert stderr.rstrip().endswith("RuntimeError: moore broke")
+
+
+# a prelude for _FORKING_RUN: every suite runner appends "parent <suite>"
+# or "child <suite>" to the log's .calls file before it runs
+_COUNTED_RUNNERS = """
+parent = os.getpid()
+
+def counted(name, runner):
+    def call(*sizes):
+        with open(log + ".calls", "a") as fh:
+            fh.write(f"{'parent' if os.getpid() == parent else 'child'} "
+                     f"{name}\\n")
+        return runner(*sizes)
+    return call
+
+for name, runner in list(suites._RUNNERS.items()):
+    suites._RUNNERS[name] = counted(name, runner)
+"""
+
+
+def _runner_calls(tmp_path):
+    return sorted((tmp_path / "forks.log.calls").read_text().splitlines())
+
+
+def test_forked_suite_whose_child_sent_nothing_runs_in_the_parent(tmp_path):
+    if _cpus() < 2:
+        pytest.skip("one CPU: verify all runs serially")
+    prelude = ("parent = os.getpid()\n"
+               "moore = suites._RUNNERS['moore']\n"
+               "def exiting_moore(*sizes):\n"
+               "    if os.getpid() != parent:\n"
+               "        os._exit(3)\n"
+               "    return moore(*sizes)\n"
+               "suites._RUNNERS['moore'] = exiting_moore\n")
+    argv = _verify_all(0, "json")
+    proc, log = _forking_run(tmp_path, argv, prelude)
+    assert log == f"{len(SUITES)} forks, no child left"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, run(*argv).stdout_bytes, b"")
+
+
+def test_forked_suites_that_pass_run_only_in_their_children(tmp_path):
+    if _cpus() < 2:
+        pytest.skip("one CPU: verify all runs serially")
+    argv = ("verify", "all", "--samples", "20")
+    proc, log = _forking_run(tmp_path, argv, _COUNTED_RUNNERS)
+    assert log == f"{len(SUITES)} forks, no child left"
+    assert proc.returncode == 0
+    assert _runner_calls(tmp_path) == sorted(f"child {s}" for s in SUITES)
+
+
+def test_forked_suite_that_raises_runs_in_its_child_and_the_parent(tmp_path):
+    if _cpus() < 2:
+        pytest.skip("one CPU: verify all runs serially")
+    prelude = ("def broken_moore(seed, samples, max_nodes):\n"
+               "    raise RuntimeError('moore broke')\n"
+               "suites._RUNNERS['moore'] = broken_moore\n" + _COUNTED_RUNNERS)
+    proc, log = _forking_run(tmp_path, ("verify", "all", "--samples", "20"),
+                             prelude)
+    assert log == f"{len(SUITES)} forks, no child left"
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert _runner_calls(tmp_path) == sorted(
+        [f"child {s}" for s in SUITES] + ["parent moore"])
 
 
 def test_sum_command(tmp_path):

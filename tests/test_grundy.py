@@ -14,6 +14,7 @@ from grundylab import (
     sg_labels,
     verify_sg_consistency,
 )
+from grundylab.core import graph_from_adjacency
 from grundylab.fixtures import fixture_roots
 from grundylab.grundy import (
     LabeledGraph,
@@ -84,6 +85,20 @@ def test_consistency_catches_injected_fault():
     assert not report.ok
     assert any(node == (2,) or node == (3,)
                for node, _, _ in report.violations)
+
+
+@pytest.mark.parametrize("adjacency", [{"a": ["b"], "b": []}, {"b": []}],
+                         ids=["under_a_move", "alone"])
+@pytest.mark.parametrize("value", [0, 2, 7])
+def test_consistency_requires_misere_terminal_value_1(adjacency, value):
+    lg = sg_labels(graph_from_adjacency(adjacency))
+    assert verify_sg_consistency(lg).ok
+    g_minus = array("i", lg.g_minus)
+    g_minus[lg.graph.index["b"]] = value
+    report = verify_sg_consistency(LabeledGraph(lg.graph, lg.g, g_minus))
+    # a's value may now repeat b's: b's own violation is one of the list
+    violation = ("b", "misere", f"terminal value {value}, not 1")
+    assert violation in report.violations
 
 
 def test_consistency_on_fixture():

@@ -292,6 +292,29 @@ def test_mex_1_is_mex(values):
     assert mex_b(1, values) == mex(values)
 
 
+def _literal_mex_b_sequence(a, b, upto, convention):
+    """The recursion as written: x_n = mex_b of every earlier coordinate."""
+    if convention == "normal":
+        pairs, extra = [(0, 0)], 0
+    elif a == 1:
+        pairs, extra = [(b + 1, b + 1)], 0
+    else:
+        pairs, extra = [(0, 1)], 1
+    for n in range(1, upto + 1):
+        x = mex_b(b, [c for pair in pairs for c in pair])
+        pairs.append((x, x + a * n + extra))
+    return pairs
+
+
+# no misere recursion is known for a = 0
+@pytest.mark.parametrize("a,b,convention", [
+    (a, b, convention) for a in range(5) for b in range(1, 5)
+    for convention in ("normal", "misere") if a or convention == "normal"])
+def test_wyt_ab_sequence_equals_literal_mex_b_recursion(a, b, convention):
+    assert (wyt_ab_sequence(a, b, 400, convention)
+            == _literal_mex_b_sequence(a, b, 400, convention))
+
+
 def test_wyt_ab_11_is_wythoff():
     for n in range(51):
         assert wyt_ab_p(1, 1, n) == wythoff_p(n)
