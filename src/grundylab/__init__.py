@@ -14,6 +14,7 @@ from .core import (
     UnknownPredicate,
     UnsupportedParams,
     adjoin_misere_terminal,
+    disjoint_union,
     enumerate_subgame,
     graph_from_adjacency,
 )

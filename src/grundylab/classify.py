@@ -161,6 +161,8 @@ _PET_CONDITIONS = {
     "vi_ferguson_misere": (P_FERGUSON_MISERE, ""),
 }
 
+PET_CONDITIONS = tuple(_PET_CONDITIONS)
+
 
 def _witnesses(lg: LabeledGraph, rows: dict) -> dict:
     """name -> (node, label, reason) for every row some node violates.
@@ -254,6 +256,34 @@ def classify(lg: LabeledGraph) -> ClassReport:
     witnesses = _witnesses(lg, _CLASS_ROWS)
     verdicts = {pred: pred not in witnesses for pred in PREDICATES}
     return ClassReport(verdicts, witnesses, lg.graph.describe_bound())
+
+
+def violated_rows(lg: LabeledGraph, starts) -> list:
+    """For each component of a disjoint union (``core.disjoint_union``), the
+    names in ``PREDICATES`` and ``PET_CONDITIONS`` whose row some node of it
+    violates, as a frozenset.  Component k is nodes ``starts[k]`` to
+    ``starts[k + 1] - 1``.  A name is absent exactly when ``classify`` (or
+    ``check_sm_equivalences``) of that graph alone finds it holds.
+    """
+    rows = [(name, row) for name, (row, _) in (*_CLASS_ROWS.items(),
+                                                *_PET_CONDITIONS.items())]
+    packed = _packed_masks(lg)
+    bits = {}   # packed word -> one bit per row it violates
+    for word in set(packed):
+        props = word >> _CLASS_BITS
+        bits[word] = sum(1 << i for i, (_, row) in enumerate(rows)
+                         if not props & row)
+    names, out = {}, []
+    for lo, hi in zip(starts, starts[1:]):
+        violated = 0
+        for word in packed[lo:hi]:
+            violated |= bits[word]
+        found = names.get(violated)
+        if found is None:
+            found = names[violated] = frozenset(
+                name for i, (name, _) in enumerate(rows) if violated >> i & 1)
+        out.append(found)
+    return out
 
 
 # --- SM=P equivalences -------------------------------------------------------

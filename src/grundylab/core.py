@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
@@ -359,6 +359,33 @@ def _order_and_depths(positions, offsets, targets):
     return order, array("i", depths)
 
 
+def disjoint_union(graphs) -> tuple[ReachableGraph, array]:
+    """One graph holding each of ``graphs`` as a component of its own, and
+    the array ``starts`` of where each component's nodes begin.
+
+    Graph k's node i is node ``starts[k] + i`` and its position p is
+    ``(k, p)``; ``starts[k + 1]`` is one past graph k's last node.  No move
+    crosses components, and every graph was ordered and cycle-checked
+    already, so the orders and depths are concatenated and no DFS runs.
+    ``graphs`` may be any iterable; each graph is read once, in turn.
+    """
+    positions, roots = [], []
+    offsets, targets = array("i", [0]), array("i")
+    order, depths, starts = array("i"), array("i"), array("i", [0])
+    for k, g in enumerate(graphs):
+        base, edges = len(positions), len(targets)
+        positions += [(k, p) for p in g.positions]
+        roots += [(k, r) for r in g.roots]
+        offsets += array("i", [o + edges for o in g.offsets[1:]])
+        targets += array("i", [y + base for y in g.targets])
+        order += array("i", [x + base for x in g.order])
+        depths += g.depths
+        starts.append(len(positions))
+    index = {x: i for i, x in enumerate(positions)}
+    return (ReachableGraph(roots, positions, index, offsets, targets, order,
+                           depths), starts)
+
+
 def adjoin_misere_terminal(graph: ReachableGraph) -> ReachableGraph:
     """Remark-3 transform: one fresh terminal below every former terminal.
 
@@ -367,7 +394,8 @@ def adjoin_misere_terminal(graph: ReachableGraph) -> ReachableGraph:
     values of the result, restricted to the original nodes, equal the
     misere SG values of the input.  A sink cannot close a cycle, so the
     order is the input's with N last, and every depth grows by one (each
-    longest play now ends with the move to N).
+    longest play now ends with the move to N).  The result's positions and
+    index are read-only views over the input's, so no position is copied.
     """
     n, off, targets = len(graph), graph.offsets, graph.targets
     offsets, rows = array("i", [0]), array("i")
@@ -378,9 +406,51 @@ def adjoin_misere_terminal(graph: ReachableGraph) -> ReachableGraph:
             rows.extend(targets[off[i]:off[i + 1]])
         offsets.append(len(rows))
     offsets.append(len(rows))
-    index = dict(graph.index)
-    index[MISERE_TERMINAL] = n
     return ReachableGraph(
-        graph.roots, [*graph.positions, MISERE_TERMINAL], index, offsets,
-        rows, graph.order + array("i", [n]),
+        graph.roots, _WithTerminal(graph.positions),
+        _IndexWithTerminal(graph.index, n), offsets, rows,
+        graph.order + array("i", [n]),
         array("i", [d + 1 for d in graph.depths] + [0]))
+
+
+class _WithTerminal(Sequence):
+    """Node number -> position: the input's, then ``MISERE_TERMINAL``."""
+
+    __slots__ = ("_positions",)
+
+    def __init__(self, positions):
+        self._positions = positions
+
+    def __len__(self):
+        return len(self._positions) + 1
+
+    def __iter__(self):
+        yield from self._positions
+        yield MISERE_TERMINAL
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        return (MISERE_TERMINAL if i == len(self._positions)
+                else self._positions[i])
+
+
+class _IndexWithTerminal(Mapping):
+    """Position -> node number: the input's, and ``MISERE_TERMINAL`` -> N."""
+
+    __slots__ = ("_index", "_n")
+
+    def __init__(self, index, n):
+        self._index, self._n = index, n
+
+    def __len__(self):
+        return self._n + 1
+
+    def __iter__(self):
+        yield from self._index
+        yield MISERE_TERMINAL
+
+    def __contains__(self, x):
+        return x is MISERE_TERMINAL or x in self._index
+
+    def __getitem__(self, x):
+        return self._n if x is MISERE_TERMINAL else self._index[x]

@@ -130,6 +130,15 @@ def verify_sg_consistency(lg: LabeledGraph) -> ConsistencyReport:
     Applied to the normal and the misere labels independently; a misere
     terminal's value is 1 by definition, and nothing else is checked there."""
     report = ConsistencyReport()
+    positions = lg.graph.positions
+    for x, which, detail in sg_violations(lg):
+        report.add(positions[x], which, detail)
+    return report
+
+
+def sg_violations(lg: LabeledGraph):
+    """Every failed condition of ``verify_sg_consistency``, uncapped, as
+    (node number, "normal" or "misere", detail), in graph order."""
     graph = lg.graph
     offsets, targets = graph.offsets, graph.targets
     for x in graph.order:
@@ -138,18 +147,16 @@ def verify_sg_consistency(lg: LabeledGraph) -> ConsistencyReport:
             own = values[x]
             if which == "misere" and not opts:
                 if own != 1:
-                    report.add(graph.positions[x], which,
-                               f"terminal value {own}, not 1")
+                    yield x, which, f"terminal value {own}, not 1"
                 continue
             realized = {values[y] for y in opts}
+            if own not in realized and realized.issuperset(range(own)):
+                continue
             if own in realized:
-                report.add(graph.positions[x], which,
-                           f"option repeats value {own}")
+                yield x, which, f"option repeats value {own}"
             missing = [k for k in range(own) if k not in realized]
             if missing:
-                report.add(graph.positions[x], which,
-                           f"values {missing} below {own} unrealized")
-    return report
+                yield x, which, f"values {missing} below {own} unrealized"
 
 
 def position_key(x) -> str:

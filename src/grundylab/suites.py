@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import random
 
-from .core import InvalidParams, UnsupportedParams, enumerate_subgame
+from .core import (InvalidParams, UnsupportedParams, disjoint_union,
+                   enumerate_subgame)
 from .fixtures import FIXTURE_NAMES, fixture_graph, load_fixture
-from .grundy import (misere_via_adjoined_terminal, sg_labels,
+from .grundy import (misere_via_adjoined_terminal, sg_labels, sg_violations,
                      verify_sg_consistency)
-from .classify import CandidateSets, check_sm_equivalences, classify, verify_candidate_sets
+from .classify import (PET_CONDITIONS, CandidateSets, classify,
+                       verify_candidate_sets, violated_rows)
 from .random_games import random_dag
 from .sums import check_closure, sum_graph
 from . import zoo
@@ -151,26 +153,48 @@ def adjoined_terminal_agrees(graph, lg) -> bool:
     return misere_via_adjoined_terminal(graph) == lg.g_minus
 
 
+# random graphs checked per disjoint union, so that memory stays bounded at
+# any sample count
+UNION_BATCH = 1000
+
+
 def suite_equalities(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
+    """The class hierarchy, the class equalities, the six pet conditions,
+    SG consistency and the adjoined-terminal misere values on ``samples``
+    random graphs.  The graphs are checked a batch at a time, as the
+    components of one disjoint union, and every violation is reported by
+    its graph's index in the sample."""
     res = SuiteResult("equalities", seed)
     rng = random.Random(seed)
     bad_impl, bad_eq, bad_sm, bad_cons, bad_misere = [], [], [], [], []
-    for i in range(samples):
-        graph = random_dag(rng, max_nodes)
+    for first in range(0, samples, UNION_BATCH):
+        graph, starts = disjoint_union(
+            random_dag(rng, max_nodes)
+            for _ in range(min(UNION_BATCH, samples - first)))
         lg = sg_labels(graph)
-        verdicts = classify(lg).verdicts
-        for a, b in HIERARCHY:
-            if verdicts[a] and not verdicts[b]:
-                bad_impl.append((i, a, b))
-        for a, b in EQUALITIES:
-            if verdicts[a] != verdicts[b]:
-                bad_eq.append((i, a, b))
-        if not check_sm_equivalences(lg).agree:
-            bad_sm.append(i)
+        for i, bad in enumerate(violated_rows(lg, starts), first):
+            for a, b in HIERARCHY:
+                if b in bad and a not in bad:
+                    bad_impl.append((i, a, b))
+            for a, b in EQUALITIES:
+                if (a in bad) != (b in bad):
+                    bad_eq.append((i, a, b))
+            if not (bad.isdisjoint(PET_CONDITIONS)
+                    or bad.issuperset(PET_CONDITIONS)):
+                bad_sm.append(i)
+        # the report keeps the first MAX_VIOLATIONS only, which may all lie
+        # in one graph; sg_violations lists every one
         if not verify_sg_consistency(lg).ok:
-            bad_cons.append(i)
-        if not adjoined_terminal_agrees(graph, lg):
-            bad_misere.append(i)
+            bad_cons += _samples_of(graph, first,
+                                    (x for x, _, _ in sg_violations(lg)))
+        misere = misere_via_adjoined_terminal(graph)
+        if misere != lg.g_minus:
+            bad_misere += _samples_of(
+                graph, first, (x for x, (got, want)
+                               in enumerate(zip(misere, lg.g_minus))
+                               if got != want))
+        # freed before the next batch is built, so that only one is held
+        del graph, lg, misere
     res.add("hierarchy_implications", not bad_impl, f"violations {bad_impl[:3]}")
     res.add("class_equalities", not bad_eq, f"violations {bad_eq[:3]}")
     res.add("six_pet_conditions_agree", not bad_sm, f"graphs {bad_sm[:3]}")
@@ -179,6 +203,13 @@ def suite_equalities(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
             f"graphs {bad_misere[:3]}")
     res.add("sample_count", True, f"{samples} random graphs, seed {seed}")
     return res
+
+
+def _samples_of(union, first, nodes):
+    """The ascending sample indices of the graphs owning ``nodes`` in
+    ``union``, the disjoint union of sample graphs ``first``, ``first + 1``,
+    and so on."""
+    return sorted({first + union.positions[x][0] for x in nodes})
 
 
 def check_xor_pairs(res, rng, pairs):

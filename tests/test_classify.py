@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,14 +25,18 @@ from grundylab import (
     verify_candidate_sets,
 )
 import grundylab
-from grundylab.classify import PREDICATES
+from grundylab.classify import PET_CONDITIONS, PREDICATES, violated_rows
+from grundylab.core import disjoint_union
 from grundylab.fixtures import fixture_roots
-from grundylab.grundy import SWAP_LABELS, LabeledGraph, position_key
+from grundylab.grundy import (SWAP_LABELS, LabeledGraph,
+                              misere_via_adjoined_terminal, position_key,
+                              sg_violations, verify_sg_consistency)
 from grundylab.random_games import random_dag
-from grundylab.suites import EQUALITIES, FIXTURE_EXPECTATIONS, HIERARCHY
+from grundylab.suites import (EQUALITIES, FIXTURE_EXPECTATIONS, HIERARCHY,
+                              adjoined_terminal_agrees)
 from grundylab.zoo import box_roots, euclid_swap_oracle, make_family, moore_swap_oracle
 
-from random_dags import random_dag_stream
+from random_dags import dag_lists, random_dag_stream
 
 
 def labeled_fixture(name):
@@ -470,3 +475,68 @@ def test_solver_sets_verify_exactly_when_in_class(graph):
     for target in ("pet", "miserable", "tame", "domestic"):
         report = verify_candidate_sets(graph, cand, target)
         assert report.conditions_ok == verdicts[target], target
+
+
+# --- components of a disjoint union -------------------------------------------
+
+
+def verdict_mismatches(lg, starts, graphs) -> list:
+    """The indices k of ``graphs`` whose component verdicts, read from
+    ``violated_rows(lg, starts)``, differ from ``classify`` and
+    ``check_sm_equivalences`` of graph k alone."""
+    bad = []
+    for k, (graph, violated) in enumerate(zip(graphs,
+                                              violated_rows(lg, starts))):
+        alone = sg_labels(graph)
+        if ({p: p not in violated for p in PREDICATES}
+                != classify(alone).verdicts
+                or {c: c not in violated for c in PET_CONDITIONS}
+                != check_sm_equivalences(alone).conditions):
+            bad.append(k)
+    return bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag_lists)
+def test_component_verdicts_equal_each_graph_alone(graphs):
+    union, starts = disjoint_union(graphs)
+    lg = sg_labels(union)
+    assert len(violated_rows(lg, starts)) == len(graphs)
+    assert verdict_mismatches(lg, starts, graphs) == []
+    for graph, lo, hi in zip(graphs, starts, starts[1:]):
+        alone = sg_labels(graph)
+        assert (lg.g[lo:hi], lg.g_minus[lo:hi]) == (alone.g, alone.g_minus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag_lists, st.integers(0, 10**6), st.integers(-2, 3))
+def test_component_checks_equal_each_graph_alone(graphs, node, delta):
+    # one node's misere value moved by delta (unchanged when 0)
+    union, starts = disjoint_union(graphs)
+    lg = sg_labels(union)
+    g_minus = array("i", lg.g_minus)
+    node %= len(union)
+    g_minus[node] = max(0, g_minus[node] + delta)
+    lg = LabeledGraph(union, lg.g, g_minus)
+    inconsistent = {union.positions[x][0] for x, _, _ in sg_violations(lg)}
+    misere = misere_via_adjoined_terminal(union)
+    disagree = {union.positions[x][0] for x in range(len(union))
+                if misere[x] != g_minus[x]}
+    for k, (graph, lo, hi) in enumerate(zip(graphs, starts, starts[1:])):
+        alone = LabeledGraph(graph, lg.g[lo:hi], g_minus[lo:hi])
+        assert (k not in inconsistent) == verify_sg_consistency(alone).ok
+        assert (k not in disagree) == adjoined_terminal_agrees(graph, alone)
+    assert verify_sg_consistency(lg).ok == (not inconsistent)
+
+
+def test_shifted_starts_fail_the_verdict_comparison():
+    graphs = list(random_dag_stream(0, 50))
+    union, starts = disjoint_union(graphs)
+    lg = sg_labels(union)
+    assert verdict_mismatches(lg, starts, graphs) == []
+    # one node earlier: each component trades its last node for the last
+    # node of the graph before it (one node later would trade node 0 for
+    # node 0, two terminals alike in every row)
+    shifted = array("i", [starts[0], *(s - 1 for s in starts[1:-1]),
+                          starts[-1]])
+    assert verdict_mismatches(lg, shifted, graphs) != []

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import tracemalloc
 from array import array
 from collections import deque
@@ -14,16 +15,22 @@ from grundylab import (
     MISERE_TERMINAL,
     UnknownPosition,
     adjoin_misere_terminal,
+    disjoint_union,
     enumerate_subgame,
     graph_from_adjacency,
     mex,
     sg_labels,
     sum_graph,
 )
+from grundylab import sums
 from grundylab.core import DEFAULT_NODE_CAP, GameError, ReachableGraph
 from grundylab.fixtures import (FIXTURE_NAMES, fixture_adjacency,
                                 fixture_roots, load_fixture)
+from grundylab.grundy import misere_via_adjoined_terminal
+from grundylab.random_games import random_dag
 from grundylab.zoo import TABLE, box_roots, make_family
+
+from random_dags import dag_lists
 
 
 def one_pile_nim():
@@ -310,6 +317,106 @@ def test_adjoined_product_matches_reference(summands):
     want[MISERE_TERMINAL] = ()
     assert_matches_reference(adjoin_misere_terminal(product),
                              ref_graph_from_adjacency(want, product.roots))
+
+
+def test_adjoined_views_behave_as_a_list_and_a_dict():
+    graph = enumerate_subgame(make_family("nim"), [(2, 1)])
+    adjoined = adjoin_misere_terminal(graph)
+    positions = [*graph.positions, MISERE_TERMINAL]
+    index = {x: i for i, x in enumerate(positions)}
+    assert list(adjoined.positions) == positions
+    assert len(adjoined.positions) == len(positions)
+    assert [adjoined.positions[i] for i in range(-len(positions),
+                                                  len(positions))] == 2 * positions
+    with pytest.raises(IndexError):
+        adjoined.positions[len(positions)]
+    assert list(adjoined.index) == list(index)
+    assert len(adjoined.index) == len(index)
+    assert dict(adjoined.index) == index
+    assert MISERE_TERMINAL in adjoined and (2, 1) in adjoined
+    assert (3, 3) not in adjoined and "x_T" not in adjoined
+    with pytest.raises(KeyError):
+        adjoined.index[(3, 3)]
+
+
+def test_adjoining_a_product_never_lists_its_positions(monkeypatch):
+    summands = [enumerate_subgame(one_pile_nim(), [(3,)]),
+                enumerate_subgame(make_family("nim"), [(1, 2)])]
+    product = sum_graph(summands)
+    want = sg_labels(product).g_minus
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} iterated")
+
+    monkeypatch.setattr(sums._ProductPositions, "__iter__", refuse)
+    monkeypatch.setattr(sums._ProductIndex, "__iter__", refuse)
+    adjoined = adjoin_misere_terminal(product)
+    n = len(product)
+    assert len(adjoined) == n + 1 and len(adjoined.index) == n + 1
+    assert adjoined.positions[n] is MISERE_TERMINAL
+    assert adjoined.positions[n - 1] == product.positions[n - 1]
+    assert adjoined.index[MISERE_TERMINAL] == n
+    assert adjoined.index[((0,), (0, 0))] == product.index[((0,), (0, 0))]
+    assert MISERE_TERMINAL in adjoined and ((3,), (1, 2)) in adjoined
+    assert misere_via_adjoined_terminal(product) == want
+
+
+# --- disjoint unions ---------------------------------------------------------
+
+
+def union_mismatches(union, starts, graphs) -> list:
+    """The indices k of ``graphs`` whose component of ``union``, nodes
+    ``starts[k]`` to ``starts[k + 1] - 1``, is not graph k with every
+    node number shifted by ``starts[k]`` and every position p as (k, p)."""
+    bad = [] if len(starts) == len(graphs) + 1 else [len(graphs)]
+    if starts[-1] != len(union):
+        bad.append(len(graphs))
+    for k, (g, lo, hi) in enumerate(zip(graphs, starts, starts[1:])):
+        nodes = range(lo, hi)
+        same = (len(nodes) == len(g)
+                and [union.positions[x] for x in nodes]
+                == [(k, p) for p in g.positions]
+                and all(union.index[(k, p)] == lo + i
+                        for p, i in g.index.items())
+                and [list(union.targets[union.offsets[x]:union.offsets[x + 1]])
+                     for x in nodes]
+                == [[lo + y for y in g.targets[g.offsets[i]:g.offsets[i + 1]]]
+                    for i in range(len(g))]
+                and list(union.order[lo:hi]) == [lo + x for x in g.order]
+                and union.depths[lo:hi] == g.depths)
+        if not same:
+            bad.append(k)
+    roots = {(k, r) for k, g in enumerate(graphs) for r in g.roots}
+    if union.roots != roots:
+        bad.append(len(graphs))
+    return bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag_lists)
+def test_union_components_are_the_graphs_shifted(graphs):
+    union, starts = disjoint_union(graphs)
+    assert union_mismatches(union, starts, graphs) == []
+    assert len(union.positions) == len(union.index) == len(union)
+    assert union.edge_count() == sum(g.edge_count() for g in graphs)
+    for stored in (union.offsets, union.targets, union.order, union.depths,
+                   starts):
+        assert type(stored) is array and stored.typecode == "i"
+
+
+def test_union_takes_any_iterable_of_graphs():
+    graphs = [random_dag(random.Random(s), 6) for s in range(5)]
+    union, starts = disjoint_union(iter(graphs))
+    assert union_mismatches(union, starts, graphs) == []
+    assert disjoint_union([])[1] == array("i", [0])
+
+
+def test_shifted_starts_fail_the_comparison():
+    graphs = [random_dag(random.Random(s), 6) for s in range(5)]
+    union, starts = disjoint_union(graphs)
+    shifted = array("i", [starts[0], *(s + 1 for s in starts[1:-1]),
+                          starts[-1]])
+    assert union_mismatches(union, shifted, graphs) != []
 
 
 # --- kernel edge cases: label widths, deep chains, marks -------------------
