@@ -370,14 +370,16 @@ _STRUCTURE["miserable"] = _STRUCTURE["pet"]
 _REACH_NAMES = {V01: "v01", V10: "v10", V00: "v00", V00 | V11: "v00 or v11",
                 SWAP: "a swap set", SWAP | V00: "v01, v10, or v00"}
 
-# target -> covering condition (condition, row, reason); pet asks for
-# exactly one of its row's properties, the others for at least one
+# target -> covering condition (condition, the _CLASS_ROWS row it is, reason):
+# by the paper's theorems pet <=> strongly miserable, tame <=> t-miserable and
+# domestic <=> weakly miserable, each condition is a miserability row.  pet
+# asks for exactly one of its row's properties, the others for at least one
 _COVERING = {
-    "pet": ("SM(v)", P_A | P_C,
+    "pet": ("SM(v)", "strongly_miserable",
             "exactly one of membership / double-movability must hold"),
-    "miserable": ("M(v)", P_A | P_B | P_C, "none of (a'),(b'),(c') hold"),
-    "tame": ("T(viii)", P_A0 | P_C | P_E, "none of (a0'),(c'),(e') hold"),
-    "domestic": ("D(vii)", P_A | P_B | P_C | P_C0 | P_C1,
+    "miserable": ("M(v)", "miserable", "none of (a'),(b'),(c') hold"),
+    "tame": ("T(viii)", "t_miserable", "none of (a0'),(c'),(e') hold"),
+    "domestic": ("D(vii)", "weakly_miserable",
                  "none of the five properties hold"),
 }
 
@@ -458,7 +460,8 @@ def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
                 fail((cond, x, f"{who}movable to {_REACH_NAMES[avoid]}"))
 
     if not structural_only:
-        cond, row, reason = _COVERING[target]
+        cond, name, reason = _COVERING[target]
+        row = _CLASS_ROWS[name][0]
         for i, x in enumerate(positions):
             held = properties(own[i], reach[i]) & row
             if not held or (target == "pet" and held == row):

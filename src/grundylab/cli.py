@@ -72,7 +72,8 @@ def _source(fixture, family, params, symmetry, roots, box=None):
     arity = zoo.TABLE[family].arity(game.params)
     if not roots:
         if box is None:
-            _fail("no positions given: use --roots/--piles or --box")
+            raise InvalidParams("no positions given: use --roots/--piles "
+                                "or --box")
         if arity is None:  # any pile count: take it from --n
             arity = game.params.get("n")
             if not isinstance(arity, int) or arity < 0:

@@ -10,8 +10,6 @@ from typing import NamedTuple
 
 from .core import NodeView, ReachableGraph, adjoin_misere_terminal
 
-MAX_VIOLATIONS = 100
-
 SWAP_LABELS = ((0, 1), (1, 0))
 
 
@@ -110,53 +108,44 @@ def misere_via_adjoined_terminal(graph: ReachableGraph) -> array:
 
 
 class ConsistencyReport:
-    def __init__(self, violations: list | None = None, total: int = 0):
+    def __init__(self, violations: list | None = None):
         self.violations = [] if violations is None else violations
-        self.total = total
 
     @property
     def ok(self) -> bool:
-        return self.total == 0
-
-    def add(self, node, which: str, detail: str):
-        self.total += 1
-        if len(self.violations) < MAX_VIOLATIONS:
-            self.violations.append((node, which, detail))
+        return not self.violations
 
 
 def verify_sg_consistency(lg: LabeledGraph) -> ConsistencyReport:
     """Check both characterization conditions of the SG value at every node:
     no option repeats the node's value, and every smaller value is realized.
     Applied to the normal and the misere labels independently; a misere
-    terminal's value is 1 by definition, and nothing else is checked there."""
+    terminal's value is 1 by definition, and nothing else is checked there.
+
+    The report lists every failed condition as (position, "normal" or
+    "misere", detail), in graph order."""
     report = ConsistencyReport()
-    positions = lg.graph.positions
-    for x, which, detail in sg_violations(lg):
-        report.add(positions[x], which, detail)
-    return report
-
-
-def sg_violations(lg: LabeledGraph):
-    """Every failed condition of ``verify_sg_consistency``, uncapped, as
-    (node number, "normal" or "misere", detail), in graph order."""
+    add = report.violations.append
     graph = lg.graph
-    offsets, targets = graph.offsets, graph.targets
+    offsets, targets, positions = graph.offsets, graph.targets, graph.positions
     for x in graph.order:
         opts = targets[offsets[x]:offsets[x + 1]]
         for which, values in (("normal", lg.g), ("misere", lg.g_minus)):
             own = values[x]
             if which == "misere" and not opts:
                 if own != 1:
-                    yield x, which, f"terminal value {own}, not 1"
+                    add((positions[x], which, f"terminal value {own}, not 1"))
                 continue
             realized = {values[y] for y in opts}
             if own not in realized and realized.issuperset(range(own)):
                 continue
             if own in realized:
-                yield x, which, f"option repeats value {own}"
+                add((positions[x], which, f"option repeats value {own}"))
             missing = [k for k in range(own) if k not in realized]
             if missing:
-                yield x, which, f"values {missing} below {own} unrealized"
+                add((positions[x], which,
+                     f"values {missing} below {own} unrealized"))
+    return report
 
 
 def position_key(x) -> str:

@@ -11,11 +11,13 @@ same functions, at its own larger sizes or over its own extra instances.
 from __future__ import annotations
 
 import random
+from itertools import compress
+from operator import ne
 
 from .core import (InvalidParams, UnsupportedParams, disjoint_union,
                    enumerate_subgame)
 from .fixtures import FIXTURE_NAMES, fixture_graph, load_fixture
-from .grundy import (misere_via_adjoined_terminal, sg_labels, sg_violations,
+from .grundy import (misere_via_adjoined_terminal, sg_labels,
                      verify_sg_consistency)
 from .classify import (PET_CONDITIONS, CandidateSets, classify,
                        verify_candidate_sets, violated_rows)
@@ -147,10 +149,13 @@ EQUALITIES = [
 ]
 
 
-def adjoined_terminal_agrees(graph, lg) -> bool:
-    """Normal play on ``graph`` with one terminal adjoined below its
-    terminals gives every position its misère value from ``lg``."""
-    return misere_via_adjoined_terminal(graph) == lg.g_minus
+def misere_mismatches(graph, lg) -> list:
+    """The ascending node numbers of ``graph`` whose value in normal play on
+    ``graph``, with one terminal adjoined below its terminals, differs from
+    their misère value in ``lg``."""
+    return list(compress(range(len(graph)),
+                         map(ne, misere_via_adjoined_terminal(graph),
+                             lg.g_minus)))
 
 
 # random graphs checked per disjoint union, so that memory stays bounded at
@@ -182,19 +187,13 @@ def suite_equalities(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
             if not (bad.isdisjoint(PET_CONDITIONS)
                     or bad.issuperset(PET_CONDITIONS)):
                 bad_sm.append(i)
-        # the report keeps the first MAX_VIOLATIONS only, which may all lie
-        # in one graph; sg_violations lists every one
-        if not verify_sg_consistency(lg).ok:
-            bad_cons += _samples_of(graph, first,
-                                    (x for x, _, _ in sg_violations(lg)))
-        misere = misere_via_adjoined_terminal(graph)
-        if misere != lg.g_minus:
-            bad_misere += _samples_of(
-                graph, first, (x for x, (got, want)
-                               in enumerate(zip(misere, lg.g_minus))
-                               if got != want))
+        # a union's positions are (component, position) pairs
+        bad_cons += sorted({first + k for (k, _), _, _
+                            in verify_sg_consistency(lg).violations})
+        bad_misere += sorted({first + graph.positions[x][0]
+                              for x in misere_mismatches(graph, lg)})
         # freed before the next batch is built, so that only one is held
-        del graph, lg, misere
+        del graph, lg
     res.add("hierarchy_implications", not bad_impl, f"violations {bad_impl[:3]}")
     res.add("class_equalities", not bad_eq, f"violations {bad_eq[:3]}")
     res.add("six_pet_conditions_agree", not bad_sm, f"graphs {bad_sm[:3]}")
@@ -203,13 +202,6 @@ def suite_equalities(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
             f"graphs {bad_misere[:3]}")
     res.add("sample_count", True, f"{samples} random graphs, seed {seed}")
     return res
-
-
-def _samples_of(union, first, nodes):
-    """The ascending sample indices of the graphs owning ``nodes`` in
-    ``union``, the disjoint union of sample graphs ``first``, ``first + 1``,
-    and so on."""
-    return sorted({first + union.positions[x][0] for x in nodes})
 
 
 def check_xor_pairs(res, rng, pairs):

@@ -113,28 +113,22 @@ def _mark(p):
     return list({(n - 1,), (n // 2,)})
 
 
-def _euclid_cd(p):
-    x, y = p
-    out = []
-    if 0 < x:
-        for mult in range(1, y // x + 1):
-            out.append((x, y - mult * x))
-    if 0 < y:
-        for mult in range(1, x // y + 1):
-            out.append((x - mult * y, y))
-    return out
+def _euclid(floor):
+    """Euclid's game: take a positive multiple of the smaller pile from the
+    larger, leaving at least ``floor`` (0 in the original game, 1 in the
+    stay-positive variant)."""
+    def options(p):
+        x, y = p
+        out = []
+        if 0 < x:
+            for v in range(y - x, floor - 1, -x):
+                out.append((x, v))
+        if 0 < y:
+            for v in range(x - y, floor - 1, -y):
+                out.append((v, y))
+        return out
 
-
-def _euclid_grossman(p):
-    x, y = p
-    if x < 1 or y < 1:
-        return []
-    out = []
-    for mult in range(1, (y - 1) // x + 1):
-        out.append((x, y - mult * x))
-    for mult in range(1, (x - 1) // y + 1):
-        out.append((x - mult * y, y))
-    return out
+    return options
 
 
 def _wythoff(p):
@@ -312,8 +306,8 @@ TABLE = {
     "slow_nim": Family(_slow_nim, lambda p: p["n"], _PILES,
                        conditions=_K_AT_MOST_N, symmetry=_SORTING),
     "subtraction": Family(_subtraction, _fixed(1), {"x": [1]}),
-    "euclid_cd": Family(_fixed(_euclid_cd), _fixed(2), symmetry=_SORTING),
-    "euclid_grossman": Family(_fixed(_euclid_grossman), _fixed(2),
+    "euclid_cd": Family(_fixed(_euclid(0)), _fixed(2), symmetry=_SORTING),
+    "euclid_grossman": Family(_fixed(_euclid(1)), _fixed(2),
                               symmetry=_SORTING),
     "wythoff": Family(_fixed(_wythoff), _fixed(2), symmetry=_SORTING,
                       p_sequence=lambda p, upto, conv: wyt_a_sequence(

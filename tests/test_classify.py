@@ -30,10 +30,10 @@ from grundylab.core import disjoint_union
 from grundylab.fixtures import fixture_roots
 from grundylab.grundy import (SWAP_LABELS, LabeledGraph,
                               misere_via_adjoined_terminal, position_key,
-                              sg_violations, verify_sg_consistency)
+                              verify_sg_consistency)
 from grundylab.random_games import random_dag
 from grundylab.suites import (EQUALITIES, FIXTURE_EXPECTATIONS, HIERARCHY,
-                              adjoined_terminal_agrees)
+                              misere_mismatches)
 from grundylab.zoo import box_roots, euclid_swap_oracle, make_family, moore_swap_oracle
 
 from random_dags import dag_lists, random_dag_stream
@@ -518,14 +518,14 @@ def test_component_checks_equal_each_graph_alone(graphs, node, delta):
     node %= len(union)
     g_minus[node] = max(0, g_minus[node] + delta)
     lg = LabeledGraph(union, lg.g, g_minus)
-    inconsistent = {union.positions[x][0] for x, _, _ in sg_violations(lg)}
+    inconsistent = {k for (k, _), _, _ in verify_sg_consistency(lg).violations}
     misere = misere_via_adjoined_terminal(union)
     disagree = {union.positions[x][0] for x in range(len(union))
                 if misere[x] != g_minus[x]}
     for k, (graph, lo, hi) in enumerate(zip(graphs, starts, starts[1:])):
         alone = LabeledGraph(graph, lg.g[lo:hi], g_minus[lo:hi])
         assert (k not in inconsistent) == verify_sg_consistency(alone).ok
-        assert (k not in disagree) == adjoined_terminal_agrees(graph, alone)
+        assert (k not in disagree) == (not misere_mismatches(graph, alone))
     assert verify_sg_consistency(lg).ok == (not inconsistent)
 
 

@@ -27,7 +27,7 @@ from grundylab.grundy import (
     write_csv,
 )
 from grundylab.sums import sum_graph
-from grundylab.suites import adjoined_terminal_agrees
+from grundylab.suites import misere_mismatches
 from grundylab.zoo import box_roots, make_family
 
 from random_dags import random_dag_stream
@@ -101,6 +101,25 @@ def test_consistency_requires_misere_terminal_value_1(adjacency, value):
     assert violation in report.violations
 
 
+def test_consistency_lists_every_violation():
+    # all zeros: every move repeats value 0 in both conventions, and the
+    # misere terminal's value is not 1
+    graph = enumerate_subgame(make_family("mark"), [(200,)])
+    zeros = array("i", [0] * len(graph))
+    report = verify_sg_consistency(LabeledGraph(graph, zeros, zeros))
+    want = []
+    for x in graph.order:
+        p = graph.positions[x]
+        if graph.succ[p]:
+            want += [(p, which, "option repeats value 0")
+                     for which in ("normal", "misere")]
+        else:
+            want.append((p, "misere", "terminal value 0, not 1"))
+    # Mark from 200 reaches 0..200, and only 0 is terminal
+    assert len(graph) == 201 and len(want) == 2 * 200 + 1
+    assert report.violations == want
+
+
 def test_consistency_on_fixture():
     game = load_fixture("pet")
     lg = sg_labels(enumerate_subgame(game, fixture_roots("pet")))
@@ -136,12 +155,12 @@ def test_adjoined_terminal_equals_misere():
 def test_adjoined_terminal_check_reports_any_wrong_misere_value():
     for graph in random_dag_stream(7, 30):
         lg = sg_labels(graph)
-        assert adjoined_terminal_agrees(graph, lg)
+        assert not misere_mismatches(graph, lg)
         for x in range(len(graph)):
             wrong = array("i", lg.g_minus)
             wrong[x] += 1
             bad = LabeledGraph(graph, lg.g, wrong)
-            assert not adjoined_terminal_agrees(graph, bad), x
+            assert misere_mismatches(graph, bad), x
 
 
 def test_edge_values_differ():

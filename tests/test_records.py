@@ -37,7 +37,7 @@ def test_given_lists_are_kept():
     assert not report.ok
     assert CheckReport(False, failures).failures is failures
     assert SuiteResult("sums", 3, failures).checks is failures
-    consistency = ConsistencyReport(failures, 1)
+    consistency = ConsistencyReport(failures)
     assert consistency.violations is failures and not consistency.ok
 
 

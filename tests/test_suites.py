@@ -28,7 +28,7 @@ def per_graph_equalities(seed, samples, max_nodes=12):
             bad_sm.append(i)
         if not verify_sg_consistency(lg).ok:
             bad_cons.append(i)
-        if not suites.adjoined_terminal_agrees(graph, lg):
+        if suites.misere_mismatches(graph, lg):
             bad_misere.append(i)
     res = suites.SuiteResult("equalities", seed)
     res.add("hierarchy_implications", not bad_impl,
