@@ -127,6 +127,49 @@ def _word(g: int, gm: int, reach: int) -> int:
     return own | properties(own, reach) << _CLASS_BITS
 
 
+def fold_lines(graph) -> tuple:
+    """``(g, g_minus, packed_masks, depths)`` of a ``core.BoxGraph``, each
+    an ``array('i')`` indexed by node number, from one ascending pass.
+
+    Every line's targets lie below the node, so ascending node order is
+    children-first, and one visit of each option marks both values, ORs in
+    its word and raises the depth.  Every word has a partition bit, so a
+    node is terminal exactly when its options reach no class.  Words are
+    computed once per distinct (g, g_minus, reach), as in ``_packed_masks``.
+    """
+    lines, strides = graph.lines, graph.strides
+    n = len(graph)
+    # filled as lists, as in sg_labels; a mex is at most the out-degree,
+    # which is below n, so marks of width n + 1 hold every probe
+    g, gm, packed, depths = [0] * n, [0] * n, [0] * n, [0] * n
+    sg, sm = [-1] * (n + 1), [-1] * (n + 1)
+    words = {}
+    for x, p in enumerate(graph.positions):
+        reach, deepest = 0, -1
+        for line in lines(x, p, strides):
+            for y in line:
+                sg[g[y]] = x
+                sm[gm[y]] = x
+                reach |= packed[y]
+                if depths[y] > deepest:
+                    deepest = depths[y]
+        if reach:
+            m = 0
+            while sg[m] == x:
+                m += 1
+            k = 0
+            while sm[k] == x:
+                k += 1
+        else:
+            m, k = 0, 1
+        key = (m, k, reach & _CLASS_MASK)
+        word = words.get(key)
+        if word is None:
+            word = words[key] = _word(*key)
+        g[x], gm[x], packed[x], depths[x] = m, k, word, deepest + 1
+    return tuple(array("i", a) for a in (g, gm, packed, depths))
+
+
 # --- rows: properties of which every node needs at least one ------------------
 
 # predicate -> (row, witness reason); a reason of None names the offending
@@ -207,7 +250,7 @@ def _witnesses(lg: LabeledGraph, rows: dict) -> dict:
 def _option_reason(lg, packed, x, predicate):
     graph = lg.graph
     lab = (lg.g[x], lg.g_minus[x])
-    opts = graph.targets[graph.offsets[x]:graph.offsets[x + 1]]
+    opts = graph.row(x)
     if predicate == "forced":
         opposite = (1, 0) if lab == (0, 1) else (0, 1)
         y = next(y for y in opts if (lg.g[y], lg.g_minus[y]) != opposite)

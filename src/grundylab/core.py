@@ -11,6 +11,7 @@ import math
 from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, Iterable
 
 Position = Hashable
@@ -88,20 +89,22 @@ class GameDef:
     canonical(p)``): enumeration looks a raw option up before
     canonicalising it, and trusts a hit.
 
-    ``box_rows`` (optional, never with ``canonical``) builds the rows of a
-    full origin box at once: given the box's largest position ``bounds``, a
-    tuple of integers, it returns ``(offsets, targets)`` for the nodes
-    numbered as ``itertools.product(*(range(b + 1) for b in bounds))``
-    lists them.  Each row must give the same options in the same order as
-    ``options``.  ``enumerate_subgame`` calls it only when the roots are
-    that box, in that order.
+    ``box_lines`` (optional, never with ``canonical``) gives the options
+    of a full origin box's node at once.  The box's nodes are numbered as
+    ``itertools.product(*(range(b + 1) for b in bounds))`` lists them, where
+    ``bounds`` is the box's largest position, so node n is the mixed-radix
+    number of its position p and ``strides[i]`` is the node-number step of
+    coordinate i.  ``box_lines(n, p, strides)`` returns node n's options as
+    ranges of node numbers, every one below n, that together give the same
+    options in the same order as ``options(p)``.  ``enumerate_subgame``
+    uses it only when the roots are that box, in that order.
     """
 
     family: str
     params: dict = field(default_factory=dict)
     options: Callable[[Position], list] = None
     canonical: Callable[[Position], Position] | None = None
-    box_rows: Callable[[tuple], tuple] | None = None
+    box_lines: Callable[[int, tuple, list], Iterable] | None = None
 
     def canon(self, p: Position) -> Position:
         return p if self.canonical is None else self.canonical(p)
@@ -124,9 +127,11 @@ class ReachableGraph:
     sparse rows of ``array('i')``).  ``order`` lists the node numbers with
     every move source before its targets, and ``depths[i]`` is d(node i).
     ``succ``, ``topo`` and ``nodes`` are read-only views of the same data in
-    terms of positions.  Immutable after construction.  ``order`` and
-    ``depths`` come from one depth-first pass, which is also the cycle
-    check, unless the caller passes both.
+    terms of positions, and ``row(i)`` is node i's option numbers.
+    Immutable after construction.  ``order`` and ``depths`` come from one
+    depth-first pass, which is also the cycle check, unless the caller
+    passes both.  A full origin box is a ``BoxGraph``, which computes its
+    rows instead.
     """
 
     def __init__(self, roots, positions, index, offsets, targets,
@@ -146,8 +151,11 @@ class ReachableGraph:
         return NodeView(self.index, lambda: self.positions, self._options)
 
     def _options(self, i) -> tuple:
-        return tuple(map(self.positions.__getitem__,
-                         self.targets[self.offsets[i]:self.offsets[i + 1]]))
+        return tuple(map(self.positions.__getitem__, self.row(i)))
+
+    def row(self, i):
+        """Node i's option numbers, in the order the rule gave them."""
+        return self.targets[self.offsets[i]:self.offsets[i + 1]]
 
     @property
     def topo(self) -> list:
@@ -188,6 +196,56 @@ class ReachableGraph:
         return f"roots={root_str}; nodes={len(self)}"
 
 
+class BoxGraph(ReachableGraph):
+    """The full origin box of a game with ``box_lines``, every node a root.
+
+    Node n is the mixed-radix number of its position, and its options come
+    from its lines (``GameDef.box_lines``), so no row is stored.  Every
+    line's targets lie below the node, so the descending node numbers are
+    ``order`` (they are also what the depth-first pass would give), and no
+    cycle check runs.  ``sg_labels`` takes the labels, packed words and
+    depths from one ascending fold over the lines (``folded``).  Whole-graph
+    readers of ``offsets`` and ``targets`` get them built on first access,
+    and a reader of ``depths`` before labelling runs the fold, both once.
+    """
+
+    def __init__(self, positions, index, lines):
+        bounds = positions[-1]
+        self.roots = frozenset(positions)
+        self.positions, self.index, self.lines = positions, index, lines
+        self.strides = [math.prod(b + 1 for b in bounds[i + 1:])
+                        for i in range(len(bounds))]
+        self.order = array("i", range(len(positions) - 1, -1, -1))
+
+    def row(self, i) -> list:
+        # a list takes a range faster than an array does
+        row = []
+        for line in self.lines(i, self.positions[i], self.strides):
+            row += line
+        return row
+
+    @cached_property
+    def _rows(self):
+        offsets, targets = array("i", [0]), array("i")
+        fromlist, append = targets.fromlist, offsets.append
+        for i in range(len(self.positions)):
+            fromlist(self.row(i))
+            append(len(targets))
+        return offsets, targets
+
+    offsets = cached_property(lambda self: self._rows[0])
+    targets = cached_property(lambda self: self._rows[1])
+
+    @cached_property
+    def folded(self) -> tuple:
+        """``(g, g_minus, packed_masks, depths)``, each an ``array('i')``
+        indexed by node number, from ``classify.fold_lines``."""
+        from .classify import fold_lines  # classify imports this module
+        return fold_lines(self)
+
+    depths = cached_property(lambda self: self.folded[3])
+
+
 class NodeView(Mapping):
     """Read-only mapping from position to ``value(i)`` of its node number i,
     iterating positions in the order ``keys()`` gives."""
@@ -217,22 +275,17 @@ def enumerate_subgame(game: GameDef, roots: Iterable[Position],
     Breadth-first closure under the move rule that numbers each node when
     it is first seen, then one depth-first pass that orders the nodes and
     doubles as the mandatory cycle check.  When the roots are a full origin
-    box (``_box_bounds``) and the game has ``box_rows``, the box is closed
-    and numbered already, so its rows are built at once.
+    box (``_box_bounds``) and the game has ``box_lines``, the box is closed
+    and numbered already and every move lowers the node number, so the
+    result is a ``BoxGraph``: no row is stored and no depth-first pass runs.
     """
     positions = list(dict.fromkeys(game.canon(r) for r in roots))
     root_count = len(positions)
     index = {x: i for i, x in enumerate(positions)}
-    if game.box_rows is not None:
-        bounds = _box_bounds(positions)
-        if bounds is not None:
-            if root_count > node_cap:
-                raise LimitExceeded(f"node cap {node_cap} exceeded")
-            # the box's numbering is already parents-first, but the
-            # ordering DFS still runs: it is the cycle check, and an
-            # ascending depth pass over the rows measured no faster
-            return ReachableGraph(positions, positions, index,
-                                  *game.box_rows(bounds))
+    if game.box_lines is not None and _box_bounds(positions) is not None:
+        if root_count > node_cap:
+            raise LimitExceeded(f"node cap {node_cap} exceeded")
+        return BoxGraph(positions, index, game.box_lines)
     get = index.get
     options, canonical = game.options, game.canonical
     offsets, targets = array("i", [0]), array("i")

@@ -8,7 +8,7 @@ from array import array
 from operator import sub
 from typing import NamedTuple
 
-from .core import NodeView, ReachableGraph, adjoin_misere_terminal
+from .core import BoxGraph, NodeView, ReachableGraph, adjoin_misere_terminal
 
 SWAP_LABELS = ((0, 1), (1, 0))
 
@@ -38,7 +38,8 @@ class LabeledGraph:
     ``labels`` is a read-only position -> Label view, children before
     parents.  Immutable after construction: ``packed_masks`` holds the
     per-node class and property masks ``classify`` derives from the graph
-    and the labels, built once on first use and shared by every predicate.
+    and the labels, built once on first use (by ``sg_labels`` on a
+    ``BoxGraph``) and shared by every predicate.
     """
 
     packed_masks = None
@@ -66,8 +67,14 @@ def sg_labels(graph: ReachableGraph) -> LabeledGraph:
     """Fill both SG recursions bottom-up in topological order.
 
     Terminals get g = 0 and g_minus = 1; elsewhere both values are the mex
-    of the option values.
+    of the option values.  A ``BoxGraph``'s labels come from its one fold
+    over the lines, which also fills ``packed_masks``.
     """
+    if isinstance(graph, BoxGraph):
+        g, gm, packed, _ = graph.folded
+        lg = LabeledGraph(graph, g, gm)
+        lg.packed_masks = packed
+        return lg
     n = len(graph)
     # filled as lists, whose items read and write without converting to
     # and from C ints, and stored as array("i")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from math import isqrt
 from types import MappingProxyType
 from typing import Callable, NamedTuple
@@ -58,31 +57,9 @@ def _nim(p):
     return list(_lowered(p, (1,)))
 
 
-def _box_rows(lines):
-    """A ``box_rows`` entry for a rule that only lowers coordinates.
-
-    Node n of the box is the mixed-radix number of its position p, so a
-    move along a line is the same stride from every node.  ``lines(n, p,
-    strides)`` gives node n's options as ranges of node numbers, in the
-    rule's order; ``strides[i]`` is the node-number step of coordinate i.
-    """
-    def rows(bounds):
-        strides = [math.prod(b + 1 for b in bounds[i + 1:])
-                   for i in range(len(bounds))]
-        offsets, targets = array("i", [0]), array("i")
-        fromlist, append = targets.fromlist, offsets.append
-        for n, p in enumerate(itertools.product(*(range(b + 1)
-                                                  for b in bounds))):
-            # a list takes a range faster than an array does
-            row = []
-            for line in lines(n, p, strides):
-                row += line
-            fromlist(row)
-            append(len(targets))
-        return offsets, targets
-
-    return _fixed(rows)
-
+# GameDef.box_lines entries: node n of a full origin box is the mixed-radix
+# number of its position p, so a move along a line is the same stride from
+# every node, and a row is a few strided ranges
 
 def _nim_lines(n, p, strides):
     # one pile lowered to each smaller height, as _lowered lists them
@@ -273,10 +250,11 @@ class Family(NamedTuple):
     callables take checked parameters: ``rule`` gives the option function,
     ``arity`` the coordinates of a position (None: any number), ``symmetry``
     the canonicalization hook or None, ``p_sequence(params, upto,
-    convention)`` the P-position pairs 0..upto, and ``box_rows`` the
-    ``GameDef.box_rows`` builder of a full origin box or None: it lists
-    each row's options in the rule's order, because a witness reason names
-    the first offending option, and it is used only without symmetry.
+    convention)`` the P-position pairs 0..upto, and ``box_lines`` the
+    ``GameDef.box_lines`` of a full origin box or None: its lines give each
+    node's options in the rule's order (a witness reason names the first
+    offending option), every target below the node, and it is used only
+    without symmetry.
     """
 
     rule: Callable[[dict], Callable]
@@ -286,7 +264,7 @@ class Family(NamedTuple):
     conditions: tuple = ()
     symmetry: Callable[[dict], Callable | None] | None = None
     p_sequence: Callable[[dict, int, str], list] | None = None
-    box_rows: Callable[[dict], Callable] | None = None
+    box_lines: Callable[[dict], Callable] | None = None
 
 
 _SORTING = _fixed(_sorted_canonical)
@@ -295,7 +273,7 @@ _K_AT_MOST_N = ((lambda p: p["k"] <= p["n"], "k <= n"),)
 
 TABLE = {
     "nim": Family(_fixed(_nim), _fixed(None), symmetry=_SORTING,
-                  box_rows=_box_rows(_nim_lines)),
+                  box_lines=_fixed(_nim_lines)),
     "moore_nim": Family(_moore_nim, lambda p: p["n"], _PILES,
                         conditions=_K_AT_MOST_N, symmetry=_SORTING),
     "extended_nim": Family(_extended_nim, lambda p: p["n"] + 1, _PILES,
@@ -312,7 +290,7 @@ TABLE = {
     "wythoff": Family(_fixed(_wythoff), _fixed(2), symmetry=_SORTING,
                       p_sequence=lambda p, upto, conv: wyt_a_sequence(
                           1, upto, conv),
-                      box_rows=_box_rows(_wythoff_lines)),
+                      box_lines=_fixed(_wythoff_lines)),
     "wyt_a": Family(_wyt_a, _fixed(2), {"a": 1}, symmetry=_SORTING,
                     p_sequence=lambda p, upto, conv: wyt_a_sequence(
                         p["a"], upto, conv)),
@@ -376,16 +354,16 @@ def make_family(family: str, params: dict | None = None, *,
     ``use_symmetry`` turns on the family's canonicalization hook (pile
     sorting, or minimal rotation for cyclic heap structures) to shrink the
     reachable state space.  Off by default so enumerated nodes are the raw
-    coordinate vectors.  The family's ``box_rows``, if any, is carried only
+    coordinate vectors.  The family's ``box_lines``, if any, is carried only
     when no symmetry hook is on.
     """
     params = check_params(family, params)
     record = TABLE[family]
     canonical = (record.symmetry(params)
                  if use_symmetry and record.symmetry else None)
-    box_rows = (record.box_rows(params)
-                if canonical is None and record.box_rows else None)
-    return GameDef(family, params, record.rule(params), canonical, box_rows)
+    box_lines = (record.box_lines(params)
+                 if canonical is None and record.box_lines else None)
+    return GameDef(family, params, record.rule(params), canonical, box_lines)
 
 
 def box_roots(dims: int, bound: int, floor: int = 0) -> list:

@@ -20,6 +20,7 @@ import grundylab.sums
 from grundylab import (enumerate_subgame, load_fixture, sg_labels,
                        sum_game)
 from grundylab.cli import main
+from grundylab.core import BoxGraph, ReachableGraph
 from grundylab.fixtures import FIXTURE_NAMES, fixture_roots
 from grundylab.grundy import to_csv
 from grundylab.suites import SUITES
@@ -188,12 +189,17 @@ _PINNED_OUTPUTS = [
      "edd3fdb6df968f2872ff7aa9500a2bddaed22d88819489db63f442e655d392ab"),
     (("table", "--family", "nim", "--n", "3", "--box", "8", "--sg"),
      "e3cea6014b6f6aa2edbf5189beccd02808f7e9aeecc195590bf358addb9decaf"),
+    # recorded while every box stored its rows; the witnesses' reasons name
+    # options the box path takes from its lines
+    (("analyze", "--family", "wythoff", "--box", "60", "--format", "json"),
+     "5c4110512153ac4eed67ea04183b16c2d1f7643552e9369fcfd0e60bd446f65f"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", _PINNED_OUTPUTS,
                          ids=["wythoff_table", "nim_table", "subtraction",
-                              "nim_box_analyze", "nim_box_table"])
+                              "nim_box_analyze", "nim_box_table",
+                              "wythoff_box_analyze"])
 def test_output_bytes_pinned(argv, digest):
     result = run(*argv, env={"GRUNDY_CACHE_DIR": None})
     assert result.exit_code == 0
@@ -702,6 +708,32 @@ def test_sum_table_of_three_summands_equals_literal_product(tmp_path):
     roots = itertools.product([(2, 1)], fixture_roots("pet"), [(4,), (2,)])
     product = enumerate_subgame(sum_game(games), list(roots))
     assert out_csv.read_bytes() == to_csv(sg_labels(product)).encode()
+
+
+def test_sum_with_a_box_summand_pinned(tmp_path, monkeypatch):
+    # the full 5x5 Wythoff box takes the box path, and the product reads its
+    # rows; both digests were recorded while every box stored its rows
+    graphs = []
+
+    def kept(*args, **kwargs):
+        graphs.append(enumerate_subgame(*args, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr("grundylab.cli.enumerate_subgame", kept)
+    box = tmp_path / "W"
+    box.write_text(json.dumps({"family": "wythoff", "roots": [
+        list(p) for p in itertools.product(range(5), repeat=2)]}))
+    nim = tmp_path / "N"
+    nim.write_text(json.dumps({"family": "nim", "roots": [[2, 3]]}))
+    table = tmp_path / "T"
+    result = run("sum", "--game", str(box), "--game", str(nim),
+                 "--target", "tame", "--table", str(table))
+    assert result.exit_code == 0
+    assert [type(g) for g in graphs] == [BoxGraph, ReachableGraph]
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "540a52d74fb58c88a0bca2f9cb3e6c34ccd9513cf928af1fe3066c4234cedb6d")
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == (
+        "d9c371af04d3cd8ed97049834a9b5a436c8b32a131b298b27f4b667a39c9e056")
 
 
 def test_sum_fixture_specs(tmp_path):

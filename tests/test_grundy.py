@@ -101,6 +101,22 @@ def test_consistency_requires_misere_terminal_value_1(adjacency, value):
     assert violation in report.violations
 
 
+@pytest.mark.parametrize("which", ["normal", "misere"])
+def test_consistency_reports_a_value_above_the_mex(which):
+    # Nim from 3: the root's options realize 0, 1 and 2 in both conventions,
+    # and no move enters the root, so raising its value to 5 breaks only the
+    # root's own "every smaller value is realized" condition
+    lg = sg_labels(enumerate_subgame(make_family("nim"), [(3,)]))
+    root = lg.graph.index[(3,)]
+    assert (lg.g[root], lg.g_minus[root]) == (3, 3)
+    values = {"normal": array("i", lg.g), "misere": array("i", lg.g_minus)}
+    values[which][root] = 5
+    report = verify_sg_consistency(
+        LabeledGraph(lg.graph, values["normal"], values["misere"]))
+    assert report.violations == [((3,), which, "values [3, 4] below 5 "
+                                  "unrealized")]
+
+
 def test_consistency_lists_every_violation():
     # all zeros: every move repeats value 0 in both conventions, and the
     # misere terminal's value is not 1

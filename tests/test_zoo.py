@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import io
 import itertools
+import json
 import random
 from types import SimpleNamespace
 
@@ -15,6 +18,8 @@ from grundylab import (
     mex,
     sg_labels,
 )
+from grundylab.cli import main
+from grundylab.core import BoxGraph
 from grundylab.suites import (
     WYT_AB_PAIRS,
     SuiteResult,
@@ -496,12 +501,12 @@ def _outcome(game, roots):
     lg = sg_labels(enumerate_subgame(game, roots))
     graph, report = lg.graph, classify(lg)
     return (graph.positions, graph.index, graph.offsets, graph.targets,
-            graph.order, graph.depths, lg.g, lg.g_minus, report.verdicts,
-            report.witnesses)
+            graph.order, graph.depths, lg.g, lg.g_minus, lg.packed_masks,
+            report.verdicts, report.witnesses)
 
 
 def _breadth_first(game):
-    return dataclasses.replace(game, box_rows=None)
+    return dataclasses.replace(game, box_lines=None)
 
 
 def _box_only(game):
@@ -510,55 +515,94 @@ def _box_only(game):
 
 
 def _no_box(game):
-    def refuse(bounds):
-        raise AssertionError(f"box path taken for {bounds}")
-    return dataclasses.replace(game, box_rows=refuse)
+    def refuse(n, p, strides):
+        raise AssertionError(f"box path taken at {p}")
+    return dataclasses.replace(game, box_lines=refuse)
 
 
 _WYTHOFF_BOUNDS = st.tuples(st.integers(0, 12), st.integers(0, 12))
 _NIM_BOUNDS = st.lists(st.integers(0, 4), max_size=4).map(tuple)
+_FAMILY_BOUNDS = st.one_of(_WYTHOFF_BOUNDS.map(lambda b: ("wythoff", b)),
+                           _NIM_BOUNDS.map(lambda b: ("nim", b)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(family_bounds=st.one_of(_WYTHOFF_BOUNDS.map(lambda b: ("wythoff", b)),
-                               _NIM_BOUNDS.map(lambda b: ("nim", b))))
+@given(family_bounds=_FAMILY_BOUNDS)
 def test_box_path_equals_breadth_first(family_bounds):
     family, bounds = family_bounds
     game, roots = make_family(family), _box(bounds)
-    assert game.box_rows is not None
+    assert game.box_lines is not None
     assert (_outcome(_box_only(game), roots)
             == _outcome(_breadth_first(game), roots))
 
 
-def _drop_last_move(offsets, targets):
-    i = max(i for i in range(len(offsets) - 1) if offsets[i] < offsets[i + 1])
-    del targets[offsets[i + 1] - 1]
-    for j in range(i + 1, len(offsets)):
-        offsets[j] -= 1
+@settings(max_examples=60, deadline=None)
+@given(family_bounds=_FAMILY_BOUNDS)
+def test_box_lines_lie_below_the_node_and_give_the_options(family_bounds):
+    # the box path runs no cycle check: every move must lower the node number
+    family, bounds = family_bounds
+    game = make_family(family)
+    graph = enumerate_subgame(_box_only(game), _box(bounds))
+    assert isinstance(graph, BoxGraph)
+    for n, p in enumerate(graph.positions):
+        row = []
+        for line in game.box_lines(n, p, graph.strides):
+            assert all(0 <= y < n for y in line)
+            row += line
+        assert [graph.positions[y] for y in row] == game.options(p)
 
 
-def _swap_two_moves(offsets, targets):
-    i = next(i for i in range(len(offsets) - 1)
-             if offsets[i + 1] - offsets[i] >= 2)
-    a = offsets[i]
-    targets[a], targets[a + 1] = targets[a + 1], targets[a]
+def _box_rows(game, roots):
+    """Each box node's options from the game's lines, as a list per node."""
+    strides = enumerate_subgame(_box_only(game), roots).strides
+    return [[y for line in game.box_lines(n, p, strides) for y in line]
+            for n, p in enumerate(roots)]
+
+
+def _drop_last_move(rows):
+    i = max(i for i, row in enumerate(rows) if row)
+    del rows[i][-1]
+
+
+def _swap_two_moves(rows):
+    row = next(row for row in rows if len(row) >= 2)
+    row[0], row[1] = row[1], row[0]
 
 
 @pytest.mark.parametrize("mutate", [_drop_last_move, _swap_two_moves])
 @pytest.mark.parametrize("family,bounds", [("wythoff", (3, 4)),
                                            ("nim", (2, 0, 3))])
 def test_box_path_comparison_catches_a_wrong_rule(family, bounds, mutate):
-    game = make_family(family)
-
-    def mutated(bounds):
-        offsets, targets = game.box_rows(bounds)
-        mutate(offsets, targets)
-        return offsets, targets
-
-    roots = _box(bounds)
-    assert (_outcome(_box_only(dataclasses.replace(game, box_rows=mutated)),
-                     roots)
+    game, roots = make_family(family), _box(bounds)
+    rows = _box_rows(game, roots)
+    mutate(rows)
+    mutated = dataclasses.replace(game,
+                                  box_lines=lambda n, p, strides: [rows[n]])
+    assert (_outcome(_box_only(mutated), roots)
             != _outcome(_breadth_first(game), roots))
+
+
+def test_analyze_on_a_box_stores_no_rows_and_runs_no_dfs(monkeypatch):
+    graphs = []
+
+    def kept(*args, **kwargs):
+        graphs.append(enumerate_subgame(*args, **kwargs))
+        return graphs[-1]
+
+    def no_dfs(*args):
+        raise AssertionError("ordering DFS ran")
+
+    monkeypatch.setattr("grundylab.cli.enumerate_subgame", kept)
+    monkeypatch.setattr("grundylab.core._order_and_depths", no_dfs)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main.main(args=["analyze", "--family", "wythoff", "--box", "12",
+                        "--format", "json"])
+    assert exc.value.code in (0, None)
+    assert json.loads(out.getvalue())["verdicts"]["pet"] is False
+    (graph,) = graphs
+    assert isinstance(graph, BoxGraph)
+    assert not {"offsets", "targets"} & vars(graph).keys()
 
 
 @pytest.mark.parametrize("roots", [
@@ -576,10 +620,10 @@ def test_other_roots_take_the_breadth_first_path(roots):
 
 
 def test_box_path_only_without_symmetry():
-    assert [f for f in FAMILIES if TABLE[f].box_rows] == ["nim", "wythoff"]
+    assert [f for f in FAMILIES if TABLE[f].box_lines] == ["nim", "wythoff"]
     for family in ("nim", "wythoff"):
         game = make_family(family, use_symmetry=True)
-        assert game.canonical is not None and game.box_rows is None
+        assert game.canonical is not None and game.box_lines is None
 
 
 @pytest.mark.parametrize("game", [_box_only(make_family("wythoff")),
