@@ -90,14 +90,18 @@ class GameDef:
     canonicalising it, and trusts a hit.
 
     ``box_lines`` (optional, never with ``canonical``) gives the options
-    of a full origin box's node at once.  The box's nodes are numbered as
+    of an origin box's node at once.  The box's nodes are numbered as
     ``itertools.product(*(range(b + 1) for b in bounds))`` lists them, where
     ``bounds`` is the box's largest position, so node n is the mixed-radix
     number of its position p and ``strides[i]`` is the node-number step of
     coordinate i.  ``box_lines(n, p, strides)`` returns node n's options as
-    ranges of node numbers, every one below n, that together give the same
-    options in the same order as ``options(p)``.  ``enumerate_subgame``
-    uses it only when the roots are that box, in that order.
+    sized sequences (ranges or lists) of node numbers, every one below n,
+    that together give the same options in the same order as
+    ``options(p)``.  It may be given only when every option lies below its
+    position in every coordinate and every ``p - e_i`` with ``p_i > 0`` is
+    an option: then the box below a position is exactly that position's
+    closure.  ``enumerate_subgame`` uses it when the roots' componentwise
+    maximum is itself one of the roots.
     """
 
     family: str
@@ -130,8 +134,8 @@ class ReachableGraph:
     terms of positions, and ``row(i)`` is node i's option numbers.
     Immutable after construction.  ``order`` and ``depths`` come from one
     depth-first pass, which is also the cycle check, unless the caller
-    passes both.  A full origin box is a ``BoxGraph``, which computes its
-    rows instead.
+    passes both.  The closure of a greatest root, with ``box_lines``, is a
+    ``BoxGraph``, which computes its rows instead.
     """
 
     def __init__(self, roots, positions, index, offsets, targets,
@@ -197,7 +201,8 @@ class ReachableGraph:
 
 
 class BoxGraph(ReachableGraph):
-    """The full origin box of a game with ``box_lines``, every node a root.
+    """The origin box below ``bounds`` of a game with ``box_lines``: the
+    closure of any root set whose greatest root is ``bounds``.
 
     Node n is the mixed-radix number of its position, and its options come
     from its lines (``GameDef.box_lines``), so no row is stored.  Every
@@ -206,16 +211,30 @@ class BoxGraph(ReachableGraph):
     cycle check runs.  ``sg_labels`` takes the labels, packed words and
     depths from one ascending fold over the lines (``folded``).  Whole-graph
     readers of ``offsets`` and ``targets`` get them built on first access,
-    and a reader of ``depths`` before labelling runs the fold, both once.
+    as does the first reader of ``index``, and a reader of ``depths``
+    before labelling runs the fold, each once; ``edge_count`` and
+    ``terminals`` read the lines instead.
     """
 
-    def __init__(self, positions, index, lines):
-        bounds = positions[-1]
-        self.roots = frozenset(positions)
-        self.positions, self.index, self.lines = positions, index, lines
+    def __init__(self, roots, bounds, lines):
+        self.roots = frozenset(roots)
+        self.positions = list(itertools.product(*(range(b + 1)
+                                                  for b in bounds)))
+        self.lines = lines
         self.strides = [math.prod(b + 1 for b in bounds[i + 1:])
                         for i in range(len(bounds))]
-        self.order = array("i", range(len(positions) - 1, -1, -1))
+        self.order = array("i", range(len(self.positions) - 1, -1, -1))
+
+    def _node_lines(self):
+        lines, strides = self.lines, self.strides
+        return (lines(n, p, strides) for n, p in enumerate(self.positions))
+
+    def edge_count(self) -> int:
+        return sum(len(line) for node in self._node_lines() for line in node)
+
+    def terminals(self):
+        return [x for x, node in zip(self.positions, self._node_lines())
+                if not any(node)]
 
     def row(self, i) -> list:
         # a list takes a range faster than an array does
@@ -235,6 +254,9 @@ class BoxGraph(ReachableGraph):
 
     offsets = cached_property(lambda self: self._rows[0])
     targets = cached_property(lambda self: self._rows[1])
+    # labelling and classifying read no position's number
+    index = cached_property(
+        lambda self: {x: i for i, x in enumerate(self.positions)})
 
     @cached_property
     def folded(self) -> tuple:
@@ -274,18 +296,21 @@ def enumerate_subgame(game: GameDef, roots: Iterable[Position],
 
     Breadth-first closure under the move rule that numbers each node when
     it is first seen, then one depth-first pass that orders the nodes and
-    doubles as the mandatory cycle check.  When the roots are a full origin
-    box (``_box_bounds``) and the game has ``box_lines``, the box is closed
-    and numbered already and every move lowers the node number, so the
-    result is a ``BoxGraph``: no row is stored and no depth-first pass runs.
+    doubles as the mandatory cycle check.  When the game has ``box_lines``
+    and the roots' componentwise maximum is one of them (``_greatest``),
+    the closure is the origin box below that root, numbered already, and
+    every move lowers the node number, so the result is a ``BoxGraph``: no
+    option is enumerated, no row is stored and no depth-first pass runs.
     """
     positions = list(dict.fromkeys(game.canon(r) for r in roots))
+    if game.box_lines is not None:
+        bounds = _greatest(positions)
+        if bounds is not None:
+            if math.prod(b + 1 for b in bounds) > node_cap:
+                raise LimitExceeded(f"node cap {node_cap} exceeded")
+            return BoxGraph(positions, bounds, game.box_lines)
     root_count = len(positions)
     index = {x: i for i, x in enumerate(positions)}
-    if game.box_lines is not None and _box_bounds(positions) is not None:
-        if root_count > node_cap:
-            raise LimitExceeded(f"node cap {node_cap} exceeded")
-        return BoxGraph(positions, index, game.box_lines)
     get = index.get
     options, canonical = game.options, game.canonical
     offsets, targets = array("i", [0]), array("i")
@@ -324,20 +349,21 @@ def enumerate_subgame(game: GameDef, roots: Iterable[Position],
                           offsets, targets)
 
 
-def _box_bounds(positions):
-    """The last position, when ``positions`` are every integer vector of
-    the origin box it bounds in ``itertools.product`` order; else None."""
-    if not positions:
-        return None
-    bounds = positions[-1]
+def _greatest(positions):
+    """The componentwise maximum of ``positions`` when it is one of them
+    and all are vectors of one length of integers >= 0; else None."""
     try:
-        # the length first: a single root that is not the origin stops here
-        if len(positions) != math.prod(b + 1 for b in bounds):
-            return None
-        box = itertools.product(*(range(b + 1) for b in bounds))
-    except TypeError:  # not a vector of integers
+        if len(set(map(len, positions))) != 1:
+            return None  # none, or of mixed length: zip would truncate
+        columns = list(zip(*positions))
+    except TypeError:  # not a vector
         return None
-    return bounds if positions == list(box) else None
+    if not set(map(type, itertools.chain.from_iterable(columns))) <= {int}:
+        return None
+    if columns and min(map(min, columns)) < 0:
+        return None
+    top = tuple(map(max, columns))
+    return top if top in positions else None
 
 
 def graph_from_adjacency(adj: dict, roots=None) -> ReachableGraph:

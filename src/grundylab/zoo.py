@@ -57,7 +57,7 @@ def _nim(p):
     return list(_lowered(p, (1,)))
 
 
-# GameDef.box_lines entries: node n of a full origin box is the mixed-radix
+# GameDef.box_lines entries: node n of an origin box is the mixed-radix
 # number of its position p, so a move along a line is the same stride from
 # every node, and a row is a few strided ranges
 
@@ -81,6 +81,19 @@ def _subtraction(params):
         return [(n - s,) for s in xset if n - s >= 0]
 
     return options
+
+
+def _subtraction_lines(params):
+    # on one pile the node number is the pile; without a move of 1 the
+    # chain below a root skips positions, so it is not that root's box
+    xset = params["x"]
+    if 1 not in xset:
+        return None
+
+    def lines(n, p, strides):
+        return ([n - s for s in xset if s <= n],)
+
+    return lines
 
 
 def _mark(p):
@@ -251,10 +264,13 @@ class Family(NamedTuple):
     ``arity`` the coordinates of a position (None: any number), ``symmetry``
     the canonicalization hook or None, ``p_sequence(params, upto,
     convention)`` the P-position pairs 0..upto, and ``box_lines`` the
-    ``GameDef.box_lines`` of a full origin box or None: its lines give each
+    ``GameDef.box_lines`` of an origin box or None: its lines give each
     node's options in the rule's order (a witness reason names the first
     offending option), every target below the node, and it is used only
-    without symmetry.
+    without symmetry.  A family may have ``box_lines`` only if every
+    option lies below its position in every coordinate and every
+    ``p - e_i`` with ``p_i > 0`` is an option, so that the box below a
+    position is its closure.
     """
 
     rule: Callable[[dict], Callable]
@@ -264,7 +280,7 @@ class Family(NamedTuple):
     conditions: tuple = ()
     symmetry: Callable[[dict], Callable | None] | None = None
     p_sequence: Callable[[dict, int, str], list] | None = None
-    box_lines: Callable[[dict], Callable] | None = None
+    box_lines: Callable[[dict], Callable | None] | None = None
 
 
 _SORTING = _fixed(_sorted_canonical)
@@ -283,7 +299,8 @@ TABLE = {
                         conditions=_K_AT_MOST_N, symmetry=_SORTING),
     "slow_nim": Family(_slow_nim, lambda p: p["n"], _PILES,
                        conditions=_K_AT_MOST_N, symmetry=_SORTING),
-    "subtraction": Family(_subtraction, _fixed(1), {"x": [1]}),
+    "subtraction": Family(_subtraction, _fixed(1), {"x": [1]},
+                          box_lines=_subtraction_lines),
     "euclid_cd": Family(_fixed(_euclid(0)), _fixed(2), symmetry=_SORTING),
     "euclid_grossman": Family(_fixed(_euclid(1)), _fixed(2),
                               symmetry=_SORTING),

@@ -193,13 +193,26 @@ _PINNED_OUTPUTS = [
     # options the box path takes from its lines
     (("analyze", "--family", "wythoff", "--box", "60", "--format", "json"),
      "5c4110512153ac4eed67ea04183b16c2d1f7643552e9369fcfd0e60bd446f65f"),
+    # recorded while a single root was enumerated breadth-first; each is
+    # now the corner of its box
+    (("analyze", "--family", "nim", "--roots", "20,20,20", "--format",
+      "json"),
+     "cf174eba0f760145cd74acce51a81ce526327dd307301dbb46d02a641965b488"),
+    (("analyze", "--family", "wythoff", "--roots", "60,41", "--format",
+      "text"),
+     "c2c94a3b591e2d78791fa9b2a630064572aa98a128ab6eb0a7230657e60c6ed1"),
+    (("table", "--sg", "--family", "subtraction", "--set", "1,3,4",
+      "--roots", "5000"),
+     "499bb53cbc33c8b6e5a67d760a394d0a55b595ddd6cf08bce38343a902e5e051"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", _PINNED_OUTPUTS,
                          ids=["wythoff_table", "nim_table", "subtraction",
                               "nim_box_analyze", "nim_box_table",
-                              "wythoff_box_analyze"])
+                              "wythoff_box_analyze", "nim_corner_analyze",
+                              "wythoff_corner_analyze",
+                              "subtraction_corner_table"])
 def test_output_bytes_pinned(argv, digest):
     result = run(*argv, env={"GRUNDY_CACHE_DIR": None})
     assert result.exit_code == 0
@@ -710,9 +723,10 @@ def test_sum_table_of_three_summands_equals_literal_product(tmp_path):
     assert out_csv.read_bytes() == to_csv(sg_labels(product)).encode()
 
 
-def test_sum_with_a_box_summand_pinned(tmp_path, monkeypatch):
-    # the full 5x5 Wythoff box takes the box path, and the product reads its
-    # rows; both digests were recorded while every box stored its rows
+def _pinned_sum(tmp_path, monkeypatch, second):
+    """Digests of the stdout and the table of ``sum --target tame`` of the
+    full 5x5 Wythoff box and the spec ``second``, and the types of the
+    summand graphs."""
     graphs = []
 
     def kept(*args, **kwargs):
@@ -723,17 +737,39 @@ def test_sum_with_a_box_summand_pinned(tmp_path, monkeypatch):
     box = tmp_path / "W"
     box.write_text(json.dumps({"family": "wythoff", "roots": [
         list(p) for p in itertools.product(range(5), repeat=2)]}))
-    nim = tmp_path / "N"
-    nim.write_text(json.dumps({"family": "nim", "roots": [[2, 3]]}))
+    other = tmp_path / "S"
+    other.write_text(json.dumps(second))
     table = tmp_path / "T"
-    result = run("sum", "--game", str(box), "--game", str(nim),
+    result = run("sum", "--game", str(box), "--game", str(other),
                  "--target", "tame", "--table", str(table))
     assert result.exit_code == 0
-    assert [type(g) for g in graphs] == [BoxGraph, ReachableGraph]
-    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
-        "540a52d74fb58c88a0bca2f9cb3e6c34ccd9513cf928af1fe3066c4234cedb6d")
-    assert hashlib.sha256(table.read_bytes()).hexdigest() == (
+    return ([type(g) for g in graphs],
+            hashlib.sha256(result.stdout_bytes).hexdigest(),
+            hashlib.sha256(table.read_bytes()).hexdigest())
+
+
+def test_sum_with_a_box_summand_pinned(tmp_path, monkeypatch):
+    # the full 5x5 Wythoff box and Nim from its corner (2, 3) take the box
+    # path, and the product reads their rows; both digests were recorded
+    # while every box stored its rows and (2, 3) was enumerated breadth-first
+    assert _pinned_sum(tmp_path, monkeypatch,
+                       {"family": "nim", "roots": [[2, 3]]}) == (
+        [BoxGraph, BoxGraph],
+        "540a52d74fb58c88a0bca2f9cb3e6c34ccd9513cf928af1fe3066c4234cedb6d",
         "d9c371af04d3cd8ed97049834a9b5a436c8b32a131b298b27f4b667a39c9e056")
+
+
+def test_sum_of_a_box_and_a_breadth_first_summand_pinned(tmp_path,
+                                                         monkeypatch):
+    # subtraction {2, 3} has no move of 1, so no box lines: the product
+    # mixes a box's rows built on demand with stored rows; both digests were
+    # recorded while every single root was enumerated breadth-first
+    assert _pinned_sum(tmp_path, monkeypatch, {
+        "family": "subtraction", "params": {"x": [2, 3]},
+        "roots": [[7]]}) == (
+        [BoxGraph, ReachableGraph],
+        "36792e4bfdd0690adb0cabfa84f8243fe5f0489bd4368429e267826d450f2a84",
+        "758d135a3dc76e2307f53283aa502747cd29d2a1836f182bcd83acb30836aeb2")
 
 
 def test_sum_fixture_specs(tmp_path):

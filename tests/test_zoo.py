@@ -19,7 +19,7 @@ from grundylab import (
     sg_labels,
 )
 from grundylab.cli import main
-from grundylab.core import BoxGraph
+from grundylab.core import BoxGraph, ReachableGraph
 from grundylab.suites import (
     WYT_AB_PAIRS,
     SuiteResult,
@@ -490,7 +490,7 @@ def test_box_roots():
     assert set(box_roots(1, 2, floor=1)) == {(1,), (2,)}
 
 
-# --- full boxes by index arithmetic ------------------------------------------
+# --- origin boxes by index arithmetic ----------------------------------------
 
 def _box(bounds):
     return list(itertools.product(*(range(b + 1) for b in bounds)))
@@ -502,6 +502,24 @@ def _outcome(game, roots):
     graph, report = lg.graph, classify(lg)
     return (graph.positions, graph.index, graph.offsets, graph.targets,
             graph.order, graph.depths, lg.g, lg.g_minus, lg.packed_masks,
+            report.verdicts, report.witnesses)
+
+
+def _keyed_outcome(game, roots):
+    """What ``_outcome`` gives, keyed by position, so that two numberings of
+    one graph compare equal: per position its row as positions in order,
+    depth, g, g⁻ and packed word; whether ``order`` is parents-first; the
+    roots, the report's bound, verdicts and witnesses."""
+    lg = sg_labels(enumerate_subgame(game, roots))
+    graph, report = lg.graph, classify(lg)
+    positions = graph.positions
+    nodes = {p: ([positions[y] for y in graph.row(i)], graph.depths[i],
+                 lg.g[i], lg.g_minus[i], lg.packed_masks[i])
+             for i, p in enumerate(positions)}
+    rank = {x: k for k, x in enumerate(graph.order)}
+    parents_first = (len(rank) == len(graph) and all(
+        rank[x] < rank[y] for x in range(len(graph)) for y in graph.row(x)))
+    return (nodes, parents_first, graph.roots, report.enumerated_bound,
             report.verdicts, report.witnesses)
 
 
@@ -520,28 +538,36 @@ def _no_box(game):
     return dataclasses.replace(game, box_lines=refuse)
 
 
-_WYTHOFF_BOUNDS = st.tuples(st.integers(0, 12), st.integers(0, 12))
-_NIM_BOUNDS = st.lists(st.integers(0, 4), max_size=4).map(tuple)
-_FAMILY_BOUNDS = st.one_of(_WYTHOFF_BOUNDS.map(lambda b: ("wythoff", b)),
-                           _NIM_BOUNDS.map(lambda b: ("nim", b)))
+# per family with box lines: a strategy for its parameters and one for a
+# position, which is also a box's largest position
+_BOX_FAMILIES = {
+    "nim": (st.just({}), st.lists(st.integers(0, 4), max_size=4).map(tuple)),
+    "subtraction": (st.sets(st.integers(2, 9), max_size=3).map(
+                        lambda s: {"x": tuple(s | {1})}),
+                    st.integers(0, 40).map(lambda n: (n,))),
+    "wythoff": (st.just({}),
+                st.tuples(st.integers(0, 12), st.integers(0, 12))),
+}
+_GAME_BOUNDS = st.sampled_from(sorted(_BOX_FAMILIES)).flatmap(
+    lambda f: st.tuples(_BOX_FAMILIES[f][0].map(lambda p: make_family(f, p)),
+                        _BOX_FAMILIES[f][1]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(family_bounds=_FAMILY_BOUNDS)
-def test_box_path_equals_breadth_first(family_bounds):
-    family, bounds = family_bounds
-    game, roots = make_family(family), _box(bounds)
+@given(case=_GAME_BOUNDS)
+def test_box_path_equals_breadth_first(case):
+    game, bounds = case
+    roots = _box(bounds)
     assert game.box_lines is not None
     assert (_outcome(_box_only(game), roots)
             == _outcome(_breadth_first(game), roots))
 
 
 @settings(max_examples=60, deadline=None)
-@given(family_bounds=_FAMILY_BOUNDS)
-def test_box_lines_lie_below_the_node_and_give_the_options(family_bounds):
+@given(case=_GAME_BOUNDS)
+def test_box_lines_lie_below_the_node_and_give_the_options(case):
     # the box path runs no cycle check: every move must lower the node number
-    family, bounds = family_bounds
-    game = make_family(family)
+    game, bounds = case
     graph = enumerate_subgame(_box_only(game), _box(bounds))
     assert isinstance(graph, BoxGraph)
     for n, p in enumerate(graph.positions):
@@ -550,6 +576,55 @@ def test_box_lines_lie_below_the_node_and_give_the_options(family_bounds):
             assert all(0 <= y < n for y in line)
             row += line
         assert [graph.positions[y] for y in row] == game.options(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_GAME_BOUNDS)
+def test_box_lines_contract_drops_each_coordinate_by_one(case):
+    """Every option lies below its position in every coordinate, and each
+    non-zero coordinate can drop by 1 alone: so the box below a root is
+    that root's closure, which the corner path relies on."""
+    assert sorted(f for f in FAMILIES if TABLE[f].box_lines) == sorted(
+        _BOX_FAMILIES)
+    game, p = case
+    options = game.options(p)
+    for y in options:
+        assert len(y) == len(p) and y != p
+        assert all(a <= b for a, b in zip(y, p))
+    drops = {p[:i] + (c - 1,) + p[i + 1:] for i, c in enumerate(p) if c}
+    assert drops <= set(options)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_GAME_BOUNDS, data=st.data())
+def test_corner_roots_equal_breadth_first(case, data):
+    # a corner root alone, or among roots below it, in any order
+    game, top = case
+    below = data.draw(st.lists(st.sampled_from(_box(top)), max_size=6))
+    roots = data.draw(st.permutations(below + [top]))
+    assert isinstance(enumerate_subgame(game, roots), BoxGraph)
+    assert (_keyed_outcome(_box_only(game), roots)
+            == _keyed_outcome(_breadth_first(game), roots))
+
+
+@pytest.mark.parametrize("roots", [
+    _box((3, 3))[::-1],                    # the box in another order
+    [(0, 1), (0, 0), (1, 0), (1, 1)],
+    box_roots(2, 3, floor=1),              # not from the origin
+    [(3, 3)],                              # a corner root
+], ids=["reversed", "permuted", "floor", "corner"])
+def test_roots_with_a_greatest_root_take_the_box_path(roots):
+    game = make_family("wythoff")
+    assert (_keyed_outcome(_box_only(game), roots)
+            == _keyed_outcome(_breadth_first(game), roots))
+
+
+def test_corner_comparison_catches_lines_without_the_move_of_1():
+    game = make_family("subtraction", {"x": (1, 3)})
+    mutated = dataclasses.replace(
+        game, box_lines=lambda n, p, strides: ([n - 3] if n >= 3 else [],))
+    assert (_keyed_outcome(_box_only(mutated), [(12,)])
+            != _keyed_outcome(_breadth_first(game), [(12,)]))
 
 
 def _box_rows(game, roots):
@@ -582,7 +657,9 @@ def test_box_path_comparison_catches_a_wrong_rule(family, bounds, mutate):
             != _outcome(_breadth_first(game), roots))
 
 
-def test_analyze_on_a_box_stores_no_rows_and_runs_no_dfs(monkeypatch):
+def _analyzed_graph(monkeypatch, argv):
+    """The JSON report of ``analyze`` on ``argv``, and the one graph it
+    enumerated; the ordering DFS must not run."""
     graphs = []
 
     def kept(*args, **kwargs):
@@ -596,34 +673,76 @@ def test_analyze_on_a_box_stores_no_rows_and_runs_no_dfs(monkeypatch):
     monkeypatch.setattr("grundylab.core._order_and_depths", no_dfs)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
-        main.main(args=["analyze", "--family", "wythoff", "--box", "12",
-                        "--format", "json"])
+        main.main(args=["analyze", *argv, "--format", "json"])
     assert exc.value.code in (0, None)
-    assert json.loads(out.getvalue())["verdicts"]["pet"] is False
     (graph,) = graphs
+    return json.loads(out.getvalue()), graph
+
+
+def test_analyze_on_a_box_stores_no_rows_and_runs_no_dfs(monkeypatch):
+    report, graph = _analyzed_graph(monkeypatch,
+                                    ["--family", "wythoff", "--box", "12"])
+    assert report["verdicts"]["pet"] is False
     assert isinstance(graph, BoxGraph)
+    assert not {"offsets", "targets", "index"} & vars(graph).keys()
+
+
+def test_analyze_from_a_corner_root_stores_no_rows_and_runs_no_dfs(
+        monkeypatch):
+    # no option function: every row comes from the lines
+    monkeypatch.setitem(TABLE, "subtraction", TABLE["subtraction"]._replace(
+        rule=lambda params: None))
+    report, graph = _analyzed_graph(monkeypatch, [
+        "--family", "subtraction", "--set", "1,2", "--roots", "1000"])
+    assert report["verdicts"]["pet"] is True
+    assert isinstance(graph, BoxGraph) and len(graph) == 1001
+    assert graph.roots == {(1000,)}
+    assert not {"offsets", "targets", "index"} & vars(graph).keys()
+
+
+@pytest.mark.parametrize("family,params,roots", [
+    ("wythoff", {}, box_roots(2, 6)),
+    ("nim", {}, [(3, 0, 2), (1, 0, 2)]),
+    ("subtraction", {"x": (1, 4)}, [(30,)]),
+], ids=["wythoff", "nim", "subtraction"])
+def test_box_edge_count_and_terminals_read_the_lines(family, params, roots):
+    graph = enumerate_subgame(make_family(family, params), roots)
+    edges, terminals = graph.edge_count(), graph.terminals()
     assert not {"offsets", "targets"} & vars(graph).keys()
+    offsets = graph.offsets
+    assert edges == len(graph.targets)
+    assert terminals == [x for i, x in enumerate(graph.positions)
+                         if offsets[i] == offsets[i + 1]]
 
 
-@pytest.mark.parametrize("roots", [
-    _box((3, 3))[:-1],                     # a partial box
-    _box((3, 3))[::-1],                    # the box in another order
-    [(0, 1), (0, 0), (1, 0), (1, 1)],
-    box_roots(2, 3, floor=1),              # not from the origin
-    [(3, 3)],                              # a corner root
-    _box((3, 3)) + [(4, 0)],               # a box and one more root
-], ids=["partial", "reversed", "permuted", "floor", "corner", "extra"])
-def test_other_roots_take_the_breadth_first_path(roots):
-    game = make_family("wythoff")
-    assert (_outcome(_no_box(game), roots)
-            == _outcome(_breadth_first(game), roots))
+@pytest.mark.parametrize("family,params,roots", [
+    ("wythoff", {}, _box((3, 3))[:-1]),         # a partial box
+    ("wythoff", {}, _box((3, 3)) + [(4, 0)]),   # a box and one more root
+    # a zip of the two would give the 6-node box of (5,); the closure has 26
+    ("nim", {}, [(3, 4), (5,)]),
+    ("nim", {}, [(2, -1)]),
+    ("subtraction", {"x": (1, 2)}, [(2.5,)]),
+    ("subtraction", {"x": (2, 3)}, [(7,)]),     # no move of 1: no box lines
+], ids=["partial", "extra", "mixed_arity", "negative", "non_integer",
+        "no_move_of_1"])
+def test_other_roots_take_the_breadth_first_path(family, params, roots):
+    game = make_family(family, params)
+    assert type(enumerate_subgame(game, roots)) is ReachableGraph
+    if game.box_lines is not None:
+        assert (_outcome(_no_box(game), roots)
+                == _outcome(_breadth_first(game), roots))
 
 
 def test_box_path_only_without_symmetry():
-    assert [f for f in FAMILIES if TABLE[f].box_lines] == ["nim", "wythoff"]
+    assert [f for f in FAMILIES if TABLE[f].box_lines] == [
+        "nim", "subtraction", "wythoff"]
     for family in ("nim", "wythoff"):
         game = make_family(family, use_symmetry=True)
         assert game.canonical is not None and game.box_lines is None
+    # subtraction has no symmetry hook, and box lines only with a move of 1
+    assert make_family("subtraction", {"x": [1, 5]},
+                       use_symmetry=True).box_lines is not None
+    assert make_family("subtraction", {"x": [2, 5]}).box_lines is None
 
 
 @pytest.mark.parametrize("game", [_box_only(make_family("wythoff")),
@@ -634,3 +753,13 @@ def test_box_node_cap(game):
     with pytest.raises(LimitExceeded, match="^node cap 15 exceeded$"):
         enumerate_subgame(game, roots, node_cap=15)
     assert len(enumerate_subgame(game, roots, node_cap=16)) == 16
+
+
+@pytest.mark.parametrize("path", [_box_only, _breadth_first],
+                         ids=["box", "breadth_first"])
+def test_corner_root_node_cap(path):
+    # the box below (20, 20, 20) has 21**3 = 9261 nodes
+    game = path(make_family("nim"))
+    with pytest.raises(LimitExceeded, match="^node cap 9260 exceeded$"):
+        enumerate_subgame(game, [(20, 20, 20)], node_cap=9260)
+    assert len(enumerate_subgame(game, [(20, 20, 20)], node_cap=9261)) == 9261
