@@ -28,7 +28,7 @@ from .classify import (
     find_witness,
     verify_candidate_sets,
 )
-from .sums import check_closure, sum_game, sum_graph, sum_sg, tame_sum_label
+from .sums import check_closure, sum_graph, sum_sg, tame_sum_label
 from . import zoo
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,12 +2,13 @@
 returnable), the six SM=P conditions, witness extraction, and candidate-set
 verification.
 
-All of them are answered from two bit masks per node.  One pass over the
-edges, options before the positions that move to them, records the label
-classes a node is in and the classes its options reach; ``properties`` turns
-the two masks into one bit per paper property.  Every predicate is a row
-naming the properties of which each node needs at least one, and its witness
-is the violating node that is smallest by (depth, position string).
+All of them are answered from two bit masks per node.  The one labelling
+pass (``fold_rows``, which ``grundy.sg_labels`` runs), options before the
+positions that move to them, records the label classes a node is in and the
+classes its options reach; ``properties`` turns the two masks into one bit
+per paper property.  Every predicate is a row naming the properties of
+which each node needs at least one, and its witness is the violating node
+that is smallest by (depth, position string).
 Candidate-set verification feeds ``properties`` masks built from the
 candidate sets instead of the labels.
 """
@@ -82,36 +83,6 @@ def properties(own: int, reach: int) -> int:
     return props
 
 
-def _packed_masks(lg: LabeledGraph) -> array:
-    """Per node number: its classes in the low bits, its property bits
-    above them.  Built on the first call and kept on ``lg`` as an
-    ``array('i')`` (the 13 class and 15 property bits fit in 28).
-
-    Options are visited before the positions that move to them, so each
-    node's reach is the union of its options' finished classes.  A node's
-    word depends only on its label and its reach, so it is computed once
-    per distinct (g, g_minus, reach).
-    """
-    if lg.packed_masks is not None:
-        return lg.packed_masks
-    graph = lg.graph
-    offsets, targets = graph.offsets, graph.targets
-    g, gm = lg.g, lg.g_minus
-    packed = [0] * len(graph)
-    words = {}
-    for x in reversed(graph.order):
-        reach = 0
-        for y in targets[offsets[x]:offsets[x + 1]]:
-            reach |= packed[y]
-        key = (g[x], gm[x], reach & _CLASS_MASK)
-        word = words.get(key)
-        if word is None:
-            word = words[key] = _word(*key)
-        packed[x] = word
-    lg.packed_masks = array("i", packed)
-    return lg.packed_masks
-
-
 def _word(g: int, gm: int, reach: int) -> int:
     """Packed classes and properties of a node labelled (g, gm) whose
     options reach the classes ``reach``."""
@@ -127,47 +98,60 @@ def _word(g: int, gm: int, reach: int) -> int:
     return own | properties(own, reach) << _CLASS_BITS
 
 
-def fold_lines(graph) -> tuple:
-    """``(g, g_minus, packed_masks, depths)`` of a ``core.BoxGraph``, each
-    an ``array('i')`` indexed by node number, from one ascending pass.
+# (g, g_minus, reach) -> (g, g_minus, packed word), filled by every fold in
+# the process
+_LABELS = {}
 
-    Every line's targets lie below the node, so ascending node order is
-    children-first, and one visit of each option marks both values, ORs in
-    its word and raises the depth.  Every word has a partition bit, so a
-    node is terminal exactly when its options reach no class.  Words are
-    computed once per distinct (g, g_minus, reach), as in ``_packed_masks``.
+
+def fold_rows(graph) -> tuple:
+    """``(g, g_minus, packed_masks)`` of a graph, each an ``array('i')``
+    indexed by node number, from one pass over ``graph.node_rows()``.
+
+    Every node comes after its options, and one visit of each option marks
+    both its values and ORs in its word.  Every word has a partition bit,
+    so a node is terminal exactly when its options reach no class.  A
+    node's word (its classes in the low bits, its property bits above them;
+    13 and 15 bits fit in an ``'i'``) depends only on its label and its
+    reach, so it is computed once per distinct (g, g_minus, reach) in the
+    process.
     """
-    lines, strides = graph.lines, graph.strides
     n = len(graph)
-    # filled as lists, as in sg_labels; a mex is at most the out-degree,
-    # which is below n, so marks of width n + 1 hold every probe
-    g, gm, packed, depths = [0] * n, [0] * n, [0] * n, [0] * n
-    sg, sm = [-1] * (n + 1), [-1] * (n + 1)
-    words = {}
-    for x, p in enumerate(graph.positions):
-        reach, deepest = 0, -1
-        for line in lines(x, p, strides):
-            for y in line:
-                sg[g[y]] = x
-                sm[gm[y]] = x
-                reach |= packed[y]
-                if depths[y] > deepest:
-                    deepest = depths[y]
+    # labels[y] is the memo's shared (g, g_minus, word) tuple of node y, a
+    # list read on every edge, whose items need no conversion from C ints;
+    # the arrays are written once per node.  Marks: sg[v] == x (sm[v] == x)
+    # when an option of x has normal (misere) value v.  A node's options
+    # are less deep than it, so by induction g(x) <= d(x) and g_minus(x) <=
+    # max(d(x), 1): with D the greatest depth, every mark and mex probe is
+    # below D + 2
+    width = max(graph.depths, default=0) + 2
+    labels = [None] * n
+    sg, sm = [-1] * width, [-1] * width
+    out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
+    memo = _LABELS
+    for x, row in graph.node_rows():
+        reach = 0
+        # mex inlined: two calls per node made this loop about 1.7x slower
+        for y in row:
+            g, gm, word = labels[y]
+            sg[g] = x
+            sm[gm] = x
+            reach |= word
         if reach:
-            m = 0
-            while sg[m] == x:
-                m += 1
-            k = 0
-            while sm[k] == x:
-                k += 1
+            g = 0
+            while sg[g] == x:
+                g += 1
+            gm = 0
+            while sm[gm] == x:
+                gm += 1
         else:
-            m, k = 0, 1
-        key = (m, k, reach & _CLASS_MASK)
-        word = words.get(key)
-        if word is None:
-            word = words[key] = _word(*key)
-        g[x], gm[x], packed[x], depths[x] = m, k, word, deepest + 1
-    return tuple(array("i", a) for a in (g, gm, packed, depths))
+            g, gm = 0, 1
+        key = (g, gm, reach & _CLASS_MASK)
+        label = memo.get(key)
+        if label is None:
+            label = memo[key] = (g, gm, _word(*key))
+        labels[x] = label
+        out_g[x], out_gm[x], out_words[x] = label
+    return out_g, out_gm, out_words
 
 
 # --- rows: properties of which every node needs at least one ------------------
@@ -213,7 +197,7 @@ def _witnesses(lg: LabeledGraph, rows: dict) -> dict:
     The witness is the smallest violating node by (depth, position string);
     ties go to the first in graph order.
     """
-    packed = _packed_masks(lg)
+    packed = lg.packed_masks
     depths, positions = lg.graph.depths, lg.graph.positions
     violated = {}   # property bits -> names of the rows they violate
     best = {}
@@ -310,7 +294,7 @@ def violated_rows(lg: LabeledGraph, starts) -> list:
     """
     rows = [(name, row) for name, (row, _) in (*_CLASS_ROWS.items(),
                                                 *_PET_CONDITIONS.items())]
-    packed = _packed_masks(lg)
+    packed = lg.packed_masks
     bits = {}   # packed word -> one bit per row it violates
     for word in set(packed):
         props = word >> _CLASS_BITS

@@ -100,8 +100,10 @@ class GameDef:
     ``options(p)``.  It may be given only when every option lies below its
     position in every coordinate and every ``p - e_i`` with ``p_i > 0`` is
     an option: then the box below a position is exactly that position's
-    closure.  ``enumerate_subgame`` uses it when the roots' componentwise
-    maximum is itself one of the roots.
+    closure, and a position's depth is its coordinate sum (every move
+    lowers the sum, and each move to a ``p - e_i`` lowers it by one).
+    ``enumerate_subgame`` uses it when the roots' componentwise maximum is
+    itself one of the roots.
     """
 
     family: str
@@ -112,13 +114,6 @@ class GameDef:
 
     def canon(self, p: Position) -> Position:
         return p if self.canonical is None else self.canonical(p)
-
-    def moves(self, p: Position) -> list:
-        """Canonicalized, deduplicated option list."""
-        if self.canonical is None:
-            seen = dict.fromkeys(self.options(p))
-            return list(seen)
-        return list(dict.fromkeys(self.canonical(y) for y in self.options(p)))
 
 
 class ReachableGraph:
@@ -131,11 +126,12 @@ class ReachableGraph:
     sparse rows of ``array('i')``).  ``order`` lists the node numbers with
     every move source before its targets, and ``depths[i]`` is d(node i).
     ``succ``, ``topo`` and ``nodes`` are read-only views of the same data in
-    terms of positions, and ``row(i)`` is node i's option numbers.
-    Immutable after construction.  ``order`` and ``depths`` come from one
-    depth-first pass, which is also the cycle check, unless the caller
-    passes both.  The closure of a greatest root, with ``box_lines``, is a
-    ``BoxGraph``, which computes its rows instead.
+    terms of positions, ``row(i)`` is node i's option numbers, and
+    ``node_rows()`` walks every node after its options, which is how
+    labelling reads the rows.  Immutable after construction.  ``order`` and
+    ``depths`` come from one depth-first pass, which is also the cycle
+    check, unless the caller passes both.  The closure of a greatest root,
+    with ``box_lines``, is a ``BoxGraph``, which computes its rows instead.
     """
 
     def __init__(self, roots, positions, index, offsets, targets,
@@ -160,6 +156,13 @@ class ReachableGraph:
     def row(self, i):
         """Node i's option numbers, in the order the rule gave them."""
         return self.targets[self.offsets[i]:self.offsets[i + 1]]
+
+    def node_rows(self):
+        """``(x, row)`` for every node x, each after all of its options:
+        ``row`` iterates x's option numbers, as ``row(x)`` lists them."""
+        offsets, targets = self.offsets, self.targets
+        for x in reversed(self.order):
+            yield x, targets[offsets[x]:offsets[x + 1]]
 
     @property
     def topo(self) -> list:
@@ -207,13 +210,14 @@ class BoxGraph(ReachableGraph):
     Node n is the mixed-radix number of its position, and its options come
     from its lines (``GameDef.box_lines``), so no row is stored.  Every
     line's targets lie below the node, so the descending node numbers are
-    ``order`` (they are also what the depth-first pass would give), and no
-    cycle check runs.  ``sg_labels`` takes the labels, packed words and
-    depths from one ascending fold over the lines (``folded``).  Whole-graph
-    readers of ``offsets`` and ``targets`` get them built on first access,
-    as does the first reader of ``index``, and a reader of ``depths``
-    before labelling runs the fold, each once; ``edge_count`` and
-    ``terminals`` read the lines instead.
+    ``order`` (they are also what the depth-first pass would give), no
+    cycle check runs, and ``node_rows`` walks the nodes in ascending order,
+    chaining each node's lines.  A node's depth is its position's
+    coordinate sum, as the ``box_lines`` contract implies, so ``depths``
+    reads no line.  Whole-graph readers of ``offsets`` and ``targets`` get
+    them built on first access, as does the first reader of ``index`` or
+    ``depths``, each once; ``edge_count`` and ``terminals`` read the lines
+    instead.
     """
 
     def __init__(self, roots, bounds, lines):
@@ -228,6 +232,10 @@ class BoxGraph(ReachableGraph):
     def _node_lines(self):
         lines, strides = self.lines, self.strides
         return (lines(n, p, strides) for n, p in enumerate(self.positions))
+
+    def node_rows(self):
+        return enumerate(map(itertools.chain.from_iterable,
+                             self._node_lines()))
 
     def edge_count(self) -> int:
         return sum(len(line) for node in self._node_lines() for line in node)
@@ -257,15 +265,8 @@ class BoxGraph(ReachableGraph):
     # labelling and classifying read no position's number
     index = cached_property(
         lambda self: {x: i for i, x in enumerate(self.positions)})
-
-    @cached_property
-    def folded(self) -> tuple:
-        """``(g, g_minus, packed_masks, depths)``, each an ``array('i')``
-        indexed by node number, from ``classify.fold_lines``."""
-        from .classify import fold_lines  # classify imports this module
-        return fold_lines(self)
-
-    depths = cached_property(lambda self: self.folded[3])
+    depths = cached_property(
+        lambda self: array("i", map(sum, self.positions)))
 
 
 class NodeView(Mapping):
@@ -336,7 +337,7 @@ def enumerate_subgame(game: GameDef, roots: Iterable[Position],
                 positions.append(y)
                 taken_by.append(x)
             elif taken_by[j] is x:
-                # a repeat: first-seen order, as GameDef.moves
+                # a repeat: each option once, in first-seen order
                 continue
             else:
                 taken_by[j] = x

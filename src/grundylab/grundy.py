@@ -5,10 +5,9 @@ from __future__ import annotations
 import io
 import json
 from array import array
-from operator import sub
 from typing import NamedTuple
 
-from .core import BoxGraph, NodeView, ReachableGraph, adjoin_misere_terminal
+from .core import NodeView, ReachableGraph, adjoin_misere_terminal
 
 SWAP_LABELS = ((0, 1), (1, 0))
 
@@ -36,16 +35,17 @@ class LabeledGraph:
     ``g[i]`` and misere value ``g_minus[i]``.
 
     ``labels`` is a read-only position -> Label view, children before
-    parents.  Immutable after construction: ``packed_masks`` holds the
-    per-node class and property masks ``classify`` derives from the graph
-    and the labels, built once on first use (by ``sg_labels`` on a
-    ``BoxGraph``) and shared by every predicate.
+    parents.  ``packed_masks`` holds the per-node class and property words
+    that ``classify`` reads; ``sg_labels`` fills them in the pass that
+    gives the labels.  A LabeledGraph built by hand without them serves
+    only the value checks (``verify_sg_consistency``,
+    ``suites.misere_mismatches``).  Immutable after construction.
     """
 
-    packed_masks = None
-
-    def __init__(self, graph: ReachableGraph, g: array, g_minus: array):
+    def __init__(self, graph: ReachableGraph, g: array, g_minus: array,
+                 packed_masks: array | None = None):
         self.graph, self.g, self.g_minus = graph, g, g_minus
+        self.packed_masks = packed_masks
 
     @property
     def labels(self) -> NodeView:
@@ -64,46 +64,14 @@ class LabeledGraph:
 
 
 def sg_labels(graph: ReachableGraph) -> LabeledGraph:
-    """Fill both SG recursions bottom-up in topological order.
+    """Both SG recursions and the packed class words, in one pass over the
+    nodes with each node after its options (``classify.fold_rows``).
 
     Terminals get g = 0 and g_minus = 1; elsewhere both values are the mex
-    of the option values.  A ``BoxGraph``'s labels come from its one fold
-    over the lines, which also fills ``packed_masks``.
+    of the option values.
     """
-    if isinstance(graph, BoxGraph):
-        g, gm, packed, _ = graph.folded
-        lg = LabeledGraph(graph, g, gm)
-        lg.packed_masks = packed
-        return lg
-    n = len(graph)
-    # filled as lists, whose items read and write without converting to
-    # and from C ints, and stored as array("i")
-    g, gm = [0] * n, [0] * n
-    offsets, targets = graph.offsets, graph.targets
-    # marks: sg[v] == x (sm[v] == x) when an option of x has normal
-    # (misere) value v.  A mex of k values is at most k, so g(x) <=
-    # out-degree(x) and g_minus(x) <= max(out-degree(x), 1): with D the
-    # largest out-degree (>= 1 once any x marks), every mark and mex probe
-    # is at most D.
-    width = max(map(sub, offsets[1:], offsets), default=0) + 1
-    sg, sm = [-1] * width, [-1] * width
-    for x in reversed(graph.order):
-        lo, hi = offsets[x], offsets[x + 1]
-        if lo == hi:
-            gm[x] = 1
-            continue
-        # mex inlined: two calls per node made this loop about 1.7x slower
-        for y in targets[lo:hi]:
-            sg[g[y]] = x
-            sm[gm[y]] = x
-        m = 0
-        while sg[m] == x:
-            m += 1
-        k = 0
-        while sm[k] == x:
-            k += 1
-        g[x], gm[x] = m, k
-    return LabeledGraph(graph, array("i", g), array("i", gm))
+    from .classify import fold_rows  # classify imports this module
+    return LabeledGraph(graph, *fold_rows(graph))
 
 
 def misere_via_adjoined_terminal(graph: ReachableGraph) -> array:

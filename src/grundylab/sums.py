@@ -10,30 +10,10 @@ from functools import reduce
 from math import prod
 from operator import xor
 
-from .core import (DEFAULT_NODE_CAP, GameDef, LimitExceeded, NotTameLabel,
+from .core import (DEFAULT_NODE_CAP, LimitExceeded, NotTameLabel,
                    ReachableGraph, UnknownPredicate)
 from .grundy import Label, LabeledGraph, sg_labels
 from .classify import PREDICATES, ClassReport, classify
-
-
-def sum_game(games: list[GameDef]) -> GameDef:
-    """Product rule object: a position is a tuple of component positions and
-    a move is a move in exactly one component."""
-    _check_summand_count(games)
-
-    def options(pos):
-        out = []
-        for i, g in enumerate(games):
-            for y in g.moves(pos[i]):
-                out.append(pos[:i] + (y,) + pos[i + 1:])
-        return out
-
-    def canonical(pos):
-        return tuple(g.canon(p) for g, p in zip(games, pos))
-
-    family = "+".join(g.family for g in games)
-    return GameDef(family=family, params={"summands": len(games)},
-                   options=options, canonical=canonical)
 
 
 def sum_graph(summands: list[ReachableGraph],
@@ -48,10 +28,11 @@ def sum_graph(summands: list[ReachableGraph],
     parents-first orders is parents-first, and a node's depth is the sum of
     its components' depths; the summands passed the cycle check, so the
     product needs none.  Summands are folded in one at a time, as the
-    mixed-radix numbering nests.  Any other list of product roots goes
-    through ``enumerate_subgame(sum_game(games), roots)``.
+    mixed-radix numbering nests.  A node's options are its moves in
+    summand 1, then those in summand 2, and so on.
     """
-    _check_summand_count(summands)
+    if len(summands) < 2:
+        raise ValueError("a disjunctive sum needs at least two summands")
     if prod(map(len, summands)) > node_cap:
         raise LimitExceeded(f"node cap {node_cap} exceeded")
     first = summands[0]
@@ -70,8 +51,7 @@ def sum_graph(summands: list[ReachableGraph],
 
 def _csr_product(off1, tg1, off2, tg2):
     """CSR rows of the product of two graphs: node i·N₂ + j moves first in
-    the left factor (j fixed), then in the right (i fixed), which is
-    ``sum_game``'s option order.
+    the left factor (j fixed), then in the right (i fixed).
 
     Left node i gives a block of N₂ rows.  Its offsets, its right-factor
     moves and its left-factor moves are each one packed add (``_lanes``);
@@ -184,11 +164,6 @@ class _ProductIndex(Mapping):
         for g, p in zip(self._summands, x):
             n = n * len(g) + g.index[p]
         return n
-
-
-def _check_summand_count(games):
-    if len(games) < 2:
-        raise ValueError("a disjunctive sum needs at least two summands")
 
 
 def sum_sg(values) -> int:

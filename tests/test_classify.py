@@ -22,11 +22,13 @@ from grundylab import (
     graph_from_adjacency,
     load_fixture,
     sg_labels,
+    sum_graph,
     verify_candidate_sets,
 )
 import grundylab
-from grundylab.classify import PET_CONDITIONS, PREDICATES, violated_rows
-from grundylab.core import disjoint_union
+from grundylab.classify import (_CLASS_MASK, PET_CONDITIONS, PREDICATES,
+                                _word, violated_rows)
+from grundylab.core import BoxGraph, disjoint_union
 from grundylab.fixtures import fixture_roots
 from grundylab.grundy import (SWAP_LABELS, LabeledGraph,
                               misere_via_adjoined_terminal, position_key,
@@ -36,6 +38,7 @@ from grundylab.suites import (EQUALITIES, FIXTURE_EXPECTATIONS, HIERARCHY,
                               misere_mismatches)
 from grundylab.zoo import box_roots, euclid_swap_oracle, make_family, moore_swap_oracle
 
+from literal_games import ref_labels, ref_topological_order
 from random_dags import dag_lists, random_dag_stream
 
 
@@ -94,18 +97,6 @@ def test_sm_equivalences_agree_on_random_graphs():
         report = check_sm_equivalences(sg_labels(graph))
         assert report.agree
         assert len(report.conditions) == 6
-
-
-def test_shared_masks_give_the_same_reports_in_either_call_order():
-    # the masks are built by whichever call comes first and reused after
-    for graph in random_dag_stream(3, 200):
-        lg = sg_labels(graph)
-        fresh = LabeledGraph(graph, lg.g, lg.g_minus)
-        first = classify(lg).to_dict(), check_sm_equivalences(lg)
-        sm = check_sm_equivalences(fresh)
-        assert fresh.packed_masks is not None
-        assert (classify(fresh).to_dict(), sm) == first
-        assert fresh.packed_masks == lg.packed_masks
 
 
 def test_sm_equivalences_on_pet_fixture():
@@ -461,6 +452,65 @@ def test_classification_matches_reference_on_random_dags(graph):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_classification_matches_reference_on_fixtures(name):
     assert_matches_reference(labeled_fixture(name))
+
+
+# --- packed words against a literal per-node reference ----------------------
+
+
+def ref_packed_masks(graph) -> list:
+    """Every node's packed word in node order, from its label
+    (``ref_labels``) and the classes its options' words hold."""
+    succ = dict(graph.succ)
+    topo = ref_topological_order(succ)
+    labels = ref_labels(succ, topo)
+    words = {}
+    for x in reversed(topo):
+        reach = 0
+        for y in succ[x]:
+            reach |= words[y] & _CLASS_MASK
+        words[x] = _word(*labels[x], reach)
+    return [words[x] for x in graph.positions]
+
+
+def assert_masks_match_reference(graph):
+    assert list(sg_labels(graph).packed_masks) == ref_packed_masks(graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_dags)
+def test_packed_masks_equal_the_literal_reference(graph):
+    assert_masks_match_reference(graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dag_lists)
+def test_packed_masks_of_a_disjoint_union_equal_the_literal_reference(graphs):
+    assert_masks_match_reference(disjoint_union(graphs)[0])
+
+
+def _fixture(name):
+    return enumerate_subgame(load_fixture(name), fixture_roots(name))
+
+
+def _box(family, params, bound):
+    return enumerate_subgame(make_family(family, params), [bound])
+
+
+MASK_GRAPHS = {
+    **{f"fixture_{name}": (lambda name=name: _fixture(name))
+       for name in FIXTURE_NAMES},
+    "box_wythoff": lambda: _box("wythoff", {}, (7, 9)),
+    "box_nim": lambda: _box("nim", {}, (2, 0, 3)),
+    "box_subtraction": lambda: _box("subtraction", {"x": [1, 2, 5]}, (40,)),
+    "product": lambda: sum_graph([_box("nim", {}, (2, 3)), _fixture("pet")]),
+}
+
+
+@pytest.mark.parametrize("name", MASK_GRAPHS)
+def test_packed_masks_equal_the_literal_reference_on_named_graphs(name):
+    graph = MASK_GRAPHS[name]()
+    assert isinstance(graph, BoxGraph) == name.startswith("box_")
+    assert_masks_match_reference(graph)
 
 
 @settings(max_examples=300, deadline=None)

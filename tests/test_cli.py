@@ -17,14 +17,15 @@ from hypothesis import strategies as st
 import grundylab.cli
 import grundylab.fixtures
 import grundylab.sums
-from grundylab import (enumerate_subgame, load_fixture, sg_labels,
-                       sum_game)
+from grundylab import enumerate_subgame, load_fixture, sg_labels
 from grundylab.cli import main
 from grundylab.core import BoxGraph, ReachableGraph
 from grundylab.fixtures import FIXTURE_NAMES, fixture_roots
 from grundylab.grundy import to_csv
 from grundylab.suites import SUITES
 from grundylab.zoo import FAMILIES, TABLE, make_family
+
+from literal_games import sum_game
 
 
 class Result:

@@ -19,7 +19,6 @@ from grundylab import (
     disjoint_union,
     enumerate_subgame,
     graph_from_adjacency,
-    mex,
     sg_labels,
     sum_graph,
 )
@@ -31,6 +30,7 @@ from grundylab.grundy import misere_via_adjoined_terminal
 from grundylab.random_games import random_dag
 from grundylab.zoo import TABLE, box_roots, make_family
 
+from literal_games import moves, ref_labels, ref_topological_order
 from random_dags import dag_lists
 
 
@@ -47,19 +47,19 @@ def breadth_first(family, params=None, **kwargs):
 
 def test_moves_deduplicates():
     game = GameDef("dup", {}, lambda p: [(0,), (0,), (1,)])
-    assert game.moves((2,)) == [(0,), (1,)]
+    assert moves(game, (2,)) == [(0,), (1,)]
 
 
 def test_canonical_applied_to_moves():
     game = GameDef("sorted", {}, lambda p: [(2, 1), (1, 2)],
                    canonical=lambda p: tuple(sorted(p)))
-    assert game.moves((3, 3)) == [(1, 2)]
+    assert moves(game, (3, 3)) == [(1, 2)]
 
 
 def test_is_terminal():
     game = one_pile_nim()
-    assert not game.moves((0,))
-    assert game.moves((3,))
+    assert not moves(game, (0,))
+    assert moves(game, (3,))
 
 
 def test_enumerate_single_pile():
@@ -135,34 +135,6 @@ def test_adjacency_keeps_repeated_successor_once():
 
 # --- reference: the dict-based closure, DFS order and depth pass -------------
 
-def ref_topological_order(succ):
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(succ, WHITE)
-    order = []
-    for start in succ:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = GRAY
-        while stack:
-            x, it = stack[-1]
-            advanced = False
-            for y in it:
-                if color[y] == GRAY:
-                    raise CycleDetected(f"position {y!r} recurs on the expansion path")
-                if color[y] == WHITE:
-                    color[y] = GRAY
-                    stack.append((y, iter(succ[y])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[x] = BLACK
-                order.append(x)
-                stack.pop()
-    order.reverse()
-    return order
-
-
 def ref_depths(succ, topo):
     depth = {}
     for x in reversed(topo):
@@ -179,7 +151,7 @@ def ref_enumerate(game, roots, node_cap=10**9):
         x = queue.popleft()
         if x in succ:
             continue
-        opts = tuple(game.moves(x))
+        opts = tuple(moves(game, x))
         succ[x] = opts
         if len(succ) > node_cap:
             raise LimitExceeded(f"node cap {node_cap} exceeded")
@@ -197,18 +169,6 @@ def ref_graph_from_adjacency(adj, roots=None):
         roots = [x for x in succ if x not in targets] or list(succ)
     topo = ref_topological_order(succ)
     return roots, succ, topo, ref_depths(succ, topo)
-
-
-def ref_labels(succ, topo):
-    labels = {}
-    for x in reversed(topo):
-        opts = succ[x]
-        if not opts:
-            labels[x] = (0, 1)
-        else:
-            labels[x] = (mex(labels[y][0] for y in opts),
-                         mex(labels[y][1] for y in opts))
-    return labels
 
 
 def assert_matches_reference(graph, ref):
@@ -616,7 +576,7 @@ def rows(graph):
 def test_enumerate_rows_are_moves_in_first_seen_order(case):
     game, roots = case
     graph = enumerate_subgame(game, roots)
-    assert rows(graph) == [game.moves(x) for x in graph.positions]
+    assert rows(graph) == [moves(game, x) for x in graph.positions]
 
 
 @settings(max_examples=100, deadline=None)

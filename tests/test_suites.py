@@ -77,7 +77,8 @@ def test_a_corrupted_component_is_reported_at_its_index(monkeypatch, samples,
             x = next(x for x, (c, _) in enumerate(graph.positions) if c == k)
             g_minus = array("i", lg.g_minus)
             g_minus[x] += 1
-            lg = LabeledGraph(graph, lg.g, g_minus)
+            # the words of the true labels: the suite classifies these
+            lg = LabeledGraph(graph, lg.g, g_minus, lg.packed_masks)
         batches.append(graph)
         return lg
 

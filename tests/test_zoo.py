@@ -52,6 +52,8 @@ from grundylab.zoo import (
     wythoff_p,
 )
 
+from literal_games import moves
+
 
 def labels(family, params, roots, sym=False):
     game = make_family(family, params, use_symmetry=sym)
@@ -66,49 +68,49 @@ def swap_or_none(lab):
 
 def test_grossman_moves_stay_positive():
     game = make_family("euclid_grossman")
-    assert set(game.moves((2, 6))) == {(2, 4), (2, 2)}
-    assert game.moves((3, 3)) == []
+    assert set(moves(game, (2, 6))) == {(2, 4), (2, 2)}
+    assert moves(game, (3, 3)) == []
 
 
 def test_cd_moves_may_empty_a_pile():
     game = make_family("euclid_cd")
-    assert set(game.moves((2, 6))) == {(2, 4), (2, 2), (2, 0)}
-    assert game.moves((0, 5)) == []
+    assert set(moves(game, (2, 6))) == {(2, 4), (2, 2), (2, 0)}
+    assert moves(game, (0, 5)) == []
 
 
 def test_mark_moves():
     game = make_family("mark")
-    assert set(game.moves((8,))) == {(7,), (4,)}
-    assert game.moves((0,)) == []
-    assert set(game.moves((1,))) == {(0,)}
+    assert set(moves(game, (8,))) == {(7,), (4,)}
+    assert moves(game, (0,)) == []
+    assert set(moves(game, (1,))) == {(0,)}
 
 
 def test_ho_nim_cycle_moves():
     game = make_family("ho_nim", {"shape": "cycle", "n": 4})
-    opts = set(game.moves((1, 0, 0, 1)))
+    opts = set(moves(game, (1, 0, 0, 1)))
     # the wrap-around hyperedge covers both occupied blocks
     assert {(0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0)} <= opts
 
 
 def test_exact_nim_short_positions_terminal():
     game = make_family("exact_nim", {"n": 5, "k": 2})
-    assert game.moves((1, 0, 0, 0, 0)) == []
-    assert game.moves((1, 1, 0, 0, 0)) != []
+    assert moves(game, (1, 0, 0, 0, 0)) == []
+    assert moves(game, (1, 1, 0, 0, 0)) != []
 
 
 def test_slow_nim_unit_steps():
     game = make_family("slow_nim", {"n": 3, "k": 2})
-    assert set(game.moves((1, 1, 0))) == {(0, 1, 0), (1, 0, 0), (0, 0, 0)}
+    assert set(moves(game, (1, 1, 0))) == {(0, 1, 0), (1, 0, 0), (0, 0, 0)}
 
 
 def test_extended_nim_lone_extra_pile_move():
     game = make_family("extended_nim", {"n": 3, "k": 2})
-    assert set(game.moves((1, 0, 0, 0))) == {(0, 0, 0, 0)}
+    assert set(moves(game, (1, 0, 0, 0))) == {(0, 0, 0, 0)}
 
 
 def test_wythoff_moves():
     game = make_family("wythoff")
-    opts = set(game.moves((2, 2)))
+    opts = set(moves(game, (2, 2)))
     assert (0, 0) in opts and (1, 1) in opts
     assert (1, 2) in opts and (2, 0) in opts
     assert len(opts) == 6
@@ -168,7 +170,7 @@ def test_family_arity_and_symmetry(family):
             options = plain.options(p)
             if arity is not None:
                 assert all(len(y) == arity for y in options), (params, p)
-            assert (set(sym.moves(sym.canon(p)))
+            assert (set(moves(sym, sym.canon(p)))
                     == {sym.canon(y) for y in options}), (params, p)
 
 
@@ -593,6 +595,31 @@ def test_box_lines_contract_drops_each_coordinate_by_one(case):
         assert all(a <= b for a, b in zip(y, p))
     drops = {p[:i] + (c - 1,) + p[i + 1:] for i, c in enumerate(p) if c}
     assert drops <= set(options)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_GAME_BOUNDS)
+def test_box_depths_are_coordinate_sums_and_breadth_first_depths(case):
+    # the box path takes its depths from the box_lines contract
+    game, bounds = case
+    box = enumerate_subgame(_box_only(game), [bounds])
+    bfs = enumerate_subgame(_breadth_first(game), [bounds])
+    assert isinstance(box, BoxGraph)
+    assert list(box.depths) == [sum(p) for p in box.positions]
+    assert (dict(zip(box.positions, box.depths))
+            == dict(zip(bfs.positions, bfs.depths)))
+
+
+def test_box_depths_read_no_line():
+    graph = enumerate_subgame(make_family("wythoff"), [(5, 7)])
+
+    def refuse(n, p, strides):
+        raise AssertionError(f"line of {p} read")
+
+    graph.lines = refuse
+    assert graph.depth((5, 7)) == 12 and graph.depth((0, 0)) == 0
+    assert list(graph.depths) == [sum(p) for p in graph.positions]
+    assert not {"offsets", "targets", "_rows"} & vars(graph).keys()
 
 
 @settings(max_examples=100, deadline=None)
