@@ -15,10 +15,11 @@ candidate sets instead of the labels.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from typing import NamedTuple
 
-from .core import MissingSet, ReachableGraph, UnknownPredicate
+from .core import BoxGraph, MissingSet, ReachableGraph, UnknownPredicate
 from .grundy import Label, LabeledGraph, position_key, sg_labels
 
 # --- classes a node is in or its options reach --------------------------------
@@ -33,6 +34,7 @@ NOT_DOMESTIC = 1 << 10             # (0,k) or (k,0) with k >= 2
 NB01, NB10 = 1 << 11, 1 << 12      # non-terminal, no move to V01 resp. V10
 _CLASS_BITS = 13
 _CLASS_MASK = (1 << _CLASS_BITS) - 1
+_WORD_BITS = _CLASS_BITS + 15      # a packed word: classes, then properties
 
 _PAIR_CLASS = {(0, 1): V01, (1, 0): V10, (0, 0): V00, (1, 1): V11}
 _SET_LABELS = {"v01": (0, 1), "v10": (1, 0), "v00": (0, 0), "v11": (1, 1)}
@@ -113,7 +115,8 @@ def fold_rows(graph) -> tuple:
     node's word (its classes in the low bits, its property bits above them;
     13 and 15 bits fit in an ``'i'``) depends only on its label and its
     reach, so it is computed once per distinct (g, g_minus, reach) in the
-    process.
+    process.  A box whose top node's lines are ranges is folded one line
+    at a time instead (``_fold_lines``), to the same arrays.
     """
     n = len(graph)
     # labels[y] is the memo's shared (g, g_minus, word) tuple of node y, a
@@ -124,6 +127,8 @@ def fold_rows(graph) -> tuple:
     # max(d(x), 1): with D the greatest depth, every mark and mex probe is
     # below D + 2
     width = max(graph.depths, default=0) + 2
+    if _ranged_box(graph):
+        return _fold_lines(graph, width)
     labels = [None] * n
     sg, sm = [-1] * width, [-1] * width
     out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
@@ -151,6 +156,134 @@ def fold_rows(graph) -> tuple:
             label = memo[key] = (g, gm, _word(*key))
         labels[x] = label
         out_g[x], out_gm[x], out_words[x] = label
+    return out_g, out_gm, out_words
+
+
+def _ranged_box(graph) -> bool:
+    """Whether ``graph`` is a box whose top node's lines are all ranges."""
+    if not isinstance(graph, BoxGraph):
+        return False
+    top = len(graph) - 1
+    node = graph.lines(top, graph.positions[top], graph.strides)
+    return all(type(line) is range for line in node)
+
+
+def _fold_lines(graph: BoxGraph, width: int) -> tuple:
+    """``fold_rows`` of a box, in time per line rather than per option.
+
+    Node y's packed int is its word with bits ``_WORD_BITS + g(y)`` and
+    ``_WORD_BITS + width + g_minus(y)`` set.  A line's summary is the OR of
+    its nodes' packed ints; the OR of a node's line summaries holds its
+    reach in the low bits and its two mexes as the lowest clear bits of the
+    two value fields.
+
+    A ``range`` line at x with step +-s that holds the nearest node x - s
+    plus node x - s's line in the same slot has that line's summary ORed
+    with the node's packed int as its own.  This is checked in O(1) from
+    the range's ends: node x - s's entry is keyed by the end that the two
+    lines share (the start of an ascending range, the stop of a descending
+    one) and the signed step, and a key is stored only for a line checked
+    to hold the k nearest nodes along its step; an ascending line must
+    stop at x, a descending one start at x - s.  Any other line is walked.
+    Summaries are read only at x - s, so each slot keeps the entries of the
+    last ``sum(strides) + 1`` nodes.
+    """
+    n = len(graph)
+    lines, positions, strides = graph.lines, graph.positions, graph.strides
+    slots = len(lines(n - 1, positions[-1], strides))
+    # node x's entries are keys[at:at + slots] and sums[at:at + slots]; a
+    # step below ring reads those of node x - s.  Every move to some
+    # p - e_i steps by a stride, and Wythoff's diagonal by the sum of both
+    ring = sum(strides) + 1
+    span, radix = ring * slots, 2 * ring   # key: shared end * radix + step
+    keys, sums = [None] * span, [0] * span
+    bits = [None] * n
+    out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
+    found = {}   # (g, g_minus, reach) -> (label, packed int), in this fold
+    memo = _LABELS
+    gm_field = _WORD_BITS + width
+    at = 0
+    for x, node in enumerate(map(lines, itertools.count(), positions,
+                                 itertools.repeat(strides))):
+        u = 0
+        i = at
+        if len(node) != slots:
+            for line in node:
+                for y in line:
+                    u |= bits[y]
+            keys[at:at + slots] = [None] * slots
+            node = ()
+        # node m's key (a, s) says its line is a, a + s, ..., m - s, so a
+        # line at m + s from a that stops at m + s is that line and m; its
+        # key (b, -s) says its line is range(m - s, b, -s) with b <= m - s,
+        # so a line at m + s from m down to b is m and that line.  An empty
+        # line is keyed as the 0 nearest nodes.  The two branches mirror
+        # each other: one shared branch made this loop slower
+        for line in node:
+            step = line.step if type(line) is range else 0
+            if 0 < step < ring:
+                key = line.start * radix + step
+                if line.stop == x:
+                    j = i - step * slots
+                    if keys[j] == key:
+                        s = sums[j] | bits[x - step]
+                        keys[i] = key
+                        sums[i] = s
+                        u |= s
+                        i += 1
+                        continue
+                if not line:
+                    key = x * radix + step
+                elif line[-1] != x - step:
+                    key = None
+            elif -ring < step < 0:
+                key = line.stop * radix + step
+                if line.start - step == x:
+                    j = i + step * slots
+                    if keys[j] == key:
+                        s = sums[j] | bits[x + step]
+                        keys[i] = key
+                        sums[i] = s
+                        u |= s
+                        i += 1
+                        continue
+                if not line:
+                    key = (x + step) * radix + step
+                elif line.start - step != x:
+                    key = None
+            else:
+                key = None
+            s = 0
+            for y in line:
+                s |= bits[y]
+            keys[i] = key
+            sums[i] = s
+            u |= s
+            i += 1
+        if u:
+            v = u >> _WORD_BITS
+            g = (v ^ (v + 1)).bit_length() - 1
+            v = u >> gm_field
+            key = (g, (v ^ (v + 1)).bit_length() - 1, u & _CLASS_MASK)
+        else:
+            key = (0, 1, 0)
+        hit = found.get(key)
+        if hit is None:
+            g, gm, _ = key
+            if g >= width:
+                # the g field was full: some move kept the coordinate sum
+                raise ValueError(f"box lines of {positions[x]!r} break the "
+                                 "box_lines contract")
+            label = memo.get(key)
+            if label is None:
+                label = memo[key] = (g, gm, _word(*key))
+            hit = found[key] = (label, label[2] | 1 << (_WORD_BITS + g)
+                                | 1 << (gm_field + gm))
+        label, bits[x] = hit
+        out_g[x], out_gm[x], out_words[x] = label
+        at += slots
+        if at == span:
+            at = 0
     return out_g, out_gm, out_words
 
 

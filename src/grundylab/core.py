@@ -95,13 +95,18 @@ class GameDef:
     ``bounds`` is the box's largest position, so node n is the mixed-radix
     number of its position p and ``strides[i]`` is the node-number step of
     coordinate i.  ``box_lines(n, p, strides)`` returns node n's options as
-    sized sequences (ranges or lists) of node numbers, every one below n,
-    that together give the same options in the same order as
-    ``options(p)``.  It may be given only when every option lies below its
-    position in every coordinate and every ``p - e_i`` with ``p_i > 0`` is
-    an option: then the box below a position is exactly that position's
-    closure, and a position's depth is its coordinate sum (every move
-    lowers the sum, and each move to a ``p - e_i`` lowers it by one).
+    a list or tuple of lines, sized sequences (ranges or lists) of node
+    numbers, every one below n, that together give the same options in the
+    same order as ``options(p)``.  Labelling (``classify.fold_rows``)
+    summarises a ``range`` line that holds the k nearest nodes along its
+    step from the nearest node's line in the same place of its list, when
+    that line holds the k - 1 nearest along the same step, and walks every
+    other line; a box whose lines are ranges is labelled in time per line.
+    It may be given only when every option lies below its position in
+    every coordinate and every ``p - e_i`` with ``p_i > 0`` is an option:
+    then the box below a position is exactly that position's closure, and
+    a position's depth is its coordinate sum (every move lowers the sum,
+    and each move to a ``p - e_i`` lowers it by one).
     ``enumerate_subgame`` uses it when the roots' componentwise maximum is
     itself one of the roots.
     """

@@ -267,10 +267,13 @@ class Family(NamedTuple):
     ``GameDef.box_lines`` of an origin box or None: its lines give each
     node's options in the rule's order (a witness reason names the first
     offending option), every target below the node, and it is used only
-    without symmetry.  A family may have ``box_lines`` only if every
-    option lies below its position in every coordinate and every
-    ``p - e_i`` with ``p_i > 0`` is an option, so that the box below a
-    position is its closure.
+    without symmetry.  A ``range`` line holding the k nearest nodes along
+    its step is summarised from the nearest node's line in the same place,
+    so labelling costs time per line; other lines, such as subtraction's
+    lists, are walked one option at a time.  A family may have
+    ``box_lines`` only if every option lies below its position in every
+    coordinate and every ``p - e_i`` with ``p_i > 0`` is an option, so that
+    the box below a position is its closure.
     """
 
     rule: Callable[[dict], Callable]

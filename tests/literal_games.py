@@ -1,7 +1,9 @@
 """Literal references the tests compare the fast paths against: move
-rules for enumeration and ``sum_graph``, a node order and the labels."""
+rules for enumeration and ``sum_graph``, a node order, the labels and the
+packed words."""
 
 from grundylab import CycleDetected, mex
+from grundylab.classify import _CLASS_MASK, _word
 from grundylab.core import GameDef
 
 
@@ -69,3 +71,18 @@ def ref_labels(succ, topo):
             labels[x] = (mex(labels[y][0] for y in opts),
                          mex(labels[y][1] for y in opts))
     return labels
+
+
+def ref_packed_masks(graph) -> list:
+    """Every node's packed word in node order, from its label
+    (``ref_labels``) and the classes its options' words hold."""
+    succ = dict(graph.succ)
+    topo = ref_topological_order(succ)
+    labels = ref_labels(succ, topo)
+    words = {}
+    for x in reversed(topo):
+        reach = 0
+        for y in succ[x]:
+            reach |= words[y] & _CLASS_MASK
+        words[x] = _word(*labels[x], reach)
+    return [words[x] for x in graph.positions]

@@ -26,8 +26,7 @@ from grundylab import (
     verify_candidate_sets,
 )
 import grundylab
-from grundylab.classify import (_CLASS_MASK, PET_CONDITIONS, PREDICATES,
-                                _word, violated_rows)
+from grundylab.classify import PET_CONDITIONS, PREDICATES, violated_rows
 from grundylab.core import BoxGraph, disjoint_union
 from grundylab.fixtures import fixture_roots
 from grundylab.grundy import (SWAP_LABELS, LabeledGraph,
@@ -38,7 +37,7 @@ from grundylab.suites import (EQUALITIES, FIXTURE_EXPECTATIONS, HIERARCHY,
                               misere_mismatches)
 from grundylab.zoo import box_roots, euclid_swap_oracle, make_family, moore_swap_oracle
 
-from literal_games import ref_labels, ref_topological_order
+from literal_games import ref_packed_masks
 from random_dags import dag_lists, random_dag_stream
 
 
@@ -455,21 +454,6 @@ def test_classification_matches_reference_on_fixtures(name):
 
 
 # --- packed words against a literal per-node reference ----------------------
-
-
-def ref_packed_masks(graph) -> list:
-    """Every node's packed word in node order, from its label
-    (``ref_labels``) and the classes its options' words hold."""
-    succ = dict(graph.succ)
-    topo = ref_topological_order(succ)
-    labels = ref_labels(succ, topo)
-    words = {}
-    for x in reversed(topo):
-        reach = 0
-        for y in succ[x]:
-            reach |= words[y] & _CLASS_MASK
-        words[x] = _word(*labels[x], reach)
-    return [words[x] for x in graph.positions]
 
 
 def assert_masks_match_reference(graph):

@@ -205,6 +205,15 @@ _PINNED_OUTPUTS = [
     (("table", "--sg", "--family", "subtraction", "--set", "1,3,4",
       "--roots", "5000"),
      "499bb53cbc33c8b6e5a67d760a394d0a55b595ddd6cf08bce38343a902e5e051"),
+    # recorded while every box was labelled one option at a time
+    (("analyze", "--family", "wythoff", "--box", "120", "--format", "json"),
+     "907a471c1c40f78e0194f5e8ff3011a8503a22563dc67f7a4e01276219fda7d8"),
+    (("analyze", "--family", "nim", "--roots", "8,8,8,8", "--format",
+      "json"),
+     "e7d14634879d5819a339bae0255930f7ac7c8032c61ec1efa928eb225f72ff39"),
+    (("analyze", "--family", "wythoff", "--roots", "200,200", "--format",
+      "json"),
+     "f38dbe87a4183c8e99d54ade78b9fae3217a6c1ab8e55af4174bec4dab67b4f6"),
 ]
 
 
@@ -213,7 +222,10 @@ _PINNED_OUTPUTS = [
                               "nim_box_analyze", "nim_box_table",
                               "wythoff_box_analyze", "nim_corner_analyze",
                               "wythoff_corner_analyze",
-                              "subtraction_corner_table"])
+                              "subtraction_corner_table",
+                              "wythoff_box_120_analyze",
+                              "nim_4_piles_analyze",
+                              "wythoff_corner_200_analyze"])
 def test_output_bytes_pinned(argv, digest):
     result = run(*argv, env={"GRUNDY_CACHE_DIR": None})
     assert result.exit_code == 0

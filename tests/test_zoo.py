@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +19,7 @@ from grundylab import (
     mex,
     sg_labels,
 )
+from grundylab.classify import _ranged_box, fold_rows
 from grundylab.cli import main
 from grundylab.core import BoxGraph, ReachableGraph
 from grundylab.suites import (
@@ -51,8 +53,9 @@ from grundylab.zoo import (
     wyt_ab_sequence,
     wythoff_p,
 )
+from grundylab.zoo import _wythoff_lines
 
-from literal_games import moves
+from literal_games import moves, ref_labels, ref_packed_masks, ref_topological_order
 
 
 def labels(family, params, roots, sym=False):
@@ -682,6 +685,100 @@ def test_box_path_comparison_catches_a_wrong_rule(family, bounds, mutate):
                                   box_lines=lambda n, p, strides: [rows[n]])
     assert (_outcome(_box_only(mutated), roots)
             != _outcome(_breadth_first(game), roots))
+
+
+# mutated Wythoff lines that stay ranges, so the line fold folds them
+
+
+def _row_without_its_farthest_node(n, p, strides):
+    row, column, diagonal = _wythoff_lines(n, p, strides)
+    return range(row.start + strides[0], n, strides[0]), column, diagonal
+
+
+def _odd_columns_by_two(n, p, strides):
+    # at odd y the column is (x, y - 2), (x, y - 4), ...: at the node above,
+    # the nearest node's column steps by 2 where its own steps by 1
+    row, column, diagonal = _wythoff_lines(n, p, strides)
+    y = p[1]
+    return row, range(n - y + 1, n, 2) if y % 2 else column, diagonal
+
+
+def _odd_rows_and_diagonals_without_their_nearest_node(n, p, strides):
+    # each keeps its far end, which the same line of the node below shares
+    row, column, diagonal = _wythoff_lines(n, p, strides)
+    if p[0] % 2:
+        row, diagonal = row[:-1], diagonal[1:]
+    return row, column, diagonal
+
+
+def _diagonal_wider_than_the_ring(n, p, strides):
+    # (x - k, y - 3k): a step of w + 3, and the ring has w + 2 entries
+    (x, y), step = p, strides[0] + 3
+    row, column, _ = _wythoff_lines(n, p, strides)
+    return row, column, range(n - step, n - (min(x, y // 3) + 1) * step,
+                              -step)
+
+
+def _as_lists(lines):
+    """The same rows with every line a list: the edge loop folds them."""
+    return lambda n, p, strides: [list(line) for line in lines(n, p, strides)]
+
+
+@pytest.mark.parametrize("lines", [
+    _row_without_its_farthest_node, _odd_columns_by_two,
+    _odd_rows_and_diagonals_without_their_nearest_node,
+    _diagonal_wider_than_the_ring])
+def test_line_fold_comparison_catches_a_wrong_rule(lines):
+    game, roots = make_family("wythoff"), _box((9, 11))
+    mutated = dataclasses.replace(game, box_lines=lines)
+    listed = dataclasses.replace(game, box_lines=_as_lists(lines))
+    assert _ranged_box(enumerate_subgame(_box_only(mutated), roots))
+    assert not _ranged_box(enumerate_subgame(_box_only(listed), roots))
+    outcome = _outcome(_box_only(mutated), roots)
+    assert outcome != _outcome(_breadth_first(game), roots)
+    # the line fold checks each reuse, and agrees with the edge loop
+    assert outcome == _outcome(_box_only(listed), roots)
+
+
+@pytest.mark.parametrize("family,top", [
+    ("wythoff", (7, 0)), ("wythoff", (0, 7)),   # strides [1, 1]
+    ("nim", (0, 5)), ("nim", (3, 0, 4)), ("nim", (9,)), ("nim", (8, 8, 8, 8)),
+])
+def test_line_fold_equals_the_literal_reference_on_degenerate_boxes(family,
+                                                                    top):
+    graph = enumerate_subgame(make_family(family), [top])
+    assert isinstance(graph, BoxGraph) and _ranged_box(graph)
+    lg = sg_labels(graph)
+    succ = dict(graph.succ)
+    labels = ref_labels(succ, ref_topological_order(succ))
+    assert list(zip(lg.g, lg.g_minus)) == [labels[p] for p in graph.positions]
+    assert list(lg.packed_masks) == ref_packed_masks(graph)
+
+
+def test_line_fold_refuses_lines_that_keep_the_coordinate_sum():
+    # every node moves to every lower node, so node t has g = t; on the box
+    # below (1, 6), 14 nodes, the coordinate sums stop at 7
+    game = dataclasses.replace(make_family("wythoff"),
+                               box_lines=lambda n, p, strides: [range(n)])
+    graph = enumerate_subgame(_box_only(game), [(1, 6)])
+    assert _ranged_box(graph)
+    with pytest.raises(ValueError, match="break the box_lines contract"):
+        sg_labels(graph)
+
+
+def test_line_fold_memory_per_node():
+    # the ring takes about 28 B per node here and the edge loop about 17;
+    # keeping every node's line summaries instead took about 390
+    graph = enumerate_subgame(make_family("wythoff"), [(120, 120)])
+    graph.depths
+    tracemalloc.start()
+    try:
+        out = fold_rows(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.itemsize * len(a) for a in out)
+    assert peak - arrays <= 64 * len(graph)
 
 
 def _analyzed_graph(monkeypatch, argv):
