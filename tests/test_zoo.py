@@ -755,6 +755,55 @@ def test_line_fold_equals_the_literal_reference_on_degenerate_boxes(family,
     assert list(lg.packed_masks) == ref_packed_masks(graph)
 
 
+def _random_range_lines(seed, slots):
+    """Box lines of ``slots`` ranges per node below it.  Each slot has its
+    own step (a stride, their sum, 2, or one wider than the ring) and
+    direction, and its line mostly runs from the nearest node down to 0,
+    so that it extends the same line of the node one step nearer; it is
+    sometimes shorter, without its nearest node, or any range."""
+    def lines(n, p, strides):
+        out = []
+        for j in range(slots):
+            rng = random.Random(seed * 7919 + j)
+            s = rng.choice([*strides, sum(strides), sum(strides) + 2, 2])
+            up = rng.random() < 0.5
+            rng = random.Random((seed * 7919 + j) * 1_000_003 + n)
+            k, roll, near = n // s, rng.random(), s
+            if roll < 0.1:
+                k = rng.randint(0, k)
+            elif roll < 0.2 and k:
+                near = 2 * s
+            elif roll < 0.3:
+                a, b = sorted(rng.randrange(n + 1) for _ in range(2))
+                out.append(range(a, b, s) if up else range(b - 1, a - 1, -s))
+                continue
+            out.append(range(n - k * s, n - near + s, s) if up
+                       else range(n - near, n - (k + 1) * s, -s))
+        return out
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounds=st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple),
+       seed=st.integers(0, 2**32), slots=st.integers(0, 4))
+def test_line_fold_equals_the_literal_reference_on_random_range_lines(
+        bounds, seed, slots):
+    game = dataclasses.replace(make_family("nim"),
+                               box_lines=_random_range_lines(seed, slots))
+    graph = enumerate_subgame(_box_only(game), [bounds])
+    assert _ranged_box(graph)
+    succ = dict(graph.succ)
+    labels = ref_labels(succ, ref_topological_order(succ))
+    try:
+        lg = sg_labels(graph)
+    except ValueError:
+        # random lines need not lower the coordinate sum
+        assert max(g for g, _ in labels.values()) >= max(graph.depths) + 2
+        return
+    assert list(zip(lg.g, lg.g_minus)) == [labels[p] for p in graph.positions]
+    assert list(lg.packed_masks) == ref_packed_masks(graph)
+
+
 def test_line_fold_refuses_lines_that_keep_the_coordinate_sum():
     # every node moves to every lower node, so node t has g = t; on the box
     # below (1, 6), 14 nodes, the coordinate sums stop at 7
