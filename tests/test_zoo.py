@@ -55,7 +55,8 @@ from grundylab.zoo import (
 )
 from grundylab.zoo import _wythoff_lines
 
-from literal_games import moves, ref_labels, ref_packed_masks, ref_topological_order
+from literal_games import (moves, ref_labels, ref_packed_masks,
+                           ref_topological_order)
 
 
 def labels(family, params, roots, sym=False):
@@ -740,6 +741,17 @@ def test_line_fold_comparison_catches_a_wrong_rule(lines):
     assert outcome == _outcome(_box_only(listed), roots)
 
 
+def _reference_labels(graph):
+    succ = dict(graph.succ)
+    return ref_labels(succ, ref_topological_order(succ))
+
+
+def _assert_reference_labels(lg, labels):
+    graph = lg.graph
+    assert list(zip(lg.g, lg.g_minus)) == [labels[p] for p in graph.positions]
+    assert list(lg.packed_masks) == ref_packed_masks(graph)
+
+
 @pytest.mark.parametrize("family,top", [
     ("wythoff", (7, 0)), ("wythoff", (0, 7)),   # strides [1, 1]
     ("nim", (0, 5)), ("nim", (3, 0, 4)), ("nim", (9,)), ("nim", (8, 8, 8, 8)),
@@ -748,11 +760,7 @@ def test_line_fold_equals_the_literal_reference_on_degenerate_boxes(family,
                                                                     top):
     graph = enumerate_subgame(make_family(family), [top])
     assert isinstance(graph, BoxGraph) and _ranged_box(graph)
-    lg = sg_labels(graph)
-    succ = dict(graph.succ)
-    labels = ref_labels(succ, ref_topological_order(succ))
-    assert list(zip(lg.g, lg.g_minus)) == [labels[p] for p in graph.positions]
-    assert list(lg.packed_masks) == ref_packed_masks(graph)
+    _assert_reference_labels(sg_labels(graph), _reference_labels(graph))
 
 
 def _random_range_lines(seed, slots):
@@ -792,16 +800,14 @@ def test_line_fold_equals_the_literal_reference_on_random_range_lines(
                                box_lines=_random_range_lines(seed, slots))
     graph = enumerate_subgame(_box_only(game), [bounds])
     assert _ranged_box(graph)
-    succ = dict(graph.succ)
-    labels = ref_labels(succ, ref_topological_order(succ))
+    labels = _reference_labels(graph)
     try:
         lg = sg_labels(graph)
     except ValueError:
         # random lines need not lower the coordinate sum
         assert max(g for g, _ in labels.values()) >= max(graph.depths) + 2
         return
-    assert list(zip(lg.g, lg.g_minus)) == [labels[p] for p in graph.positions]
-    assert list(lg.packed_masks) == ref_packed_masks(graph)
+    _assert_reference_labels(lg, labels)
 
 
 def test_line_fold_refuses_lines_that_keep_the_coordinate_sum():
