@@ -116,7 +116,9 @@ def fold_rows(graph) -> tuple:
     13 and 15 bits fit in an ``'i'``) depends only on its label and its
     reach, so it is computed once per distinct (g, g_minus, reach) in the
     process.  A box whose top node's lines are ranges is folded one line
-    at a time instead (``_fold_lines``), to the same arrays.
+    at a time instead (``_fold_lines``), and a disjunctive sum from its two
+    factors, a block of nodes at a time (``_fold_product``), to the same
+    arrays.
     """
     n = len(graph)
     # labels[y] is the memo's shared (g, g_minus, word) tuple of node y, a
@@ -127,6 +129,9 @@ def fold_rows(graph) -> tuple:
     # max(d(x), 1): with D the greatest depth, every mark and mex probe is
     # below D + 2
     width = max(graph.depths, default=0) + 2
+    from .sums import ProductGraph  # sums imports this module
+    if isinstance(graph, ProductGraph):
+        return _fold_product(graph, width)
     if _ranged_box(graph):
         return _fold_lines(graph, width)
     labels = [None] * n
@@ -200,7 +205,6 @@ def _fold_lines(graph: BoxGraph, width: int) -> tuple:
     bits = [None] * n
     out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
     found = {}   # (g, g_minus, reach) -> (label, packed int), in this fold
-    memo = _LABELS
     gm_field = _WORD_BITS + width
     at = 0
     for x, node in enumerate(map(lines, itertools.count(), positions,
@@ -269,21 +273,109 @@ def _fold_lines(graph: BoxGraph, width: int) -> tuple:
             key = (0, 1, 0)
         hit = found.get(key)
         if hit is None:
-            g, gm, _ = key
-            if g >= width:
+            if key[0] >= width:
                 # the g field was full: some move kept the coordinate sum
                 raise ValueError(f"box lines of {positions[x]!r} break the "
                                  "box_lines contract")
-            label = memo.get(key)
-            if label is None:
-                label = memo[key] = (g, gm, _word(*key))
-            hit = found[key] = (label, label[2] | 1 << (_WORD_BITS + g)
-                                | 1 << (gm_field + gm))
+            hit = found[key] = _packed_label(key, width)
         label, bits[x] = hit
         out_g[x], out_gm[x], out_words[x] = label
         at += slots
         if at == span:
             at = 0
+    return out_g, out_gm, out_words
+
+
+def _packed_label(key: tuple, width: int) -> tuple:
+    """The memo's (g, g_minus, word) of a node whose (g, g_minus, reach) is
+    ``key``, and its packed int with value fields ``width`` bits wide."""
+    g, gm, _ = key
+    label = _LABELS.get(key)
+    if label is None:
+        label = _LABELS[key] = (g, gm, _word(*key))
+    return label, (label[2] | 1 << (_WORD_BITS + g)
+                   | 1 << (_WORD_BITS + width + gm))
+
+
+# the most ORs of packed ints a product fold keeps looked up at once
+_SEEN_CAP = 4096
+
+
+def _fold_product(graph, width: int, outer_is_left: bool | None = None):
+    """``fold_rows`` of a disjunctive sum (``sums.ProductGraph``), from its
+    two factors, with no product row built.
+
+    Product node (o, i) of outer node o and inner node i moves to (o', i)
+    for each option o' of o and to (o, i') for each option i' of i.  Its
+    packed int is ``_fold_lines``' (the word, then the g and g_minus
+    fields, each ``width`` bits), and outer node o's lane int holds the
+    packed ints of its whole block (o, 0), ..., (o, N_inner - 1), ``lane``
+    bytes each, inner node i's at byte ``i·lane``.  So one OR of the lane
+    ints of o's options gives, lane by lane, the OR over every node of the
+    block's moves in the outer factor; each inner node, children first,
+    reads its lane from that OR's bytes and ORs in the packed ints of its
+    inner options, found earlier in the same block.  The outer factor is
+    the one with more edges per node, so that the per-option loop runs on
+    whole blocks where it runs most; ``outer_is_left`` overrides it.  A
+    node's (g, g_minus, reach) is looked up by its OR of packed ints, in a
+    dict of at most ``_SEEN_CAP`` entries, before its mexes are taken.
+    """
+    left, right = graph.left, graph.right
+    (e_left, k_left), (e_right, k_right) = graph.factor_degrees()
+    if outer_is_left is None:
+        outer_is_left = e_left * len(right) >= e_right * len(left)
+    outer, inner = (left, right) if outer_is_left else (right, left)
+    # a mex of k values is at most k: no node's g or g_minus (or a
+    # terminal's 1) reaches the most options a node has plus 2
+    width = min(width, k_left + k_right + 2)
+    n, n_in = len(graph), len(inner)
+    # block o is product nodes o·o_step + i·i_step, i = 0 .. N_inner - 1
+    o_step, i_step = (n_in, 1) if outer_is_left else (1, len(outer))
+    lane = (_WORD_BITS + 2 * width + 7) // 8
+    # inner node, its lane's first byte, its options, children first
+    inner_rows = [(i, i * lane, list(row)) for i, row in inner.node_rows()]
+    lanes = [0] * len(outer)
+    bits, chunks, labels = [0] * n_in, [b""] * n_in, [None] * n_in
+    out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
+    found = {}   # (g, g_minus, reach) -> (label, packed int, its bytes)
+    seen = {}    # a node's OR of packed ints -> its entry in found
+    gm_field = _WORD_BITS + width
+    from_bytes, size = int.from_bytes, n_in * lane
+    for o, row in outer.node_rows():
+        u = 0
+        for y in row:
+            u |= lanes[y]
+        outer_or = u.to_bytes(size, "little")
+        for i, at, opts in inner_rows:
+            u = from_bytes(outer_or[at:at + lane], "little")
+            for y in opts:
+                u |= bits[y]
+            hit = seen.get(u)
+            if hit is None:
+                if u:
+                    v = u >> _WORD_BITS
+                    g = (v ^ (v + 1)).bit_length() - 1
+                    v = u >> gm_field
+                    key = (g, (v ^ (v + 1)).bit_length() - 1,
+                           u & _CLASS_MASK)
+                else:
+                    key = (0, 1, 0)
+                hit = found.get(key)
+                if hit is None:
+                    label, packed = _packed_label(key, width)
+                    hit = found[key] = (label, packed,
+                                        packed.to_bytes(lane, "little"))
+                if len(seen) == _SEEN_CAP:
+                    seen.clear()
+                seen[u] = hit
+            labels[i], bits[i], chunks[i] = hit
+        lanes[o] = from_bytes(b"".join(chunks), "little")
+        at = o * o_step
+        block = slice(at, at + n_in * i_step, i_step)
+        g, gm, words = zip(*labels)
+        out_g[block] = array("i", g)
+        out_gm[block] = array("i", gm)
+        out_words[block] = array("i", words)
     return out_g, out_gm, out_words
 
 

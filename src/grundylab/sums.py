@@ -6,7 +6,7 @@ import itertools
 import sys
 from array import array
 from collections.abc import Mapping, Sequence
-from functools import reduce
+from functools import cached_property, reduce
 from math import prod
 from operator import xor
 
@@ -17,36 +17,91 @@ from .classify import PREDICATES, ClassReport, classify
 
 
 def sum_graph(summands: list[ReachableGraph],
-              node_cap: int = DEFAULT_NODE_CAP) -> ReachableGraph:
+              node_cap: int = DEFAULT_NODE_CAP) -> ProductGraph:
     """The sum of the summand graphs, rooted at every tuple of summand roots.
 
-    That subgame is the full Cartesian product of the summand graphs, built
-    from their move arrays and numbered in mixed radix: node
-    (c_1, ..., c_k), in the summands' node numbers, is
-    ``(...(c_1·N_2 + c_2)·N_3 + ...) + c_k``, and no product position is
-    stored.  Listing the nodes lexicographically over the summands'
-    parents-first orders is parents-first, and a node's depth is the sum of
-    its components' depths; the summands passed the cycle check, so the
-    product needs none.  Summands are folded in one at a time, as the
-    mixed-radix numbering nests.  A node's options are its moves in
-    summand 1, then those in summand 2, and so on.
+    That subgame is the full Cartesian product of the summand graphs,
+    numbered in mixed radix: node (c_1, ..., c_k), in the summands' node
+    numbers, is ``(...(c_1·N_2 + c_2)·N_3 + ...) + c_k``.  It is a
+    ``ProductGraph`` of two factors, the sum of the first k - 1 summands
+    (a ``ProductGraph`` too when k > 2) and the last summand, so no product
+    position and no product row is stored.  A node's options are its moves
+    in summand 1, then those in summand 2, and so on.
     """
     if len(summands) < 2:
         raise ValueError("a disjunctive sum needs at least two summands")
     if prod(map(len, summands)) > node_cap:
         raise LimitExceeded(f"node cap {node_cap} exceeded")
-    first = summands[0]
-    offsets, targets = first.offsets, first.targets
-    order, depths = first.order, first.depths
-    for g in summands[1:]:
-        offsets, targets = _csr_product(offsets, targets, g.offsets, g.targets)
-        m = len(g)
-        order = _outer_sum(array("i", [i * m for i in order]), g.order)
-        depths = _outer_sum(depths, g.depths)
-    return ReachableGraph(
-        itertools.product(*(g.roots for g in summands)),
-        _ProductPositions(summands), _ProductIndex(summands),
-        offsets, targets, order, depths)
+    graph = summands[0]
+    for k in range(2, len(summands) + 1):
+        graph = ProductGraph(summands[:k], graph)
+    return graph
+
+
+class ProductGraph(ReachableGraph):
+    """The sum of ``summands``, as the product of two factors: ``left``, the
+    sum of all summands but the last (or the first summand alone), and
+    ``right``, the last summand.
+
+    Node ``i·N_right + j`` is left node i with right node j.  Its row is
+    computed from the factors' rows (``row``): the moves in the left factor
+    (j fixed), then those in the right (i fixed).  Listing the nodes
+    lexicographically over the factors' parents-first orders is
+    parents-first, and a node's depth is the sum of its components'
+    depths; the factors passed the cycle check, so the product needs none.
+    Labelling folds the product from its factors
+    (``classify.fold_rows``).  Whole-graph readers of ``offsets`` and
+    ``targets`` get them built on first access (``_csr_product``), once.
+    """
+
+    def __init__(self, summands, left):
+        right = summands[-1]
+        self.roots = frozenset(itertools.product(*(g.roots
+                                                   for g in summands)))
+        self.positions = _ProductPositions(summands)
+        self.index = _ProductIndex(summands)
+        self.left, self.right = left, right
+        m = len(right)
+        self.order = _outer_sum(array("i", [i * m for i in left.order]),
+                                right.order)
+        self.depths = _outer_sum(left.depths, right.depths)
+
+    def row(self, x) -> list:
+        left, right = self.left, self.right
+        m = len(right)
+        i, j = divmod(x, m)
+        base = i * m
+        return ([y * m + j for y in left.row(i)]
+                + [base + y for y in right.row(j)])
+
+    def node_rows(self):
+        row = self.row
+        for x in reversed(self.order):
+            yield x, row(x)
+
+    def factor_degrees(self) -> tuple:
+        """(edge count, most options of one node) of ``left`` and of
+        ``right``."""
+        return _degrees(self.left), _degrees(self.right)
+
+    @cached_property
+    def _rows(self):
+        left, right = self.left, self.right
+        return _csr_product(left.offsets, left.targets, right.offsets,
+                            right.targets)
+
+    offsets = cached_property(lambda self: self._rows[0])
+    targets = cached_property(lambda self: self._rows[1])
+
+
+def _degrees(graph) -> tuple:
+    """(edge count, most options of one node) of a graph; a product's come
+    from its factors', with no product row built."""
+    if isinstance(graph, ProductGraph):
+        (e1, k1), (e2, k2) = graph.factor_degrees()
+        return e1 * len(graph.right) + len(graph.left) * e2, k1 + k2
+    degrees = list(map(len, map(graph.row, range(len(graph)))))
+    return sum(degrees), max(degrees)
 
 
 def _csr_product(off1, tg1, off2, tg2):
@@ -188,6 +243,30 @@ def tame_sum_label(labels: list[Label]) -> Label:
     return Label(g, g)
 
 
+def _tame_sum_arrays(lefts: list, last: list) -> tuple:
+    """The g and g_minus arrays ``tame_sum_label`` predicts for a sum whose
+    summands have the label lists ``lefts`` and then ``last``, in product
+    node order.  Each left tuple of labels gives a block of ``len(last)``
+    nodes, built once per distinct tuple, and ``tame_sum_label`` is called
+    once per distinct tuple of component labels."""
+    labels, blocks = {}, {}
+    want_g, want_gm = array("i"), array("i")
+    for left in itertools.product(*lefts):
+        block = blocks.get(left)
+        if block is None:
+            column = []
+            for lab in last:
+                comps = left + (lab,)
+                want = labels.get(comps)
+                if want is None:
+                    want = labels[comps] = tuple(tame_sum_label(comps))
+                column.append(want)
+            block = blocks[left] = [array("i", c) for c in zip(*column)]
+        want_g += block[0]
+        want_gm += block[1]
+    return want_g, want_gm
+
+
 class ClosureReport:
     def __init__(self, target: str, summand_reports: list,
                  sum_report: ClassReport, holds: bool, label_mismatches: list,
@@ -212,7 +291,9 @@ def check_closure(target: str, summands: list[ReachableGraph],
 
     Each summand and the product are labelled and classified once.  For
     tame or miserable summands the theorem-derived fast path
-    (``tame_sum_label``) is cross-checked against every sum label.
+    (``tame_sum_label``) is cross-checked against every sum label: its
+    predicted label arrays are compared with the sum's whole, and node by
+    node only where they differ.
     """
     if target not in PREDICATES:
         raise UnknownPredicate(f"unknown predicate {target!r}")
@@ -226,16 +307,13 @@ def check_closure(target: str, summands: list[ReachableGraph],
 
     mismatches = []
     if all(r.verdicts["tame"] for r in summand_reports):
-        # product node numbers run over the summands' in mixed radix
-        components = itertools.product(*(list(zip(lg.g, lg.g_minus))
-                                         for lg in summand_lgs))
-        predicted = {}
-        for x, (comps, lab) in enumerate(zip(components,
-                                             zip(sum_lg.g, sum_lg.g_minus))):
-            want = predicted.get(comps)
-            if want is None:
-                want = predicted[comps] = tuple(tame_sum_label(comps))
-            if want != lab:
-                mismatches.append((product.positions[x], lab, want))
+        *lefts, last = [list(zip(lg.g, lg.g_minus)) for lg in summand_lgs]
+        want_g, want_gm = _tame_sum_arrays(lefts, last)
+        if want_g != sum_lg.g or want_gm != sum_lg.g_minus:
+            mismatches = [
+                (product.positions[x], lab, want) for x, (lab, want)
+                in enumerate(zip(zip(sum_lg.g, sum_lg.g_minus),
+                                 zip(want_g, want_gm)))
+                if lab != want]
     return ClosureReport(target, summand_reports, sum_report, holds,
                          mismatches, sum_lg)

@@ -964,6 +964,26 @@ def test_sum_builds_product_once(tmp_path, monkeypatch):
     assert calls == {"sg_labels": 3, "classify": 3}
 
 
+def test_sum_builds_no_product_rows(tmp_path, monkeypatch):
+    # the benchmark's sum_table job; both digests were recorded while every
+    # product stored its rows
+    def refuse(*args):
+        raise AssertionError("product rows built")
+
+    monkeypatch.setattr(grundylab.sums, "_csr_product", refuse)
+    nim, sub, table = (tmp_path / name for name in ("N", "S", "T"))
+    nim.write_text(json.dumps({"family": "nim", "roots": [[6, 6, 6]]}))
+    sub.write_text(json.dumps({"family": "subtraction",
+                               "params": {"x": [1, 2]}, "roots": [[30]]}))
+    result = run("sum", "--game", str(nim), "--game", str(sub),
+                 "--target", "tame", "--table", str(table))
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "00c004e647c5725f38557b9e3e6c7b56c4ed96744ec5ecd72facecc81a66dd2f")
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == (
+        "c97bd62f2f33704efdba63b6b31b482a3bd8da88511b562a89380cefa70f59c2")
+
+
 @pytest.mark.parametrize("argv,spec", [
     (["analyze", "--fixture", "pet"], None),
     (["table", "--fixture", "pet", "--sg"], None),

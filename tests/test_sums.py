@@ -1,6 +1,9 @@
+import gc
 import itertools
 import random
 import sys
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +16,11 @@ from grundylab import (
     LimitExceeded,
     NotTameLabel,
     UnknownPredicate,
+    ReachableGraph,
     adjoin_misere_terminal,
     check_closure,
     classify,
+    disjoint_union,
     enumerate_subgame,
     load_fixture,
     sg_labels,
@@ -23,14 +28,17 @@ from grundylab import (
     sum_sg,
     tame_sum_label,
     verify_candidate_sets,
+    verify_sg_consistency,
 )
+from grundylab.classify import _fold_product
 from grundylab.fixtures import fixture_roots
-from grundylab.grundy import to_csv
+from grundylab.grundy import LabeledGraph, to_csv
 from grundylab.random_games import random_dag
 from grundylab.suites import SuiteResult, check_xor_pairs, sodo_summands
 from grundylab.zoo import make_family
 
-from literal_games import sum_game
+from literal_games import (ref_labels, ref_packed_masks,
+                            ref_topological_order, sum_game)
 from random_dags import random_dag_stream
 
 
@@ -399,3 +407,160 @@ def test_tame_cross_check_lists_every_disagreement(rootsets, monkeypatch):
     assert closure.label_mismatches == [
         (x, (a, b), (99, 99))
         for x, a, b in zip(lg.graph.positions, lg.g, lg.g_minus)]
+
+
+# the product fold (classify._fold_product) labels the sum from its two
+# factors; the reference labels the literal product rule's graph
+
+
+def folds(product):
+    """The fold of ``product`` with each factor as the outer loop, then
+    ``sg_labels``' (which picks one), each as (g, g_minus, packed_masks)."""
+    width = max(product.depths) + 2
+    lg = sg_labels(product)
+    return [_fold_product(product, width, outer_is_left)
+            for outer_is_left in (True, False)] + [
+        (lg.g, lg.g_minus, lg.packed_masks)]
+
+
+def assert_fold_matches_reference(product, want):
+    """Every fold of ``product`` gives each position the label and the
+    packed word that the literal product graph ``want`` gives it."""
+    succ = dict(want.succ)
+    labels = ref_labels(succ, ref_topological_order(succ))
+    ref = {x: (labels[x], word)
+           for x, word in zip(want.positions, ref_packed_masks(want))}
+    assert len(product) == len(want)
+    for g, gm, packed in folds(product):
+        assert {x: ((g[i], gm[i]), packed[i])
+                for i, x in enumerate(product.positions)} == ref
+
+
+def literal_of(summands):
+    """The literal product of whole summand graphs, from their moves."""
+    return literal_sum([game_of(g) for g in summands],
+                       [list(g.positions) for g in summands])
+
+
+@settings(deadline=None)
+@given(random_sums())
+def test_product_fold_equals_the_literal_reference_on_random_dags(case):
+    summands, games, rootsets = case
+    assert_fold_matches_reference(sum_graph(summands),
+                                  literal_sum(games, rootsets))
+
+
+def _box(family, params, bound):
+    return enumerate_subgame(make_family(family, params), [bound])
+
+
+def _fixture(name):
+    return enumerate_subgame(load_fixture(name), fixture_roots(name))
+
+
+FOLD_SUMS = {
+    "nim+wythoff": lambda: [_box("nim", {}, (2, 3)),
+                            _box("wythoff", {}, (3, 3))],
+    "subtraction+nim": lambda: [_box("subtraction", {"x": [1, 2, 5]}, (12,)),
+                                _box("nim", {}, (1, 2))],
+    "wythoff+subtraction": lambda: [_box("wythoff", {}, (4, 2)),
+                                    _box("subtraction", {"x": [2, 3]}, (9,))],
+    # g = g_minus = 7 at the top, its number of options: the widest values
+    "nim_piles": lambda: [_box("nim", {}, (5,)), _box("nim", {}, (2,))],
+    "fixtures": lambda: [_fixture("tame_not_pet"),
+                         _fixture("returnable_not_forced")],
+    "fixture+box": lambda: [_fixture("not_returnable"),
+                            _box("nim", {}, (2, 2))],
+    "single+single": lambda: [_box("nim", {}, (0,)), _box("nim", {}, (0, 0))],
+    "single+box": lambda: [_box("nim", {}, (0,)), _box("wythoff", {}, (2, 3))],
+    "box+single": lambda: [_box("wythoff", {}, (2, 3)), _box("nim", {}, (0,))],
+    "three": lambda: [_box("nim", {}, (2, 1)), _fixture("pet"),
+                      _box("subtraction", {"x": [1, 2]}, (4,))],
+    "three_with_single": lambda: [_fixture("abc_chain"), _box("nim", {}, (0,)),
+                                  _box("wythoff", {}, (1, 2))],
+}
+
+
+@pytest.mark.parametrize("name", FOLD_SUMS)
+def test_product_fold_equals_the_literal_reference_on_named_sums(name):
+    summands = FOLD_SUMS[name]()
+    assert_fold_matches_reference(sum_graph(summands), literal_of(summands))
+
+
+def test_product_fold_of_a_sum_with_a_sum_as_summand():
+    inner = [_box("nim", {}, (2,)), _fixture("sodo_g1")]
+    summands = [sum_graph(inner), _box("wythoff", {}, (2, 1))]
+    assert_fold_matches_reference(sum_graph(summands), literal_of(summands))
+
+
+@settings(deadline=None)
+@given(random_sums())
+def test_product_rows_equal_its_stored_rows(case):
+    product = sum_graph(case[0])
+    offsets, targets = product.offsets, product.targets
+    for x in range(len(product)):
+        assert product.row(x) == list(targets[offsets[x]:offsets[x + 1]])
+    assert [(x, list(row)) for x, row in product.node_rows()] == [
+        (x, product.row(x)) for x in reversed(product.order)]
+
+
+def stored_copy(product):
+    """``product`` as a graph with stored rows, as ``sum_graph`` built it
+    before it folded sums from their factors."""
+    return ReachableGraph(product.roots, product.positions, product.index,
+                          product.offsets, product.targets, product.order,
+                          product.depths)
+
+
+def graph_arrays(graph):
+    return [list(a) for a in (graph.offsets, graph.targets, graph.order,
+                              graph.depths)]
+
+
+@settings(deadline=None)
+@given(random_sums(), st.integers(0, 2**32 - 1))
+def test_whole_graph_readers_see_a_product_as_its_stored_rows(case, seed):
+    product = sum_graph(case[0])
+    stored = stored_copy(product)
+    lg = sg_labels(product)
+    # labels with a few values raised or lowered, so that checks fail
+    rng = random.Random(seed)
+    g, gm = array("i", lg.g), array("i", lg.g_minus)
+    for values in (g, gm):
+        for x in rng.sample(range(len(product)), min(3, len(product))):
+            values[x] = max(0, values[x] + rng.choice((-1, 1, 2)))
+    for labels in ((lg.g, lg.g_minus), (g, gm)):
+        assert verify_sg_consistency(LabeledGraph(product, *labels)) \
+            .violations == verify_sg_consistency(
+                LabeledGraph(stored, *labels)).violations
+    got, want = adjoin_misere_terminal(product), adjoin_misere_terminal(stored)
+    assert graph_arrays(got) == graph_arrays(want)
+    assert sg_labels(got).g == sg_labels(want).g
+    other = case[0][0]
+    (got, got_starts), (want, want_starts) = (
+        disjoint_union([graph, other, graph]) for graph in (product, stored))
+    assert got_starts == want_starts
+    assert graph_arrays(got) == graph_arrays(want)
+    assert list(got.positions) == list(want.positions)
+    assert got.roots == want.roots
+
+
+def test_product_fold_memory_per_node():
+    # about 10^5 nodes: each outer node keeps one lane int of 9 bytes per
+    # inner node (the value fields are as wide as the most options of a
+    # node plus 2: 20 + 2), and the product's rows are never built
+    product = sum_graph([_box("nim", {}, (6, 6, 6)),
+                         _box("subtraction", {"x": [1, 2]}, (300,))])
+    assert len(product) == 103_243
+    sg_labels(product)  # the words' memo holds this product's labels
+    gc.collect()
+    tracemalloc.start()
+    try:
+        lg = sg_labels(product)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.itemsize * len(a)
+                 for a in (lg.g, lg.g_minus, lg.packed_masks))
+    assert (peak - arrays) / len(product) <= 24
+    assert "_rows" not in vars(product)
