@@ -370,8 +370,7 @@ def _fold_product(graph, width: int, outer_is_left: bool | None = None):
                 seen[u] = hit
             labels[i], bits[i], chunks[i] = hit
         lanes[o] = from_bytes(b"".join(chunks), "little")
-        at = o * o_step
-        block = slice(at, at + n_in * i_step, i_step)
+        block = slice(o * o_step, o * o_step + n_in * i_step, i_step)
         g, gm, words = zip(*labels)
         out_g[block] = array("i", g)
         out_gm[block] = array("i", gm)
