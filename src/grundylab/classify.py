@@ -317,8 +317,8 @@ def _fold_product(graph, width: int, outer_is_left: bool | None = None):
     inner options, found earlier in the same block.  The outer factor is
     the one with more edges per node, so that the per-option loop runs on
     whole blocks where it runs most; ``outer_is_left`` overrides it.  A
-    node's (g, g_minus, reach) is looked up by its OR of packed ints, in a
-    dict of at most ``_SEEN_CAP`` entries, before its mexes are taken.
+    node's label and packed int are looked up by its OR of packed ints, in
+    a dict of at most ``_SEEN_CAP`` entries, before its mexes are taken.
     """
     left, right = graph.left, graph.right
     (e_left, k_left), (e_right, k_right) = graph.factor_degrees()
@@ -337,8 +337,7 @@ def _fold_product(graph, width: int, outer_is_left: bool | None = None):
     lanes = [0] * len(outer)
     bits, chunks, labels = [0] * n_in, [b""] * n_in, [None] * n_in
     out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
-    found = {}   # (g, g_minus, reach) -> (label, packed int, its bytes)
-    seen = {}    # a node's OR of packed ints -> its entry in found
+    seen = {}    # a node's OR of packed ints -> (label, packed int, bytes)
     gm_field = _WORD_BITS + width
     from_bytes, size = int.from_bytes, n_in * lane
     for o, row in outer.node_rows():
@@ -360,11 +359,8 @@ def _fold_product(graph, width: int, outer_is_left: bool | None = None):
                            u & _CLASS_MASK)
                 else:
                     key = (0, 1, 0)
-                hit = found.get(key)
-                if hit is None:
-                    label, packed = _packed_label(key, width)
-                    hit = found[key] = (label, packed,
-                                        packed.to_bytes(lane, "little"))
+                label, packed = _packed_label(key, width)
+                hit = (label, packed, packed.to_bytes(lane, "little"))
                 if len(seen) == _SEEN_CAP:
                     seen.clear()
                 seen[u] = hit

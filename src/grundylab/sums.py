@@ -79,6 +79,9 @@ class ProductGraph(ReachableGraph):
         for x in reversed(self.order):
             yield x, row(x)
 
+    def edge_count(self) -> int:
+        return _degrees(self)[0]
+
     def factor_degrees(self) -> tuple:
         """(edge count, most options of one node) of ``left`` and of
         ``right``."""

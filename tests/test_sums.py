@@ -497,7 +497,10 @@ def test_product_fold_of_a_sum_with_a_sum_as_summand():
 @given(random_sums())
 def test_product_rows_equal_its_stored_rows(case):
     product = sum_graph(case[0])
+    edges = product.edge_count()
+    assert "_rows" not in vars(product)
     offsets, targets = product.offsets, product.targets
+    assert edges == len(targets)
     for x in range(len(product)):
         assert product.row(x) == list(targets[offsets[x]:offsets[x + 1]])
     assert [(x, list(row)) for x, row in product.node_rows()] == [
