@@ -325,8 +325,8 @@ def _fold_product(graph, width: int, outer_is_left: bool | None = None):
     if outer_is_left is None:
         outer_is_left = e_left * len(right) >= e_right * len(left)
     outer, inner = (left, right) if outer_is_left else (right, left)
-    # a mex of k values is at most k: no node's g or g_minus (or a
-    # terminal's 1) reaches the most options a node has plus 2
+    # a mex of k values is at most k, so with K the most options of a
+    # product node every g and g_minus is at most max(K, 1), below K + 2
     width = min(width, k_left + k_right + 2)
     n, n_in = len(graph), len(inner)
     # block o is product nodes o·o_step + i·i_step, i = 0 .. N_inner - 1
