@@ -15,8 +15,8 @@ from grundylab import (
     Label,
     LimitExceeded,
     NotTameLabel,
-    UnknownPredicate,
     ReachableGraph,
+    UnknownPredicate,
     adjoin_misere_terminal,
     check_closure,
     classify,
