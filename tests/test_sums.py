@@ -487,6 +487,14 @@ def test_product_fold_equals_the_literal_reference_on_named_sums(name):
     assert_fold_matches_reference(sum_graph(summands), literal_of(summands))
 
 
+@pytest.mark.parametrize("name", ["nim+wythoff", "three"])
+def test_product_fold_that_keeps_few_lookups(name, monkeypatch):
+    # the lookup dict is emptied whenever it is full
+    monkeypatch.setattr(sys.modules["grundylab.classify"], "_SEEN_CAP", 2)
+    summands = FOLD_SUMS[name]()
+    assert_fold_matches_reference(sum_graph(summands), literal_of(summands))
+
+
 def test_product_fold_of_a_sum_with_a_sum_as_summand():
     inner = [_box("nim", {}, (2,)), _fixture("sodo_g1")]
     summands = [sum_graph(inner), _box("wythoff", {}, (2, 1))]
