@@ -650,7 +650,6 @@ def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
     report = VerifyReport(target)
     fail = report.failures.append
     index, positions = graph.index, graph.positions
-    offsets, targets = graph.offsets, graph.targets
     named = [(name, sets[name]) for name in _REQUIRED[target]]
     # each set's node numbers in ascending order, the order every condition
     # reports its failures in, whatever the positions' hashes
@@ -661,12 +660,13 @@ def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
     for name, ids in nodes.items():
         for i in ids:
             own[i] |= _PAIR_CLASS[_SET_LABELS[name]]
-    reach = []
-    for x in range(len(graph)):
+    reach, degrees = [], []
+    for opts in map(graph.row, range(len(graph))):
         r = 0
-        for y in targets[offsets[x]:offsets[x + 1]]:
+        for y in opts:
             r |= own[y]
         reach.append(r)
+        degrees.append(len(opts))
 
     # pairwise disjoint, naming the shared member of the smallest number
     for i, (na, sa) in enumerate(named):
@@ -684,7 +684,8 @@ def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
                 fail(("i", positions[i], f"move inside {name}"))
 
     # (ii) terminals
-    for x in sorted(set(graph.terminals()) - cand.v01, key=repr):
+    terminals = {positions[i] for i, k in enumerate(degrees) if not k}
+    for x in sorted(terminals - cand.v01, key=repr):
         fail(("ii", x, "terminal not in v01"))
 
     unknown = sorted((x for _, s in named for x in s if x not in index),
@@ -695,8 +696,7 @@ def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
         return report
 
     nodes["rest"] = [i for i in range(len(graph)) if not own[i] & (SWAP | V00)]
-    nodes["v01 - terminals"] = [i for i in nodes["v01"]
-                                if offsets[i] != offsets[i + 1]]
+    nodes["v01 - terminals"] = [i for i in nodes["v01"] if degrees[i]]
     for cond, name, need, avoid in _STRUCTURE[target]:
         who = "" if name == "rest" else f"{name[:3]} position "
         for i in nodes[name]:

@@ -132,11 +132,13 @@ class ReachableGraph:
     every move source before its targets, and ``depths[i]`` is d(node i).
     ``succ``, ``topo`` and ``nodes`` are read-only views of the same data in
     terms of positions, ``row(i)`` is node i's option numbers, and
-    ``node_rows()`` walks every node after its options, which is how
-    labelling reads the rows.  Immutable after construction.  ``order`` and
-    ``depths`` come from one depth-first pass, which is also the cycle
-    check, unless the caller passes both.  The closure of a greatest root,
-    with ``box_lines``, is a ``BoxGraph``, which computes its rows instead.
+    ``node_rows()`` walks every node after its options; every reader but
+    the constructors of stored graphs takes the rows through these two.
+    Immutable after construction.  ``order`` and ``depths`` come from one
+    depth-first pass, which is also the cycle check, unless the caller
+    passes both.  The closure of a greatest root, with ``box_lines``, is a
+    ``BoxGraph``, and a disjunctive sum is a ``sums.ProductGraph``; both
+    compute their rows and store none.
     """
 
     def __init__(self, roots, positions, index, offsets, targets,
@@ -188,8 +190,8 @@ class ReachableGraph:
         return len(self.targets)
 
     def terminals(self):
-        off = self.offsets
-        return [x for i, x in enumerate(self.positions) if off[i] == off[i + 1]]
+        row = self.row
+        return [x for i, x in enumerate(self.positions) if not row(i)]
 
     def depth(self, x) -> int:
         """d(x): the greatest number of successive moves from x to a terminal."""
@@ -219,10 +221,8 @@ class BoxGraph(ReachableGraph):
     cycle check runs, and ``node_rows`` walks the nodes in ascending order,
     chaining each node's lines.  A node's depth is its position's
     coordinate sum, as the ``box_lines`` contract implies, so ``depths``
-    reads no line.  Whole-graph readers of ``offsets`` and ``targets`` get
-    them built on first access, as does the first reader of ``index`` or
-    ``depths``, each once; ``edge_count`` and ``terminals`` read the lines
-    instead.
+    reads no line.  The first reader of ``index`` or ``depths`` gets it
+    built, once; ``edge_count`` reads the lines.
     """
 
     def __init__(self, roots, bounds, lines):
@@ -245,10 +245,6 @@ class BoxGraph(ReachableGraph):
     def edge_count(self) -> int:
         return sum(len(line) for node in self._node_lines() for line in node)
 
-    def terminals(self):
-        return [x for x, node in zip(self.positions, self._node_lines())
-                if not any(node)]
-
     def row(self, i) -> list:
         # a list takes a range faster than an array does
         row = []
@@ -256,17 +252,6 @@ class BoxGraph(ReachableGraph):
             row += line
         return row
 
-    @cached_property
-    def _rows(self):
-        offsets, targets = array("i", [0]), array("i")
-        fromlist, append = targets.fromlist, offsets.append
-        for i in range(len(self.positions)):
-            fromlist(self.row(i))
-            append(len(targets))
-        return offsets, targets
-
-    offsets = cached_property(lambda self: self._rows[0])
-    targets = cached_property(lambda self: self._rows[1])
     # labelling and classifying read no position's number
     index = cached_property(
         lambda self: {x: i for i, x in enumerate(self.positions)})
@@ -454,19 +439,20 @@ def disjoint_union(graphs) -> tuple[ReachableGraph, array]:
     already, so the orders and depths are concatenated and no DFS runs.
     ``graphs`` may be any iterable; each graph is read once, in turn.
     """
-    positions, roots = [], []
-    offsets, targets = array("i", [0]), array("i")
+    positions, roots, degrees, targets = [], [], [], array("i")
     order, depths, starts = array("i"), array("i"), array("i", [0])
     for k, g in enumerate(graphs):
-        base, edges = len(positions), len(targets)
+        base = len(positions)
+        rows = list(map(g.row, range(len(g))))
         positions += [(k, p) for p in g.positions]
         roots += [(k, r) for r in g.roots]
-        offsets += array("i", [o + edges for o in g.offsets[1:]])
-        targets += array("i", [y + base for y in g.targets])
+        degrees += map(len, rows)
+        targets += array("i", [y + base for row in rows for y in row])
         order += array("i", [x + base for x in g.order])
         depths += g.depths
         starts.append(len(positions))
     index = {x: i for i, x in enumerate(positions)}
+    offsets = array("i", itertools.accumulate(degrees, initial=0))
     return (ReachableGraph(roots, positions, index, offsets, targets, order,
                            depths), starts)
 
@@ -482,13 +468,13 @@ def adjoin_misere_terminal(graph: ReachableGraph) -> ReachableGraph:
     longest play now ends with the move to N).  The result's positions and
     index are read-only views over the input's, so no position is copied.
     """
-    n, off, targets = len(graph), graph.offsets, graph.targets
+    n = len(graph)
     offsets, rows = array("i", [0]), array("i")
-    for i in range(n):
-        if off[i] == off[i + 1]:
-            rows.append(n)
+    for opts in map(graph.row, range(n)):
+        if opts:
+            rows.extend(opts)
         else:
-            rows.extend(targets[off[i]:off[i + 1]])
+            rows.append(n)
         offsets.append(len(rows))
     offsets.append(len(rows))
     return ReachableGraph(

@@ -102,9 +102,9 @@ def verify_sg_consistency(lg: LabeledGraph) -> ConsistencyReport:
     report = ConsistencyReport()
     add = report.violations.append
     graph = lg.graph
-    offsets, targets, positions = graph.offsets, graph.targets, graph.positions
+    row, positions = graph.row, graph.positions
     for x in graph.order:
-        opts = targets[offsets[x]:offsets[x + 1]]
+        opts = row(x)
         for which, values in (("normal", lg.g), ("misere", lg.g_minus)):
             own = values[x]
             if which == "misere" and not opts:

@@ -6,7 +6,7 @@ import itertools
 import sys
 from array import array
 from collections.abc import Mapping, Sequence
-from functools import cached_property, reduce
+from functools import reduce
 from math import prod
 from operator import xor
 
@@ -50,8 +50,8 @@ class ProductGraph(ReachableGraph):
     parents-first, and a node's depth is the sum of its components'
     depths; the factors passed the cycle check, so the product needs none.
     Labelling folds the product from its factors
-    (``classify.fold_rows``).  Whole-graph readers of ``offsets`` and
-    ``targets`` get them built on first access (``_csr_product``), once.
+    (``classify.fold_rows``); every other reader takes the rows one node at
+    a time, so no product row is ever stored.
     """
 
     def __init__(self, summands, left):
@@ -87,15 +87,6 @@ class ProductGraph(ReachableGraph):
         ``right``."""
         return _degrees(self.left), _degrees(self.right)
 
-    @cached_property
-    def _rows(self):
-        left, right = self.left, self.right
-        return _csr_product(left.offsets, left.targets, right.offsets,
-                            right.targets)
-
-    offsets = cached_property(lambda self: self._rows[0])
-    targets = cached_property(lambda self: self._rows[1])
-
 
 def _degrees(graph) -> tuple:
     """(edge count, most options of one node) of a graph; a product's come
@@ -105,41 +96,6 @@ def _degrees(graph) -> tuple:
         return e1 * len(graph.right) + len(graph.left) * e2, k1 + k2
     degrees = list(map(len, map(graph.row, range(len(graph)))))
     return sum(degrees), max(degrees)
-
-
-def _csr_product(off1, tg1, off2, tg2):
-    """CSR rows of the product of two graphs: node i·N₂ + j moves first in
-    the left factor (j fixed), then in the right (i fixed).
-
-    Left node i gives a block of N₂ rows.  Its offsets, its right-factor
-    moves and its left-factor moves are each one packed add (``_lanes``);
-    the two kinds of moves are then interleaved row by row.
-    """
-    n2, e2 = len(off2) - 1, len(tg2)
-    offsets, targets = array("i", [0]), array("i")
-    right_moves, right_ones = _lanes(tg2), _ones(e2)
-    row_ends, row_ones = _lanes(off2[1:]), _ones(n2)
-    row_steps = _lanes(array("i", range(1, n2 + 1)))
-    spread = {}     # d -> every j of the right factor written d times
-    for i in range(len(off1) - 1):
-        lo, hi = off1[i], off1[i + 1]
-        d = hi - lo
-        # row i·N₂ + j ends d·(j + 1) + off2[j + 1] after the block starts
-        offsets += _unlanes(row_ends + offsets[-1] * row_ones + d * row_steps,
-                            n2)
-        right = _unlanes(right_moves + i * n2 * right_ones, e2)
-        if not d:
-            targets += right
-            continue
-        if d not in spread:
-            spread[d] = _lanes(array("i", [j for j in range(n2)
-                                           for _ in range(d)]))
-        heads = array("i", [t * n2 for t in tg1[lo:hi]])
-        left = _unlanes(_lanes(heads * n2) + spread[d], d * n2)
-        for j in range(n2):
-            targets += left[j * d:(j + 1) * d]
-            targets += right[off2[j]:off2[j + 1]]
-    return offsets, targets
 
 
 def _outer_sum(a, b) -> array:
@@ -154,8 +110,8 @@ def _lanes(values: array) -> int:
     """An ``array('i')`` of non-negative entries as one integer, one entry
     per lane of ``itemsize`` bytes.  Adding two such integers adds them
     entry by entry, at C speed, as long as no entry sum reaches 2**31; the
-    entries here are node numbers, depths and row offsets of arrays held
-    in memory, far below that."""
+    entries here are node numbers and depths of graphs held in memory, far
+    below that."""
     return int.from_bytes(values.tobytes(), sys.byteorder)
 
 

@@ -23,7 +23,8 @@ from grundylab import (
     sum_graph,
 )
 from grundylab import sums
-from grundylab.core import DEFAULT_NODE_CAP, GameError, ReachableGraph
+from grundylab.core import (BoxGraph, DEFAULT_NODE_CAP, GameError,
+                            ReachableGraph)
 from grundylab.fixtures import (FIXTURE_NAMES, fixture_adjacency,
                                 fixture_roots, load_fixture)
 from grundylab.grundy import misere_via_adjoined_terminal
@@ -597,8 +598,10 @@ def test_graph_and_label_arrays_stay_int_arrays():
               sum_graph([wythoff, enumerate_subgame(one_pile_nim(), [(3,)])])]
     for graph in graphs:
         lg = sg_labels(graph)
-        for stored in (graph.targets, graph.offsets, graph.order,
-                       graph.depths, lg.g, lg.g_minus):
+        arrays = [graph.order, graph.depths, lg.g, lg.g_minus]
+        if not isinstance(graph, (BoxGraph, sums.ProductGraph)):
+            arrays += [graph.targets, graph.offsets]    # its stored rows
+        for stored in arrays:
             assert type(stored) is array and stored.typecode == "i"
 
 

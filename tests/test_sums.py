@@ -31,6 +31,7 @@ from grundylab import (
     verify_sg_consistency,
 )
 from grundylab.classify import _fold_product
+from grundylab.core import BoxGraph
 from grundylab.fixtures import fixture_roots
 from grundylab.grundy import LabeledGraph, to_csv
 from grundylab.random_games import random_dag
@@ -504,23 +505,39 @@ def test_product_fold_of_a_sum_with_a_sum_as_summand():
 @settings(deadline=None)
 @given(random_sums())
 def test_product_rows_equal_its_stored_rows(case):
-    product = sum_graph(case[0])
-    edges = product.edge_count()
-    assert "_rows" not in vars(product)
-    offsets, targets = product.offsets, product.targets
-    assert edges == len(targets)
+    # the stored rows are those of the literal sum, compared as positions
+    summands, games, rootsets = case
+    product, want = sum_graph(summands), literal_sum(games, rootsets)
+    positions = product.positions
     for x in range(len(product)):
-        assert product.row(x) == list(targets[offsets[x]:offsets[x + 1]])
+        assert (tuple(map(positions.__getitem__, product.row(x)))
+                == want.succ[positions[x]])
+    assert product.edge_count() == want.edge_count()
     assert [(x, list(row)) for x, row in product.node_rows()] == [
         (x, product.row(x)) for x in reversed(product.order)]
 
 
-def stored_copy(product):
-    """``product`` as a graph with stored rows, as ``sum_graph`` built it
-    before it folded sums from their factors."""
-    return ReachableGraph(product.roots, product.positions, product.index,
-                          product.offsets, product.targets, product.order,
-                          product.depths)
+@settings(deadline=None)
+@given(random_sums())
+def test_product_terminals_are_the_literal_sums_terminals(case):
+    summands, games, rootsets = case
+    product, want = sum_graph(summands), literal_sum(games, rootsets)
+    attributes = set(vars(product))
+    assert product.terminals() == [x for x in product.positions
+                                   if not want.succ[x]]
+    assert vars(product).keys() == attributes
+
+
+def stored_copy(graph):
+    """``graph``, which computes its rows, as a graph that stores them, as
+    ``sum_graph`` built a product before it folded sums from their
+    factors."""
+    rows = list(map(graph.row, range(len(graph))))
+    return ReachableGraph(graph.roots, graph.positions, graph.index,
+                          array("i", itertools.accumulate(map(len, rows),
+                                                          initial=0)),
+                          array("i", itertools.chain.from_iterable(rows)),
+                          graph.order, graph.depths)
 
 
 def graph_arrays(graph):
@@ -528,32 +545,61 @@ def graph_arrays(graph):
                               graph.depths)]
 
 
+@st.composite
+def computed_graphs(draw):
+    """A graph that computes its rows: a sum of random DAGs, or a Wythoff
+    or a Nim box; and a random DAG to put beside it."""
+    summands = draw(random_sums())[0]
+    if draw(st.booleans()):
+        return sum_graph(summands), summands[0]
+    family, piles = draw(st.sampled_from([("wythoff", 2), ("nim", 3)]))
+    bound = tuple(draw(st.lists(st.integers(0, 4), min_size=piles,
+                                max_size=piles)))
+    box = _box(family, {}, bound)
+    assert isinstance(box, BoxGraph)
+    return box, summands[0]
+
+
 @settings(deadline=None)
-@given(random_sums(), st.integers(0, 2**32 - 1))
+@given(computed_graphs(), st.integers(0, 2**32 - 1))
 def test_whole_graph_readers_see_a_product_as_its_stored_rows(case, seed):
-    product = sum_graph(case[0])
-    stored = stored_copy(product)
-    lg = sg_labels(product)
+    computed, other = case
+    stored = stored_copy(computed)
+    lg = sg_labels(computed)
     # labels with a few values raised or lowered, so that checks fail
     rng = random.Random(seed)
     g, gm = array("i", lg.g), array("i", lg.g_minus)
     for values in (g, gm):
-        for x in rng.sample(range(len(product)), min(3, len(product))):
+        for x in rng.sample(range(len(computed)), min(3, len(computed))):
             values[x] = max(0, values[x] + rng.choice((-1, 1, 2)))
     for labels in ((lg.g, lg.g_minus), (g, gm)):
-        assert verify_sg_consistency(LabeledGraph(product, *labels)) \
+        assert verify_sg_consistency(LabeledGraph(computed, *labels)) \
             .violations == verify_sg_consistency(
                 LabeledGraph(stored, *labels)).violations
-    got, want = adjoin_misere_terminal(product), adjoin_misere_terminal(stored)
+    # the true V sets, each with one position added or taken away
+    positions = list(computed.positions)
+    cand = CandidateSets(*(lg.vset(*label) ^ {rng.choice(positions)}
+                           for label in ((0, 1), (1, 0), (0, 0), (1, 1))))
+    for target in ("pet", "miserable", "tame", "domestic"):
+        got, want = (verify_candidate_sets(graph, cand, target)
+                     for graph in (computed, stored))
+        assert (got.failures, got.set_mismatches) == (
+            want.failures, want.set_mismatches)
+    got = adjoin_misere_terminal(computed)
+    want = adjoin_misere_terminal(stored)
     assert graph_arrays(got) == graph_arrays(want)
     assert sg_labels(got).g == sg_labels(want).g
-    other = case[0][0]
     (got, got_starts), (want, want_starts) = (
-        disjoint_union([graph, other, graph]) for graph in (product, stored))
+        disjoint_union([graph, other, graph]) for graph in (computed, stored))
     assert got_starts == want_starts
     assert graph_arrays(got) == graph_arrays(want)
     assert list(got.positions) == list(want.positions)
     assert got.roots == want.roots
+    assert computed.terminals() == stored.terminals()
+    assert computed.edge_count() == stored.edge_count()
+    # every reader ran, and none left rows stored on the graph
+    assert not hasattr(computed, "offsets")
+    assert not hasattr(computed, "targets")
 
 
 def test_product_fold_memory_per_node():
@@ -574,4 +620,3 @@ def test_product_fold_memory_per_node():
     arrays = sum(a.itemsize * len(a)
                  for a in (lg.g, lg.g_minus, lg.packed_masks))
     assert (peak - arrays) / len(product) <= 24
-    assert "_rows" not in vars(product)

@@ -506,8 +506,8 @@ def _outcome(game, roots):
     """Everything enumeration, labelling and classification give."""
     lg = sg_labels(enumerate_subgame(game, roots))
     graph, report = lg.graph, classify(lg)
-    return (graph.positions, graph.index, graph.offsets, graph.targets,
-            graph.order, graph.depths, lg.g, lg.g_minus, lg.packed_masks,
+    return (graph.positions, graph.index,
+            [list(graph.row(i)) for i in range(len(graph))], graph.order, graph.depths, lg.g, lg.g_minus, lg.packed_masks,
             report.verdicts, report.witnesses)
 
 
@@ -623,7 +623,7 @@ def test_box_depths_read_no_line():
     graph.lines = refuse
     assert graph.depth((5, 7)) == 12 and graph.depth((0, 0)) == 0
     assert list(graph.depths) == [sum(p) for p in graph.positions]
-    assert not {"offsets", "targets", "_rows"} & vars(graph).keys()
+    assert not {"offsets", "targets"} & vars(graph).keys()
 
 
 @settings(max_examples=100, deadline=None)
@@ -885,13 +885,14 @@ def test_analyze_from_a_corner_root_stores_no_rows_and_runs_no_dfs(
     ("subtraction", {"x": (1, 4)}, [(30,)]),
 ], ids=["wythoff", "nim", "subtraction"])
 def test_box_edge_count_and_terminals_read_the_lines(family, params, roots):
-    graph = enumerate_subgame(make_family(family, params), roots)
-    edges, terminals = graph.edge_count(), graph.terminals()
-    assert not {"offsets", "targets"} & vars(graph).keys()
-    offsets = graph.offsets
-    assert edges == len(graph.targets)
-    assert terminals == [x for i, x in enumerate(graph.positions)
-                         if offsets[i] == offsets[i + 1]]
+    game = make_family(family, params)
+    graph = enumerate_subgame(game, roots)
+    assert isinstance(graph, BoxGraph)
+    assert graph.edge_count() == sum(len(game.options(x))
+                                     for x in graph.positions)
+    assert graph.terminals() == [x for x in graph.positions
+                                 if not game.options(x)]
+    assert not hasattr(graph, "offsets") and not hasattr(graph, "targets")
 
 
 @pytest.mark.parametrize("family,params,roots", [
