@@ -257,75 +257,75 @@ def _cached_text(directory, payload, render):
     return text
 
 
-def _fork_suite(name, *sizes):
-    """Fork a child that runs one suite and writes its pickled
-    ``SuiteResult`` to a pipe, or nothing when the suite raises; return
-    (pid, read end)."""
-    import pickle  # only the fork path needs it
-
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    try:
-        data = pickle.dumps(run_suite(name, *sizes))
-        with open(write, "wb") as pipe:
-            pipe.write(data)
-    finally:
-        os._exit(0)  # never run the parent's code or exit handlers
-
-
-def _read_child(pid, read):
-    """The result a suite's child sent, read to EOF, or None when it sent
-    nothing; the child is reaped after the read, also when it fails."""
-    import pickle
-
-    try:
-        with open(read, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        os.waitpid(pid, 0)
-    return pickle.loads(data) if data else None
+def _take_suites(todo, names, sizes, results):
+    """Run into ``results`` the suite of each number read from the pipe
+    ``todo``, until the pipe is empty or a suite raises."""
+    while taken := os.read(todo, 1):
+        results[taken[0]] = run_suite(names[taken[0]], *sizes)
 
 
 def _run_suites(names, seed, samples, max_nodes):
     """The named suites' results, in order.
 
-    The sizes are checked first.  When the CLI owns its process, there is
-    more than one name and ``os.sched_getaffinity`` gives more than one
-    CPU, each suite is forked into a child of its own, until a fork fails.
-    The suites share no state and are seeded, so a suite whose child sent
-    nothing, or that has no child, runs here and returns or raises as it
-    would have in the child.  Every child is reaped before anything is
-    raised.
+    The sizes are checked first.  When the CLI owns its process and
+    ``os.sched_getaffinity`` gives more than one CPU, one child per further
+    CPU, up to one per further name, is forked, until a fork fails.  This
+    process and every child take the suites' numbers, one byte each, from
+    one pipe, so whoever finishes first takes the next.  A child sends its
+    results at the pipe's end, or nothing once one of its suites raised.
+    The pipe is emptied, so that a suite raising here stops each child
+    after its current suite, and every child is reaped.  Then each suite
+    with no result runs here in name order: the suites share no state and
+    are seeded, so each returns or raises as it would in a serial run.
     """
     check_sizes(samples, max_nodes)
     sizes = (seed, samples, max_nodes)
-    children, results = {}, []
-    try:
-        if (_owns_process and len(names) > 1 and hasattr(os, "fork")
-                and hasattr(os, "sched_getaffinity")
-                and len(os.sched_getaffinity(0)) > 1):
-            for name in names:
+    results, children = {}, []
+    forks = (min(len(os.sched_getaffinity(0)), len(names)) - 1
+             if _owns_process and hasattr(os, "fork")
+             and hasattr(os, "sched_getaffinity") else 0)
+    if forks > 0:
+        import pickle  # only the forked run needs it
+
+        todo, queue = os.pipe()
+        os.write(queue, bytes(range(len(names))))
+        os.close(queue)  # no child holds the write end: an empty pipe is EOF
+        try:
+            for _ in range(forks):
+                fds = ()
                 try:
-                    children[name] = _fork_suite(name, *sizes)
-                except OSError:  # out of processes or pipes: run the rest here
+                    read, write = fds = os.pipe()
+                    pid = os.fork()
+                except OSError:  # out of processes or pipes: go with these
+                    for fd in fds:
+                        os.close(fd)
                     break
-        for name in names:
-            result = (_read_child(*children.pop(name)) if name in children
-                      else None)
-            results.append(result or run_suite(name, *sizes))
-    finally:
-        for pid, read in children.values():
-            os.close(read)
-            os.waitpid(pid, 0)
-    return results
+                if not pid:  # results is empty: no suite is taken yet
+                    try:
+                        _take_suites(todo, names, sizes, results)
+                        with open(write, "wb") as pipe:
+                            pipe.write(pickle.dumps(results))
+                    finally:
+                        os._exit(0)  # never run the parent's exit handlers
+                os.close(write)
+                children.append((pid, read))
+            try:
+                _take_suites(todo, names, sizes, results)
+            except Exception:
+                pass  # it runs again below, after the children, and raises
+        finally:
+            os.read(todo, len(names))  # what is left is all in the pipe
+            os.close(todo)
+            for pid, read in children:
+                try:
+                    with open(read, "rb") as pipe:
+                        data = pipe.read()
+                finally:
+                    os.waitpid(pid, 0)
+                if data:
+                    results.update(pickle.loads(data))
+    return [results.get(n) or run_suite(name, *sizes)
+            for n, name in enumerate(names)]
 
 
 def verify(opts):
@@ -565,13 +565,13 @@ def run():
     Everything alive now, the imported modules above all, lives until exit,
     so ``gc.freeze()`` moves it out of the collector's reach: the full
     collections of interpreter shutdown then skip it.  ``verify all`` may
-    run its suites in child processes (``_run_suites``).  Tests and
-    in-process callers call ``main`` directly, so they freeze nothing and
-    fork nothing.  A stdout whose reader has gone is an exit 2: stdout is
-    flushed here, where that is caught, not at interpreter exit.  An
-    unbuffered stdout (``python -u``, ``PYTHONUNBUFFERED``) is given a
-    buffer first: without one a text write is a single raw write, which
-    may take only part of the text and drop the rest with no error.
+    fork a worker per further CPU (``_run_suites``).  Tests and in-process
+    callers call ``main`` directly, so they freeze nothing and fork nothing.
+    A stdout whose reader has gone is an exit 2: stdout is flushed here,
+    where that is caught, not at interpreter exit.  An unbuffered stdout
+    (``python -u``, ``PYTHONUNBUFFERED``) is given a buffer first: without
+    one a text write is a single raw write, which may take only part of the
+    text and drop the rest with no error.
     """
     global _owns_process
     gc.freeze()

@@ -82,6 +82,10 @@ class ProductGraph(ReachableGraph):
     def edge_count(self) -> int:
         return _degrees(self)[0]
 
+    def terminals(self):
+        positions = self.positions
+        return [positions[x] for x in _terminal_nodes(self)]
+
     def factor_degrees(self) -> tuple:
         """(edge count, most options of one node) of ``left`` and of
         ``right``."""
@@ -96,6 +100,15 @@ def _degrees(graph) -> tuple:
         return e1 * len(graph.right) + len(graph.left) * e2, k1 + k2
     degrees = list(map(len, map(graph.row, range(len(graph)))))
     return sum(degrees), max(degrees)
+
+
+def _terminal_nodes(graph) -> list:
+    """A graph's terminal node numbers, ascending; a product's are the
+    pairs of its factors', with no product row built."""
+    if isinstance(graph, ProductGraph):
+        m, right = len(graph.right), _terminal_nodes(graph.right)
+        return [i * m + j for i in _terminal_nodes(graph.left) for j in right]
+    return [x for x in range(len(graph)) if not graph.row(x)]
 
 
 def _outer_sum(a, b) -> array:

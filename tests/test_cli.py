@@ -499,7 +499,7 @@ def _verify_all(seed, fmt):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_forked_verify_all_matches_in_process(seed):
-    # python -m runs cli.run, which forks one child per suite
+    # python -m runs cli.run, which forks a child per further CPU
     for fmt in ("json", "text"):
         proc = _python("-m", "grundylab.cli", *_verify_all(seed, fmt),
                        timeout=120)
@@ -551,12 +551,17 @@ def _cpus():
     return len(os.sched_getaffinity(0))
 
 
-def test_forked_verify_all_forks_one_child_per_suite(tmp_path):
+def _forks():
+    """The children ``verify all`` forks: one per CPU but its own."""
+    return min(_cpus(), len(SUITES)) - 1
+
+
+def test_forked_verify_all_forks_one_child_per_further_cpu(tmp_path):
     if _cpus() < 2:
         pytest.skip("one CPU: verify all runs serially")
     argv = _verify_all(2, "json")
     proc, log = _forking_run(tmp_path, argv)
-    assert log == f"{len(SUITES)} forks, no child left"
+    assert log == f"{_forks()} forks, no child left"
     assert (proc.returncode, proc.stdout) == (0, run(*argv).stdout_bytes)
 
 
@@ -576,15 +581,14 @@ def test_verify_all_on_one_cpu_runs_serially(tmp_path, fmt):
 def test_verify_all_runs_the_rest_in_process_when_fork_fails(tmp_path):
     if _cpus() < 2:
         pytest.skip("one CPU: verify all runs serially")
-    prelude = ("counted = os.fork\n"
-               "def fork():\n"
-               "    if len(forks) == 3:\n"
-               "        raise OSError(errno.EAGAIN, 'no more processes')\n"
-               "    return counted()\n"
+    # the first fork fails, so no further one is tried
+    prelude = ("def fork():\n"
+               "    forks.append(None)\n"
+               "    raise OSError(errno.EAGAIN, 'no more processes')\n"
                "os.fork = fork\n")
     argv = _verify_all(3, "text")
     proc, log = _forking_run(tmp_path, argv, prelude)
-    assert log == "3 forks, no child left"
+    assert log == "1 forks, no child left"
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, run(*argv).stdout_bytes, b"")
 
@@ -633,22 +637,38 @@ def test_forked_suite_failures_exit_as_in_process(tmp_path, case):
         assert stderr == result.stderr
     elif _cpus() > 1:
         assert result.exit_code == 1 and result.stdout == ""
-        # the child sent nothing, so the suite ran again here and raised
+        # the suite ran again here, after the children, and raised
         assert stderr.count("Traceback (most recent call last)") == 1
         assert "broken_moore" in stderr
         assert stderr.rstrip().endswith("RuntimeError: moore broke")
 
 
 # a prelude for _FORKING_RUN: every suite runner appends "parent <suite>"
-# or "child <suite>" to the log's .calls file before it runs
+# or "child <suite>" to the log's .calls file, then calls before(in_parent),
+# which a test may redefine, then runs the suite
 _COUNTED_RUNNERS = """
+import time
 parent = os.getpid()
+open(log + ".calls", "w").close()
+
+def child_calls():
+    with open(log + ".calls") as fh:
+        return fh.read().count("child ")
+
+def wait_for_child_calls(n):
+    deadline = time.monotonic() + 30
+    while child_calls() < n and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+def before(in_parent):
+    pass
 
 def counted(name, runner):
     def call(*sizes):
+        in_parent = os.getpid() == parent
         with open(log + ".calls", "a") as fh:
-            fh.write(f"{'parent' if os.getpid() == parent else 'child'} "
-                     f"{name}\\n")
+            fh.write(f"{'parent' if in_parent else 'child'} {name}\\n")
+        before(in_parent)
         return runner(*sizes)
     return call
 
@@ -658,48 +678,76 @@ for name, runner in list(suites._RUNNERS.items()):
 
 
 def _runner_calls(tmp_path):
-    return sorted((tmp_path / "forks.log.calls").read_text().splitlines())
+    """The suites each process ran: ``{"parent": [...], "child": [...]}``,
+    each list sorted."""
+    calls = {"parent": [], "child": []}
+    for line in (tmp_path / "forks.log.calls").read_text().splitlines():
+        where, suite = line.split()
+        calls[where].append(suite)
+    return {where: sorted(suites) for where, suites in calls.items()}
+
+
+def test_forked_suites_that_pass_run_once_each(tmp_path):
+    if _cpus() < 2:
+        pytest.skip("one CPU: verify all runs serially")
+    # the parent's first suite waits until the children have taken the rest
+    prelude = _COUNTED_RUNNERS + (
+        "def before(in_parent):\n"
+        "    if in_parent:\n"
+        f"        wait_for_child_calls({len(SUITES) - 1})\n")
+    argv = ("verify", "all", "--samples", "20")
+    proc, log = _forking_run(tmp_path, argv, prelude)
+    assert log == f"{_forks()} forks, no child left"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, run(*argv).stdout_bytes, b"")
+    calls = _runner_calls(tmp_path)
+    assert len(calls["parent"]) == 1
+    assert sorted(calls["parent"] + calls["child"]) == sorted(SUITES)
 
 
 def test_forked_suite_whose_child_sent_nothing_runs_in_the_parent(tmp_path):
     if _cpus() < 2:
         pytest.skip("one CPU: verify all runs serially")
-    prelude = ("parent = os.getpid()\n"
-               "moore = suites._RUNNERS['moore']\n"
-               "def exiting_moore(*sizes):\n"
-               "    if os.getpid() != parent:\n"
-               "        os._exit(3)\n"
-               "    return moore(*sizes)\n"
-               "suites._RUNNERS['moore'] = exiting_moore\n")
+    # a child exits at its first suite; the parent waits until one has
+    prelude = _COUNTED_RUNNERS + (
+        "def before(in_parent):\n"
+        "    if not in_parent:\n"
+        "        os._exit(3)\n"
+        "    wait_for_child_calls(1)\n")
     argv = _verify_all(0, "json")
     proc, log = _forking_run(tmp_path, argv, prelude)
-    assert log == f"{len(SUITES)} forks, no child left"
+    assert log == f"{_forks()} forks, no child left"
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, run(*argv).stdout_bytes, b"")
+    calls = _runner_calls(tmp_path)
+    assert 1 <= len(calls["child"]) <= _forks()
+    assert calls["parent"] == sorted(SUITES)
 
 
-def test_forked_suites_that_pass_run_only_in_their_children(tmp_path):
+def test_forked_suite_that_raises_in_the_parent_stops_the_children(tmp_path):
     if _cpus() < 2:
         pytest.skip("one CPU: verify all runs serially")
-    argv = ("verify", "all", "--samples", "20")
-    proc, log = _forking_run(tmp_path, argv, _COUNTED_RUNNERS)
-    assert log == f"{len(SUITES)} forks, no child left"
-    assert proc.returncode == 0
-    assert _runner_calls(tmp_path) == sorted(f"child {s}" for s in SUITES)
-
-
-def test_forked_suite_that_raises_runs_in_its_child_and_the_parent(tmp_path):
-    if _cpus() < 2:
-        pytest.skip("one CPU: verify all runs serially")
-    prelude = ("def broken_moore(seed, samples, max_nodes):\n"
-               "    raise RuntimeError('moore broke')\n"
-               "suites._RUNNERS['moore'] = broken_moore\n" + _COUNTED_RUNNERS)
+    # every suite raises in the parent, once a child has taken one; a
+    # child's suites take 0.5 s each, so an emptied queue stops the child
+    # at its first
+    prelude = _COUNTED_RUNNERS + (
+        "def before(in_parent):\n"
+        "    if not in_parent:\n"
+        "        time.sleep(0.5)\n"
+        "        return\n"
+        "    wait_for_child_calls(1)\n"
+        "    raise RuntimeError('the parent broke')\n")
     proc, log = _forking_run(tmp_path, ("verify", "all", "--samples", "20"),
                              prelude)
-    assert log == f"{len(SUITES)} forks, no child left"
+    assert log == f"{_forks()} forks, no child left"
     assert proc.returncode == 1 and proc.stdout == b""
-    assert _runner_calls(tmp_path) == sorted(
-        [f"child {s}" for s in SUITES] + ["parent moore"])
+    stderr = proc.stderr.decode()
+    assert stderr.count("Traceback (most recent call last)") == 1
+    assert stderr.rstrip().endswith("RuntimeError: the parent broke")
+    calls = _runner_calls(tmp_path)
+    # its own suite, then the first suite in name order with no result
+    assert len(calls["parent"]) == 2
+    assert 1 <= len(calls["child"]) <= _forks()
 
 
 def test_sum_command(tmp_path):
