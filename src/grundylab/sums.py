@@ -83,8 +83,7 @@ class ProductGraph(ReachableGraph):
         return _degrees(self)[0]
 
     def terminals(self):
-        positions = self.positions
-        return [positions[x] for x in _terminal_nodes(self)]
+        return list(map(self.positions.__getitem__, _terminal_nodes(self)))
 
     def factor_degrees(self) -> tuple:
         """(edge count, most options of one node) of ``left`` and of

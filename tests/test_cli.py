@@ -705,6 +705,19 @@ def test_forked_suites_that_pass_run_once_each(tmp_path):
     assert sorted(calls["parent"] + calls["child"]) == sorted(SUITES)
 
 
+def test_forked_suites_on_more_workers_than_cpus_run_once_each(tmp_path):
+    # sixteen CPUs claimed: seven children and the parent share one queue
+    prelude = _COUNTED_RUNNERS + (
+        "os.sched_getaffinity = lambda pid: set(range(16))\n")
+    argv = ("verify", "all", "--samples", "20")
+    proc, log = _forking_run(tmp_path, argv, prelude)
+    assert log == f"{len(SUITES) - 1} forks, no child left"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, run(*argv).stdout_bytes, b"")
+    calls = _runner_calls(tmp_path)
+    assert sorted(calls["parent"] + calls["child"]) == sorted(SUITES)
+
+
 def test_forked_suite_whose_child_sent_nothing_runs_in_the_parent(tmp_path):
     if _cpus() < 2:
         pytest.skip("one CPU: verify all runs serially")
