@@ -115,11 +115,19 @@ def fold_rows(graph) -> tuple:
     node's word (its classes in the low bits, its property bits above them;
     13 and 15 bits fit in an ``'i'``) depends only on its label and its
     reach, so it is computed once per distinct (g, g_minus, reach) in the
-    process.  A box whose top node's lines are ranges is folded one line
-    at a time instead (``_fold_lines``), and a disjunctive sum from its two
-    factors, a block of nodes at a time (``_fold_product``), to the same
-    arrays.
+    process.  Three kinds of graph take another fold to the same arrays: a
+    one-coordinate box whose lines declare their ``shifts`` is labelled up
+    to its first repeated window of labels and the rest filled by
+    repeating the period (``_fold_shifts``); a box whose top node's lines
+    are ranges, one line at a time (``_fold_lines``); and a disjunctive sum
+    from its two factors, a block of nodes at a time (``_fold_product``).
+    Every other graph, breadth-first enumerations among them, takes the
+    edge loop below.
     """
+    if isinstance(graph, BoxGraph) and len(graph.strides) == 1:
+        shifts = getattr(graph.lines, "shifts", None)
+        if shifts is not None:
+            return _fold_shifts(graph, shifts)[0]
     n = len(graph)
     # labels[y] is the memo's shared (g, g_minus, word) tuple of node y, a
     # list read on every edge, whose items need no conversion from C ints;
@@ -297,6 +305,81 @@ def _packed_label(key: tuple, width: int) -> tuple:
                    | 1 << (_WORD_BITS + width + gm))
 
 
+def _or_label(u: int, width: int) -> tuple:
+    """``_packed_label`` of a node whose options' packed ints OR to ``u``."""
+    if not u:
+        return _packed_label((0, 1, 0), width)
+    v = u >> _WORD_BITS
+    g = (v ^ (v + 1)).bit_length() - 1
+    v = u >> (_WORD_BITS + width)
+    return _packed_label((g, (v ^ (v + 1)).bit_length() - 1, u & _CLASS_MASK),
+                         width)
+
+
+# a window of label numbers is hashed as a polynomial in _HASH_BASE modulo
+# the Mersenne prime _HASH_PRIME
+_HASH_BASE, _HASH_PRIME = 1_000_003, (1 << 61) - 1
+
+
+def _fold_shifts(graph: BoxGraph, shifts) -> tuple:
+    """``(fold_rows(graph), repeat)`` of a one-coordinate box whose node n
+    moves to n - s for each s in ``shifts`` with s <= n.
+
+    With m = max(shifts), heap n's label and word are fixed by those of
+    heaps n - m, ..., n - 1, its window, once n >= m.  So when window(n)
+    equals window(j) for some m <= j < n, heaps n, n + 1, ... repeat heaps
+    j, ..., n - 1.  Heaps are labelled one at a time, from ``shifts`` and
+    with ``_fold_product``'s packed ints, up to the first such n, and the
+    rest of each array is that block repeated; ``repeat`` is (j, n - j),
+    or None when no window repeats inside the box.  Each packed int gets a
+    number in this fold.  A window's hash, a polynomial in its numbers, is
+    rolled on in O(1) per heap, and a hash seen before is confirmed by
+    comparing the two windows' numbers.  No line is read: calling the
+    lines made a heap cost more than the edge loop's.
+    """
+    n = len(graph)
+    m = max(shifts)
+    # a mex of k values is at most k, and no heap has more than len(shifts)
+    width = len(shifts) + 2
+    bits, labels = [], []
+    ids = [0] * m    # heap x's number is ids[x + m]; window(x) is ids[x:x + m]
+    found = {}       # OR of packed ints -> (label, packed int, its number)
+    numbers = {}     # packed int -> its number
+    seen = {}        # a window's hash -> the first heap x with that window
+    top = pow(_HASH_BASE, m, _HASH_PRIME)
+    h, repeat = 0, None
+    for x in range(n):
+        u = 0
+        if x >= m:
+            j = seen.setdefault(h, x)
+            if j != x and ids[j:j + m] == ids[x:x + m]:
+                repeat = (j, x - j)
+                break
+            for s in shifts:
+                u |= bits[x - s]
+        else:
+            for s in shifts:
+                if s <= x:
+                    u |= bits[x - s]
+        hit = found.get(u)
+        if hit is None:
+            label, packed = _or_label(u, width)
+            hit = found[u] = (label, packed,
+                              numbers.setdefault(packed, len(numbers)))
+        label, packed, k = hit
+        labels.append(label)
+        bits.append(packed)
+        ids.append(k)
+        h = (h * _HASH_BASE + k - ids[x] * top) % _HASH_PRIME
+    out = tuple(map(array, "iii", zip(*labels)))
+    if repeat is not None:
+        j, period = repeat
+        for column in out:
+            column += column[j:] * -(-(n - len(column)) // period)
+            del column[n:]
+    return out, repeat
+
+
 # the most ORs of packed ints a product fold keeps looked up at once
 _SEEN_CAP = 4096
 
@@ -338,7 +421,6 @@ def _fold_product(graph, width: int, outer_is_left: bool | None = None):
     bits, chunks, labels = [0] * n_in, [b""] * n_in, [None] * n_in
     out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
     seen = {}    # a node's OR of packed ints -> (label, packed int, bytes)
-    gm_field = _WORD_BITS + width
     from_bytes, size = int.from_bytes, n_in * lane
     for o, row in outer.node_rows():
         u = 0
@@ -351,15 +433,7 @@ def _fold_product(graph, width: int, outer_is_left: bool | None = None):
                 u |= bits[y]
             hit = seen.get(u)
             if hit is None:
-                if u:
-                    v = u >> _WORD_BITS
-                    g = (v ^ (v + 1)).bit_length() - 1
-                    v = u >> gm_field
-                    key = (g, (v ^ (v + 1)).bit_length() - 1,
-                           u & _CLASS_MASK)
-                else:
-                    key = (0, 1, 0)
-                label, packed = _packed_label(key, width)
+                label, packed = _or_label(u, width)
                 hit = (label, packed, packed.to_bytes(lane, "little"))
                 if len(seen) == _SEEN_CAP:
                     seen.clear()

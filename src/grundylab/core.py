@@ -102,6 +102,12 @@ class GameDef:
     step from the nearest node's line in the same place of its list, when
     that line holds the k - 1 nearest along the same step, and walks every
     other line; a box whose lines are ranges is labelled in time per line.
+    A one-coordinate ``box_lines`` may carry a ``shifts`` attribute, a
+    tuple of positive integers: it declares that node n's options are
+    ``n - s`` for each s in ``shifts`` with ``s <= n``, in that order.
+    Heap n's label is then fixed by the labels of the ``max(shifts)``
+    heaps below it, so labelling stops at the first repeated window of
+    them and repeats the period to the top of the box.
     It may be given only when every option lies below its position in
     every coordinate and every ``p - e_i`` with ``p_i > 0`` is an option:
     then the box below a position is exactly that position's closure, and

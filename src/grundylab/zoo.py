@@ -85,7 +85,8 @@ def _subtraction(params):
 
 def _subtraction_lines(params):
     # on one pile the node number is the pile; without a move of 1 the
-    # chain below a root skips positions, so it is not that root's box
+    # chain below a root skips positions, so it is not that root's box.
+    # The lines declare their shifts, the set in rule order
     xset = params["x"]
     if 1 not in xset:
         return None
@@ -93,6 +94,7 @@ def _subtraction_lines(params):
     def lines(n, p, strides):
         return ([n - s for s in xset if s <= n],)
 
+    lines.shifts = xset
     return lines
 
 
@@ -269,8 +271,12 @@ class Family(NamedTuple):
     offending option), every target below the node, and it is used only
     without symmetry.  A ``range`` line holding the k nearest nodes along
     its step is summarised from the nearest node's line in the same place,
-    so labelling costs time per line; other lines, such as subtraction's
-    lists, are walked one option at a time.  A family may have
+    so labelling costs time per line; other lines are walked one option at
+    a time, except that a one-coordinate ``box_lines`` carrying ``shifts``
+    (subtraction's: node n moves to n - s for each s in ``shifts`` with
+    s <= n, in that order) is labelled only up to its first repeated
+    window of ``max(shifts)`` labels, and the period is repeated from
+    there.  A family may have
     ``box_lines`` only if every option lies below its position in every
     coordinate and every ``p - e_i`` with ``p_i > 0`` is an option, so that
     the box below a position is its closure.

@@ -8,7 +8,7 @@ import tracemalloc
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grundylab import (
     InvalidParams,
@@ -19,7 +19,7 @@ from grundylab import (
     mex,
     sg_labels,
 )
-from grundylab.classify import _ranged_box, fold_rows
+from grundylab.classify import _fold_shifts, _ranged_box, fold_rows
 from grundylab.cli import main
 from grundylab.core import BoxGraph, ReachableGraph
 from grundylab.suites import (
@@ -576,12 +576,17 @@ def test_box_lines_lie_below_the_node_and_give_the_options(case):
     game, bounds = case
     graph = enumerate_subgame(_box_only(game), _box(bounds))
     assert isinstance(graph, BoxGraph)
+    # lines that declare their shifts move from n to n - s, in that order
+    shifts = getattr(game.box_lines, "shifts", None)
+    assert (shifts is not None) == (game.family == "subtraction")
     for n, p in enumerate(graph.positions):
         row = []
         for line in game.box_lines(n, p, graph.strides):
             assert all(0 <= y < n for y in line)
             row += line
         assert [graph.positions[y] for y in row] == game.options(p)
+        if shifts is not None:
+            assert row == [n - s for s in shifts if s <= n]
 
 
 @settings(max_examples=100, deadline=None)
@@ -834,6 +839,78 @@ def test_line_fold_memory_per_node():
         tracemalloc.stop()
     arrays = sum(a.itemsize * len(a) for a in out)
     assert peak - arrays <= 64 * len(graph)
+
+
+def _subtraction_box(xs, heap):
+    graph = enumerate_subgame(make_family("subtraction", {"x": xs}), [(heap,)])
+    assert isinstance(graph, BoxGraph) and graph.lines.shifts == xs
+    return graph
+
+
+@settings(max_examples=100, deadline=None)
+@given(xs=st.sets(st.integers(2, 40), max_size=5).map(
+           lambda s: tuple(sorted(s | {1}))),
+       offset=st.integers(-40, 400))
+@example(xs=(1, 2), offset=5)        # repeat at heap 7, block from heap 4
+@example(xs=(1, 6), offset=15)       # block from heap 12
+@example(xs=(1, 40), offset=-1)      # below max S: no window to test
+@example(xs=(1, 40), offset=0)       # at max S
+def test_shift_fold_equals_the_literal_reference(xs, offset):
+    """Heaps below, at and above max S; the fold's block starts above max
+    S in every set with 1 in it, since heap 0 is the only terminal."""
+    m = max(xs)
+    graph = _subtraction_box(xs, max(0, m + offset))
+    _assert_reference_labels(sg_labels(graph), _reference_labels(graph))
+    repeat = _fold_shifts(graph, xs)[1]
+    if repeat is not None:
+        start, period = repeat
+        assert m < start and start + period < len(graph)
+
+
+class _CountedShifts(tuple):
+    """Shifts that count how often they are read in full."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_shift_fold_reads_only_the_heaps_before_the_repeat():
+    graph = _subtraction_box((1, 2), 10_000)
+    lines = graph.lines
+
+    def refuse(n, p, strides):
+        raise AssertionError(f"line of {p} read")
+
+    refuse.shifts = shifts = _CountedShifts(lines.shifts)
+    graph.lines = refuse
+    out = fold_rows(graph)
+    # max(shifts) once, then one row per heap: heaps 0 to 6, as the window
+    # before heap 7 repeats the one before heap 4
+    assert _fold_shifts(graph, lines.shifts)[1] == (4, 3)
+    assert shifts.reads == 8 < 20
+    # the same lines without their shifts: the edge loop reads every heap
+    graph.lines = lambda n, p, strides: lines(n, p, strides)
+    assert fold_rows(graph) == out
+
+
+def test_every_subtraction_set_with_a_move_of_1_is_pet_at_every_heap():
+    """All subtraction games are pet: for each S with 1 in S within 1..12
+    the box below 400 is pet, and its labels and words repeat from a
+    window inside it.  Every heap beyond repeats a heap of the box, so
+    every heap size is pet."""
+    sets = 0
+    for r in range(12):
+        for rest in itertools.combinations(range(2, 13), r):
+            xs = (1, *rest)
+            graph = _subtraction_box(xs, 400)
+            assert classify(sg_labels(graph)).verdicts["pet"], xs
+            start, period = _fold_shifts(graph, xs)[1]
+            assert start + period + max(xs) <= 400, xs
+            sets += 1
+    assert sets == 2048
 
 
 def _analyzed_graph(monkeypatch, argv):
