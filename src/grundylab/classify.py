@@ -120,9 +120,9 @@ def fold_rows(graph) -> tuple:
     to its first repeated window of labels and the rest filled by
     repeating the period (``_fold_shifts``); a box whose top node's lines
     are ranges, one line at a time (``_fold_lines``); and a disjunctive sum
-    from its two factors, a block of nodes at a time (``_fold_product``).
-    Every other graph, breadth-first enumerations among them, takes the
-    edge loop below.
+    from its two factors, a block of nodes at a time and each distinct
+    block once (``_fold_product``).  Every other graph, breadth-first
+    enumerations among them, takes the edge loop below.
     """
     if isinstance(graph, BoxGraph) and len(graph.strides) == 1:
         shifts = getattr(graph.lines, "shifts", None)
@@ -382,6 +382,8 @@ def _fold_shifts(graph: BoxGraph, shifts) -> tuple:
 
 # the most ORs of packed ints a product fold keeps looked up at once
 _SEEN_CAP = 4096
+# the most bytes of outer ORs a product fold keeps as keys of its blocks
+_BLOCKS_CAP = 1 << 22
 
 
 def _fold_product(graph, width: int, outer_is_left: bool | None = None):
@@ -397,11 +399,18 @@ def _fold_product(graph, width: int, outer_is_left: bool | None = None):
     ints of o's options gives, lane by lane, the OR over every node of the
     block's moves in the outer factor; each inner node, children first,
     reads its lane from that OR's bytes and ORs in the packed ints of its
-    inner options, found earlier in the same block.  The outer factor is
-    the one with more edges per node, so that the per-option loop runs on
-    whole blocks where it runs most; ``outer_is_left`` overrides it.  A
-    node's label and packed int are looked up by its OR of packed ints, in
-    a dict of at most ``_SEEN_CAP`` entries, before its mexes are taken.
+    inner options, found earlier in the same block (``_fold_block``).  The
+    outer factor is the one with more edges per node, so that the
+    per-option loop runs on whole blocks where it runs most;
+    ``outer_is_left`` overrides it.
+
+    A block, its labels, words and lane int, is a function of its outer
+    OR alone, so it is folded once per distinct outer OR: a block whose
+    outer OR was seen before shares the first such block's lane int and
+    copies its slices of the three arrays.  The outer ORs are kept as keys
+    of at most ``_BLOCKS_CAP`` bytes in all, and the keys are dropped
+    whenever they are full, so a product whose blocks never repeat holds
+    at most that much more than its lane ints.
     """
     left, right = graph.left, graph.right
     (e_left, k_left), (e_right, k_right) = graph.factor_degrees()
@@ -418,34 +427,57 @@ def _fold_product(graph, width: int, outer_is_left: bool | None = None):
     # inner node, its lane's first byte, its options, children first
     inner_rows = [(i, i * lane, list(row)) for i, row in inner.node_rows()]
     lanes = [0] * len(outer)
-    bits, chunks, labels = [0] * n_in, [b""] * n_in, [None] * n_in
-    out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
+    out = tuple(array("i", [0]) * n for _ in range(3))
     seen = {}    # a node's OR of packed ints -> (label, packed int, bytes)
-    from_bytes, size = int.from_bytes, n_in * lane
+    size = n_in * lane
+    # a block's outer OR -> the first outer node with it and that block's
+    # slice; an outer OR fits in size bytes, so room of them in _BLOCKS_CAP
+    blocks, room = {}, max(1, _BLOCKS_CAP // size)
     for o, row in outer.node_rows():
         u = 0
         for y in row:
             u |= lanes[y]
-        outer_or = u.to_bytes(size, "little")
-        for i, at, opts in inner_rows:
-            u = from_bytes(outer_or[at:at + lane], "little")
-            for y in opts:
-                u |= bits[y]
-            hit = seen.get(u)
-            if hit is None:
-                label, packed = _or_label(u, width)
-                hit = (label, packed, packed.to_bytes(lane, "little"))
-                if len(seen) == _SEEN_CAP:
-                    seen.clear()
-                seen[u] = hit
-            labels[i], bits[i], chunks[i] = hit
-        lanes[o] = from_bytes(b"".join(chunks), "little")
         block = slice(o * o_step, o * o_step + n_in * i_step, i_step)
-        g, gm, words = zip(*labels)
-        out_g[block] = array("i", g)
-        out_gm[block] = array("i", gm)
-        out_words[block] = array("i", words)
-    return out_g, out_gm, out_words
+        hit = blocks.get(u)
+        if hit is None:
+            if len(blocks) == room:
+                blocks.clear()
+            blocks[u] = o, block
+            lanes[o], labels = _fold_block(u.to_bytes(size, "little"),
+                                           inner_rows, lane, width, seen)
+            for column, values in zip(out, zip(*labels)):
+                column[block] = array("i", values)
+        else:
+            first, copied = hit
+            lanes[o] = lanes[first]
+            for column in out:
+                column[block] = column[copied]
+    return out
+
+
+def _fold_block(outer_or: bytes, inner_rows: list, lane: int, width: int,
+                seen: dict) -> tuple:
+    """(lane int, labels in inner node order) of one block of
+    ``_fold_product``, whose moves in the outer factor OR to the lanes
+    ``outer_or``.  A node's label and packed int are looked up by its OR of
+    packed ints in ``seen``, of at most ``_SEEN_CAP`` entries, before its
+    mexes are taken."""
+    n_in = len(inner_rows)
+    bits, chunks, labels = [0] * n_in, [b""] * n_in, [None] * n_in
+    from_bytes = int.from_bytes
+    for i, at, opts in inner_rows:
+        u = from_bytes(outer_or[at:at + lane], "little")
+        for y in opts:
+            u |= bits[y]
+        hit = seen.get(u)
+        if hit is None:
+            label, packed = _or_label(u, width)
+            hit = (label, packed, packed.to_bytes(lane, "little"))
+            if len(seen) == _SEEN_CAP:
+                seen.clear()
+            seen[u] = hit
+        labels[i], bits[i], chunks[i] = hit
+    return from_bytes(b"".join(chunks), "little"), labels
 
 
 # --- rows: properties of which every node needs at least one ------------------

@@ -257,6 +257,13 @@ def _cached_text(directory, payload, render):
     return text
 
 
+# the suites of verify all, longest first by their serial run time at the
+# default sizes: handed out in this order, the two long ones start first
+# instead of ending a worker's run alone
+_LONGEST_FIRST = ("wyt_ab", "ho_nim", "equalities", "sums", "ferguson",
+                  "wythoff", "moore", "fixtures")
+
+
 def _take_suites(todo, names, sizes, results):
     """Run into ``results`` the suite of each number read from the pipe
     ``todo``, until the pipe is empty or a suite raises."""
@@ -271,8 +278,9 @@ def _run_suites(names, seed, samples, max_nodes):
     ``os.sched_getaffinity`` gives more than one CPU, one child per further
     CPU, up to one per further name, is forked, until a fork fails.  This
     process and every child take the suites' numbers, one byte each, from
-    one pipe, so whoever finishes first takes the next.  A child sends its
-    results at the pipe's end, or nothing once one of its suites raised.
+    one pipe, longest suite first (``_LONGEST_FIRST``), so whoever finishes
+    first takes the next.  A child sends its results at the pipe's end, or
+    nothing once one of its suites raised.
     The pipe is emptied, so that a suite raising here stops each child
     after its current suite, and every child is reaped.  Then each suite
     with no result runs here in name order: the suites share no state and
@@ -288,7 +296,8 @@ def _run_suites(names, seed, samples, max_nodes):
         import pickle  # only the forked run needs it
 
         todo, queue = os.pipe()
-        os.write(queue, bytes(range(len(names))))
+        os.write(queue, bytes(sorted(range(len(names)), key=lambda n:
+                                     _LONGEST_FIRST.index(names[n]))))
         os.close(queue)  # no child holds the write end: an empty pipe is EOF
         try:
             for _ in range(forks):

@@ -718,6 +718,30 @@ def test_forked_suites_on_more_workers_than_cpus_run_once_each(tmp_path):
     assert sorted(calls["parent"] + calls["child"]) == sorted(SUITES)
 
 
+def test_forked_suites_are_handed_out_longest_first(tmp_path):
+    # two CPUs claimed: one child; the parent's first suite waits until the
+    # child has taken the other seven, one after another from the queue
+    assert sorted(grundylab.cli._LONGEST_FIRST) == sorted(SUITES)
+    prelude = _COUNTED_RUNNERS + (
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "def before(in_parent):\n"
+        "    if in_parent:\n"
+        f"        wait_for_child_calls({len(SUITES) - 1})\n")
+    argv = ("verify", "all", "--samples", "20")
+    proc, log = _forking_run(tmp_path, argv, prelude)
+    assert log == "1 forks, no child left"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, run(*argv).stdout_bytes, b"")
+    calls = [line.split() for line in
+             (tmp_path / "forks.log.calls").read_text().splitlines()]
+    [parent] = [suite for where, suite in calls if where == "parent"]
+    # the parent or the child took the longest suite first, the other the
+    # second longest
+    assert parent in grundylab.cli._LONGEST_FIRST[:2]
+    assert [suite for where, suite in calls if where == "child"] == [
+        suite for suite in grundylab.cli._LONGEST_FIRST if suite != parent]
+
+
 def test_forked_suite_whose_child_sent_nothing_runs_in_the_parent(tmp_path):
     if _cpus() < 2:
         pytest.skip("one CPU: verify all runs serially")

@@ -491,10 +491,72 @@ def test_product_fold_equals_the_literal_reference_on_named_sums(name):
 
 @pytest.mark.parametrize("name", ["nim+wythoff", "three"])
 def test_product_fold_that_keeps_few_lookups(name, monkeypatch):
-    # the lookup dict is emptied whenever it is full
+    # the lookup dict is emptied whenever it is full, and the blocks' dict
+    # keeps one outer OR at a time
     monkeypatch.setattr(sys.modules["grundylab.classify"], "_SEEN_CAP", 2)
+    monkeypatch.setattr(sys.modules["grundylab.classify"], "_BLOCKS_CAP", 1)
     summands = FOLD_SUMS[name]()
     assert_fold_matches_reference(sum_graph(summands), literal_of(summands))
+
+
+@st.composite
+def repeating_sums(draw):
+    """A Nim box and a subtraction game in either order, sometimes with a
+    small third summand: sums whose blocks repeat."""
+    piles = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)))
+    xs = sorted(draw(st.sets(st.integers(1, 4), min_size=1)))
+    summands = [_box("nim", {}, piles),
+                _box("subtraction", {"x": xs}, (draw(st.integers(0, 12)),))]
+    if draw(st.booleans()):
+        summands.reverse()
+    if draw(st.booleans()):
+        summands.insert(draw(st.integers(0, 2)),
+                        draw(st.sampled_from([_box("nim", {}, (2,)),
+                                              _box("wythoff", {}, (1, 1))])))
+    return summands
+
+
+@settings(deadline=None)
+@given(repeating_sums())
+def test_product_fold_of_repeating_blocks_equals_the_literal_reference(
+        summands):
+    assert_fold_matches_reference(sum_graph(summands), literal_of(summands))
+
+
+def _counted_blocks(monkeypatch):
+    """The outer ORs ``classify._fold_block`` is called with, from now on."""
+    module = sys.modules["grundylab.classify"]
+    fold_block, ors = module._fold_block, []
+
+    def counted(outer_or, *args):
+        ors.append(outer_or)
+        return fold_block(outer_or, *args)
+
+    monkeypatch.setattr(module, "_fold_block", counted)
+    return ors
+
+
+def test_product_fold_labels_each_distinct_block_once(monkeypatch):
+    product = sum_graph([_box("nim", {}, (6, 6, 6)),
+                         _box("subtraction", {"x": [1, 2]}, (30,))])
+    # Nim (6,6,6), with more edges per node, is the outer factor: 343
+    # blocks of 31 nodes, with 50 distinct outer ORs among them
+    (e_nim, _), (e_sub, _) = product.factor_degrees()
+    assert e_nim * len(product.right) >= e_sub * len(product.left)
+    assert len(product.left) == 343
+    ors = _counted_blocks(monkeypatch)
+    want = sg_labels(product)
+    assert len(ors) == len(set(ors)) == 50
+    # with room for the bytes of one outer OR, a block is folded again
+    # whenever it follows a fold of another block
+    monkeypatch.setattr(sys.modules["grundylab.classify"], "_BLOCKS_CAP",
+                        len(ors[0]))
+    ors.clear()
+    got = sg_labels(product)
+    assert len(set(ors)) == 50 < len(ors)
+    assert all(a != b for a, b in zip(ors, ors[1:]))
+    assert (got.g, got.g_minus, got.packed_masks) == (
+        want.g, want.g_minus, want.packed_masks)
 
 
 def test_product_fold_of_a_sum_with_a_sum_as_summand():
@@ -639,3 +701,27 @@ def test_product_fold_memory_per_node():
     arrays = sum(a.itemsize * len(a)
                  for a in (lg.g, lg.g_minus, lg.packed_masks))
     assert (peak - arrays) / len(product) <= 24
+
+
+def test_product_fold_memory_per_node_when_no_block_repeats(monkeypatch):
+    # Nim pile k's block holds (k, 0), whose g is k, so no two of the 31
+    # blocks are alike; each keeps its lane int, 12 bytes per node, and its
+    # outer OR as a key, as long as the keys stay below _BLOCKS_CAP
+    product = sum_graph([_box("nim", {}, (30,)),
+                         _box("subtraction", {"x": [1, 2]}, (1000,))])
+    assert len(product) == 31_031
+    ors = _counted_blocks(monkeypatch)
+    sg_labels(product)
+    assert len(ors) == len(set(ors)) == 31
+    monkeypatch.undo()
+    del ors
+    gc.collect()
+    tracemalloc.start()
+    try:
+        lg = sg_labels(product)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.itemsize * len(a)
+                 for a in (lg.g, lg.g_minus, lg.packed_masks))
+    assert (peak - arrays) / len(product) <= 48
