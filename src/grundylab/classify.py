@@ -407,10 +407,10 @@ def _fold_product(graph, width: int, outer_is_left: bool | None = None):
     A block, its labels, words and lane int, is a function of its outer
     OR alone, so it is folded once per distinct outer OR: a block whose
     outer OR was seen before shares the first such block's lane int and
-    copies its slices of the three arrays.  The outer ORs are kept as keys
-    of at most ``_BLOCKS_CAP`` bytes in all, and the keys are dropped
-    whenever they are full, so a product whose blocks never repeat holds
-    at most that much more than its lane ints.
+    copies its slices of the three arrays.  The outer ORs kept as keys take
+    at most ``_BLOCKS_CAP`` bytes, and the dict is emptied whenever it is
+    full, so a product whose blocks never repeat holds at most that much
+    more than its lane ints.
     """
     left, right = graph.left, graph.right
     (e_left, k_left), (e_right, k_right) = graph.factor_degrees()

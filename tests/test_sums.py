@@ -684,9 +684,10 @@ def test_whole_graph_readers_see_a_product_as_its_stored_rows(case, seed):
 
 
 def test_product_fold_memory_per_node():
-    # about 10^5 nodes: each outer node keeps one lane int of 9 bytes per
-    # inner node (the value fields are as wide as the most options of a
-    # node plus 2: 20 + 2), and the product's rows are never built
+    # about 10^5 nodes: each of the 50 distinct blocks among the 343 keeps
+    # one lane int of 9 bytes per inner node (the value fields are as wide
+    # as the most options of a node plus 2: 20 + 2), shared by the blocks
+    # that repeat it, and the product's rows are never built
     product = sum_graph([_box("nim", {}, (6, 6, 6)),
                          _box("subtraction", {"x": [1, 2]}, (300,))])
     assert len(product) == 103_243
