@@ -3,10 +3,11 @@ returnable), the six SM=P conditions, witness extraction, and candidate-set
 verification.
 
 All of them are answered from two bit masks per node.  The one labelling
-pass (``fold_rows``, which ``grundy.sg_labels`` runs), options before the
-positions that move to them, records the label classes a node is in and the
-classes its options reach; ``properties`` turns the two masks into one bit
-per paper property.  Every predicate is a row naming the properties of
+pass (``fold_rows``, which ``grundy.sg_labels`` runs) visits options before
+the positions that move to them, and one step (``_or_label``) reads from the
+OR of a node's options' packed ints its label, the label classes it is in
+and the classes its options reach; ``properties`` turns the two masks into
+one bit per paper property.  Every predicate is a row naming the properties of
 which each node needs at least one, and its witness is the violating node
 that is smallest by (depth, position string).
 Candidate-set verification feeds ``properties`` masks built from the
@@ -16,6 +17,7 @@ candidate sets instead of the labels.
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 from typing import NamedTuple
 
@@ -103,71 +105,102 @@ def _word(g: int, gm: int, reach: int) -> int:
 # (g, g_minus, reach) -> (g, g_minus, packed word), filled by every fold in
 # the process
 _LABELS = {}
+# the most ORs and labels a fold keeps looked up at once
+_SEEN_CAP = 4096
+
+
+def _or_label(u: int, width: int, seen: dict, lane: int = 0) -> tuple:
+    """(label, packed int, its ``lane`` bytes) of a node whose options'
+    packed ints OR to ``u``; label is the memo's (g, g_minus, word).
+
+    A node's packed int is its word with bits ``_WORD_BITS + g`` and
+    ``_WORD_BITS + width + g_minus`` set.  Every word has a partition bit,
+    so ``u`` is 0 exactly at a terminal; otherwise it holds the node's
+    reach in the low bits and its two mexes as the lowest clear bits of
+    the two value fields.  ``seen`` is the fold's lookup: it maps each OR
+    and each (g, g_minus, reach) to its result, so that an OR seen before
+    costs one lookup and equal labels share one packed int, and it is
+    emptied whenever it holds ``_SEEN_CAP`` entries.  With ``lane`` 0 the
+    bytes are empty.
+    """
+    hit = seen.get(u)
+    if hit is not None:
+        return hit
+    if u:
+        v = u >> _WORD_BITS
+        g = (v ^ (v + 1)).bit_length() - 1
+        if g >= width:
+            # the g field was full: some move kept the coordinate sum
+            raise ValueError("g exceeds every depth: the box lines break "
+                             "the box_lines contract")
+        v = u >> (_WORD_BITS + width)
+        key = (g, (v ^ (v + 1)).bit_length() - 1, u & _CLASS_MASK)
+    else:
+        key = (0, 1, 0)
+    if len(seen) >= _SEEN_CAP:
+        seen.clear()
+    hit = seen.get(key)
+    if hit is None:
+        label = _LABELS.get(key)
+        if label is None:
+            label = _LABELS[key] = (key[0], key[1], _word(*key))
+        packed = (label[2] | 1 << (_WORD_BITS + key[0])
+                  | 1 << (_WORD_BITS + width + key[1]))
+        hit = seen[key] = (label, packed,
+                           packed.to_bytes(lane, "little") if lane else b"")
+    seen[u] = hit
+    return hit
 
 
 def fold_rows(graph) -> tuple:
     """``(g, g_minus, packed_masks)`` of a graph, each an ``array('i')``
     indexed by node number, from one pass over ``graph.node_rows()``.
 
-    Every node comes after its options, and one visit of each option marks
-    both its values and ORs in its word.  Every word has a partition bit,
-    so a node is terminal exactly when its options reach no class.  A
-    node's word (its classes in the low bits, its property bits above them;
-    13 and 15 bits fit in an ``'i'``) depends only on its label and its
-    reach, so it is computed once per distinct (g, g_minus, reach) in the
-    process.  Three kinds of graph take another fold to the same arrays: a
-    one-coordinate box whose lines declare their ``shifts`` is labelled up
-    to its first repeated window of labels and the rest filled by
-    repeating the period (``_fold_shifts``); a box whose top node's lines
-    are ranges, one line at a time (``_fold_lines``); and a disjunctive sum
-    from its two factors, a block of nodes at a time and each distinct
-    block once (``_fold_product``).  Every other graph, breadth-first
-    enumerations among them, takes the edge loop below.
+    Every node comes after its options, and its label comes from the OR
+    of its options' packed ints (``_or_label``).  A node's word (its
+    classes in the low bits, its property bits above them; 13 and 15 bits
+    fit in an ``'i'``) depends only on its label and its reach, so it is
+    computed once per distinct (g, g_minus, reach) in the process.  Three
+    kinds of graph take another loop to the same arrays, through the same
+    step: a one-coordinate box whose lines declare their ``shifts`` is
+    labelled up to its first repeated window of labels and the rest filled
+    by repeating the period (``_fold_shifts``); a box whose top node's
+    lines are ranges, one line at a time (``_fold_lines``); and a
+    disjunctive sum from its two factors, a block of nodes at a time and
+    each distinct block once (``_fold_product``).  Every other graph,
+    breadth-first enumerations among them, takes the edge loop below.
     """
     if isinstance(graph, BoxGraph) and len(graph.strides) == 1:
         shifts = getattr(graph.lines, "shifts", None)
         if shifts is not None:
             return _fold_shifts(graph, shifts)[0]
-    n = len(graph)
-    # labels[y] is the memo's shared (g, g_minus, word) tuple of node y, a
-    # list read on every edge, whose items need no conversion from C ints;
-    # the arrays are written once per node.  Marks: sg[v] == x (sm[v] == x)
-    # when an option of x has normal (misere) value v.  A node's options
-    # are less deep than it, so by induction g(x) <= d(x) and g_minus(x) <=
-    # max(d(x), 1): with D the greatest depth, every mark and mex probe is
-    # below D + 2
-    width = max(graph.depths, default=0) + 2
+    # a node's options are less deep than it, so by induction g(x) <= d(x)
+    # and g_minus(x) <= max(d(x), 1): with D the greatest depth, value
+    # fields D + 2 bits wide hold every value and its mex
     from .sums import ProductGraph  # sums imports this module
     if isinstance(graph, ProductGraph):
-        return _fold_product(graph, width)
+        # a product node's depth is the sum of its components' depths
+        return _fold_product(graph, max(graph.left.depths, default=0)
+                             + max(graph.right.depths, default=0) + 2)
+    depth = max(graph.depths, default=0)
     if _ranged_box(graph):
-        return _fold_lines(graph, width)
-    labels = [None] * n
-    sg, sm = [-1] * width, [-1] * width
+        return _fold_lines(graph, depth + 2)
+    offsets = getattr(graph, "offsets", None)
+    if offsets is not None:
+        # a stored graph: a mex of k values is at most k, so with K the
+        # most options of one node every value is at most max(K, 1)
+        depth = min(depth, max(map(operator.sub, offsets[1:], offsets),
+                               default=0))
+    width = depth + 2
+    n = len(graph)
+    bits = [0] * n
     out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
-    memo = _LABELS
+    seen = {}
     for x, row in graph.node_rows():
-        reach = 0
-        # mex inlined: two calls per node made this loop about 1.7x slower
+        u = 0
         for y in row:
-            g, gm, word = labels[y]
-            sg[g] = x
-            sm[gm] = x
-            reach |= word
-        if reach:
-            g = 0
-            while sg[g] == x:
-                g += 1
-            gm = 0
-            while sm[gm] == x:
-                gm += 1
-        else:
-            g, gm = 0, 1
-        key = (g, gm, reach & _CLASS_MASK)
-        label = memo.get(key)
-        if label is None:
-            label = memo[key] = (g, gm, _word(*key))
-        labels[x] = label
+            u |= bits[y]
+        label, bits[x], _ = _or_label(u, width, seen)
         out_g[x], out_gm[x], out_words[x] = label
     return out_g, out_gm, out_words
 
@@ -184,11 +217,8 @@ def _ranged_box(graph) -> bool:
 def _fold_lines(graph: BoxGraph, width: int) -> tuple:
     """``fold_rows`` of a box, in time per line rather than per option.
 
-    Node y's packed int is its word with bits ``_WORD_BITS + g(y)`` and
-    ``_WORD_BITS + width + g_minus(y)`` set.  A line's summary is the OR of
-    its nodes' packed ints; the OR of a node's line summaries holds its
-    reach in the low bits and its two mexes as the lowest clear bits of the
-    two value fields.
+    A line's summary is the OR of its nodes' packed ints, and the OR of a
+    node's line summaries is what ``_or_label`` reads its label from.
 
     A ``range`` line at x with step +-s that holds the nearest node x - s
     plus node x - s's line in the same slot has that line's summary ORed
@@ -212,8 +242,7 @@ def _fold_lines(graph: BoxGraph, width: int) -> tuple:
     keys, sums = [None] * span, [0] * span
     bits = [None] * n
     out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
-    found = {}   # (g, g_minus, reach) -> (label, packed int), in this fold
-    gm_field = _WORD_BITS + width
+    seen = {}
     at = 0
     for x, node in enumerate(map(lines, itertools.count(), positions,
                                  itertools.repeat(strides))):
@@ -272,48 +301,12 @@ def _fold_lines(graph: BoxGraph, width: int) -> tuple:
             sums[i] = s
             u |= s
             i += 1
-        if u:
-            v = u >> _WORD_BITS
-            g = (v ^ (v + 1)).bit_length() - 1
-            v = u >> gm_field
-            key = (g, (v ^ (v + 1)).bit_length() - 1, u & _CLASS_MASK)
-        else:
-            key = (0, 1, 0)
-        hit = found.get(key)
-        if hit is None:
-            if key[0] >= width:
-                # the g field was full: some move kept the coordinate sum
-                raise ValueError(f"box lines of {positions[x]!r} break the "
-                                 "box_lines contract")
-            hit = found[key] = _packed_label(key, width)
-        label, bits[x] = hit
+        label, bits[x], _ = _or_label(u, width, seen)
         out_g[x], out_gm[x], out_words[x] = label
         at += slots
         if at == span:
             at = 0
     return out_g, out_gm, out_words
-
-
-def _packed_label(key: tuple, width: int) -> tuple:
-    """The memo's (g, g_minus, word) of a node whose (g, g_minus, reach) is
-    ``key``, and its packed int with value fields ``width`` bits wide."""
-    g, gm, _ = key
-    label = _LABELS.get(key)
-    if label is None:
-        label = _LABELS[key] = (g, gm, _word(*key))
-    return label, (label[2] | 1 << (_WORD_BITS + g)
-                   | 1 << (_WORD_BITS + width + gm))
-
-
-def _or_label(u: int, width: int) -> tuple:
-    """``_packed_label`` of a node whose options' packed ints OR to ``u``."""
-    if not u:
-        return _packed_label((0, 1, 0), width)
-    v = u >> _WORD_BITS
-    g = (v ^ (v + 1)).bit_length() - 1
-    v = u >> (_WORD_BITS + width)
-    return _packed_label((g, (v ^ (v + 1)).bit_length() - 1, u & _CLASS_MASK),
-                         width)
 
 
 # a window of label numbers is hashed as a polynomial in _HASH_BASE modulo
@@ -329,7 +322,7 @@ def _fold_shifts(graph: BoxGraph, shifts) -> tuple:
     heaps n - m, ..., n - 1, its window, once n >= m.  So when window(n)
     equals window(j) for some m <= j < n, heaps n, n + 1, ... repeat heaps
     j, ..., n - 1.  Heaps are labelled one at a time, from ``shifts`` and
-    with ``_fold_product``'s packed ints, up to the first such n, and the
+    with ``_or_label``, up to the first such n, and the
     rest of each array is that block repeated; ``repeat`` is (j, n - j),
     or None when no window repeats inside the box.  Each packed int gets a
     number in this fold.  A window's hash, a polynomial in its numbers, is
@@ -343,15 +336,15 @@ def _fold_shifts(graph: BoxGraph, shifts) -> tuple:
     width = len(shifts) + 2
     bits, labels = [], []
     ids = [0] * m    # heap x's number is ids[x + m]; window(x) is ids[x:x + m]
-    found = {}       # OR of packed ints -> (label, packed int, its number)
+    seen = {}
     numbers = {}     # packed int -> its number
-    seen = {}        # a window's hash -> the first heap x with that window
+    windows = {}     # a window's hash -> the first heap x with that window
     top = pow(_HASH_BASE, m, _HASH_PRIME)
     h, repeat = 0, None
     for x in range(n):
         u = 0
         if x >= m:
-            j = seen.setdefault(h, x)
+            j = windows.setdefault(h, x)
             if j != x and ids[j:j + m] == ids[x:x + m]:
                 repeat = (j, x - j)
                 break
@@ -361,12 +354,8 @@ def _fold_shifts(graph: BoxGraph, shifts) -> tuple:
             for s in shifts:
                 if s <= x:
                     u |= bits[x - s]
-        hit = found.get(u)
-        if hit is None:
-            label, packed = _or_label(u, width)
-            hit = found[u] = (label, packed,
-                              numbers.setdefault(packed, len(numbers)))
-        label, packed, k = hit
+        label, packed, _ = _or_label(u, width, seen)
+        k = numbers.setdefault(packed, len(numbers))
         labels.append(label)
         bits.append(packed)
         ids.append(k)
@@ -380,8 +369,6 @@ def _fold_shifts(graph: BoxGraph, shifts) -> tuple:
     return out, repeat
 
 
-# the most ORs of packed ints a product fold keeps looked up at once
-_SEEN_CAP = 4096
 # the most bytes of outer ORs a product fold keeps as keys of its blocks
 _BLOCKS_CAP = 1 << 22
 
@@ -392,7 +379,7 @@ def _fold_product(graph, width: int, outer_is_left: bool | None = None):
 
     Product node (o, i) of outer node o and inner node i moves to (o', i)
     for each option o' of o and to (o, i') for each option i' of i.  Its
-    packed int is ``_fold_lines``' (the word, then the g and g_minus
+    packed int is ``_or_label``'s (the word, then the g and g_minus
     fields, each ``width`` bits), and outer node o's lane int holds the
     packed ints of its whole block (o, 0), ..., (o, N_inner - 1), ``lane``
     bytes each, inner node i's at byte ``i·lane``.  So one OR of the lane
@@ -428,7 +415,7 @@ def _fold_product(graph, width: int, outer_is_left: bool | None = None):
     inner_rows = [(i, i * lane, list(row)) for i, row in inner.node_rows()]
     lanes = [0] * len(outer)
     out = tuple(array("i", [0]) * n for _ in range(3))
-    seen = {}    # a node's OR of packed ints -> (label, packed int, bytes)
+    seen = {}
     size = n_in * lane
     # a block's outer OR -> the first outer node with it and that block's
     # slice; an outer OR fits in size bytes, so room of them in _BLOCKS_CAP
@@ -459,9 +446,9 @@ def _fold_block(outer_or: bytes, inner_rows: list, lane: int, width: int,
                 seen: dict) -> tuple:
     """(lane int, labels in inner node order) of one block of
     ``_fold_product``, whose moves in the outer factor OR to the lanes
-    ``outer_or``.  A node's label and packed int are looked up by its OR of
-    packed ints in ``seen``, of at most ``_SEEN_CAP`` entries, before its
-    mexes are taken."""
+    ``outer_or``.  Each node's label, packed int and lane bytes come from
+    ``_or_label`` with the fold's lookup ``seen``, which keeps the bytes
+    once per label."""
     n_in = len(inner_rows)
     bits, chunks, labels = [0] * n_in, [b""] * n_in, [None] * n_in
     from_bytes = int.from_bytes
@@ -469,14 +456,7 @@ def _fold_block(outer_or: bytes, inner_rows: list, lane: int, width: int,
         u = from_bytes(outer_or[at:at + lane], "little")
         for y in opts:
             u |= bits[y]
-        hit = seen.get(u)
-        if hit is None:
-            label, packed = _or_label(u, width)
-            hit = (label, packed, packed.to_bytes(lane, "little"))
-            if len(seen) == _SEEN_CAP:
-                seen.clear()
-            seen[u] = hit
-        labels[i], bits[i], chunks[i] = hit
+        labels[i], bits[i], chunks[i] = _or_label(u, width, seen, lane)
     return from_bytes(b"".join(chunks), "little"), labels
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import itertools
 import json
@@ -839,6 +840,46 @@ def test_line_fold_memory_per_node():
         tracemalloc.stop()
     arrays = sum(a.itemsize * len(a) for a in out)
     assert peak - arrays <= 64 * len(graph)
+
+
+def test_edge_loop_refuses_lines_that_keep_the_coordinate_sum():
+    # the box of the test above with its one line a list: the edge loop
+    # folds it, and node 9's g field is full
+    game = dataclasses.replace(
+        make_family("wythoff"),
+        box_lines=lambda n, p, strides: [list(range(n))])
+    graph = enumerate_subgame(_box_only(game), [(1, 6)])
+    assert not _ranged_box(graph)
+    with pytest.raises(ValueError, match="break the box_lines contract"):
+        sg_labels(graph)
+
+
+@pytest.mark.parametrize("family,symmetry,root,bound", [
+    # Mark from 100,000: 10^5 deep, but no node has more than 2 options, so
+    # the value fields are 4 bits wide and each node holds about one list
+    # slot, 8 B; fields as wide as the depth, each OR 25 kB, took about 14
+    ("mark", False, (100_000,), 12),
+    # symmetric Wythoff from (120, 120): 7,381 nodes whose ORs of 64-byte
+    # packed ints are nearly all distinct.  With the lookup emptied at
+    # _SEEN_CAP entries this took about 79 B per node; a lookup never
+    # emptied took about 95, and a packed int per node instead of one per
+    # label about 136
+    ("wythoff", True, (120, 120), 88),
+])
+def test_edge_loop_memory_per_node(family, symmetry, root, bound):
+    graph = enumerate_subgame(make_family(family, use_symmetry=symmetry),
+                              [root])
+    assert not isinstance(graph, BoxGraph)
+    fold_rows(graph)  # the words' memo holds this graph's labels
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fold_rows(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.itemsize * len(a) for a in out)
+    assert peak - arrays <= bound * len(graph)
 
 
 def _subtraction_box(xs, heap):
