@@ -130,9 +130,8 @@ def _or_label(u: int, width: int, seen: dict, lane: int = 0) -> tuple:
         v = u >> _WORD_BITS
         g = (v ^ (v + 1)).bit_length() - 1
         if g >= width:
-            # the g field was full: some move kept the coordinate sum
-            raise ValueError("g exceeds every depth: the box lines break "
-                             "the box_lines contract")
+            raise ValueError("g exceeds every depth: the value fields are "
+                             "too narrow")
         v = u >> (_WORD_BITS + width)
         key = (g, (v ^ (v + 1)).bit_length() - 1, u & _CLASS_MASK)
     else:
@@ -162,18 +161,20 @@ def fold_rows(graph) -> tuple:
     fit in an ``'i'``) depends only on its label and its reach, so it is
     computed once per distinct (g, g_minus, reach) in the process.  Three
     kinds of graph take another loop to the same arrays, through the same
-    step: a one-coordinate box whose lines declare their ``shifts`` is
+    step: a box whose every move is a ray, one ray at a time
+    (``_fold_rays``); a one-coordinate box whose every move is a point,
     labelled up to its first repeated window of labels and the rest filled
-    by repeating the period (``_fold_shifts``); a box whose top node's
-    lines are ranges, one line at a time (``_fold_lines``); and a
-    disjunctive sum from its two factors, a block of nodes at a time and
-    each distinct block once (``_fold_product``).  Every other graph,
-    breadth-first enumerations among them, takes the edge loop below.
+    by repeating the period (``_fold_shifts``); and a disjunctive sum from
+    its two factors, a block of nodes at a time and each distinct block
+    once (``_fold_product``).  Every other graph, breadth-first
+    enumerations among them, takes the edge loop below.
     """
-    if isinstance(graph, BoxGraph) and len(graph.strides) == 1:
-        shifts = getattr(graph.lines, "shifts", None)
-        if shifts is not None:
-            return _fold_shifts(graph, shifts)[0]
+    if isinstance(graph, BoxGraph) and graph.moves:
+        orders = {order for _, order in graph.moves}
+        if 0 not in orders:
+            return _fold_rays(graph)
+        if orders == {0} and len(graph.strides) == 1:
+            return _fold_shifts(graph, [s for (s,), _ in graph.moves])[0]
     # a node's options are less deep than it, so by induction g(x) <= d(x)
     # and g_minus(x) <= max(d(x), 1): with D the greatest depth, value
     # fields D + 2 bits wide hold every value and its mex
@@ -183,8 +184,6 @@ def fold_rows(graph) -> tuple:
         return _fold_product(graph, max(graph.left.depths, default=0)
                              + max(graph.right.depths, default=0) + 2)
     depth = max(graph.depths, default=0)
-    if _ranged_box(graph):
-        return _fold_lines(graph, depth + 2)
     offsets = getattr(graph, "offsets", None)
     if offsets is not None:
         # a stored graph: a mex of k values is at most k, so with K the
@@ -205,107 +204,55 @@ def fold_rows(graph) -> tuple:
     return out_g, out_gm, out_words
 
 
-def _ranged_box(graph) -> bool:
-    """Whether ``graph`` is a box whose top node's lines are all ranges."""
-    if not isinstance(graph, BoxGraph):
-        return False
-    top = len(graph) - 1
-    node = graph.lines(top, graph.positions[top], graph.strides)
-    return all(type(line) is range for line in node)
+def _fold_rays(graph: BoxGraph) -> tuple:
+    """``fold_rows`` of a box whose every move is a ray, in time per ray
+    rather than per option.
 
-
-def _fold_lines(graph: BoxGraph, width: int) -> tuple:
-    """``fold_rows`` of a box, in time per line rather than per option.
-
-    A line's summary is the OR of its nodes' packed ints, and the OR of a
-    node's line summaries is what ``_or_label`` reads its label from.
-
-    A ``range`` line at x with step +-s that holds the nearest node x - s
-    plus node x - s's line in the same slot has that line's summary ORed
-    with the node's packed int as its own.  This is checked in O(1) from
-    the range's ends: node x - s's entry is keyed by the end that the two
-    lines share (the start of an ascending range, the stop of a descending
-    one) and the signed step, and a key is stored only for a line checked
-    to hold the k nearest nodes along its step; an ascending line must
-    stop at x, a descending one start at x - s.  Any other line is walked.
-    Summaries are read only at x - s, so each slot keeps the entries of the
-    last ``sum(strides) + 1`` nodes.
+    Node x at position p moves along the ray of step d to x - s, x - 2s,
+    ... while p - j*d stays >= 0, where s = sum(d_i * strides[i]).  So the
+    OR of that ray's packed ints is P_d(x) = bits(x - s) | P_d(x - s) when
+    p >= d on d's nonzero coordinates, and 0 otherwise, and node x's label
+    is read from the OR of its P_d(x).  Each ray keeps Q_d = bits | P_d of
+    the last max(s) nodes in a ring, and the nodes are walked in rows
+    along the last coordinate, so that which rays move from a node is
+    decided once per row and per value below the largest step.  Every
+    move lowers the coordinate sum, so g <= sum(p) and the value fields
+    are the top node's coordinate sum + 2 bits wide: no depth is read.
     """
-    n = len(graph)
-    lines, positions, strides = graph.lines, graph.positions, graph.strides
-    slots = len(lines(n - 1, positions[-1], strides))
-    # node x's entries are keys[at:at + slots] and sums[at:at + slots]; a
-    # step below ring reads those of node x - s.  Every move to some
-    # p - e_i steps by a stride, and Wythoff's diagonal by the sum of both
-    ring = sum(strides) + 1
-    span, radix = ring * slots, 2 * ring   # key: shared end * radix + step
-    keys, sums = [None] * span, [0] * span
-    bits = [None] * n
+    n, top = len(graph), graph.positions[-1]
+    width = sum(top) + 2
+    # (s, step) of each ray; one longer than the box moves from no node
+    rays = [(sum(map(operator.mul, step, graph.strides)), step)
+            for step, _ in graph.moves if all(map(operator.le, step, top))]
+    # node x - s's entry is read before node x's is written, so a ring of
+    # max(s) entries holds every entry a node reads
+    size = max([s for s, _ in rays], default=1)
+    rings = [[0] * size for _ in rays]
+    zeros = [0] * size
     out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
     seen = {}
-    at = 0
-    for x, node in enumerate(map(lines, itertools.count(), positions,
-                                 itertools.repeat(strides))):
-        u = 0
-        i = at
-        if len(node) != slots:
-            for line in node:
-                for y in line:
-                    u |= bits[y]
-            keys[at:at + slots] = [None] * slots
-            node = ()
-        # node m's key (a, s) says its line is a, a + s, ..., m - s, so a
-        # line at m + s from a that stops at m + s is that line and m; its
-        # key (b, -s) says its line is range(m - s, b, -s) with b <= m - s,
-        # so a line at m + s from m down to b is m and that line.  An empty
-        # line is keyed as the 0 nearest nodes.  The two branches mirror
-        # each other: one shared branch made this loop slower
-        for line in node:
-            step = line.step if type(line) is range else 0
-            if 0 < step < ring:
-                key = line.start * radix + step
-                if line.stop == x:
-                    j = i - step * slots
-                    if keys[j] == key:
-                        s = sums[j] | bits[x - step]
-                        keys[i] = key
-                        sums[i] = s
-                        u |= s
-                        i += 1
-                        continue
-                if not line:
-                    key = x * radix + step
-                elif line[-1] != x - step:
-                    key = None
-            elif -ring < step < 0:
-                key = line.stop * radix + step
-                if line.start - step == x:
-                    j = i + step * slots
-                    if keys[j] == key:
-                        s = sums[j] | bits[x + step]
-                        keys[i] = key
-                        sums[i] = s
-                        u |= s
-                        i += 1
-                        continue
-                if not line:
-                    key = (x + step) * radix + step
-                elif line.start - step != x:
-                    key = None
-            else:
-                key = None
-            s = 0
-            for y in line:
-                s |= bits[y]
-            keys[i] = key
-            sums[i] = s
-            u |= s
-            i += 1
-        label, bits[x], _ = _or_label(u, width, seen)
-        out_g[x], out_gm[x], out_words[x] = label
-        at += slots
-        if at == span:
-            at = 0
+    last = top[-1] + 1
+    for h, head in enumerate(itertools.product(*(range(b + 1)
+                                                 for b in top[:-1]))):
+        # the least last coordinate from which each ray moves, or none;
+        # at each last coordinate, (ring, source, s) per ray: a ray that
+        # moves from the node reads its own ring, one that does not zeros
+        need = [step[-1] if all(map(operator.le, step[:-1], head)) else last
+                for _, step in rays]
+        plan = [[(ring, ring if c <= v else zeros, s)
+                 for c, ring, (s, _) in zip(need, rings, rays)]
+                for v in range(min(max(need, default=0) + 1, last))]
+        plan += plan[-1:] * (last - len(plan))
+        for x, todo in enumerate(plan, h * last):
+            at = x % size
+            u = 0
+            for ring, source, s in todo:
+                ring[at] = q = source[at - s]
+                u |= q
+            label, b, _ = _or_label(u, width, seen)
+            out_g[x], out_gm[x], out_words[x] = label
+            for ring in rings:
+                ring[at] |= b
     return out_g, out_gm, out_words
 
 
@@ -327,8 +274,8 @@ def _fold_shifts(graph: BoxGraph, shifts) -> tuple:
     or None when no window repeats inside the box.  Each packed int gets a
     number in this fold.  A window's hash, a polynomial in its numbers, is
     rolled on in O(1) per heap, and a hash seen before is confirmed by
-    comparing the two windows' numbers.  No line is read: calling the
-    lines made a heap cost more than the edge loop's.
+    comparing the two windows' numbers.  No row is built: building rows
+    made a heap cost more than the edge loop's.
     """
     n = len(graph)
     m = max(shifts)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -89,39 +90,27 @@ class GameDef:
     canonical(p)``): enumeration looks a raw option up before
     canonicalising it, and trusts a hit.
 
-    ``box_lines`` (optional, never with ``canonical``) gives the options
-    of an origin box's node at once.  The box's nodes are numbered as
-    ``itertools.product(*(range(b + 1) for b in bounds))`` lists them, where
-    ``bounds`` is the box's largest position, so node n is the mixed-radix
-    number of its position p and ``strides[i]`` is the node-number step of
-    coordinate i.  ``box_lines(n, p, strides)`` returns node n's options as
-    a list or tuple of lines, sized sequences (ranges or lists) of node
-    numbers, every one below n, that together give the same options in the
-    same order as ``options(p)``.  Labelling (``classify.fold_rows``)
-    summarises a ``range`` line that holds the k nearest nodes along its
-    step from the nearest node's line in the same place of its list, when
-    that line holds the k - 1 nearest along the same step, and walks every
-    other line; a box whose lines are ranges is labelled in time per line.
-    A one-coordinate ``box_lines`` may carry a ``shifts`` attribute, a
-    tuple of positive integers: it declares that node n's options are
-    ``n - s`` for each s in ``shifts`` with ``s <= n``, in that order.
-    Heap n's label is then fixed by the labels of the ``max(shifts)``
-    heaps below it, so labelling stops at the first repeated window of
-    them and repeats the period to the top of the box.
-    It may be given only when every option lies below its position in
-    every coordinate and every ``p - e_i`` with ``p_i > 0`` is an option:
-    then the box below a position is exactly that position's closure, and
-    a position's depth is its coordinate sum (every move lowers the sum,
-    and each move to a ``p - e_i`` lowers it by one).
-    ``enumerate_subgame`` uses it when the roots' componentwise maximum is
-    itself one of the roots.
+    ``box_moves`` (optional, never with ``canonical``) declares the moves
+    of an origin box's nodes: ``box_moves(k)`` is a tuple of moves ``(step,
+    order)`` for a box of k coordinates.  ``step`` is k integers >= 0, not
+    all 0 (``BoxGraph`` raises ValueError on any other move).  With
+    ``order`` +1 or -1 node p moves to each ``p - j*step``, j >= 1, that
+    stays >= 0, a ray listed ascending resp. descending by node number;
+    with 0 it moves to ``p - step`` alone, a point.  The moves, one after
+    another, give the same options in the same order as ``options(p)``.
+    They may be declared only when every ``p - e_i`` with ``p_i > 0`` is an
+    option: then the box below a position is exactly that position's
+    closure, and a position's depth is its coordinate sum (every move
+    lowers the sum, and each move to a ``p - e_i`` lowers it by one).
+    ``enumerate_subgame`` uses them when the roots' componentwise maximum
+    is itself one of the roots.
     """
 
     family: str
     params: dict = field(default_factory=dict)
     options: Callable[[Position], list] = None
     canonical: Callable[[Position], Position] | None = None
-    box_lines: Callable[[int, tuple, list], Iterable] | None = None
+    box_moves: Callable[[int], tuple] | None = None
 
     def canon(self, p: Position) -> Position:
         return p if self.canonical is None else self.canonical(p)
@@ -142,7 +131,7 @@ class ReachableGraph:
     the constructors of stored graphs takes the rows through these two.
     Immutable after construction.  ``order`` and ``depths`` come from one
     depth-first pass, which is also the cycle check, unless the caller
-    passes both.  The closure of a greatest root, with ``box_lines``, is a
+    passes both.  The closure of a greatest root, with ``box_moves``, is a
     ``BoxGraph``, and a disjunctive sum is a ``sums.ProductGraph``; both
     compute their rows and store none.
     """
@@ -217,44 +206,66 @@ class ReachableGraph:
 
 
 class BoxGraph(ReachableGraph):
-    """The origin box below ``bounds`` of a game with ``box_lines``: the
+    """The origin box below ``bounds`` of a game with ``box_moves``: the
     closure of any root set whose greatest root is ``bounds``.
 
-    Node n is the mixed-radix number of its position, and its options come
-    from its lines (``GameDef.box_lines``), so no row is stored.  Every
-    line's targets lie below the node, so the descending node numbers are
-    ``order`` (they are also what the depth-first pass would give), no
-    cycle check runs, and ``node_rows`` walks the nodes in ascending order,
-    chaining each node's lines.  A node's depth is its position's
-    coordinate sum, as the ``box_lines`` contract implies, so ``depths``
-    reads no line.  The first reader of ``index`` or ``depths`` gets it
-    built, once; ``edge_count`` reads the lines.
+    Node n is the mixed-radix number of its position, and ``strides[i]``
+    is the node-number step of coordinate i, so a move's step is the same
+    node-number step from every node and node n's options are one range
+    per move (``lines``); no row is stored.  Every move lowers the node
+    number, so the descending node numbers are ``order`` (they are also
+    what the depth-first pass would give), no cycle check runs, and
+    ``node_rows`` walks the nodes in ascending order.  A node's depth is its
+    position's coordinate sum, as the ``box_moves`` contract implies, so
+    ``depths`` reads no row.  The first reader of ``index`` or ``depths``
+    gets it built, once.
     """
 
-    def __init__(self, roots, bounds, lines):
+    def __init__(self, roots, bounds, moves):
         self.roots = frozenset(roots)
         self.positions = list(itertools.product(*(range(b + 1)
                                                   for b in bounds)))
-        self.lines = lines
         self.strides = [math.prod(b + 1 for b in bounds[i + 1:])
                         for i in range(len(bounds))]
+        for step, order in moves:
+            if not (len(step) == len(bounds) and any(step)
+                    and all(type(c) is int and c >= 0 for c in step)
+                    and order in (1, -1, 0)):
+                raise ValueError(
+                    f"box move {(step, order)!r}: the step must be "
+                    f"{len(bounds)} integers >= 0, not all 0, and the order "
+                    f"+1, -1 or 0")
+        self.moves = tuple(moves)
+        # per move: its node-number step, its nonzero coordinates, its order
+        self._steps = [(sum(map(operator.mul, step, self.strides)),
+                        [(i, c) for i, c in enumerate(step) if c], order)
+                       for step, order in self.moves]
         self.order = array("i", range(len(self.positions) - 1, -1, -1))
 
-    def _node_lines(self):
-        lines, strides = self.lines, self.strides
-        return (lines(n, p, strides) for n, p in enumerate(self.positions))
+    def lines(self, x) -> list:
+        """Node x's options as one range of node numbers per move, a ray's
+        in its order and a point's of at most one node."""
+        p, out = self.positions[x], []
+        for s, nonzero, order in self._steps:
+            k = min([p[i] // c for i, c in nonzero])
+            if not order:
+                k = min(k, 1)
+            out.append(range(x - k * s, x, s) if order > 0
+                       else range(x - s, x - (k + 1) * s, -s))
+        return out
 
     def node_rows(self):
         return enumerate(map(itertools.chain.from_iterable,
-                             self._node_lines()))
+                             map(self.lines, range(len(self.positions)))))
 
     def edge_count(self) -> int:
-        return sum(len(line) for node in self._node_lines() for line in node)
+        return sum(map(len, itertools.chain.from_iterable(
+            map(self.lines, range(len(self.positions))))))
 
     def row(self, i) -> list:
         # a list takes a range faster than an array does
         row = []
-        for line in self.lines(i, self.positions[i], self.strides):
+        for line in self.lines(i):
             row += line
         return row
 
@@ -293,19 +304,19 @@ def enumerate_subgame(game: GameDef, roots: Iterable[Position],
 
     Breadth-first closure under the move rule that numbers each node when
     it is first seen, then one depth-first pass that orders the nodes and
-    doubles as the mandatory cycle check.  When the game has ``box_lines``
+    doubles as the mandatory cycle check.  When the game has ``box_moves``
     and the roots' componentwise maximum is one of them (``_greatest``),
     the closure is the origin box below that root, numbered already, and
     every move lowers the node number, so the result is a ``BoxGraph``: no
     option is enumerated, no row is stored and no depth-first pass runs.
     """
     positions = list(dict.fromkeys(game.canon(r) for r in roots))
-    if game.box_lines is not None:
+    if game.box_moves is not None:
         bounds = _greatest(positions)
         if bounds is not None:
             if math.prod(b + 1 for b in bounds) > node_cap:
                 raise LimitExceeded(f"node cap {node_cap} exceeded")
-            return BoxGraph(positions, bounds, game.box_lines)
+            return BoxGraph(positions, bounds, game.box_moves(len(bounds)))
     root_count = len(positions)
     index = {x: i for i, x in enumerate(positions)}
     get = index.get

@@ -57,20 +57,16 @@ def _nim(p):
     return list(_lowered(p, (1,)))
 
 
-# GameDef.box_lines entries: node n of an origin box is the mixed-radix
-# number of its position p, so a move along a line is the same stride from
-# every node, and a row is a few strided ranges
+# GameDef.box_moves entries (see there): each a function of the box's
+# coordinate count
 
-def _nim_lines(n, p, strides):
+def _unit_rays(k):
     # one pile lowered to each smaller height, as _lowered lists them
-    return [range(n - c * s, n, s) for c, s in zip(p, strides)]
+    return tuple((tuple(int(i == j) for j in range(k)), 1) for i in range(k))
 
 
-def _wythoff_lines(n, p, strides):
-    # the first pile lowered, the second lowered, then both by k = 1, 2, ...
-    (x, y), w = p, strides[0]
-    return (range(y, n, w), range(n - y, n),
-            range(n - w - 1, n - (min(x, y) + 1) * (w + 1), -w - 1))
+# the first pile lowered, the second lowered, then both by k = 1, 2, ...
+_WYTHOFF_RAYS = (((1, 0), 1), ((0, 1), 1), ((1, 1), -1))
 
 
 def _subtraction(params):
@@ -83,19 +79,13 @@ def _subtraction(params):
     return options
 
 
-def _subtraction_lines(params):
-    # on one pile the node number is the pile; without a move of 1 the
-    # chain below a root skips positions, so it is not that root's box.
-    # The lines declare their shifts, the set in rule order
+def _subtraction_moves(params):
+    # without a move of 1 the chain below a root skips positions, so it is
+    # not that root's box; with it, one point per member, in rule order
     xset = params["x"]
     if 1 not in xset:
         return None
-
-    def lines(n, p, strides):
-        return ([n - s for s in xset if s <= n],)
-
-    lines.shifts = xset
-    return lines
+    return _fixed(tuple(((s,), 0) for s in xset))
 
 
 def _mark(p):
@@ -265,21 +255,13 @@ class Family(NamedTuple):
     callables take checked parameters: ``rule`` gives the option function,
     ``arity`` the coordinates of a position (None: any number), ``symmetry``
     the canonicalization hook or None, ``p_sequence(params, upto,
-    convention)`` the P-position pairs 0..upto, and ``box_lines`` the
-    ``GameDef.box_lines`` of an origin box or None: its lines give each
-    node's options in the rule's order (a witness reason names the first
-    offending option), every target below the node, and it is used only
-    without symmetry.  A ``range`` line holding the k nearest nodes along
-    its step is summarised from the nearest node's line in the same place,
-    so labelling costs time per line; other lines are walked one option at
-    a time, except that a one-coordinate ``box_lines`` carrying ``shifts``
-    (subtraction's: node n moves to n - s for each s in ``shifts`` with
-    s <= n, in that order) is labelled only up to its first repeated
-    window of ``max(shifts)`` labels, and the period is repeated from
-    there.  A family may have
-    ``box_lines`` only if every option lies below its position in every
-    coordinate and every ``p - e_i`` with ``p_i > 0`` is an option, so that
-    the box below a position is its closure.
+    convention)`` the P-position pairs 0..upto, and ``box_moves`` the
+    ``GameDef.box_moves`` of the family's origin boxes or None: its moves
+    give each node's options in the rule's order (a witness reason names
+    the first offending option), and it is used only without symmetry.  A
+    family may have ``box_moves`` only if every option lies below its
+    position in every coordinate and every ``p - e_i`` with ``p_i > 0`` is
+    an option, so that the box below a position is its closure.
     """
 
     rule: Callable[[dict], Callable]
@@ -289,7 +271,7 @@ class Family(NamedTuple):
     conditions: tuple = ()
     symmetry: Callable[[dict], Callable | None] | None = None
     p_sequence: Callable[[dict, int, str], list] | None = None
-    box_lines: Callable[[dict], Callable | None] | None = None
+    box_moves: Callable[[dict], Callable | None] | None = None
 
 
 _SORTING = _fixed(_sorted_canonical)
@@ -298,7 +280,7 @@ _K_AT_MOST_N = ((lambda p: p["k"] <= p["n"], "k <= n"),)
 
 TABLE = {
     "nim": Family(_fixed(_nim), _fixed(None), symmetry=_SORTING,
-                  box_lines=_fixed(_nim_lines)),
+                  box_moves=_fixed(_unit_rays)),
     "moore_nim": Family(_moore_nim, lambda p: p["n"], _PILES,
                         conditions=_K_AT_MOST_N, symmetry=_SORTING),
     "extended_nim": Family(_extended_nim, lambda p: p["n"] + 1, _PILES,
@@ -309,14 +291,14 @@ TABLE = {
     "slow_nim": Family(_slow_nim, lambda p: p["n"], _PILES,
                        conditions=_K_AT_MOST_N, symmetry=_SORTING),
     "subtraction": Family(_subtraction, _fixed(1), {"x": [1]},
-                          box_lines=_subtraction_lines),
+                          box_moves=_subtraction_moves),
     "euclid_cd": Family(_fixed(_euclid(0)), _fixed(2), symmetry=_SORTING),
     "euclid_grossman": Family(_fixed(_euclid(1)), _fixed(2),
                               symmetry=_SORTING),
     "wythoff": Family(_fixed(_wythoff), _fixed(2), symmetry=_SORTING,
                       p_sequence=lambda p, upto, conv: wyt_a_sequence(
                           1, upto, conv),
-                      box_lines=_fixed(_wythoff_lines)),
+                      box_moves=_fixed(_fixed(_WYTHOFF_RAYS))),
     "wyt_a": Family(_wyt_a, _fixed(2), {"a": 1}, symmetry=_SORTING,
                     p_sequence=lambda p, upto, conv: wyt_a_sequence(
                         p["a"], upto, conv)),
@@ -380,16 +362,16 @@ def make_family(family: str, params: dict | None = None, *,
     ``use_symmetry`` turns on the family's canonicalization hook (pile
     sorting, or minimal rotation for cyclic heap structures) to shrink the
     reachable state space.  Off by default so enumerated nodes are the raw
-    coordinate vectors.  The family's ``box_lines``, if any, is carried only
+    coordinate vectors.  The family's ``box_moves``, if any, is carried only
     when no symmetry hook is on.
     """
     params = check_params(family, params)
     record = TABLE[family]
     canonical = (record.symmetry(params)
                  if use_symmetry and record.symmetry else None)
-    box_lines = (record.box_lines(params)
-                 if canonical is None and record.box_lines else None)
-    return GameDef(family, params, record.rule(params), canonical, box_lines)
+    box_moves = (record.box_moves(params)
+                 if canonical is None and record.box_moves else None)
+    return GameDef(family, params, record.rule(params), canonical, box_moves)
 
 
 def box_roots(dims: int, bound: int, floor: int = 0) -> list:

@@ -191,7 +191,7 @@ _PINNED_OUTPUTS = [
     (("table", "--family", "nim", "--n", "3", "--box", "8", "--sg"),
      "e3cea6014b6f6aa2edbf5189beccd02808f7e9aeecc195590bf358addb9decaf"),
     # recorded while every box stored its rows; the witnesses' reasons name
-    # options the box path takes from its lines
+    # options the box path takes from its moves
     (("analyze", "--family", "wythoff", "--box", "60", "--format", "json"),
      "5c4110512153ac4eed67ea04183b16c2d1f7643552e9369fcfd0e60bd446f65f"),
     # recorded while a single root was enumerated breadth-first; each is
@@ -859,7 +859,7 @@ def test_sum_with_a_box_summand_pinned(tmp_path, monkeypatch):
 
 def test_sum_of_a_box_and_a_breadth_first_summand_pinned(tmp_path,
                                                          monkeypatch):
-    # subtraction {2, 3} has no move of 1, so no box lines: the product
+    # subtraction {2, 3} has no move of 1, so no box moves: the product
     # mixes a box's rows built on demand with stored rows; both digests were
     # recorded while every single root was enumerated breadth-first
     assert _pinned_sum(tmp_path, monkeypatch, {

@@ -40,10 +40,10 @@ def one_pile_nim():
 
 
 def breadth_first(family, params=None, **kwargs):
-    """A zoo family without its box lines, so that its enumeration keeps
+    """A zoo family without its box moves, so that its enumeration keeps
     breadth-first numbering and the ordering DFS that the references pin."""
     return dataclasses.replace(make_family(family, params, **kwargs),
-                               box_lines=None)
+                               box_moves=None)
 
 
 def test_moves_deduplicates():

@@ -20,9 +20,9 @@ from grundylab import (
     mex,
     sg_labels,
 )
-from grundylab.classify import _fold_shifts, _ranged_box, fold_rows
+from grundylab.classify import _WORD_BITS, _fold_shifts, _or_label, fold_rows
 from grundylab.cli import main
-from grundylab.core import BoxGraph, ReachableGraph
+from grundylab.core import BoxGraph, ReachableGraph, graph_from_adjacency
 from grundylab.suites import (
     WYT_AB_PAIRS,
     SuiteResult,
@@ -54,8 +54,6 @@ from grundylab.zoo import (
     wyt_ab_sequence,
     wythoff_p,
 )
-from grundylab.zoo import _wythoff_lines
-
 from literal_games import (moves, ref_labels, ref_packed_masks,
                            ref_topological_order)
 
@@ -531,7 +529,7 @@ def _keyed_outcome(game, roots):
 
 
 def _breadth_first(game):
-    return dataclasses.replace(game, box_lines=None)
+    return dataclasses.replace(game, box_moves=None)
 
 
 def _box_only(game):
@@ -540,12 +538,27 @@ def _box_only(game):
 
 
 def _no_box(game):
-    def refuse(n, p, strides):
-        raise AssertionError(f"box path taken at {p}")
-    return dataclasses.replace(game, box_lines=refuse)
+    def refuse(k):
+        raise AssertionError(f"box path taken with {k} coordinates")
+    return dataclasses.replace(game, box_moves=refuse)
 
 
-# per family with box lines: a strategy for its parameters and one for a
+def _declared(game, moves):
+    """The game with ``moves`` declared for its boxes of every size."""
+    return dataclasses.replace(game, box_moves=lambda k: moves)
+
+
+def _stored(graph):
+    """The same nodes and rows, stored: the edge loop folds them."""
+    return graph_from_adjacency(dict(graph.succ))
+
+
+def _is_ray_box(graph):
+    return isinstance(graph, BoxGraph) and all(
+        order for _, order in graph.moves)
+
+
+# per family with box moves: a strategy for its parameters and one for a
 # position, which is also a box's largest position
 _BOX_FAMILIES = {
     "nim": (st.just({}), st.lists(st.integers(0, 4), max_size=4).map(tuple)),
@@ -565,7 +578,7 @@ _GAME_BOUNDS = st.sampled_from(sorted(_BOX_FAMILIES)).flatmap(
 def test_box_path_equals_breadth_first(case):
     game, bounds = case
     roots = _box(bounds)
-    assert game.box_lines is not None
+    assert game.box_moves is not None
     assert (_outcome(_box_only(game), roots)
             == _outcome(_breadth_first(game), roots))
 
@@ -577,17 +590,13 @@ def test_box_lines_lie_below_the_node_and_give_the_options(case):
     game, bounds = case
     graph = enumerate_subgame(_box_only(game), _box(bounds))
     assert isinstance(graph, BoxGraph)
-    # lines that declare their shifts move from n to n - s, in that order
-    shifts = getattr(game.box_lines, "shifts", None)
-    assert (shifts is not None) == (game.family == "subtraction")
+    # a subtraction set is points; Nim's and Wythoff's moves are rays
+    orders = {order for _, order in graph.moves}
+    assert orders <= ({0} if game.family == "subtraction" else {1, -1})
     for n, p in enumerate(graph.positions):
-        row = []
-        for line in game.box_lines(n, p, graph.strides):
-            assert all(0 <= y < n for y in line)
-            row += line
+        row = graph.row(n)
+        assert all(0 <= y < n for y in row)
         assert [graph.positions[y] for y in row] == game.options(p)
-        if shifts is not None:
-            assert row == [n - s for s in shifts if s <= n]
 
 
 @settings(max_examples=100, deadline=None)
@@ -596,7 +605,7 @@ def test_box_lines_contract_drops_each_coordinate_by_one(case):
     """Every option lies below its position in every coordinate, and each
     non-zero coordinate can drop by 1 alone: so the box below a root is
     that root's closure, which the corner path relies on."""
-    assert sorted(f for f in FAMILIES if TABLE[f].box_lines) == sorted(
+    assert sorted(f for f in FAMILIES if TABLE[f].box_moves) == sorted(
         _BOX_FAMILIES)
     game, p = case
     options = game.options(p)
@@ -610,7 +619,7 @@ def test_box_lines_contract_drops_each_coordinate_by_one(case):
 @settings(max_examples=60, deadline=None)
 @given(case=_GAME_BOUNDS)
 def test_box_depths_are_coordinate_sums_and_breadth_first_depths(case):
-    # the box path takes its depths from the box_lines contract
+    # the box path takes its depths from the box_moves contract
     game, bounds = case
     box = enumerate_subgame(_box_only(game), [bounds])
     bfs = enumerate_subgame(_breadth_first(game), [bounds])
@@ -623,8 +632,8 @@ def test_box_depths_are_coordinate_sums_and_breadth_first_depths(case):
 def test_box_depths_read_no_line():
     graph = enumerate_subgame(make_family("wythoff"), [(5, 7)])
 
-    def refuse(n, p, strides):
-        raise AssertionError(f"line of {p} read")
+    def refuse(x):
+        raise AssertionError(f"line of node {x} read")
 
     graph.lines = refuse
     assert graph.depth((5, 7)) == 12 and graph.depth((0, 0)) == 0
@@ -656,95 +665,64 @@ def test_roots_with_a_greatest_root_take_the_box_path(roots):
             == _keyed_outcome(_breadth_first(game), roots))
 
 
+@pytest.mark.parametrize("family,top", [("wythoff", (5, 7)),
+                                        ("nim", (3, 0, 4))])
+def test_ray_fold_builds_no_depths(monkeypatch, family, top):
+    graph = enumerate_subgame(make_family(family), [top])
+    assert _is_ray_box(graph)
+
+    def refuse(*args):
+        raise AssertionError("depths or a line read")
+
+    monkeypatch.setattr(BoxGraph, "depths", property(refuse))
+    graph.lines = refuse
+    lg = sg_labels(graph)
+    monkeypatch.undo()
+    del graph.lines
+    assert "depths" not in vars(graph)
+    _assert_reference_labels(lg, _reference_labels(graph))
+
+
 def test_corner_comparison_catches_lines_without_the_move_of_1():
     game = make_family("subtraction", {"x": (1, 3)})
-    mutated = dataclasses.replace(
-        game, box_lines=lambda n, p, strides: ([n - 3] if n >= 3 else [],))
+    mutated = _declared(game, (((3,), 0),))
     assert (_keyed_outcome(_box_only(mutated), [(12,)])
             != _keyed_outcome(_breadth_first(game), [(12,)]))
 
 
-def _box_rows(game, roots):
-    """Each box node's options from the game's lines, as a list per node."""
-    strides = enumerate_subgame(_box_only(game), roots).strides
-    return [[y for line in game.box_lines(n, p, strides) for y in line]
-            for n, p in enumerate(roots)]
+# declaration mutants: each changes the rows of some node of the boxes below
 
 
-def _drop_last_move(rows):
-    i = max(i for i, row in enumerate(rows) if row)
-    del rows[i][-1]
+def _drop_last_move(moves):
+    return moves[:-1]
 
 
-def _swap_two_moves(rows):
-    row = next(row for row in rows if len(row) >= 2)
-    row[0], row[1] = row[1], row[0]
+def _swap_two_moves(moves):
+    return (moves[-1], *moves[1:-1], moves[0])
 
 
-@pytest.mark.parametrize("mutate", [_drop_last_move, _swap_two_moves])
+def _flip_an_order(moves):
+    (step, order), *rest = moves
+    return ((step, -order), *rest)
+
+
+def _ray_as_a_point(moves):
+    (step, _), *rest = moves
+    return ((step, 0), *rest)
+
+
+@pytest.mark.parametrize("mutate", [_drop_last_move, _swap_two_moves,
+                                    _flip_an_order, _ray_as_a_point])
 @pytest.mark.parametrize("family,bounds", [("wythoff", (3, 4)),
                                            ("nim", (2, 0, 3))])
 def test_box_path_comparison_catches_a_wrong_rule(family, bounds, mutate):
     game, roots = make_family(family), _box(bounds)
-    rows = _box_rows(game, roots)
-    mutate(rows)
-    mutated = dataclasses.replace(game,
-                                  box_lines=lambda n, p, strides: [rows[n]])
-    assert (_outcome(_box_only(mutated), roots)
-            != _outcome(_breadth_first(game), roots))
-
-
-# mutated Wythoff lines that stay ranges, so the line fold folds them
-
-
-def _row_without_its_farthest_node(n, p, strides):
-    row, column, diagonal = _wythoff_lines(n, p, strides)
-    return range(row.start + strides[0], n, strides[0]), column, diagonal
-
-
-def _odd_columns_by_two(n, p, strides):
-    # at odd y the column is (x, y - 2), (x, y - 4), ...: at the node above,
-    # the nearest node's column steps by 2 where its own steps by 1
-    row, column, diagonal = _wythoff_lines(n, p, strides)
-    y = p[1]
-    return row, range(n - y + 1, n, 2) if y % 2 else column, diagonal
-
-
-def _odd_rows_and_diagonals_without_their_nearest_node(n, p, strides):
-    # each keeps its far end, which the same line of the node below shares
-    row, column, diagonal = _wythoff_lines(n, p, strides)
-    if p[0] % 2:
-        row, diagonal = row[:-1], diagonal[1:]
-    return row, column, diagonal
-
-
-def _diagonal_wider_than_the_ring(n, p, strides):
-    # (x - k, y - 3k): a step of w + 3, and the ring has w + 2 entries
-    (x, y), step = p, strides[0] + 3
-    row, column, _ = _wythoff_lines(n, p, strides)
-    return row, column, range(n - step, n - (min(x, y // 3) + 1) * step,
-                              -step)
-
-
-def _as_lists(lines):
-    """The same rows with every line a list: the edge loop folds them."""
-    return lambda n, p, strides: [list(line) for line in lines(n, p, strides)]
-
-
-@pytest.mark.parametrize("lines", [
-    _row_without_its_farthest_node, _odd_columns_by_two,
-    _odd_rows_and_diagonals_without_their_nearest_node,
-    _diagonal_wider_than_the_ring])
-def test_line_fold_comparison_catches_a_wrong_rule(lines):
-    game, roots = make_family("wythoff"), _box((9, 11))
-    mutated = dataclasses.replace(game, box_lines=lines)
-    listed = dataclasses.replace(game, box_lines=_as_lists(lines))
-    assert _ranged_box(enumerate_subgame(_box_only(mutated), roots))
-    assert not _ranged_box(enumerate_subgame(_box_only(listed), roots))
+    mutated = _declared(game, mutate(game.box_moves(len(bounds))))
     outcome = _outcome(_box_only(mutated), roots)
     assert outcome != _outcome(_breadth_first(game), roots)
-    # the line fold checks each reuse, and agrees with the edge loop
-    assert outcome == _outcome(_box_only(listed), roots)
+    # the fold that takes the mutated box agrees with the edge loop
+    graph = enumerate_subgame(_box_only(mutated), roots)
+    assert outcome[5:8] == fold_rows(_stored(graph))
 
 
 def _reference_labels(graph):
@@ -765,73 +743,76 @@ def _assert_reference_labels(lg, labels):
 def test_line_fold_equals_the_literal_reference_on_degenerate_boxes(family,
                                                                     top):
     graph = enumerate_subgame(make_family(family), [top])
-    assert isinstance(graph, BoxGraph) and _ranged_box(graph)
+    assert _is_ray_box(graph)
     _assert_reference_labels(sg_labels(graph), _reference_labels(graph))
 
 
-def _random_range_lines(seed, slots):
-    """Box lines of ``slots`` ranges per node below it.  Each slot has its
-    own step (a stride, their sum, 2, or one wider than the ring) and
-    direction, and its line mostly runs from the nearest node down to 0,
-    so that it extends the same line of the node one step nearer; it is
-    sometimes shorter, without its nearest node, or any range."""
-    def lines(n, p, strides):
-        out = []
-        for j in range(slots):
-            rng = random.Random(seed * 7919 + j)
-            s = rng.choice([*strides, sum(strides), sum(strides) + 2, 2])
-            up = rng.random() < 0.5
-            rng = random.Random((seed * 7919 + j) * 1_000_003 + n)
-            k, roll, near = n // s, rng.random(), s
-            if roll < 0.1:
-                k = rng.randint(0, k)
-            elif roll < 0.2 and k:
-                near = 2 * s
-            elif roll < 0.3:
-                a, b = sorted(rng.randrange(n + 1) for _ in range(2))
-                out.append(range(a, b, s) if up else range(b - 1, a - 1, -s))
-                continue
-            out.append(range(n - k * s, n - near + s, s) if up
-                       else range(n - near, n - (k + 1) * s, -s))
-        return out
-    return lines
+def _ray(k):
+    """A declared ray of a k-coordinate box: 1 to 3 nonzero coordinates,
+    each up to 6, so often longer than the box, in either order."""
+    return st.tuples(
+        st.dictionaries(st.integers(0, k - 1), st.integers(1, 6),
+                        min_size=1, max_size=3).map(
+            lambda step: tuple(step.get(i, 0) for i in range(k))),
+        st.sampled_from((1, -1)))
+
+
+def _literal_row(p, moves):
+    """The positions p - j*step, j >= 1, of each ray, in its declared
+    order: ascending node numbers are descending j."""
+    row = []
+    for step, order in moves:
+        ray, j = [], 1
+        while all(a >= j * c for a, c in zip(p, step)):
+            ray.append(tuple(a - j * c for a, c in zip(p, step)))
+            j += 1
+        row += ray[::-1] if order > 0 else ray
+    return row
 
 
 @settings(max_examples=150, deadline=None)
 @given(bounds=st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple),
-       seed=st.integers(0, 2**32), slots=st.integers(0, 4))
+       data=st.data())
 def test_line_fold_equals_the_literal_reference_on_random_range_lines(
-        bounds, seed, slots):
-    game = dataclasses.replace(make_family("nim"),
-                               box_lines=_random_range_lines(seed, slots))
-    graph = enumerate_subgame(_box_only(game), [bounds])
-    assert _ranged_box(graph)
-    labels = _reference_labels(graph)
-    try:
-        lg = sg_labels(graph)
-    except ValueError:
-        # random lines need not lower the coordinate sum
-        assert max(g for g, _ in labels.values()) >= max(graph.depths) + 2
-        return
-    _assert_reference_labels(lg, labels)
+        bounds, data):
+    # random rays on a random box: its rows against the literal rays, and
+    # the ray fold against the literal labels
+    moves = data.draw(st.lists(_ray(len(bounds)), min_size=1,
+                               max_size=4).map(tuple))
+    graph = enumerate_subgame(_box_only(_declared(make_family("nim"), moves)),
+                              [bounds])
+    assert _is_ray_box(graph)
+    positions = graph.positions
+    for n, p in enumerate(positions):
+        assert [positions[y] for y in graph.row(n)] == _literal_row(p, moves)
+    _assert_reference_labels(sg_labels(graph), _reference_labels(graph))
 
 
-def test_line_fold_refuses_lines_that_keep_the_coordinate_sum():
-    # every node moves to every lower node, so node t has g = t; on the box
-    # below (1, 6), 14 nodes, the coordinate sums stop at 7
-    game = dataclasses.replace(make_family("wythoff"),
-                               box_lines=lambda n, p, strides: [range(n)])
-    graph = enumerate_subgame(_box_only(game), [(1, 6)])
-    assert _ranged_box(graph)
-    with pytest.raises(ValueError, match="break the box_lines contract"):
-        sg_labels(graph)
+@pytest.mark.parametrize("move", [
+    ((1, -1), 1), ((0, 0), -1), ((1, 0, 0), 1), ((1,), 0), ((1, 1), 2)],
+    ids=["negative", "zero", "too_long", "too_short", "bad_order"])
+def test_box_refuses_a_bad_move(move):
+    game = _declared(make_family("wythoff"), (((1, 0), 1), move))
+    with pytest.raises(ValueError) as exc:
+        enumerate_subgame(game, [(3, 4)])
+    assert str(exc.value) == (
+        f"box move {move!r}: the step must be 2 integers >= 0, not all 0, "
+        "and the order +1, -1 or 0")
+
+
+def test_or_label_refuses_a_full_g_field():
+    # options with every g in 0 .. width - 1: the mex, width, has no bit
+    width = 4
+    assert _or_label(((1 << width - 1) - 1) << _WORD_BITS, width, {})[0][0] == 3
+    with pytest.raises(ValueError, match="^g exceeds every depth"):
+        _or_label(((1 << width) - 1) << _WORD_BITS, width, {})
 
 
 def test_line_fold_memory_per_node():
-    # the ring takes about 28 B per node here and the edge loop about 17;
-    # keeping every node's line summaries instead took about 390
+    # the rings and lookup take about 34 B per node here; the range-matching
+    # fold took about 44 and the edge loop about 17
     graph = enumerate_subgame(make_family("wythoff"), [(120, 120)])
-    graph.depths
+    assert _is_ray_box(graph)
     tracemalloc.start()
     try:
         out = fold_rows(graph)
@@ -840,18 +821,6 @@ def test_line_fold_memory_per_node():
         tracemalloc.stop()
     arrays = sum(a.itemsize * len(a) for a in out)
     assert peak - arrays <= 64 * len(graph)
-
-
-def test_edge_loop_refuses_lines_that_keep_the_coordinate_sum():
-    # the box of the test above with its one line a list: the edge loop
-    # folds it, and node 9's g field is full
-    game = dataclasses.replace(
-        make_family("wythoff"),
-        box_lines=lambda n, p, strides: [list(range(n))])
-    graph = enumerate_subgame(_box_only(game), [(1, 6)])
-    assert not _ranged_box(graph)
-    with pytest.raises(ValueError, match="break the box_lines contract"):
-        sg_labels(graph)
 
 
 @pytest.mark.parametrize("family,symmetry,root,bound", [
@@ -884,7 +853,8 @@ def test_edge_loop_memory_per_node(family, symmetry, root, bound):
 
 def _subtraction_box(xs, heap):
     graph = enumerate_subgame(make_family("subtraction", {"x": xs}), [(heap,)])
-    assert isinstance(graph, BoxGraph) and graph.lines.shifts == xs
+    assert isinstance(graph, BoxGraph)
+    assert graph.moves == tuple(((s,), 0) for s in xs)
     return graph
 
 
@@ -920,21 +890,22 @@ class _CountedShifts(tuple):
 
 def test_shift_fold_reads_only_the_heaps_before_the_repeat():
     graph = _subtraction_box((1, 2), 10_000)
-    lines = graph.lines
-
-    def refuse(n, p, strides):
-        raise AssertionError(f"line of {p} read")
-
-    refuse.shifts = shifts = _CountedShifts(lines.shifts)
-    graph.lines = refuse
-    out = fold_rows(graph)
+    shifts = _CountedShifts((1, 2))
+    out, repeat = _fold_shifts(graph, shifts)
     # max(shifts) once, then one row per heap: heaps 0 to 6, as the window
     # before heap 7 repeats the one before heap 4
-    assert _fold_shifts(graph, lines.shifts)[1] == (4, 3)
+    assert repeat == (4, 3)
     assert shifts.reads == 8 < 20
-    # the same lines without their shifts: the edge loop reads every heap
-    graph.lines = lambda n, p, strides: lines(n, p, strides)
+
+    def refuse(x):
+        raise AssertionError(f"line of node {x} read")
+
+    # fold_rows reads the shifts from the moves, and no line
+    graph.lines = refuse
     assert fold_rows(graph) == out
+    del graph.lines
+    # the edge loop over every heap's row agrees
+    assert fold_rows(_stored(graph)) == out
 
 
 def test_every_subtraction_set_with_a_move_of_1_is_pet_at_every_heap():
@@ -1020,27 +991,27 @@ def test_box_edge_count_and_terminals_read_the_lines(family, params, roots):
     ("nim", {}, [(3, 4), (5,)]),
     ("nim", {}, [(2, -1)]),
     ("subtraction", {"x": (1, 2)}, [(2.5,)]),
-    ("subtraction", {"x": (2, 3)}, [(7,)]),     # no move of 1: no box lines
+    ("subtraction", {"x": (2, 3)}, [(7,)]),     # no move of 1: no box moves
 ], ids=["partial", "extra", "mixed_arity", "negative", "non_integer",
         "no_move_of_1"])
 def test_other_roots_take_the_breadth_first_path(family, params, roots):
     game = make_family(family, params)
     assert type(enumerate_subgame(game, roots)) is ReachableGraph
-    if game.box_lines is not None:
+    if game.box_moves is not None:
         assert (_outcome(_no_box(game), roots)
                 == _outcome(_breadth_first(game), roots))
 
 
 def test_box_path_only_without_symmetry():
-    assert [f for f in FAMILIES if TABLE[f].box_lines] == [
+    assert [f for f in FAMILIES if TABLE[f].box_moves] == [
         "nim", "subtraction", "wythoff"]
     for family in ("nim", "wythoff"):
         game = make_family(family, use_symmetry=True)
-        assert game.canonical is not None and game.box_lines is None
-    # subtraction has no symmetry hook, and box lines only with a move of 1
+        assert game.canonical is not None and game.box_moves is None
+    # subtraction has no symmetry hook, and box moves only with a move of 1
     assert make_family("subtraction", {"x": [1, 5]},
-                       use_symmetry=True).box_lines is not None
-    assert make_family("subtraction", {"x": [2, 5]}).box_lines is None
+                       use_symmetry=True).box_moves is not None
+    assert make_family("subtraction", {"x": [2, 5]}).box_moves is None
 
 
 @pytest.mark.parametrize("game", [_box_only(make_family("wythoff")),
