@@ -236,9 +236,11 @@ class BoxGraph(ReachableGraph):
                     f"{len(bounds)} integers >= 0, not all 0, and the order "
                     f"+1, -1 or 0")
         self.moves = tuple(moves)
-        # per move: its node-number step, its nonzero coordinates, its order
+        # per move: its node-number step, its nonzero coordinates, the most
+        # nodes it reaches and its order
         self._steps = [(sum(map(operator.mul, step, self.strides)),
-                        [(i, c) for i, c in enumerate(step) if c], order)
+                        [(i, c) for i, c in enumerate(step) if c],
+                        len(self.positions) if order else 1, order)
                        for step, order in self.moves]
         self.order = array("i", range(len(self.positions) - 1, -1, -1))
 
@@ -246,10 +248,9 @@ class BoxGraph(ReachableGraph):
         """Node x's options as one range of node numbers per move, a ray's
         in its order and a point's of at most one node."""
         p, out = self.positions[x], []
-        for s, nonzero, order in self._steps:
-            k = min([p[i] // c for i, c in nonzero])
-            if not order:
-                k = min(k, 1)
+        for s, nonzero, k, order in self._steps:
+            for i, c in nonzero:
+                k = min(k, p[i] // c)
             out.append(range(x - k * s, x, s) if order > 0
                        else range(x - s, x - (k + 1) * s, -s))
         return out
