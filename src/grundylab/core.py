@@ -227,7 +227,8 @@ class BoxGraph(ReachableGraph):
                                                   for b in bounds)))
         self.strides = [math.prod(b + 1 for b in bounds[i + 1:])
                         for i in range(len(bounds))]
-        for step, order in moves:
+        self.moves = tuple(moves)
+        for step, order in self.moves:
             if not (len(step) == len(bounds) and any(step)
                     and all(type(c) is int and c >= 0 for c in step)
                     and order in (1, -1, 0)):
@@ -235,7 +236,6 @@ class BoxGraph(ReachableGraph):
                     f"box move {(step, order)!r}: the step must be "
                     f"{len(bounds)} integers >= 0, not all 0, and the order "
                     f"+1, -1 or 0")
-        self.moves = tuple(moves)
         # per move: its node-number step, its nonzero coordinates, the most
         # nodes it reaches and its order
         self._steps = [(sum(map(operator.mul, step, self.strides)),
