@@ -8,10 +8,12 @@ the positions that move to them, and one step (``_or_label``) reads from the
 OR of a node's options' packed ints its label, the label classes it is in
 and the classes its options reach; ``properties`` turns the two masks into
 one bit per paper property.  Every predicate is a row naming the properties of
-which each node needs at least one, and its witness is the violating node
-that is smallest by (depth, position string).
-Candidate-set verification feeds ``properties`` masks built from the
-candidate sets instead of the labels.
+which each node needs at least one.  ``_violations`` maps each distinct
+packed word to the rows it violates, so verdicts need no walk over the
+nodes; one is made only for the witnesses of violated rows, each the
+violating node smallest by (depth, position string).  Candidate-set
+verification feeds ``properties`` masks built from the candidate sets
+instead of the labels.
 """
 
 from __future__ import annotations
@@ -444,22 +446,34 @@ _PET_CONDITIONS = {
 PET_CONDITIONS = tuple(_PET_CONDITIONS)
 
 
+def _violations(packed, rows: dict) -> dict:
+    """Each distinct word of ``packed`` -> the list of the names of the
+    ``rows`` it violates, in row order."""
+    if packed is None:
+        raise ValueError("a LabeledGraph without packed_masks has no words "
+                         "to test rows against: build it with sg_labels")
+    out = {}
+    for word in set(packed):
+        props = word >> _CLASS_BITS
+        out[word] = [name for name, (row, _) in rows.items() if not props & row]
+    return out
+
+
 def _witnesses(lg: LabeledGraph, rows: dict) -> dict:
     """name -> (node, label, reason) for every row some node violates.
 
     The witness is the smallest violating node by (depth, position string);
-    ties go to the first in graph order.
+    ties go to the first in graph order.  Nodes are walked, and depths
+    read, only when some word violates a row.
     """
     packed = lg.packed_masks
+    violated = _violations(packed, rows)
+    if not any(violated.values()):
+        return {}
     depths, positions = lg.graph.depths, lg.graph.positions
-    violated = {}   # property bits -> names of the rows they violate
     best = {}
-    for x, bits in enumerate(packed):
-        props = bits >> _CLASS_BITS
-        names = violated.get(props)
-        if names is None:
-            names = violated[props] = [name for name, (row, _) in rows.items()
-                                       if not props & row]
+    for x, word in enumerate(packed):
+        names = violated[word]
         if not names:
             continue
         # the position string is built only for a node that may win a row
@@ -545,25 +559,10 @@ def violated_rows(lg: LabeledGraph, starts) -> list:
     ``starts[k + 1] - 1``.  A name is absent exactly when ``classify`` (or
     ``check_sm_equivalences``) of that graph alone finds it holds.
     """
-    rows = [(name, row) for name, (row, _) in (*_CLASS_ROWS.items(),
-                                                *_PET_CONDITIONS.items())]
     packed = lg.packed_masks
-    bits = {}   # packed word -> one bit per row it violates
-    for word in set(packed):
-        props = word >> _CLASS_BITS
-        bits[word] = sum(1 << i for i, (_, row) in enumerate(rows)
-                         if not props & row)
-    names, out = {}, []
-    for lo, hi in zip(starts, starts[1:]):
-        violated = 0
-        for word in packed[lo:hi]:
-            violated |= bits[word]
-        found = names.get(violated)
-        if found is None:
-            found = names[violated] = frozenset(
-                name for i, (name, _) in enumerate(rows) if violated >> i & 1)
-        out.append(found)
-    return out
+    violated = _violations(packed, {**_CLASS_ROWS, **_PET_CONDITIONS})
+    return [frozenset().union(*map(violated.get, set(packed[lo:hi])))
+            for lo, hi in zip(starts, starts[1:])]
 
 
 # --- SM=P equivalences -------------------------------------------------------

@@ -487,6 +487,9 @@ MASK_GRAPHS = {
     "box_nim": lambda: _box("nim", {}, (2, 0, 3)),
     "box_subtraction": lambda: _box("subtraction", {"x": [1, 2, 5]}, (40,)),
     "product": lambda: sum_graph([_box("nim", {}, (2, 3)), _fixture("pet")]),
+    "product_of_three": lambda: sum_graph([
+        _box("nim", {}, (2, 1)), _box("subtraction", {"x": [1, 3]}, (7,)),
+        _fixture("pet")]),
 }
 
 
@@ -495,6 +498,39 @@ def test_packed_masks_equal_the_literal_reference_on_named_graphs(name):
     graph = MASK_GRAPHS[name]()
     assert isinstance(graph, BoxGraph) == name.startswith("box_")
     assert_masks_match_reference(graph)
+
+
+# two ray boxes, a shift box, and products of two and three summands
+@pytest.mark.parametrize("name", [name for name in MASK_GRAPHS
+                                  if not name.startswith("fixture_")])
+def test_classification_matches_reference_on_every_fold(name):
+    assert_matches_reference(sg_labels(MASK_GRAPHS[name]()))
+
+
+def test_verdicts_that_hold_walk_no_node(monkeypatch):
+    # subtraction {1,2} is pet: every SM=P row holds on every distinct word
+    lg = sg_labels(_box("subtraction", {"x": [1, 2]}, (40,)))
+
+    def refuse(*args):
+        raise AssertionError("depths or positions read")
+
+    for name in ("depths", "positions"):
+        monkeypatch.setattr(BoxGraph, name, property(refuse), raising=False)
+    report = check_sm_equivalences(lg)
+    assert find_witness(lg, "pet") is None
+    monkeypatch.undo()
+    assert report.value and not report.witnesses
+
+
+def test_rows_need_the_words_of_sg_labels():
+    graph = graph_from_adjacency({0: [], 1: [0]})
+    lg = sg_labels(graph)
+    bare = LabeledGraph(graph, lg.g, lg.g_minus)
+    for read in (classify, check_sm_equivalences,
+                 lambda lg: find_witness(lg, "pet"),
+                 lambda lg: violated_rows(lg, array("i", [0, 2]))):
+        with pytest.raises(ValueError, match="sg_labels"):
+            read(bare)
 
 
 @settings(max_examples=300, deadline=None)
