@@ -163,7 +163,7 @@ def fold_rows(graph) -> tuple:
     fit in an ``'i'``) depends only on its label and its reach, so it is
     computed once per distinct (g, g_minus, reach) in the process.  Three
     kinds of graph take another loop to the same arrays, through the same
-    step: a box whose every move is a ray, one ray at a time
+    step: a box whose every move is a ray or a region, one move at a time
     (``_fold_rays``); a one-coordinate box whose every move is a point,
     labelled up to its first repeated window of labels and the rest filled
     by repeating the period (``_fold_shifts``); and a disjunctive sum from
@@ -172,10 +172,10 @@ def fold_rows(graph) -> tuple:
     enumerations among them, takes the edge loop below.
     """
     if isinstance(graph, BoxGraph) and graph.moves:
-        orders = {order for _, order in graph.moves}
-        if 0 not in orders:
+        forms = {how for _, how in graph.moves}
+        if 0 not in forms:
             return _fold_rays(graph)
-        if orders == {0} and len(graph.strides) == 1:
+        if forms == {0} and len(graph.strides) == 1:
             return _fold_shifts(graph, [s for (s,), _ in graph.moves])[0]
     # a node's options are less deep than it, so by induction g(x) <= d(x)
     # and g_minus(x) <= max(d(x), 1): with D the greatest depth, value
@@ -207,53 +207,117 @@ def fold_rows(graph) -> tuple:
 
 
 def _fold_rays(graph: BoxGraph) -> tuple:
-    """``fold_rows`` of a box whose every move is a ray, in time per ray
-    rather than per option.
+    """``fold_rows`` of a box whose every move is a ray or a region, in time
+    per move rather than per option.
 
-    Node x at position p moves along the ray of step d to x - s, x - 2s,
-    ... while p - j*d stays >= 0, where s = sum(d_i * strides[i]).  So the
-    OR of that ray's packed ints is P_d(x) = bits(x - s) | P_d(x - s) when
-    p >= d on d's nonzero coordinates, and 0 otherwise, and node x's label
-    is read from the OR of its P_d(x).  Each ray keeps Q_d = bits | P_d of
-    the last max(s) nodes in a ring, and the nodes are walked in rows
-    along the last coordinate, so that which rays move from a node is
-    decided once per row and per value below the largest step.  Every
-    move lowers the coordinate sum, so g <= sum(p) and the value fields
-    are the top node's coordinate sum + 2 bits wide: no depth is read.
+    With s(v) = sum(v_i * strides[i]), one ring per ray step d keeps
+    Q_d(x) = bits(x) | Q_d(x - s(d)), the second term only when p >= d on
+    d's nonzero coordinates: the OR of the packed ints of p, p - d,
+    p - 2d, ... in the box.  The ray of step d from start o (from d unless
+    declared) gives node x the OR Q_d(x - s(o)) when p >= o, and 0
+    otherwise.  One ring per region over a coordinate set S keeps R_S(x) =
+    bits(x) | the OR of R_S(x - strides[i]) over i in S with p_i > 0, and
+    node x reads that OR without bits(x): the OR over every q != p with
+    q <= p on S and q = p off S.  OR is idempotent, so moves that overlap
+    need no care.  Node x's label is read from the OR of what it reads.
+    The nodes are walked in rows along the last coordinate, and which reads
+    happen is decided once per kind of row and per value below the largest
+    last coordinate of a step or start.  Every move lowers the coordinate
+    sum, so g <= sum(p) and the value fields are the top node's coordinate
+    sum + 2 bits wide: no depth is read.
     """
     n, top = len(graph), graph.positions[-1]
-    width = sum(top) + 2
-    # (s, step) of each ray; one longer than the box moves from no node
-    rays = [(sum(map(operator.mul, step, graph.strides)), step)
-            for step, _ in graph.moves if all(map(operator.le, step, top))]
+    width, last = sum(top) + 2, top[-1] + 1
+
+    def fits(v):  # a larger step or start moves from no node
+        return all(map(operator.le, v, top))
+
+    def shift(v):
+        return sum(map(operator.mul, v, graph.strides)), v
+
+    # per ring: the steps it continues along, whether a node reads that
+    # continuation, and the other starts at which a node reads the ring
+    starts = {}
+    for vec, how in graph.moves:
+        if how != "region":
+            starts.setdefault(vec, set()).add(vec if how in (1, -1) else how)
+    specs = [([d], d in ats, ats - {d}) for d, ats in starts.items()]
+    specs += [([tuple(int(i == j) for j in range(len(top)))
+                for i, c in enumerate(span) if c], True, ())
+              for span, how in graph.moves if how == "region"]
+    rings = []
+    for conts, read, ats in specs:
+        conts, ats = list(filter(fits, conts)), list(filter(fits, ats))
+        if read and conts or ats:  # else no node reads the ring
+            rings.append((list(map(shift, conts)), read,
+                          list(map(shift, ats))))
     # node x - s's entry is read before node x's is written, so a ring of
     # max(s) entries holds every entry a node reads
-    size = max([s for s, _ in rays], default=1)
-    rings = [[0] * size for _ in rays]
-    zeros = [0] * size
+    size = max([s for conts, _, ats in rings for s, _ in (*conts, *ats)],
+               default=1)
+    lists = [[0] * size for _ in rings]
+    # a start's read is written to junk; zeros stand for a read not made
+    junk, zeros = [0] * size, [0] * size
+
+    def plan(head):
+        """Per last coordinate v of the row ``head``: (ring, source, s) of
+        each read that copies source[x - s] to ring[x] and into node x's
+        OR, every start's first, since it must read its ring before the
+        ring's own write; and (ring, shifts, read) of each ring whose
+        continuation is not one read that node x reads too."""
+        # per ring: (s, the least v from which it is read, or last) of each
+        # continuation and start
+        def cut(shifts):
+            return [(s, v[-1] if all(map(operator.le, v[:-1], head))
+                     else last) for s, v in shifts]
+
+        cuts = [(ring, cut(conts), read, cut(ats))
+                for ring, (conts, read, ats) in zip(lists, rings)]
+        out = []
+        for v in range(min(max([c for _, conts, _, ats in cuts
+                                for _, c in (*conts, *ats)],
+                               default=0) + 1, last)):
+            todo = [(junk, ring, s) for ring, _, _, ats in cuts
+                    for s, c in ats if c <= v]
+            rest = []
+            for ring, conts, read, _ in cuts:
+                if read and len(conts) == 1:
+                    (s, c), = conts
+                    todo.append((ring, ring if c <= v else zeros, s))
+                else:
+                    rest.append((ring, [s for s, c in conts if c <= v], read))
+            out.append((todo, rest))
+        return out + out[-1:] * (last - len(out))
+
+    # which reads a row makes depends on each head coordinate only up to
+    # the largest that coordinate of a step or start: rows share plans
+    caps = [max([v[i] for conts, _, ats in rings for _, v in (*conts, *ats)],
+                default=0) for i in range(len(top) - 1)]
+    plans = {}
     out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
     seen = {}
-    last = top[-1] + 1
     for h, head in enumerate(itertools.product(*(range(b + 1)
                                                  for b in top[:-1]))):
-        # the least last coordinate from which each ray moves, or none;
-        # at each last coordinate, (ring, source, s) per ray: a ray that
-        # moves from the node reads its own ring, one that does not zeros
-        need = [step[-1] if all(map(operator.le, step[:-1], head)) else last
-                for _, step in rays]
-        plan = [[(ring, ring if c <= v else zeros, s)
-                 for c, ring, (s, _) in zip(need, rings, rays)]
-                for v in range(min(max(need, default=0) + 1, last))]
-        plan += plan[-1:] * (last - len(plan))
-        for x, todo in enumerate(plan, h * last):
+        key = tuple(map(min, head, caps))
+        row_plan = plans.get(key)
+        if row_plan is None:
+            row_plan = plans[key] = plan(key)
+        for x, (todo, rest) in enumerate(row_plan, h * last):
             at = x % size
             u = 0
             for ring, source, s in todo:
                 ring[at] = q = source[at - s]
                 u |= q
+            for ring, shifts, read in rest:
+                q = 0
+                for s in shifts:
+                    q |= ring[at - s]
+                ring[at] = q
+                if read:
+                    u |= q
             label, b, _ = _or_label(u, width, seen)
             out_g[x], out_gm[x], out_words[x] = label
-            for ring in rings:
+            for ring in lists:
                 ring[at] |= b
     return out_g, out_gm, out_words
 
@@ -559,10 +623,23 @@ def violated_rows(lg: LabeledGraph, starts) -> list:
     ``starts[k + 1] - 1``.  A name is absent exactly when ``classify`` (or
     ``check_sm_equivalences``) of that graph alone finds it holds.
     """
-    packed = lg.packed_masks
-    violated = _violations(packed, {**_CLASS_ROWS, **_PET_CONDITIONS})
-    return [frozenset().union(*map(violated.get, set(packed[lo:hi])))
-            for lo, hi in zip(starts, starts[1:])]
+    packed, rows = lg.packed_masks, {**_CLASS_ROWS, **_PET_CONDITIONS}
+    # each word's names as one bit per row, a component's as the OR of its
+    # distinct words', and each distinct OR's names built once
+    bits = {name: 1 << i for i, name in enumerate(rows)}
+    masks = {word: sum(map(bits.__getitem__, names))
+             for word, names in _violations(packed, rows).items()}
+    out, names = [], {}
+    for lo, hi in zip(starts, starts[1:]):
+        mask = 0
+        for word in set(packed[lo:hi]):
+            mask |= masks[word]
+        held = names.get(mask)
+        if held is None:
+            held = names[mask] = frozenset(
+                name for name, bit in bits.items() if mask & bit)
+        out.append(held)
+    return out
 
 
 # --- SM=P equivalences -------------------------------------------------------

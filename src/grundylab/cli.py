@@ -258,10 +258,12 @@ def _cached_text(directory, payload, render):
 
 
 # the suites of verify all, longest first by their serial run time at the
-# default sizes: handed out in this order, the two long ones start first
+# default sizes (in-process, min of 5, 2-core x86-64, Python 3.11.7, ms):
+# equalities 50, sums 35, ho_nim 34, wyt_ab 16, wythoff 11, ferguson 10,
+# moore 3, fixtures 2.  Handed out in this order, the long ones start first
 # instead of ending a worker's run alone
-_LONGEST_FIRST = ("wyt_ab", "ho_nim", "equalities", "sums", "ferguson",
-                  "wythoff", "moore", "fixtures")
+_LONGEST_FIRST = ("equalities", "sums", "ho_nim", "wyt_ab", "wythoff",
+                  "ferguson", "moore", "fixtures")
 
 
 def _take_suites(todo, names, sizes, results):

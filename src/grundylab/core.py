@@ -91,19 +91,29 @@ class GameDef:
     canonicalising it, and trusts a hit.
 
     ``box_moves`` (optional, never with ``canonical``) declares the moves
-    of an origin box's nodes: ``box_moves(k)`` is a tuple of moves ``(step,
-    order)`` for a box of k coordinates.  ``step`` is k integers >= 0, not
-    all 0 (``BoxGraph`` raises ValueError on any other move).  With
-    ``order`` +1 or -1 node p moves to each ``p - j*step``, j >= 1, that
-    stays >= 0, a ray listed ascending resp. descending by node number;
-    with 0 it moves to ``p - step`` alone, a point.  The moves, one after
-    another, give the same options in the same order as ``options(p)``.
-    They may be declared only when every ``p - e_i`` with ``p_i > 0`` is an
-    option: then the box below a position is exactly that position's
-    closure, and a position's depth is its coordinate sum (every move
-    lowers the sum, and each move to a ``p - e_i`` lowers it by one).
-    ``enumerate_subgame`` uses them when the roots' componentwise maximum
-    is itself one of the roots.
+    of an origin box's nodes: ``box_moves(k)`` is a tuple of moves for a
+    box of k coordinates, each of one of three forms (``BoxGraph`` raises
+    ValueError on any other move):
+
+    - ``(step, order)``, ``step`` k integers >= 0, not all 0: with
+      ``order`` +1 or -1 node p moves to each ``p - j*step``, j >= 1, that
+      stays >= 0, a ray listed ascending resp. descending by node number;
+      with 0 it moves to ``p - step`` alone, a point;
+    - ``(step, start)``, ``start`` also k integers >= 0, not all 0: a ray
+      from ``start``, to each ``p - start - j*step``, j >= 0, that stays
+      >= 0 (``(step, +1)`` is the ray from ``step``);
+    - ``(span, "region")``, ``span`` k of 0 and 1, not all 0: every q != p
+      with q <= p where ``span`` is 1 and q = p where it is 0.
+
+    When every move is of the first form, the moves, one after another,
+    give the same options in the same order as ``options(p)``.  Otherwise
+    they give the same set of options, and a box lists a node's options
+    from ``options(p)``.  Moves may be declared only when every ``p - e_i``
+    with ``p_i > 0`` is an option: then the box below a position is exactly
+    that position's closure, and a position's depth is its coordinate sum
+    (every move lowers the sum, and each move to a ``p - e_i`` lowers it by
+    one).  ``enumerate_subgame`` uses them when the roots' componentwise
+    maximum is itself one of the roots.
     """
 
     family: str
@@ -211,8 +221,11 @@ class BoxGraph(ReachableGraph):
 
     Node n is the mixed-radix number of its position, and ``strides[i]``
     is the node-number step of coordinate i, so a move's step is the same
-    node-number step from every node and node n's options are one range
-    per move (``lines``); no row is stored.  Every move lowers the node
+    node-number step from every node.  When every move is a ray from its
+    step or a point, node n's options are one range per move (``lines``);
+    when a move has a start or is a region, they are ``options(p)``
+    numbered through the strides, in the rule's order, which no order of
+    moves need reproduce.  No row is stored.  Every move lowers the node
     number, so the descending node numbers are ``order`` (they are also
     what the depth-first pass would give), no cycle check runs, and
     ``node_rows`` walks the nodes in ascending order.  A node's depth is its
@@ -221,36 +234,54 @@ class BoxGraph(ReachableGraph):
     gets it built, once.
     """
 
-    def __init__(self, roots, bounds, moves):
+    def __init__(self, roots, bounds, moves, options):
         self.roots = frozenset(roots)
         self.positions = list(itertools.product(*(range(b + 1)
                                                   for b in bounds)))
         self.strides = [math.prod(b + 1 for b in bounds[i + 1:])
                         for i in range(len(bounds))]
         self.moves = tuple(moves)
-        for step, order in self.moves:
-            if not (len(step) == len(bounds) and any(step)
-                    and all(type(c) is int and c >= 0 for c in step)
-                    and order in (1, -1, 0)):
+        k = len(bounds)
+        for move in self.moves:
+            if not _is_box_move(move, k):
                 raise ValueError(
-                    f"box move {(step, order)!r}: the step must be "
-                    f"{len(bounds)} integers >= 0, not all 0, and the order "
-                    f"+1, -1 or 0")
-        # per move: its node-number step, its nonzero coordinates, the most
-        # nodes it reaches and its order
-        self._steps = [(sum(map(operator.mul, step, self.strides)),
-                        [(i, c) for i, c in enumerate(step) if c],
-                        len(self.positions) if order else 1, order)
-                       for step, order in self.moves]
+                    f"box move {move!r}: it must be (step, order), (step, "
+                    f"start) or (span, 'region'), with step and start {k} "
+                    f"integers >= 0, not all 0, order +1, -1 or 0, and span "
+                    f"{k} of 0 and 1, not all 0")
+        # the rule lists the rows unless every move is a ray from its step
+        # or a point
+        self.rule = (None if all(how in (1, -1, 0) for _, how in self.moves)
+                     else options)
+        # per move of a box whose moves list the rows: its node-number step,
+        # its nonzero coordinates and its order
+        self._steps = [] if self.rule else [
+            (sum(map(operator.mul, step, self.strides)),
+             [(i, c) for i, c in enumerate(step) if c], order)
+            for step, order in self.moves]
         self.order = array("i", range(len(self.positions) - 1, -1, -1))
 
     def lines(self, x) -> list:
-        """Node x's options as one range of node numbers per move, a ray's
-        in its order and a point's of at most one node."""
+        """Node x's options as node-number sequences: one range per move,
+        a ray's in its order and a point's of at most one node, or, when the
+        rule lists the rows, one list."""
         p, out = self.positions[x], []
-        for s, nonzero, k, order in self._steps:
+        if self.rule is not None:
+            strides = self.strides
+            return [[sum(map(operator.mul, q, strides)) for q in self.rule(p)]]
+        for s, nonzero, order in self._steps:
+            if not order:
+                for i, c in nonzero:
+                    if p[i] < c:
+                        break
+                else:
+                    out.append((x - s,))
+                continue
+            # the nodes the ray reaches: x >= p_i >= p_i // c bounds them
+            k = x
             for i, c in nonzero:
-                k = min(k, p[i] // c)
+                if p[i] < c * k:
+                    k = p[i] // c
             out.append(range(x - k * s, x, s) if order > 0
                        else range(x - s, x - (k + 1) * s, -s))
         return out
@@ -260,6 +291,7 @@ class BoxGraph(ReachableGraph):
                              map(self.lines, range(len(self.positions)))))
 
     def edge_count(self) -> int:
+        # a region's options may be another region's: count rows, not moves
         return sum(map(len, itertools.chain.from_iterable(
             map(self.lines, range(len(self.positions))))))
 
@@ -275,6 +307,21 @@ class BoxGraph(ReachableGraph):
         lambda self: {x: i for i, x in enumerate(self.positions)})
     depths = cached_property(
         lambda self: array("i", map(sum, self.positions)))
+
+
+def _is_box_move(move, k) -> bool:
+    """Whether ``move`` is of one of ``GameDef.box_moves``' three forms for
+    a box of k coordinates."""
+    def vector(v):
+        return (isinstance(v, tuple) and len(v) == k and any(v)
+                and all(type(c) is int and c >= 0 for c in v))
+
+    if not (isinstance(move, tuple) and len(move) == 2):
+        return False
+    step, how = move
+    if how == "region":
+        return vector(step) and max(step) == 1
+    return vector(step) and (how in (1, -1, 0) or vector(how))
 
 
 class NodeView(Mapping):
@@ -317,7 +364,8 @@ def enumerate_subgame(game: GameDef, roots: Iterable[Position],
         if bounds is not None:
             if math.prod(b + 1 for b in bounds) > node_cap:
                 raise LimitExceeded(f"node cap {node_cap} exceeded")
-            return BoxGraph(positions, bounds, game.box_moves(len(bounds)))
+            return BoxGraph(positions, bounds, game.box_moves(len(bounds)),
+                            game.options)
     root_count = len(positions)
     index = {x: i for i, x in enumerate(positions)}
     get = index.get

@@ -69,6 +69,20 @@ def _unit_rays(k):
 _WYTHOFF_RAYS = (((1, 0), 1), ((0, 1), 1), ((1, 1), -1))
 
 
+def _wyt_ab_moves(params):
+    # a move (dx, dy) with dx < b (dy > 0 if dx = 0) is on a ray up from
+    # (dx, [dx = 0]); one with dy < b <= dx on a ray right from (b, dy);
+    # one of the band, dx, dy >= b and dy = dx + c with |c| < a, on a
+    # diagonal from (m, m + c), m = max(b, b - c).  The rule interleaves
+    # the band's diagonals, so its rows are the rule's
+    a, b = params["a"], params["b"]
+    return _fixed(tuple(
+        [((0, 1), (dx, int(dx == 0))) for dx in range(b)]
+        + [((1, 0), (b, dy)) for dy in range(b)]
+        + [((1, 1), (max(b, b - c), max(b, b - c) + c))
+           for c in range(1 - a, a)]))
+
+
 def _subtraction(params):
     xset = params["x"]
 
@@ -224,6 +238,21 @@ def ho_nim_hyperedges(shape: str, n: int | None = None) -> list:
     return _HO_NIM_SHAPES[shape](n)
 
 
+def _ho_nim_blocks(params):
+    """A position's coordinates: the blocks the hyperedges cover."""
+    return 1 + max(map(max, ho_nim_hyperedges(params["shape"],
+                                              params.get("n"))))
+
+
+def _ho_nim_moves(params):
+    # one region per hyperedge: its blocks lowered together, not all by 0;
+    # the rule lists its options in set order, so its rows are the rule's
+    blocks = range(_ho_nim_blocks(params))
+    return _fixed(tuple((tuple(int(i in edge) for i in blocks), "region")
+                        for edge in ho_nim_hyperedges(params["shape"],
+                                                      params.get("n"))))
+
+
 def _ho_nim(params):
     edges = ho_nim_hyperedges(params["shape"], params.get("n"))
 
@@ -257,11 +286,13 @@ class Family(NamedTuple):
     the canonicalization hook or None, ``p_sequence(params, upto,
     convention)`` the P-position pairs 0..upto, and ``box_moves`` the
     ``GameDef.box_moves`` of the family's origin boxes or None: its moves
-    give each node's options in the rule's order (a witness reason names
-    the first offending option), and it is used only without symmetry.  A
-    family may have ``box_moves`` only if every option lies below its
-    position in every coordinate and every ``p - e_i`` with ``p_i > 0`` is
-    an option, so that the box below a position is its closure.
+    give each node's options, in the rule's order when they are all rays
+    from their steps or points (a witness reason names the first offending
+    option; otherwise a box numbers the rule's options), and it is used
+    only without symmetry.  A family may have ``box_moves`` only if every
+    option lies below its position in every coordinate and every
+    ``p - e_i`` with ``p_i > 0`` is an option, so that the box below a
+    position is its closure.
     """
 
     rule: Callable[[dict], Callable]
@@ -301,20 +332,22 @@ TABLE = {
                       box_moves=_fixed(_fixed(_WYTHOFF_RAYS))),
     "wyt_a": Family(_wyt_a, _fixed(2), {"a": 1}, symmetry=_SORTING,
                     p_sequence=lambda p, upto, conv: wyt_a_sequence(
-                        p["a"], upto, conv)),
+                        p["a"], upto, conv),
+                    # the (a, 1) game's options
+                    box_moves=lambda p: _wyt_ab_moves({"a": p["a"], "b": 1})),
     "wyt_ab": Family(_wyt_ab, _fixed(2), {"a": 0, "b": 1}, symmetry=_SORTING,
                      p_sequence=lambda p, upto, conv: wyt_ab_sequence(
-                         p["a"], p["b"], upto, conv)),
+                         p["a"], p["b"], upto, conv),
+                     box_moves=_wyt_ab_moves),
     "mark": Family(_fixed(_mark), _fixed(1)),
-    # arity: the blocks the hyperedges cover
     "ho_nim": Family(
-        _ho_nim, lambda p: 1 + max(map(max, ho_nim_hyperedges(
-            p["shape"], p.get("n")))),
-        {"shape": tuple(_HO_NIM_SHAPES), "n": 0}, optional=("n",),
+        _ho_nim, _ho_nim_blocks, {"shape": tuple(_HO_NIM_SHAPES), "n": 0},
+        optional=("n",),
         conditions=((lambda p: p["shape"] not in ("cycle", "path")
                      or (p.get("n") or 0) >= 3,
                      "n >= 3 for the cycle and path shapes"),),
-        symmetry=lambda p: _min_rotation if p["shape"] == "cycle" else None),
+        symmetry=lambda p: _min_rotation if p["shape"] == "cycle" else None,
+        box_moves=_ho_nim_moves),
 }
 
 FAMILIES = tuple(TABLE)

@@ -532,8 +532,20 @@ def _breadth_first(game):
     return dataclasses.replace(game, box_moves=None)
 
 
+def _rows_from_rule(game):
+    """Whether the game's boxes list their rows from its option function:
+    some move has a start or is a region."""
+    k = TABLE[game.family].arity(game.params)
+    return k is not None and any(how not in (1, -1, 0)
+                                 for _, how in game.box_moves(k))
+
+
 def _box_only(game):
-    """The game with no option function: only the box path can enumerate."""
+    """The game with no option function, so that only the box path can
+    enumerate it; a game whose boxes list their rows from that function
+    keeps it, and each test of such a game checks that the box path ran."""
+    if _rows_from_rule(game):
+        return game
     return dataclasses.replace(game, options=None)
 
 
@@ -558,19 +570,42 @@ def _is_ray_box(graph):
         order for _, order in graph.moves)
 
 
-# per family with box moves: a strategy for its parameters and one for a
-# position, which is also a box's largest position
+_PAIRS = st.tuples(st.integers(0, 12), st.integers(0, 12))
+
+
+def _heights(params):
+    # a hypergraph Nim position: up to 256 nodes in its box
+    k = TABLE["ho_nim"].arity(params)
+    return st.tuples(*[st.integers(0, 3 if k <= 4 else 2)] * k)
+
+
+# per family with box moves: a strategy for its parameters and, from them,
+# one for a position, which is also a box's largest position
 _BOX_FAMILIES = {
-    "nim": (st.just({}), st.lists(st.integers(0, 4), max_size=4).map(tuple)),
+    "nim": (st.just({}), lambda p: st.lists(st.integers(0, 4),
+                                            max_size=4).map(tuple)),
     "subtraction": (st.sets(st.integers(2, 9), max_size=3).map(
                         lambda s: {"x": tuple(s | {1})}),
-                    st.integers(0, 40).map(lambda n: (n,))),
-    "wythoff": (st.just({}),
-                st.tuples(st.integers(0, 12), st.integers(0, 12))),
+                    lambda p: st.integers(0, 40).map(lambda n: (n,))),
+    "wythoff": (st.just({}), lambda p: _PAIRS),
+    "wyt_a": (st.integers(1, 4).map(lambda a: {"a": a}), lambda p: _PAIRS),
+    "wyt_ab": (st.builds(lambda a, b: {"a": a, "b": b}, st.integers(0, 4),
+                         st.integers(1, 4)), lambda p: _PAIRS),
+    "ho_nim": (st.one_of(st.builds(lambda shape, n: {"shape": shape, "n": n},
+                                   st.sampled_from(("path", "cycle")),
+                                   st.integers(3, 5)),
+                         st.sampled_from(({"shape": "conj1"},
+                                          {"shape": "conj2"}))),
+               _heights),
 }
 _GAME_BOUNDS = st.sampled_from(sorted(_BOX_FAMILIES)).flatmap(
-    lambda f: st.tuples(_BOX_FAMILIES[f][0].map(lambda p: make_family(f, p)),
-                        _BOX_FAMILIES[f][1]))
+    lambda f: _BOX_FAMILIES[f][0].flatmap(
+        lambda p: st.tuples(st.just(make_family(f, p)),
+                            _BOX_FAMILIES[f][1](p))))
+
+# each family's move forms: a start stands for every start
+_MOVE_FORMS = {"nim": {1}, "subtraction": {0}, "wythoff": {1, -1},
+               "wyt_a": {"start"}, "wyt_ab": {"start"}, "ho_nim": {"region"}}
 
 
 @settings(max_examples=60, deadline=None)
@@ -579,6 +614,7 @@ def test_box_path_equals_breadth_first(case):
     game, bounds = case
     roots = _box(bounds)
     assert game.box_moves is not None
+    assert isinstance(enumerate_subgame(_box_only(game), roots), BoxGraph)
     assert (_outcome(_box_only(game), roots)
             == _outcome(_breadth_first(game), roots))
 
@@ -590,9 +626,13 @@ def test_box_lines_lie_below_the_node_and_give_the_options(case):
     game, bounds = case
     graph = enumerate_subgame(_box_only(game), _box(bounds))
     assert isinstance(graph, BoxGraph)
-    # a subtraction set is points; Nim's and Wythoff's moves are rays
-    orders = {order for _, order in graph.moves}
-    assert orders <= ({0} if game.family == "subtraction" else {1, -1})
+    # a subtraction set is points; Nim's and Wythoff's moves are rays from
+    # their steps, the Wythoff variants' rays from starts and hypergraph
+    # Nim's regions
+    forms = {"start" if isinstance(how, tuple) else how
+             for _, how in graph.moves}
+    assert forms <= _MOVE_FORMS[game.family]
+    assert (graph.rule is not None) == _rows_from_rule(game)
     for n, p in enumerate(graph.positions):
         row = graph.row(n)
         assert all(0 <= y < n for y in row)
@@ -725,6 +765,74 @@ def test_box_path_comparison_catches_a_wrong_rule(family, bounds, mutate):
     assert outcome[5:8] == fold_rows(_stored(graph))
 
 
+# the same for the moves of boxes whose rows come from the rule: such a
+# box's rows are right whatever its moves, so its labels must show the fault
+
+
+def _start_one_step_further(moves):
+    (step, start), *rest = moves
+    return ((step, tuple(map(sum, zip(start, step)))), *rest)
+
+
+def _region_missing_a_coordinate(moves):
+    (span, how), *rest = moves
+    first = span.index(1)
+    return ((span[:first] + (0,) + span[first + 1:], how), *rest)
+
+
+@pytest.mark.parametrize("family,params,bounds,mutate", [
+    ("wyt_ab", {"a": 2, "b": 2}, (4, 5), _start_one_step_further),
+    ("wyt_a", {"a": 3}, (4, 5), _start_one_step_further),
+    # the band's last diagonal
+    ("wyt_ab", {"a": 2, "b": 2}, (4, 5), _drop_last_move),
+    ("wyt_a", {"a": 2}, (4, 5), _drop_last_move),
+    ("ho_nim", {"shape": "path", "n": 4}, (2, 2, 2, 2),
+     _region_missing_a_coordinate),
+    ("ho_nim", {"shape": "conj1"}, (1, 2, 1, 1, 2),
+     _region_missing_a_coordinate),
+], ids=["wyt_ab_start", "wyt_a_start", "wyt_ab_band", "wyt_a_band",
+        "path_region", "conj1_region"])
+def test_box_path_comparison_catches_a_wrong_start_band_or_region(
+        family, params, bounds, mutate):
+    game, roots = make_family(family, params), _box(bounds)
+    mutated = _declared(game, mutate(game.box_moves(len(bounds))))
+    graph = enumerate_subgame(mutated, roots)
+    assert isinstance(graph, BoxGraph) and graph.rule is not None
+    outcome = _outcome(mutated, roots)
+    want = _outcome(_breadth_first(game), roots)
+    assert outcome[:5] == want[:5]      # the same nodes, rows and depths
+    assert outcome[5:8] != want[5:8]    # but other labels or words
+
+
+def _literal_options(p, moves):
+    """The positions that ``moves`` give position p, each form as
+    ``GameDef.box_moves`` describes it, as a set."""
+    out = set()
+    for vec, how in moves:
+        if how == "region":
+            out |= set(itertools.product(*(range(c + 1) if s else (c,)
+                                           for c, s in zip(p, vec))))
+            out.discard(p)
+            continue
+        start = how if isinstance(how, tuple) else vec
+        q = tuple(a - o for a, o in zip(p, start))
+        while min(q) >= 0:
+            out.add(q)
+            if how == 0:
+                break
+            q = tuple(a - c for a, c in zip(q, vec))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_GAME_BOUNDS)
+def test_declared_moves_give_the_rule_options(case):
+    game, top = case
+    moves = game.box_moves(len(top))
+    for p in _box(top):
+        assert _literal_options(p, moves) == set(game.options(p))
+
+
 def _reference_labels(graph):
     succ = dict(graph.succ)
     return ref_labels(succ, ref_topological_order(succ))
@@ -789,15 +897,22 @@ def test_line_fold_equals_the_literal_reference_on_random_range_lines(
 
 
 @pytest.mark.parametrize("move", [
-    ((1, -1), 1), ((0, 0), -1), ((1, 0, 0), 1), ((1,), 0), ((1, 1), 2)],
-    ids=["negative", "zero", "too_long", "too_short", "bad_order"])
+    ((1, -1), 1), ((0, 0), -1), ((1, 0, 0), 1), ((1,), 0), ((1, 1), 2),
+    ((1, 0), (0, 0)), ((1, 0), (1, -1)), ((1, 0), (1,)), ((1, 0), [1, 0]),
+    ((0, 0), (1, 0)), ((1, 2), "region"), ((0, 0), "region"),
+    ((1, 0), "ray"), ((1, 0),), ((1, 0), 1, (1, 0))],
+    ids=["negative", "zero", "too_long", "too_short", "bad_order",
+         "zero_start", "negative_start", "short_start", "list_start",
+         "zero_step_with_start", "span_of_2", "empty_span", "bad_form",
+         "no_order", "three_parts"])
 def test_box_refuses_a_bad_move(move):
     game = _declared(make_family("wythoff"), (((1, 0), 1), move))
     with pytest.raises(ValueError) as exc:
         enumerate_subgame(game, [(3, 4)])
     assert str(exc.value) == (
-        f"box move {move!r}: the step must be 2 integers >= 0, not all 0, "
-        "and the order +1, -1 or 0")
+        f"box move {move!r}: it must be (step, order), (step, start) or "
+        "(span, 'region'), with step and start 2 integers >= 0, not all 0, "
+        "order +1, -1 or 0, and span 2 of 0 and 1, not all 0")
 
 
 def test_or_label_refuses_a_full_g_field():
@@ -822,6 +937,29 @@ def test_line_fold_memory_per_node():
         tracemalloc.stop()
     arrays = sum(a.itemsize * len(a) for a in out)
     assert peak - arrays <= 64 * len(graph)
+
+
+@pytest.mark.parametrize("family,params,top,bound", [
+    # starts: 3 rings of at most 4 * 121 + 5 entries, about 57 B per node;
+    # rings as long as the box took about 320
+    ("wyt_ab", {"a": 2, "b": 3}, (120, 120), 80),
+    # regions: 4 rings of 7**3 entries, about 66 B per node; rings as long
+    # as the box took about 230
+    ("ho_nim", {"shape": "conj2"}, (6, 6, 6, 6), 100),
+])
+def test_start_and_region_fold_memory_per_node(family, params, top, bound):
+    graph = enumerate_subgame(make_family(family, params), [top])
+    assert isinstance(graph, BoxGraph) and graph.rule is not None
+    fold_rows(graph)  # the words' memo holds this graph's labels
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fold_rows(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.itemsize * len(a) for a in out)
+    assert peak - arrays <= bound * len(graph)
 
 
 @pytest.mark.parametrize("family,symmetry,root,bound", [
@@ -1005,10 +1143,18 @@ def test_other_roots_take_the_breadth_first_path(family, params, roots):
 
 def test_box_path_only_without_symmetry():
     assert [f for f in FAMILIES if TABLE[f].box_moves] == [
-        "nim", "subtraction", "wythoff"]
-    for family in ("nim", "wythoff"):
-        game = make_family(family, use_symmetry=True)
+        "nim", "subtraction", "wythoff", "wyt_a", "wyt_ab", "ho_nim"]
+    for family, params in [("nim", {}), ("wythoff", {}), ("wyt_a", {"a": 2}),
+                           ("wyt_ab", {"a": 2, "b": 3}),
+                           ("ho_nim", {"shape": "cycle", "n": 4})]:
+        game = make_family(family, params, use_symmetry=True)
         assert game.canonical is not None and game.box_moves is None
+        assert make_family(family, params).box_moves is not None
+    # hypergraph Nim's path and conjecture shapes have no symmetry hook
+    for params in ({"shape": "path", "n": 4}, {"shape": "conj1"},
+                   {"shape": "conj2"}):
+        game = make_family("ho_nim", params, use_symmetry=True)
+        assert game.canonical is None and game.box_moves is not None
     # subtraction has no symmetry hook, and box moves only with a move of 1
     assert make_family("subtraction", {"x": [1, 5]},
                        use_symmetry=True).box_moves is not None
@@ -1033,3 +1179,10 @@ def test_corner_root_node_cap(path):
     with pytest.raises(LimitExceeded, match="^node cap 9260 exceeded$"):
         enumerate_subgame(game, [(20, 20, 20)], node_cap=9260)
     assert len(enumerate_subgame(game, [(20, 20, 20)], node_cap=9261)) == 9261
+
+
+def test_hypergraph_nim_box_of_another_arity_is_refused():
+    # the breadth-first rule would index a block the position lacks
+    game = make_family("ho_nim", {"shape": "path", "n": 4})
+    with pytest.raises(ValueError, match=r"^box move \(\(1, 1, 0, 0\), "):
+        enumerate_subgame(game, [(2, 2, 2)])
