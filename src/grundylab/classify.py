@@ -19,6 +19,7 @@ instead of the labels.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from array import array
 from typing import NamedTuple
@@ -210,30 +211,28 @@ def _fold_rays(graph: BoxGraph) -> tuple:
     """``fold_rows`` of a box whose every move is a ray or a region, in time
     per move rather than per option.
 
-    With s(v) = sum(v_i * strides[i]), one ring per ray step d keeps
-    Q_d(x) = bits(x) | Q_d(x - s(d)), the second term only when p >= d on
-    d's nonzero coordinates: the OR of the packed ints of p, p - d,
-    p - 2d, ... in the box.  The ray of step d from start o (from d unless
-    declared) gives node x the OR Q_d(x - s(o)) when p >= o, and 0
-    otherwise.  One ring per region over a coordinate set S keeps R_S(x) =
-    bits(x) | the OR of R_S(x - strides[i]) over i in S with p_i > 0, and
-    node x reads that OR without bits(x): the OR over every q != p with
-    q <= p on S and q = p off S.  OR is idempotent, so moves that overlap
-    need no care.  Node x's label is read from the OR of what it reads.
-    The nodes are walked in rows along the last coordinate, and which reads
-    happen is decided once per kind of row and per value below the largest
-    last coordinate of a step or start.  Every move lowers the coordinate
-    sum, so g <= sum(p) and the value fields are the top node's coordinate
-    sum + 2 bits wide: no depth is read.
+    The rings are indexed by padded node numbers: each coordinate i takes
+    pad_i more values beyond the box, pad_i the largest i-th coordinate of
+    a step or start.  So for a step or start v and a node p with some
+    p_i < v_i, p - v has a padded number that is negative or has a digit
+    past the box, which no node writes: reading it gives 0, and every node
+    makes the same reads, decided once.  With s(v) the padded number of v,
+    one ring per ray step d keeps Q_d(x) = bits(x) | Q_d(x - s(d)): the OR
+    of the packed ints of p, p - d, p - 2d, ... in the box.  The ray of
+    step d from start o (from d unless declared) gives node x the OR
+    Q_d(x - s(o)).  One ring per region over a coordinate set S keeps
+    R_S(x) = bits(x) | the OR of R_S(x - s(e_i)) over i in S, and node x
+    reads that OR without bits(x): the OR over every q != p with q <= p on
+    S and q = p off S.  OR is idempotent, so moves that overlap need no
+    care.  Node x's label is read from the OR of what it reads.  Every
+    move lowers the coordinate sum, so g <= sum(p) and the value fields
+    are the top node's coordinate sum + 2 bits wide: no depth is read.
     """
     n, top = len(graph), graph.positions[-1]
     width, last = sum(top) + 2, top[-1] + 1
 
     def fits(v):  # a larger step or start moves from no node
         return all(map(operator.le, v, top))
-
-    def shift(v):
-        return sum(map(operator.mul, v, graph.strides)), v
 
     # per ring: the steps it continues along, whether a node reads that
     # continuation, and the other starts at which a node reads the ring
@@ -249,63 +248,51 @@ def _fold_rays(graph: BoxGraph) -> tuple:
     for conts, read, ats in specs:
         conts, ats = list(filter(fits, conts)), list(filter(fits, ats))
         if read and conts or ats:  # else no node reads the ring
-            rings.append((list(map(shift, conts)), read,
-                          list(map(shift, ats))))
+            rings.append((conts, read, ats))
+    vecs = [v for conts, _, ats in rings for v in (*conts, *ats)]
+    # per coordinate: its values in the box and its padding (the first's
+    # is read by no stride: a read below its edge has a negative number)
+    radix = [b + 1 + max([v[i] for v in vecs], default=0)
+             for i, b in enumerate(top)]
+    strides = [math.prod(radix[i + 1:]) for i in range(len(top))]
+
+    def shift(v):
+        return sum(map(operator.mul, v, strides))
+
     # node x - s's entry is read before node x's is written, so a ring of
-    # max(s) entries holds every entry a node reads
-    size = max([s for conts, _, ats in rings for s, _ in (*conts, *ats)],
-               default=1)
+    # max(s) entries holds every entry a node reads; as a multiple of
+    # strides[0], a padded number is a node's entry only if it is a node's
+    # number less a multiple of the ring size
+    size = -(-max(map(shift, vecs), default=1) // strides[0]) * strides[0]
     lists = [[0] * size for _ in rings]
-    # a start's read is written to junk; zeros stand for a read not made
-    junk, zeros = [0] * size, [0] * size
+    # per node: (ring, source, s) of each read that copies source[x - s] to
+    # ring[x] and into node x's OR, each start's before its ring's own
+    # write and written to junk; and (ring, shifts, read) of each ring
+    # whose continuation is not one read that node x reads too
+    junk = [0] * size
+    copies, rest = [], []
+    for ring, (conts, read, ats) in zip(lists, rings):
+        copies += [(junk, ring, shift(o)) for o in ats]
+        if read and len(conts) == 1:
+            copies.append((ring, ring, shift(conts[0])))
+        else:
+            rest.append((ring, list(map(shift, conts)), read))
 
-    def plan(head):
-        """Per last coordinate v of the row ``head``: (ring, source, s) of
-        each read that copies source[x - s] to ring[x] and into node x's
-        OR, every start's first, since it must read its ring before the
-        ring's own write; and (ring, shifts, read) of each ring whose
-        continuation is not one read that node x reads too."""
-        # per ring: (s, the least v from which it is read, or last) of each
-        # continuation and start
-        def cut(shifts):
-            return [(s, v[-1] if all(map(operator.le, v[:-1], head))
-                     else last) for s, v in shifts]
-
-        cuts = [(ring, cut(conts), read, cut(ats))
-                for ring, (conts, read, ats) in zip(lists, rings)]
-        out = []
-        for v in range(min(max([c for _, conts, _, ats in cuts
-                                for _, c in (*conts, *ats)],
-                               default=0) + 1, last)):
-            todo = [(junk, ring, s) for ring, _, _, ats in cuts
-                    for s, c in ats if c <= v]
-            rest = []
-            for ring, conts, read, _ in cuts:
-                if read and len(conts) == 1:
-                    (s, c), = conts
-                    todo.append((ring, ring if c <= v else zeros, s))
-                else:
-                    rest.append((ring, [s for s, c in conts if c <= v], read))
-            out.append((todo, rest))
-        return out + out[-1:] * (last - len(out))
-
-    # which reads a row makes depends on each head coordinate only up to
-    # the largest that coordinate of a step or start: rows share plans
-    caps = [max([v[i] for conts, _, ats in rings for _, v in (*conts, *ats)],
-                default=0) for i in range(len(top) - 1)]
-    plans = {}
     out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
     seen = {}
-    for h, head in enumerate(itertools.product(*(range(b + 1)
-                                                 for b in top[:-1]))):
-        key = tuple(map(min, head, caps))
-        row_plan = plans.get(key)
-        if row_plan is None:
-            row_plan = plans[key] = plan(key)
-        for x, (todo, rest) in enumerate(row_plan, h * last):
-            at = x % size
+    # the ring entry of each padded number in turn, and the padded number
+    # that it gives next
+    entries, end = itertools.cycle(range(size)), 0
+    # per row along the last coordinate: the padded number of its first node
+    for h, start in enumerate(map(sum, itertools.product(
+            *(range(0, (b + 1) * st, st)
+              for b, st in zip(top[:-1], strides))))):
+        # pass the padded numbers of no node since the last row
+        next(itertools.islice(entries, start - end, start - end), None)
+        end = start + last
+        for x, at in zip(range(h * last, (h + 1) * last), entries):
             u = 0
-            for ring, source, s in todo:
+            for ring, source, s in copies:
                 ring[at] = q = source[at - s]
                 u |= q
             for ring, shifts, read in rest:

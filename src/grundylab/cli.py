@@ -259,11 +259,11 @@ def _cached_text(directory, payload, render):
 
 # the suites of verify all, longest first by their serial run time at the
 # default sizes (in-process, min of 5, 2-core x86-64, Python 3.11.7, ms):
-# equalities 50, sums 35, ho_nim 34, wyt_ab 16, wythoff 11, ferguson 10,
+# equalities 43, sums 37, ho_nim 16, ferguson 11, wyt_ab 10, wythoff 4,
 # moore 3, fixtures 2.  Handed out in this order, the long ones start first
 # instead of ending a worker's run alone
-_LONGEST_FIRST = ("equalities", "sums", "ho_nim", "wyt_ab", "wythoff",
-                  "ferguson", "moore", "fixtures")
+_LONGEST_FIRST = ("equalities", "sums", "ho_nim", "ferguson", "wyt_ab",
+                  "wythoff", "moore", "fixtures")
 
 
 def _take_suites(todo, names, sizes, results):

@@ -8,6 +8,24 @@ from array import array
 from .core import ReachableGraph
 
 
+def _draw_rows(rng, max_nodes, edge_prob, offsets, targets, depths) -> int:
+    """Draw one random DAG's node count and rows onto the arrays and return
+    the count.
+
+    With base the node count already drawn, node base + i's options are
+    drawn among base, ..., base + i - 1 in ascending order, one
+    ``rng.random()`` each, and its depth follows from theirs.
+    """
+    n = rng.randint(1, max_nodes)
+    base = len(depths)
+    for i in range(base, base + n):
+        row = [j for j in range(base, i) if rng.random() < edge_prob]
+        targets.fromlist(row)
+        offsets.append(len(targets))
+        depths.append(max(map(depths.__getitem__, row), default=-1) + 1)
+    return n
+
+
 def random_dag(rng: random.Random, max_nodes: int = 12,
                edge_prob: float = 0.3) -> ReachableGraph:
     """A random acyclic game graph: nodes 0..n-1, edges only downward.
@@ -16,14 +34,27 @@ def random_dag(rng: random.Random, max_nodes: int = 12,
     node number, so n-1, ..., 0 is a parents-first order (the one the
     ordering DFS would find), and depths follow in one ascending pass.
     """
-    n = rng.randint(1, max_nodes)
-    offsets, targets, depths = array("i", [0]), array("i"), []
-    for i in range(n):
-        row = [j for j in range(i) if rng.random() < edge_prob]
-        targets.fromlist(row)
-        offsets.append(len(targets))
-        depths.append(max(map(depths.__getitem__, row), default=-1) + 1)
-    nodes = list(range(n))
+    offsets, targets, depths = array("i", [0]), array("i"), array("i")
+    nodes = list(range(_draw_rows(rng, max_nodes, edge_prob, offsets,
+                                  targets, depths)))
     return ReachableGraph(nodes, nodes, dict(zip(nodes, nodes)), offsets,
-                          targets, array("i", reversed(nodes)),
-                          array("i", depths))
+                          targets, array("i", reversed(nodes)), depths)
+
+
+def random_dag_union(rng: random.Random, count: int, max_nodes: int = 12,
+                     edge_prob: float = 0.3) -> tuple[ReachableGraph, array]:
+    """``core.disjoint_union`` of ``count`` successive ``random_dag(rng,
+    max_nodes, edge_prob)`` graphs, drawn straight into the union's arrays:
+    the same draws, and the same graph and ``starts``, with no graph of
+    its own built for a component."""
+    offsets, targets, depths = array("i", [0]), array("i"), array("i")
+    order, starts, positions = array("i"), array("i", [0]), []
+    for k in range(count):
+        n = _draw_rows(rng, max_nodes, edge_prob, offsets, targets, depths)
+        base = starts[-1]
+        positions += [(k, i) for i in range(n)]
+        order.extend(range(base + n - 1, base - 1, -1))
+        starts.append(base + n)
+    index = dict(zip(positions, range(len(positions))))
+    return (ReachableGraph(positions, positions, index, offsets, targets,
+                           order, depths), starts)

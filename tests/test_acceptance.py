@@ -135,11 +135,11 @@ def test_criterion_5_oracle_agreement():
     graphs = oracle_graphs()
     for a, b in suites.WYT_AB_PAIRS:
         lg = sg_labels(graphs[(a, b)])
-        suites.check_wyt_ab(res, lg, a, b, 60, symmetric=False)
+        suites.check_wyt_ab(res, lg, a, b, 60)
         if b == 1:  # the wyt_a family's sequence covers the b = 1 games too
             suites.check_p_sets(res, f"wyt_a{a}_{{}}", lg, "wyt_a",
-                                {"a": a}, 60, symmetric=False)
-    suites.check_wythoff(res, sg_labels(graphs["wythoff"]), 60, symmetric=False)
+                                {"a": a}, 60)
+    suites.check_wythoff(res, sg_labels(graphs["wythoff"]), 60)
     _report(5, "closed-form oracles", res, start, 120)
 
 

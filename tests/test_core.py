@@ -7,7 +7,7 @@ from array import array
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grundylab import (
     CycleDetected,
@@ -28,7 +28,8 @@ from grundylab.core import (BoxGraph, DEFAULT_NODE_CAP, GameError,
 from grundylab.fixtures import (FIXTURE_NAMES, fixture_adjacency,
                                 fixture_roots, load_fixture)
 from grundylab.grundy import misere_via_adjoined_terminal
-from grundylab.random_games import random_dag
+from grundylab.random_games import random_dag, random_dag_union
+from grundylab.suites import UNION_BATCH
 from grundylab.zoo import TABLE, box_roots, make_family
 
 from literal_games import moves, ref_labels, ref_topological_order
@@ -386,6 +387,36 @@ def test_shifted_starts_fail_the_comparison():
     shifted = array("i", [starts[0], *(s + 1 for s in starts[1:-1]),
                           starts[-1]])
     assert union_mismatches(union, shifted, graphs) != []
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       samples=st.integers(1, 2 * UNION_BATCH + 10),
+       max_nodes=st.integers(1, 12), edge_prob=st.floats(0, 1))
+@example(seed=0, samples=UNION_BATCH, max_nodes=12, edge_prob=0.3)
+@example(seed=3, samples=UNION_BATCH + 1, max_nodes=12, edge_prob=0.3)
+@example(seed=2, samples=2500, max_nodes=12, edge_prob=0.3)
+def test_batch_drawer_equals_the_union_of_a_random_dag_stream(
+        seed, samples, max_nodes, edge_prob):
+    # batches as the equalities suite draws them, one generator for all
+    drawer, stream = random.Random(seed), random.Random(seed)
+    for first in range(0, samples, UNION_BATCH):
+        count = min(UNION_BATCH, samples - first)
+        union, starts = random_dag_union(drawer, count, max_nodes, edge_prob)
+        want, want_starts = disjoint_union(
+            random_dag(stream, max_nodes, edge_prob) for _ in range(count))
+        assert union.positions == want.positions
+        assert union.index == want.index
+        assert union.roots == want.roots
+        for got, expected in ((union.offsets, want.offsets),
+                              (union.targets, want.targets),
+                              (union.order, want.order),
+                              (union.depths, want.depths),
+                              (starts, want_starts)):
+            assert type(got) is array and got.typecode == "i"
+            assert got == expected
+    # the same draws: both generators are in the same state
+    assert drawer.getstate() == stream.getstate()
 
 
 # --- kernel edge cases: label widths, deep chains, marks -------------------

@@ -5,10 +5,12 @@ from array import array
 
 import pytest
 
-from grundylab import suites
+from grundylab import enumerate_subgame, suites
 from grundylab.classify import check_sm_equivalences, classify
+from grundylab.core import BoxGraph
 from grundylab.grundy import LabeledGraph, sg_labels, verify_sg_consistency
 from grundylab.random_games import random_dag
+from grundylab.zoo import make_family
 
 
 def per_graph_equalities(seed, samples, max_nodes=12):
@@ -88,3 +90,29 @@ def test_a_corrupted_component_is_reported_at_its_index(monkeypatch, samples,
     assert len(batches) == -(-samples // suites.UNION_BATCH)
     assert details["value_consistency"] == f"graphs [{target}]"
     assert details["adjoined_terminal_equivalence"] == f"graphs [{target}]"
+
+
+# the graphs that verify checked under a symmetry hook before it checked
+# full boxes: Wythoff's box 25, each cycle root of the verdict rows, and
+# the cycles of the zero-set checks at box 3
+SYMMETRIC_CASES = [("wythoff", {}, (25, 25))] + [
+    ("ho_nim", params, root) for params, root, _ in suites.HO_NIM_VERDICTS
+    if params["shape"] == "cycle"] + [
+    ("ho_nim", {"shape": "cycle", "n": n}, (3,) * n) for n in (4, 5)]
+
+
+@pytest.mark.parametrize(
+    "family, params, root", SYMMETRIC_CASES,
+    ids=[f"{family}{params.get('n', '')}-{root[0]}"
+         for family, params, root in SYMMETRIC_CASES])
+def test_symmetric_labels_equal_the_full_box(family, params, root):
+    game = make_family(family, params, use_symmetry=True)
+    sym = sg_labels(enumerate_subgame(game, [root]))
+    full = sg_labels(enumerate_subgame(make_family(family, params), [root]))
+    assert isinstance(full.graph, BoxGraph)
+    assert not isinstance(sym.graph, BoxGraph)
+    # the symmetric graph holds exactly the box's canonical positions
+    assert set(sym.graph.positions) == set(map(game.canon,
+                                               full.graph.positions))
+    assert [full.label(p) for p in sym.graph.positions] == [
+        sym.label(p) for p in sym.graph.positions]
