@@ -92,9 +92,9 @@ def test_a_corrupted_component_is_reported_at_its_index(monkeypatch, samples,
     assert details["adjoined_terminal_equivalence"] == f"graphs [{target}]"
 
 
-# the graphs that verify checked under a symmetry hook before it checked
-# full boxes: Wythoff's box 25, each cycle root of the verdict rows, and
-# the cycles of the zero-set checks at box 3
+# full boxes that verify checks, each against its enumeration under the
+# family's symmetry hook: Wythoff's box 25, each cycle root of the verdict
+# rows, and the cycles of the zero-set checks at box 3
 SYMMETRIC_CASES = [("wythoff", {}, (25, 25))] + [
     ("ho_nim", params, root) for params, root, _ in suites.HO_NIM_VERDICTS
     if params["shape"] == "cycle"] + [
