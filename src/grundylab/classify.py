@@ -19,7 +19,6 @@ instead of the labels.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from array import array
 from typing import NamedTuple
@@ -211,22 +210,31 @@ def _fold_rays(graph: BoxGraph) -> tuple:
     """``fold_rows`` of a box whose every move is a ray or a region, in time
     per move rather than per option.
 
-    The rings are indexed by padded node numbers: each coordinate i takes
-    pad_i more values beyond the box, pad_i the largest i-th coordinate of
-    a step or start.  So for a step or start v and a node p with some
-    p_i < v_i, p - v has a padded number that is negative or has a digit
-    past the box, which no node writes: reading it gives 0, and every node
-    makes the same reads, decided once.  With s(v) the padded number of v,
-    one ring per ray step d keeps Q_d(x) = bits(x) | Q_d(x - s(d)): the OR
-    of the packed ints of p, p - d, p - 2d, ... in the box.  The ray of
-    step d from start o (from d unless declared) gives node x the OR
-    Q_d(x - s(o)).  One ring per region over a coordinate set S keeps
-    R_S(x) = bits(x) | the OR of R_S(x - s(e_i)) over i in S, and node x
-    reads that OR without bits(x): the OR over every q != p with q <= p on
-    S and q = p off S.  OR is idempotent, so moves that overlap need no
-    care.  Node x's label is read from the OR of what it reads.  Every
-    move lowers the coordinate sum, so g <= sum(p) and the value fields
-    are the top node's coordinate sum + 2 bits wide: no depth is read.
+    With s(v) the (padded, below) number of v, one ring per ray step d
+    keeps Q_d(x) = bits(x) | Q_d(x - s(d)), the second term only when
+    p >= d: the OR of the packed ints of p, p - d, p - 2d, ... in the box.
+    The ray of step d from start o (from d unless declared) gives node x
+    the OR Q_d(x - s(o)) when p >= o, and 0 otherwise.  One ring per region
+    over a coordinate set S keeps R_S(x) = bits(x) | the OR of
+    R_S(x - s(e_i)) over i in S with p_i > 0, and node x reads that OR
+    without bits(x): the OR over every q != p with q <= p on S and q = p
+    off S.  OR is idempotent, so moves that overlap need no care.  Node
+    x's label is read from the OR of what it reads.
+
+    The rings are indexed by padded node numbers: the last coordinate
+    takes as many more values beyond the box as the largest last
+    coordinate of a step or start, and the ring size is a multiple of that
+    padded radix.  A read of p - v with p below v on the last coordinate
+    lands in the padding, which no node writes; one with p below v on the
+    first coordinate has a negative number, and lands on an entry past
+    node x's, which no node has written yet.  Both give 0.  So which reads
+    a node makes depends only on its middle coordinates, each only up to
+    the largest that coordinate of a step or start, and is chosen once per
+    such capped head: padding the middle coordinates too would need no
+    choice, but would grow the rings by a factor exponential in their
+    number.  Every move lowers the coordinate sum, so g <= sum(p) and the
+    value fields are the top node's coordinate sum + 2 bits wide: no depth
+    is read.
     """
     n, top = len(graph), graph.positions[-1]
     width, last = sum(top) + 2, top[-1] + 1
@@ -250,47 +258,72 @@ def _fold_rays(graph: BoxGraph) -> tuple:
         if read and conts or ats:  # else no node reads the ring
             rings.append((conts, read, ats))
     vecs = [v for conts, _, ats in rings for v in (*conts, *ats)]
-    # per coordinate: its values in the box and its padding (the first's
-    # is read by no stride: a read below its edge has a negative number)
-    radix = [b + 1 + max([v[i] for v in vecs], default=0)
-             for i, b in enumerate(top)]
-    strides = [math.prod(radix[i + 1:]) for i in range(len(top))]
+    radix = last + max([v[-1] for v in vecs], default=0)
+    strides = [s // last * radix for s in graph.strides[:-1]] + [1]
 
     def shift(v):
         return sum(map(operator.mul, v, strides))
 
     # node x - s's entry is read before node x's is written, so a ring of
-    # max(s) entries holds every entry a node reads; as a multiple of
-    # strides[0], a padded number is a node's entry only if it is a node's
-    # number less a multiple of the ring size
-    size = -(-max(map(shift, vecs), default=1) // strides[0]) * strides[0]
+    # max(s) entries holds every entry a node reads; as a multiple of the
+    # radix, it keeps each padded entry in the padding
+    size = -(-max(map(shift, vecs), default=1) // radix) * radix
     lists = [[0] * size for _ in rings]
-    # per node: (ring, source, s) of each read that copies source[x - s] to
-    # ring[x] and into node x's OR, each start's before its ring's own
-    # write and written to junk; and (ring, shifts, read) of each ring
-    # whose continuation is not one read that node x reads too
-    junk = [0] * size
-    copies, rest = [], []
-    for ring, (conts, read, ats) in zip(lists, rings):
-        copies += [(junk, ring, shift(o)) for o in ats]
+    # a row's capped head: its middle coordinates, each only up to the
+    # largest that coordinate of a step or start.  Each distinct head of a
+    # step or start gets a bit, and below[i][c] holds the bits of those at
+    # most c on middle coordinate i: a read is made in the rows whose capped
+    # head has its bit in every below[i][head_i]
+    caps = [max([v[i] for v in vecs], default=0)
+            for i in range(1, len(top) - 1)]
+    bits = {}
+    for v in vecs:
+        bits.setdefault(v[1:-1], 1 << len(bits))
+    below = [[sum([b for h, b in bits.items() if h[i] <= c])
+              for c in range(cap + 1)] for i, cap in enumerate(caps)]
+    # a read (ring, source, s) copies source[x - s] to ring[x] and into node
+    # x's OR; a start's read is written to junk, zeros stand for a read not
+    # made, and each read is kept with its head's bit
+    junk, zeros = [0] * size, [0] * size
+    start_reads = [(bits[o[1:-1]], (junk, ring, shift(o)))
+                   for ring, (_, _, ats) in zip(lists, rings) for o in ats]
+    ones, others = [], []
+    for ring, (conts, read, _) in zip(lists, rings):
         if read and len(conts) == 1:
-            copies.append((ring, ring, shift(conts[0])))
+            (d,) = conts
+            s = shift(d)
+            ones.append((bits[d[1:-1]], (ring, ring, s), (ring, zeros, s)))
         else:
-            rest.append((ring, list(map(shift, conts)), read))
+            others.append((ring, [(bits[d[1:-1]], shift(d)) for d in conts],
+                           read))
 
+    def plan(head):
+        """The reads of a node of a row whose capped head is ``head``, every
+        start's first, since it must read its ring before the ring's own
+        write; and (ring, shifts, read) of each ring whose continuation is
+        not one read that the node reads too."""
+        made = -1
+        for row, c in zip(below, head):
+            made &= row[c]
+        return ([read for b, read in start_reads if made & b]
+                + [read if made & b else unread for b, read, unread in ones],
+                [(ring, [s for b, s in shifts if made & b], read)
+                 for ring, shifts, read in others])
+
+    # each capped head occurs in the box, and the rows run through them
+    # once per value of the first coordinate
+    plans = {key: plan(key) for key in itertools.product(
+        *(range(min(b, cap) + 1) for b, cap in zip(top[1:], caps)))}
+    row_plans = [plans[key] for key in itertools.product(
+        *([min(c, cap) for c in range(b + 1)]
+          for b, cap in zip(top[1:], caps)))]
     out_g, out_gm, out_words = (array("i", [0]) * n for _ in range(3))
     seen = {}
-    # the ring entry of each padded number in turn, and the padded number
-    # that it gives next
-    entries, end = itertools.cycle(range(size)), 0
-    # per row along the last coordinate: the padded number of its first node
-    for h, start in enumerate(map(sum, itertools.product(
-            *(range(0, (b + 1) * st, st)
-              for b, st in zip(top[:-1], strides))))):
-        # pass the padded numbers of no node since the last row
-        next(itertools.islice(entries, start - end, start - end), None)
-        end = start + last
-        for x, at in zip(range(h * last, (h + 1) * last), entries):
+    for h, (copies, rest) in enumerate(itertools.islice(
+            itertools.cycle(row_plans), n // last)):
+        base = h * radix % size
+        for x, at in zip(range(h * last, (h + 1) * last),
+                         range(base, base + last)):
             u = 0
             for ring, source, s in copies:
                 ring[at] = q = source[at - s]

@@ -963,6 +963,24 @@ def test_start_and_region_fold_memory_per_node(family, params, top, bound):
     assert peak - arrays <= bound * len(graph)
 
 
+def test_many_short_sided_fold_memory_per_node():
+    # Nim on twelve piles of 1: 12 rings of 3 * 2**10 entries and one read
+    # plan per row with the first pile empty, about 400 B per node; padding
+    # every coordinate made each ring 3**11 entries long, about 6,400
+    graph = enumerate_subgame(make_family("nim"), [(1,) * 12])
+    assert _is_ray_box(graph)
+    fold_rows(graph)  # the words' memo holds this graph's labels
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fold_rows(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.itemsize * len(a) for a in out)
+    assert peak - arrays <= 520 * len(graph)
+
+
 @pytest.mark.parametrize("family,symmetry,root,bound", [
     # Mark from 100,000: 10^5 deep, but no node has more than 2 options, so
     # the value fields are 4 bits wide and each node holds about one list
