@@ -547,14 +547,41 @@ def _witnesses(lg: LabeledGraph, rows: dict) -> dict:
     """name -> (node, label, reason) for every row some node violates.
 
     The witness is the smallest violating node by (depth, position string);
-    ties go to the first in graph order.  Nodes are walked, and depths
-    read, only when some word violates a row.
+    ties go to the first in graph order.  Nodes are searched, and depths
+    read, only when some word violates a row: a one-coordinate box by the
+    first occurrence of each violating word (``_first_witnesses``), a sum
+    per distinct block (``_product_witnesses``), and any other graph node
+    by node (``_walk_witnesses``).
     """
     packed = lg.packed_masks
     violated = _violations(packed, rows)
     if not any(violated.values()):
         return {}
-    depths, positions = lg.graph.depths, lg.graph.positions
+    from .sums import ProductGraph  # sums imports this module
+    graph = lg.graph
+    if isinstance(graph, ProductGraph):
+        best = _product_witnesses(graph, packed, violated)
+    elif isinstance(graph, BoxGraph) and len(graph.strides) == 1:
+        best = _first_witnesses(packed, violated)
+    else:
+        best = _walk_witnesses(graph, packed, violated)
+    out = {}
+    for name, (_, reason) in rows.items():
+        if name in best:
+            x = best[name]
+            lab = Label(lg.g[x], lg.g_minus[x])
+            if reason is None:
+                reason = _option_reason(lg, packed, x, name)
+            else:
+                reason = reason.format(g=lab.g, gm=lab.g_minus)
+            out[name] = (graph.positions[x], lab, reason)
+    return out
+
+
+def _walk_witnesses(graph, packed, violated: dict) -> dict:
+    """name -> witness node of each violated row, from a walk over every
+    node."""
+    depths, positions = graph.depths, graph.positions
     best = {}
     for x, word in enumerate(packed):
         names = violated[word]
@@ -569,16 +596,76 @@ def _witnesses(lg: LabeledGraph, rows: dict) -> dict:
                     key = (depth, position_key(positions[x]))
                 if held is None or key < held[0]:
                     best[name] = (key, x)
+    return {name: x for name, (_, x) in best.items()}
+
+
+def _first_witnesses(packed, violated: dict) -> dict:
+    """``_walk_witnesses`` of a one-coordinate box: node n is heap n, of
+    depth n, so the witness of a row is the first node whose word violates
+    it."""
+    best = {}
+    for word, names in violated.items():
+        if names:
+            x = packed.index(word)
+            for name in names:
+                best[name] = min(best.get(name, x), x)
+    return best
+
+
+def _product_witnesses(graph, packed, violated: dict) -> dict:
+    """``_walk_witnesses`` of a sum (``sums.ProductGraph``), one distinct
+    block of words at a time.
+
+    Node i·N + j, of left node i and right node j, has depth d(i) + d(j).
+    The left nodes are grouped by their block of N words.  For each row
+    and block, the least depth of a violating node is the least depth of
+    the block's copies plus the least depth of its violating right nodes;
+    D, the least over the blocks, is the witness's depth, and position
+    strings are built only for the nodes of depth D: the block's copies of
+    least depth with its violating right nodes of least depth, in the
+    blocks that reach D.
+    """
+    left_depths, right_depths = graph.left.depths, graph.right.depths
+    n = len(graph.right)
+    size = n * packed.itemsize
+    raw = packed.tobytes()
+    copies = {}
+    for i, lo in enumerate(range(0, len(raw), size)):
+        copies.setdefault(raw[lo:lo + size], []).append(i)
+    # per row: its depth D so far, and the (copies, right nodes) reaching it
+    best = {}
+    for lefts in copies.values():
+        lo = lefts[0] * n
+        # per row: the least depth of its violating right nodes, and those
+        least = {}
+        for j, word in enumerate(packed[lo:lo + n]):
+            names = violated[word]
+            if not names:
+                continue
+            d = right_depths[j]
+            for name in names:
+                held = least.get(name)
+                if held is None or d < held[0]:
+                    least[name] = (d, [j])
+                elif d == held[0]:
+                    held[1].append(j)
+        if not least:
+            continue
+        d_left = min(map(left_depths.__getitem__, lefts))
+        tops = [i for i in lefts if left_depths[i] == d_left]
+        for name, (d, rights) in least.items():
+            d += d_left
+            held = best.get(name)
+            if held is None or d < held[0]:
+                best[name] = (d, [(tops, rights)])
+            elif d == held[0]:
+                held[1].append((tops, rights))
+    positions = graph.positions
     out = {}
-    for name, (_, reason) in rows.items():
-        if name in best:
-            x = best[name][1]
-            lab = Label(lg.g[x], lg.g_minus[x])
-            if reason is None:
-                reason = _option_reason(lg, packed, x, name)
-            else:
-                reason = reason.format(g=lab.g, gm=lab.g_minus)
-            out[name] = (positions[x], lab, reason)
+    for name, (_, pairs) in best.items():
+        nodes = [i * n + j for tops, rights in pairs
+                 for i in tops for j in rights]
+        out[name] = min((position_key(positions[x]), x) for x in nodes)[1]
     return out
 
 

@@ -98,29 +98,45 @@ def verify_sg_consistency(lg: LabeledGraph) -> ConsistencyReport:
     terminal's value is 1 by definition, and nothing else is checked there.
 
     The report lists every failed condition as (position, "normal" or
-    "misere", detail), in graph order."""
+    "misere", detail), in graph order.  A node passes on one test per
+    convention; details are built only for a node that fails."""
     report = ConsistencyReport()
-    add = report.violations.append
-    graph = lg.graph
+    graph, g, g_minus = lg.graph, lg.g, lg.g_minus
     row, positions = graph.row, graph.positions
     for x in graph.order:
         opts = row(x)
-        for which, values in (("normal", lg.g), ("misere", lg.g_minus)):
-            own = values[x]
-            if which == "misere" and not opts:
-                if own != 1:
-                    add((positions[x], which, f"terminal value {own}, not 1"))
+        own, own_m = g[x], g_minus[x]
+        if opts:
+            realized = set(map(g.__getitem__, opts))
+            realized_m = set(map(g_minus.__getitem__, opts))
+            if (own not in realized and realized.issuperset(range(own))
+                    and own_m not in realized_m
+                    and realized_m.issuperset(range(own_m))):
                 continue
-            realized = {values[y] for y in opts}
-            if own not in realized and realized.issuperset(range(own)):
-                continue
-            if own in realized:
-                add((positions[x], which, f"option repeats value {own}"))
-            missing = [k for k in range(own) if k not in realized]
-            if missing:
-                add((positions[x], which,
-                     f"values {missing} below {own} unrealized"))
+            failed = (_mex_failures(positions[x], "normal", own, realized)
+                      + _mex_failures(positions[x], "misere", own_m,
+                                      realized_m))
+        elif own == 0 and own_m == 1:
+            continue
+        else:
+            failed = _mex_failures(positions[x], "normal", own, set())
+            if own_m != 1:
+                failed.append((positions[x], "misere",
+                               f"terminal value {own_m}, not 1"))
+        report.violations += failed
     return report
+
+
+def _mex_failures(x, which: str, own: int, realized: set) -> list:
+    """The failed conditions of a node x whose ``which`` value is ``own``
+    and whose options realize the values ``realized``."""
+    out = []
+    if own in realized:
+        out.append((x, which, f"option repeats value {own}"))
+    missing = [k for k in range(own) if k not in realized]
+    if missing:
+        out.append((x, which, f"values {missing} below {own} unrealized"))
+    return out
 
 
 def position_key(x) -> str:
@@ -130,37 +146,76 @@ def position_key(x) -> str:
     return str(x)
 
 
-def position_keys(positions):
-    """``position_key`` of every position, in node order.
-
-    A positions sequence may supply the keys itself through a
-    ``position_keys()`` method, when it can build them faster than one
-    ``position_key`` call per position (a sum's product positions join
-    their summands' keys).
-    """
-    own = getattr(positions, "position_keys", None)
-    return map(position_key, positions) if own is None else own()
-
-
 def table_rows(lg: LabeledGraph) -> list:
     # a sort of whole (key, g, g_minus) tuples: node order cannot change it
-    return sorted(zip(position_keys(lg.graph.positions), lg.g, lg.g_minus))
+    return sorted(zip(map(position_key, lg.graph.positions), lg.g,
+                      lg.g_minus))
 
 
 CSV_CHUNK_ROWS = 8192
+# the most rows of formatted block suffixes a product's table keeps at once
+_SUFFIX_CAP = 1 << 16
 
 
 def write_csv(lg: LabeledGraph, fh, header_comment: str | None = None):
     """Write the CSV table to the text stream ``fh``: the header, then the
-    sorted rows, formatted and written a chunk at a time, so the whole text
-    is never held at once."""
+    rows sorted by key, formatted and written a chunk of about
+    ``CSV_CHUNK_ROWS`` rows at a time, so the whole text is never held at
+    once.
+
+    A sum whose keys sort in summand order (``key_order`` of its
+    positions) is written a block at a time (``_product_chunks``); every
+    other graph sorts its rows (``table_rows``)."""
     if header_comment:
         fh.write(f"# {header_comment}\n")
     fh.write("position,g,g_minus\n")
+    order = getattr(lg.graph.positions, "key_order", None)
+    order = None if order is None else order()
+    if order is not None:
+        for text in _product_chunks(lg, *order):
+            fh.write(text)
+        return
     rows = table_rows(lg)
     for lo in range(0, len(rows), CSV_CHUNK_ROWS):
         fh.write("".join([f"{p},{g},{gm}\n"
                           for p, g, gm in rows[lo:lo + CSV_CHUNK_ROWS]]))
+
+
+def _product_chunks(lg: LabeledGraph, heads: list, tails: list):
+    """The rows of a sum's table in key order, a chunk at a time, from its
+    positions' ``key_order``: left node i, of key ``head``, has the block
+    of rows i·N .. i·N + N - 1, N = len(tails), each keyed head + tail.
+
+    The "tail,g,g_minus" suffixes of a block, in the order of ``tails``,
+    are formatted once per distinct block of labels, and a block's text is
+    one join of them on its head.  No row is held as a tuple.
+    """
+    chunk, n = CSV_CHUNK_ROWS, len(tails)
+    g, g_minus = memoryview(lg.g), memoryview(lg.g_minus)
+    # a distinct block's labels -> its suffixes, cut into runs of a chunk
+    suffixes, held = {}, 0
+    pieces, rows = [], 0
+    for head, i in heads:
+        lo = i * n
+        labels = g[lo:lo + n].tobytes() + g_minus[lo:lo + n].tobytes()
+        runs = suffixes.get(labels)
+        if runs is None:
+            if held >= _SUFFIX_CAP:
+                suffixes.clear()
+                held = 0
+            block = [f"{key},{g[lo + j]},{g_minus[lo + j]}\n"
+                     for key, j in tails]
+            runs = suffixes[labels] = [block[k:k + chunk]
+                                       for k in range(0, n, chunk)]
+            held += n
+        for run in runs:
+            pieces.append(head + head.join(run))
+            rows += len(run)
+            if rows >= chunk:
+                yield "".join(pieces)
+                pieces, rows = [], 0
+    if pieces:
+        yield "".join(pieces)
 
 
 def to_csv(lg: LabeledGraph, header_comment: str | None = None) -> str:

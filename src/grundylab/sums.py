@@ -160,13 +160,34 @@ class _ProductPositions(Sequence):
             coords.append(g.positions[c])
         return tuple(reversed(coords))
 
-    def position_keys(self):
-        """``grundy.position_key`` of every product position, in node
-        order: the dash-joined ``str`` of its summand positions.  Each
-        summand position is formatted once and the strings are joined in
-        mixed radix, as ``__iter__`` lists the positions."""
-        return map("-".join, itertools.product(
-            *([str(x) for x in g.positions] for g in self._summands)))
+    def key_order(self):
+        """The product keys in sorted order, as (heads, tails): ``heads``
+        lists the left factor's nodes (all summands but the last) as (key
+        and a dash, node number), ``tails`` the last summand's as (key,
+        node number), each sorted by key, so that node i·len(tails) + j has
+        key head + tail.  A key is the ``str`` of a summand position, and
+        ``grundy.position_key`` joins them with dashes.
+
+        When no key of a summand is a prefix of another of its keys, two
+        product keys first differ inside the first summand whose keys
+        differ, so the sorted product keys are the mixed-radix product of
+        the summands' sorted keys.  Otherwise, equal keys included, the
+        result is None.  A key is a prefix of a later sorted key only if it
+        is one of the next key, so adjacent keys are tested."""
+        orders = []
+        for g in self._summands:
+            pairs = sorted(zip(map(str, g.positions), range(len(g))))
+            keys = [key for key, _ in pairs]
+            if any(map(str.startswith, keys[1:], keys)):
+                return None
+            orders.append(pairs)
+        *lefts, tails = orders
+        heads = [("", 0)]
+        for pairs in lefts:
+            n = len(pairs)
+            heads = [(head + key + "-", i * n + j) for head, i in heads
+                     for key, j in pairs]
+        return heads, tails
 
 
 class _ProductIndex(Mapping):

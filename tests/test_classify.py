@@ -507,6 +507,48 @@ def test_classification_matches_reference_on_every_fold(name):
     assert_matches_reference(sg_labels(MASK_GRAPHS[name]()))
 
 
+def renumbered(graph, seed):
+    """A random DAG (positions equal to node numbers) with its nodes
+    numbered in a shuffled order, so that the first node of a kind need
+    not be the least deep."""
+    nodes = list(range(len(graph)))
+    random.Random(seed).shuffle(nodes)
+    return graph_from_adjacency({x: list(graph.row(x)) for x in nodes})
+
+
+small_dags = st.builds(
+    lambda seed, n, p, order: renumbered(random_dag(random.Random(seed), n, p),
+                                         order),
+    st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(0.2, 0.6),
+    st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(small_dags, min_size=2, max_size=3))
+# the forced witness's depth is reached in two distinct blocks of the left
+# factor, and the position strings choose between them
+@example([graph_from_adjacency({0: [], 1: [0], 2: [0, 1], 3: [0, 2],
+                                4: [1, 2]}),
+          graph_from_adjacency({0: [], 1: [], 2: [1]})])
+# the left factor's two terminals give equal blocks of equal depth, and the
+# witness lies in the second copy, whose position string is the smaller
+@example([graph_from_adjacency({1: [], 0: []}),
+          graph_from_adjacency({1: [0], 2: [0, 1], 0: [], 3: [0, 2]})])
+def test_product_witnesses_match_reference(summands):
+    graph = sum_graph(summands)
+    assert isinstance(graph, grundylab.sums.ProductGraph)
+    assert_matches_reference(sg_labels(graph))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(2, 9), max_size=3), st.integers(0, 60))
+def test_one_coordinate_box_witnesses_match_reference(others, top):
+    # a subtraction set with 1 in it: a one-coordinate box
+    graph = _box("subtraction", {"x": sorted({1} | others)}, (top,))
+    assert isinstance(graph, BoxGraph)
+    assert_matches_reference(sg_labels(graph))
+
+
 def test_verdicts_that_hold_walk_no_node(monkeypatch):
     # subtraction {1,2} is pet: every SM=P row holds on every distinct word
     lg = sg_labels(_box("subtraction", {"x": [1, 2]}, (40,)))

@@ -1,12 +1,15 @@
 import io
+import random
+import tracemalloc
 from array import array
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import grundylab.grundy
 
 from grundylab import (
+    FIXTURE_NAMES,
     Label,
     enumerate_subgame,
     load_fixture,
@@ -20,12 +23,12 @@ from grundylab.grundy import (
     LabeledGraph,
     misere_via_adjoined_terminal,
     position_key,
-    position_keys,
     table_rows,
     to_csv,
     to_json,
     write_csv,
 )
+from grundylab.random_games import random_dag
 from grundylab.sums import sum_graph
 from grundylab.suites import misere_mismatches
 from grundylab.zoo import box_roots, make_family
@@ -267,7 +270,94 @@ def test_write_csv_equals_to_csv(name, header, chunk, monkeypatch, tmp_path):
                                    ("nim", "pet", "subtraction"),
                                    ("pet", "pet", "nim")])
 def test_product_keys_equal_position_key(names):
-    positions = sum_graph([summand(n) for n in names]).positions
-    want = [position_key(x) for x in positions]
-    assert list(positions.position_keys()) == want
-    assert list(position_keys(positions)) == want
+    # the heads and tails of the summand key order, joined, list every
+    # product key in sorted order, each with its node number
+    graph = sum_graph([summand(n) for n in names])
+    heads, tails = graph.positions.key_order()
+    joined = [(head + key, i * len(tails) + j) for head, i in heads
+              for key, j in tails]
+    want = sorted((position_key(x), i) for i, x in enumerate(graph.positions))
+    assert joined == want
+
+
+class Sink:
+    """A text stream that keeps only the length of what it is given."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+def csv_summand(kind, seed):
+    """A small summand of the given kind, drawn from ``seed``."""
+    rng = random.Random(seed)
+    if kind == "fixture":
+        name = rng.choice(FIXTURE_NAMES)
+        return enumerate_subgame(load_fixture(name), fixture_roots(name))
+    if kind == "nim":
+        roots = [tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 2)))]
+        return enumerate_subgame(make_family("nim"), roots)
+    if kind == "subtraction":
+        subset = sorted(rng.sample(range(1, 6), rng.randint(1, 3)))
+        return enumerate_subgame(make_family("subtraction", {"x": subset}),
+                                 [(rng.randint(0, 14),)])
+    if kind == "wythoff":
+        return enumerate_subgame(make_family("wythoff"),
+                                 [(rng.randint(0, 3), rng.randint(0, 3))])
+    # integer node ids: 1 is a prefix of 10 and 11 in a graph of 12 nodes
+    return random_dag(rng, 12, 0.4)
+
+
+csv_summands = st.builds(csv_summand,
+                         st.sampled_from(["fixture", "nim", "subtraction",
+                                          "wythoff", "dag"]),
+                         st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(csv_summands, min_size=2, max_size=3),
+       st.sampled_from([1, 7, grundylab.grundy.CSV_CHUNK_ROWS]))
+def test_product_csv_equals_the_sorted_rows(summands, chunk):
+    lg = sg_labels(sum_graph(summands))
+    keys = [sorted(map(str, g.positions)) for g in summands]
+    prefix_free = not any(b.startswith(a) for k in keys
+                          for a, b in zip(k, k[1:]))
+    assert (lg.graph.positions.key_order() is not None) == prefix_free
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grundylab.grundy, "CSV_CHUNK_ROWS", chunk)
+        write_csv(lg, buf)
+    assert buf.getvalue() == joined_csv(lg)
+
+
+def test_product_csv_with_a_prefix_key_takes_the_sort():
+    # "A" is a prefix of "A!", and "!" sorts below "-": the product key
+    # "A!-..." sorts before "A-...", against the summand's own order
+    odd = graph_from_adjacency({"A!": ["A"], "A": []})
+    lg = sg_labels(sum_graph([odd, summand("nim")]))
+    assert lg.graph.positions.key_order() is None
+    text = to_csv(lg)
+    assert text == joined_csv(lg)
+    rows = text.splitlines()[1:]
+    assert rows[0].startswith("A!-") and rows[-1].startswith("A-")
+
+
+def test_product_csv_holds_no_row_per_node(monkeypatch):
+    # sum_table's product: Nim (6,6,6) + subtraction {1,2} from 30.  A list
+    # of one (key, g, g_minus) tuple per node takes at least 64 bytes a node
+    monkeypatch.setattr(grundylab.grundy, "CSV_CHUNK_ROWS", 512)
+    summands = [enumerate_subgame(make_family("nim"), [(6, 6, 6)]),
+                enumerate_subgame(make_family("subtraction", {"x": [1, 2]}),
+                                  [(30,)])]
+    lg = sg_labels(sum_graph(summands))
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        write_csv(lg, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == len(joined_csv(lg))
+    assert peak < 24 * len(lg.graph)
