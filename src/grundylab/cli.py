@@ -8,6 +8,7 @@ import errno
 import gc
 import io
 import json
+import marshal
 import os
 import sys
 
@@ -17,7 +18,7 @@ from .fixtures import (FIXTURE_NAMES, fixture_adjacency, fixture_graph,
                        game_from_adjacency)
 from .grundy import sg_labels, to_csv, to_json, write_csv
 from .classify import classify
-from .suites import SUITES, check_sizes, run_suite
+from .suites import SUITES, SuiteResult, check_sizes, run_suite
 from .sums import check_closure, sum_graph
 from . import zoo
 
@@ -259,10 +260,10 @@ def _cached_text(directory, payload, render):
 
 # the suites of verify all, longest first by their serial run time at the
 # default sizes (in-process, min of 5, 2-core x86-64, Python 3.11.7, ms):
-# equalities 43, sums 37, ho_nim 16, ferguson 11, wyt_ab 10, wythoff 4,
+# equalities 33, sums 22, ho_nim 14, wyt_ab 10, ferguson 8, wythoff 3,
 # moore 3, fixtures 2.  Handed out in this order, the long ones start first
 # instead of ending a worker's run alone
-_LONGEST_FIRST = ("equalities", "sums", "ho_nim", "ferguson", "wyt_ab",
+_LONGEST_FIRST = ("equalities", "sums", "ho_nim", "wyt_ab", "ferguson",
                   "wythoff", "moore", "fixtures")
 
 
@@ -281,8 +282,9 @@ def _run_suites(names, seed, samples, max_nodes):
     CPU, up to one per further name, is forked, until a fork fails.  This
     process and every child take the suites' numbers, one byte each, from
     one pipe, longest suite first (``_LONGEST_FIRST``), so whoever finishes
-    first takes the next.  A child sends its results at the pipe's end, or
-    nothing once one of its suites raised.
+    first takes the next.  A child sends its results at the pipe's end, as
+    ``marshal`` data of each suite's name, seed and checks, or nothing once
+    one of its suites raised or its results would not marshal.
     The pipe is emptied, so that a suite raising here stops each child
     after its current suite, and every child is reaped.  Then each suite
     with no result runs here in name order: the suites share no state and
@@ -295,8 +297,6 @@ def _run_suites(names, seed, samples, max_nodes):
              if _owns_process and hasattr(os, "fork")
              and hasattr(os, "sched_getaffinity") else 0)
     if forks > 0:
-        import pickle  # only the forked run needs it
-
         todo, queue = os.pipe()
         os.write(queue, bytes(sorted(range(len(names)), key=lambda n:
                                      _LONGEST_FIRST.index(names[n]))))
@@ -314,8 +314,12 @@ def _run_suites(names, seed, samples, max_nodes):
                 if not pid:  # results is empty: no suite is taken yet
                     try:
                         _take_suites(todo, names, sizes, results)
+                        # marshal is built in, so nothing is imported
+                        # before the fork for the results' sake
                         with open(write, "wb") as pipe:
-                            pipe.write(pickle.dumps(results))
+                            pipe.write(marshal.dumps(
+                                {n: (res.suite, res.seed, res.checks)
+                                 for n, res in results.items()}))
                     finally:
                         os._exit(0)  # never run the parent's exit handlers
                 os.close(write)
@@ -333,8 +337,9 @@ def _run_suites(names, seed, samples, max_nodes):
                         data = pipe.read()
                 finally:
                     os.waitpid(pid, 0)
-                if data:
-                    results.update(pickle.loads(data))
+                for n, fields in (marshal.loads(data).items() if data
+                                  else ()):
+                    results[n] = SuiteResult(*fields)
     return [results.get(n) or run_suite(name, *sizes)
             for n, name in enumerate(names)]
 

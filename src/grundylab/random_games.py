@@ -18,11 +18,12 @@ def _draw_rows(rng, max_nodes, edge_prob, offsets, targets, depths) -> int:
     """
     n = rng.randint(1, max_nodes)
     base = len(depths)
+    random, depth = rng.random, depths.__getitem__
     for i in range(base, base + n):
-        row = [j for j in range(base, i) if rng.random() < edge_prob]
+        row = [j for j in range(base, i) if random() < edge_prob]
         targets.fromlist(row)
         offsets.append(len(targets))
-        depths.append(max(map(depths.__getitem__, row), default=-1) + 1)
+        depths.append(max(map(depth, row)) + 1 if row else 0)
     return n
 
 
@@ -56,5 +57,6 @@ def random_dag_union(rng: random.Random, count: int, max_nodes: int = 12,
         order.extend(range(base + n - 1, base - 1, -1))
         starts.append(base + n)
     index = dict(zip(positions, range(len(positions))))
-    return (ReachableGraph(positions, positions, index, offsets, targets,
+    # every position is a root; the index's keys carry their hashes
+    return (ReachableGraph(index, positions, index, offsets, targets,
                            order, depths), starts)

@@ -20,8 +20,8 @@ from .grundy import (misere_via_adjoined_terminal, sg_labels,
                      verify_sg_consistency)
 from .classify import (PET_CONDITIONS, CandidateSets, classify,
                        verify_candidate_sets, violated_rows)
-from .random_games import random_dag, random_dag_union
-from .sums import check_closure, sum_graph
+from .random_games import random_dag_union
+from .sums import check_closure, pair_sum_union, sum_graph
 from . import zoo
 
 class SuiteResult:
@@ -204,17 +204,19 @@ def suite_equalities(seed=0, samples=1000, max_nodes=12) -> SuiteResult:
 
 def check_xor_pairs(res, rng, pairs):
     """The XOR rule on every position of ``pairs`` sums of two random DAGs
-    of at most 8 nodes."""
-    bad = []
-    for i in range(pairs):
-        graphs = [random_dag(rng, 8) for _ in range(2)]
-        g0, g1 = (sg_labels(g).g for g in graphs)
-        lg = sg_labels(sum_graph(graphs))
-        # product node i·N₂ + j is (node i, node j) of ``graphs``
-        want = [a ^ b for a in g0 for b in g1]
-        bad.extend((i, lg.graph.positions[x])
-                   for x, (got, xor) in enumerate(zip(lg.g, want))
-                   if got != xor)
+    of at most 8 nodes.  The summands are drawn into one union and the
+    sums written into another (``pair_sum_union``), so each is labelled
+    once."""
+    graph, starts = random_dag_union(rng, 2 * pairs, 8)
+    g = sg_labels(graph).g
+    sums, _ = pair_sum_union(graph, starts)
+    # pair k's node (i, j) is its base + i·N₂ + j, in pair order
+    want = [a ^ b for k in range(0, 2 * pairs, 2)
+            for a in g[starts[k]:starts[k + 1]]
+            for b in g[starts[k + 1]:starts[k + 2]]]
+    positions = sums.positions
+    bad = [positions[x] for x in compress(range(len(sums)),
+                                          map(ne, sg_labels(sums).g, want))]
     res.add("xor_rule_random_pairs", not bad,
             f"{pairs} pairs; violations {bad[:3]}")
 

@@ -38,6 +38,74 @@ def sum_graph(summands: list[ReachableGraph],
     return graph
 
 
+def pair_sum_union(union: ReachableGraph,
+                   starts: array) -> tuple[ReachableGraph, array]:
+    """``core.disjoint_union`` of ``sum_graph([c_2k, c_2k+1])`` over the
+    successive pairs of components of ``union``, and its ``starts``,
+    written straight into one stored graph with no product built.
+
+    ``union`` and ``starts`` are as ``core.disjoint_union`` gives them:
+    component c holds nodes ``starts[c]`` to ``starts[c + 1] - 1``, its
+    positions are (c, p), and ``order`` lists its nodes in turn.  Pair k's
+    node (i, j), in the components' own node numbers, is
+    ``starts'[k] + i·N₂ + j``, with position (k, (p_i, p_j)), the rows,
+    depth and roots of ``sum_graph``'s node (i, j), and the components'
+    orders taken lexicographically, as a ``ProductGraph`` has them.  Every
+    component and pair is read once, so a battery of many tiny sums pays
+    no per-sum set-up, and it is labelled by one edge loop.  A last
+    component with no partner is left out.
+    """
+    offsets, targets = union.offsets, union.targets
+    positions, order, depths = union.positions, union.order, union.depths
+    # when every node is a root, as in a random union, so is every sum
+    # node, and the index's keys give the roots with their hashes
+    every_root = len(union.roots) == len(positions)
+    roots = [[] for _ in range(len(starts) - 1)]
+    for c, p in () if every_root else union.roots:
+        roots[c].append(p)
+    degrees, flat = [], []
+    out_order, out_depths, out_starts = array("i"), array("i"), array("i", [0])
+    out_positions, out_roots = [], []
+    for k in range((len(starts) - 1) // 2):
+        a, b, end = starts[2 * k:2 * k + 3]
+        m, base = end - b, out_starts[-1]
+        rights = [targets[offsets[y]:offsets[y + 1]] for y in range(b, end)]
+        right_degrees = list(map(len, rights))
+        for i, x in enumerate(range(a, b)):
+            left = targets[offsets[x]:offsets[x + 1]]
+            degrees += [len(left) + d for d in right_degrees]
+            # node (i, j)'s moves: to (y, j) for y in left, then to (i, z)
+            row_base = base + i * m - b
+            if not left:
+                flat += [row_base + z for right in rights for z in right]
+                continue
+            columns = zip(*[range(base + (y - a) * m, base + (y - a + 1) * m)
+                            for y in left])
+            for column, right in zip(columns, rights):
+                flat += column
+                if right:
+                    flat += [row_base + z for z in right]
+        right_order = order[b:end]
+        for x in order[a:b]:
+            row_base = base + (x - a) * m - b
+            out_order += array("i", [row_base + y for y in right_order])
+        right_depths = depths[b:end]
+        out_depths += array("i", [d + e for d in depths[a:b]
+                                  for e in right_depths])
+        right_positions = [p for _, p in positions[b:end]]
+        out_positions += [(k, (p, q)) for _, p in positions[a:b]
+                          for q in right_positions]
+        out_roots += [(k, (p, q)) for p in roots[2 * k]
+                      for q in roots[2 * k + 1]]
+        out_starts.append(base + (b - a) * m)
+    index = dict(zip(out_positions, range(len(out_positions))))
+    return (ReachableGraph(index if every_root else out_roots,
+                           out_positions, index,
+                           array("i", itertools.accumulate(degrees, initial=0)),
+                           array("i", flat), out_order, out_depths),
+            out_starts)
+
+
 class ProductGraph(ReachableGraph):
     """The sum of ``summands``, as the product of two factors: ``left``, the
     sum of all summands but the last (or the first summand alone), and

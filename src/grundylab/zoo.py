@@ -603,13 +603,10 @@ def ferguson_check(x_set, bound: int) -> CheckReport:
     k = xs[0]
     g = []
     for n in range(bound + 1):
-        g.append(mex(g[n - s] for s in xs if n - s >= 0))
-    failures = []
-    for n in range(bound + 1 - k):
-        if (g[n] == 0) != (g[n + k] == 1):
-            failures.append(("shift", n, g[n], g[n + k]))
-    for n in range(bound + 1):
-        if g[n] == 0 and any(n - s >= 0 for s in xs):
-            if not any(n - s >= 0 and g[n - s] == 1 for s in xs):
-                failures.append(("escape", n, g[n], None))
+        g.append(mex([g[n - s] for s in xs if s <= n]))
+    failures = [("shift", n, g[n], g[n + k]) for n in range(bound + 1 - k)
+                if (g[n] == 0) != (g[n + k] == 1)]
+    # a move exists from n exactly when n >= k, the least element
+    failures += [("escape", n, 0, None) for n in range(k, bound + 1)
+                 if g[n] == 0 and 1 not in [g[n - s] for s in xs if s <= n]]
     return CheckReport(not failures, failures)

@@ -761,6 +761,77 @@ def test_forked_suite_whose_child_sent_nothing_runs_in_the_parent(tmp_path):
     assert calls["parent"] == sorted(SUITES)
 
 
+# a prelude for _FORKING_RUN, also run in-process: every suite gains one
+# failing check whose detail is non-ASCII text of the type {detail}, str or
+# NoteText, a str subclass that marshal refuses (it takes exact types only)
+_NOTED_RUNNERS = """
+class NoteText(str):
+    pass
+
+def noted(runner):
+    def call(*sizes):
+        res = runner(*sizes)
+        res.add("note", False, {detail}("g\\u207b \\u2260 g \\u2014 \\u2713"))
+        return res
+    return call
+
+for name, runner in list(suites._RUNNERS.items()):
+    suites._RUNNERS[name] = noted(runner)
+"""
+
+
+def _noted_run(tmp_path, argv, detail, before):
+    """``argv`` forked with ``_NOTED_RUNNERS`` and ``_COUNTED_RUNNERS``,
+    whose ``before`` is the source ``before``, then in-process with
+    ``_NOTED_RUNNERS``: the process, its log and the in-process result."""
+    noted = _NOTED_RUNNERS.format(detail=detail)
+    proc, log = _forking_run(tmp_path, argv,
+                             _COUNTED_RUNNERS + noted + before)
+    with mock.patch.dict(grundylab.suites._RUNNERS):
+        exec(noted, {"suites": grundylab.suites})
+        return proc, log, run(*argv)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_forked_suites_with_non_ascii_details_match_in_process(tmp_path,
+                                                                fmt):
+    if _cpus() < 2:
+        pytest.skip("one CPU: verify all runs serially")
+    # the child takes every suite but the parent's first, and sends them
+    argv = ("verify", "all", "--samples", "20", "--format", fmt)
+    proc, log, result = _noted_run(
+        tmp_path, argv, "str",
+        "def before(in_parent):\n"
+        "    if in_parent:\n"
+        f"        wait_for_child_calls({len(SUITES) - 1})\n")
+    assert log == f"{_forks()} forks, no child left"
+    assert result.exit_code == 1
+    assert ("\u2260" if fmt == "text" else "\\u2260") in result.stdout
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, result.stdout_bytes, b"")
+    assert len(_runner_calls(tmp_path)["child"]) == len(SUITES) - 1
+
+
+def test_forked_suite_whose_results_do_not_marshal_runs_in_the_parent(
+        tmp_path):
+    if _cpus() < 2:
+        pytest.skip("one CPU: verify all runs serially")
+    # a child's results do not marshal, so it sends nothing, and the parent
+    # runs every suite itself once a child has taken one
+    argv = _verify_all(0, "json")
+    proc, log, result = _noted_run(
+        tmp_path, argv, "NoteText",
+        "def before(in_parent):\n"
+        "    if in_parent:\n"
+        "        wait_for_child_calls(1)\n")
+    assert log == f"{_forks()} forks, no child left"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, result.stdout_bytes, b"")
+    calls = _runner_calls(tmp_path)
+    assert 1 <= len(calls["child"]) <= len(SUITES) - 1
+    assert calls["parent"] == sorted(SUITES)
+
+
 def test_forked_suite_that_raises_in_the_parent_stops_the_children(tmp_path):
     if _cpus() < 2:
         pytest.skip("one CPU: verify all runs serially")

@@ -32,10 +32,10 @@ from grundylab import (
 )
 from grundylab.classify import _fold_product
 from grundylab.core import BoxGraph
-from grundylab.fixtures import fixture_roots
+from grundylab.fixtures import FIXTURE_NAMES, fixture_graph, fixture_roots
 from grundylab.grundy import LabeledGraph, to_csv
-from grundylab.random_games import random_dag
-from grundylab.sums import ProductGraph
+from grundylab.random_games import random_dag, random_dag_union
+from grundylab.sums import ProductGraph, pair_sum_union
 from grundylab.suites import SuiteResult, check_xor_pairs, sodo_summands
 from grundylab.zoo import make_family
 
@@ -106,11 +106,17 @@ def test_xor_rule_on_random_pairs():
 
 @pytest.mark.parametrize("node", [0, -1], ids=["first", "last"])
 def test_xor_check_reports_a_wrong_product_label(node, monkeypatch):
-    # random DAG nodes are integers, product nodes tuples of them
+    # the summands' union has positions (k, i), the sums' union (k, (i, j));
+    # each sum's first or last node is flipped
     def corrupted(graph):
         lg = sg_labels(graph)
-        if isinstance(graph.positions[0], tuple):
-            lg.g[node] ^= 1
+        positions = graph.positions
+        if isinstance(positions[0][1], tuple):
+            ends = [x for x in range(1, len(graph))
+                    if positions[x][0] != positions[x - 1][0]]
+            for x in ([0] + ends if node == 0 else
+                      [x - 1 for x in ends] + [len(graph) - 1]):
+                lg.g[x] ^= 1
         return lg
 
     monkeypatch.setattr("grundylab.suites.sg_labels", corrupted)
@@ -140,6 +146,57 @@ def test_xor_check_sums_the_random_graphs_without_enumerating(monkeypatch):
     res = SuiteResult("sums", 0)
     check_xor_pairs(res, random.Random(0), 3)
     assert res.ok, res.checks
+
+
+# pair_sum_union writes many small sums into one stored graph; each of its
+# components must be sum_graph's product of its pair, row by row
+
+pair_summands = st.one_of(
+    st.builds(lambda seed, n: random_dag(random.Random(seed), n, 0.4),
+              st.integers(0, 2**32 - 1), st.integers(1, 6)),
+    st.sampled_from(FIXTURE_NAMES).map(fixture_graph),
+    st.lists(st.integers(0, 2), min_size=1, max_size=2).map(
+        lambda piles: nim_from(*piles)),
+    st.builds(lambda xs, n: enumerate_subgame(
+        make_family("subtraction", {"x": xs}), [(n,)]),
+        st.sampled_from([[1, 2], [2, 3], [1, 3, 4]]), st.integers(0, 8)))
+
+
+def assert_pair_sums(union, starts, pairs):
+    """Component k of ``union`` is ``sum_graph(pairs[k])``: the same rows in
+    the same order, positions, order, depths, roots and labels."""
+    lg = sg_labels(union)
+    assert len(starts) == len(pairs) + 1 and starts[-1] == len(union)
+    for k, pair in enumerate(pairs):
+        product = sum_graph(list(pair))
+        want = sg_labels(product)
+        lo, hi = starts[k], starts[k + 1]
+        assert hi - lo == len(product)
+        assert [[y - lo for y in union.row(x)] for x in range(lo, hi)] == [
+            list(product.row(x)) for x in range(len(product))]
+        assert union.positions[lo:hi] == [(k, p) for p in product.positions]
+        assert [x - lo for x in union.order[lo:hi]] == list(product.order)
+        assert union.depths[lo:hi] == product.depths
+        assert {p for c, p in union.roots if c == k} == product.roots
+        assert lg.g[lo:hi] == want.g and lg.g_minus[lo:hi] == want.g_minus
+    assert [union.index[p] for p in union.positions] == list(range(len(union)))
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(pair_summands, pair_summands), min_size=1,
+                max_size=3))
+def test_pair_sum_union_components_are_the_pairs_sums(pairs):
+    graphs = [g for pair in pairs for g in pair]
+    assert_pair_sums(*pair_sum_union(*disjoint_union(graphs)), pairs)
+
+
+def test_pair_sum_union_of_a_random_union_leaves_an_odd_component_out():
+    # random_dag_union draws what successive random_dag calls draw
+    graph, starts = random_dag_union(random.Random(3), 7, 8)
+    rng = random.Random(3)
+    graphs = [random_dag(rng, 8) for _ in range(7)]
+    assert_pair_sums(*pair_sum_union(graph, starts),
+                     list(zip(graphs[::2], graphs[1::2])))
 
 
 def test_tame_sum_label_swaps():

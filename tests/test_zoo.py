@@ -486,6 +486,46 @@ def test_ferguson_random_sets():
         assert ferguson_check(xs, 150).ok, xs
 
 
+def ferguson_reference(xs, bound, mex):
+    """Ferguson's shift and escape laws checked heap by heap, as they are
+    stated, with ``mex`` giving each heap's value."""
+    xs = sorted(xs)
+    k, g, failures = xs[0], [], []
+    for n in range(bound + 1):
+        g.append(mex(g[n - s] for s in xs if n - s >= 0))
+    for n in range(bound + 1 - k):
+        if (g[n] == 0) != (g[n + k] == 1):
+            failures.append(("shift", n, g[n], g[n + k]))
+    for n in range(bound + 1):
+        if g[n] == 0 and any(n - s >= 0 for s in xs):
+            if not any(n - s >= 0 and g[n - s] == 1 for s in xs):
+                failures.append(("escape", n, g[n], None))
+    return failures
+
+
+def mex_wrong_at(heap, value):
+    """A mex that gives ``value`` at its call for ``heap``: mex is called
+    once per heap, in ascending order."""
+    calls = itertools.count()
+
+    def planted(values):
+        right = mex(values)
+        return value if next(calls) == heap else right
+    return planted
+
+
+@pytest.mark.parametrize("xs, heap, value", [
+    ({1, 2}, 7, 2), ({1, 2}, 10, 0), ({2, 3}, 2, 0), ({2, 3}, 12, 0),
+    ({3, 5, 7}, 40, 1), ({1}, 61, 0)])
+def test_ferguson_failures_equal_the_literal_laws(xs, heap, value,
+                                                  monkeypatch):
+    monkeypatch.setattr("grundylab.zoo.mex", mex_wrong_at(heap, value))
+    report = ferguson_check(xs, 80)
+    want = ferguson_reference(xs, 80, mex_wrong_at(heap, value))
+    assert not report.ok and want
+    assert report.failures == want
+
+
 def test_ferguson_rejects_bad_set():
     with pytest.raises(InvalidParams):
         ferguson_check(set(), 10)
