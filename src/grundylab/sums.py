@@ -85,13 +85,10 @@ def pair_sum_union(union: ReachableGraph,
                 flat += column
                 if right:
                     flat += [row_base + z for z in right]
-        right_order = order[b:end]
-        for x in order[a:b]:
-            row_base = base + (x - a) * m - b
-            out_order += array("i", [row_base + y for y in right_order])
-        right_depths = depths[b:end]
-        out_depths += array("i", [d + e for d in depths[a:b]
-                                  for e in right_depths])
+        out_order += _outer_sum(
+            array("i", [base + (x - a) * m - b for x in order[a:b]]),
+            order[b:end])
+        out_depths += _outer_sum(depths[a:b], depths[b:end])
         right_positions = [p for _, p in positions[b:end]]
         out_positions += [(k, (p, q)) for _, p in positions[a:b]
                           for q in right_positions]

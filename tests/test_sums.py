@@ -112,10 +112,11 @@ def test_xor_check_reports_a_wrong_product_label(node, monkeypatch):
         lg = sg_labels(graph)
         positions = graph.positions
         if isinstance(positions[0][1], tuple):
-            ends = [x for x in range(1, len(graph))
-                    if positions[x][0] != positions[x - 1][0]]
-            for x in ([0] + ends if node == 0 else
-                      [x - 1 for x in ends] + [len(graph) - 1]):
+            # the first node of every sum but the first
+            firsts = [x for x in range(1, len(graph))
+                      if positions[x][0] != positions[x - 1][0]]
+            for x in ([0] + firsts if node == 0 else
+                      [x - 1 for x in firsts] + [len(graph) - 1]):
                 lg.g[x] ^= 1
         return lg
 
