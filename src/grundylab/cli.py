@@ -18,7 +18,6 @@ from .fixtures import (FIXTURE_NAMES, fixture_adjacency, fixture_graph,
                        game_from_adjacency)
 from .grundy import sg_labels, to_csv, to_json, write_csv
 from .classify import classify
-from .suites import SUITES, SuiteResult, check_sizes, run_suite
 from .sums import check_closure, sum_graph
 from . import zoo
 
@@ -270,6 +269,8 @@ _LONGEST_FIRST = ("equalities", "sums", "ho_nim", "wyt_ab", "ferguson",
 def _take_suites(todo, names, sizes, results):
     """Run into ``results`` the suite of each number read from the pipe
     ``todo``, until the pipe is empty or a suite raises."""
+    from .suites import run_suite
+
     while taken := os.read(todo, 1):
         results[taken[0]] = run_suite(names[taken[0]], *sizes)
 
@@ -290,6 +291,8 @@ def _run_suites(names, seed, samples, max_nodes):
     with no result runs here in name order: the suites share no state and
     are seeded, so each returns or raises as it would in a serial run.
     """
+    from .suites import SuiteResult, check_sizes, run_suite
+
     check_sizes(samples, max_nodes)
     sizes = (seed, samples, max_nodes)
     results, children = {}, []
@@ -346,6 +349,8 @@ def _run_suites(names, seed, samples, max_nodes):
 
 def verify(opts):
     """Run a named verification battery; exit 1 on any failed check."""
+    from .suites import SUITES
+
     seed = opts.seed
     names = SUITES if opts.suite == "all" else (opts.suite,)
     try:
@@ -471,51 +476,38 @@ class _Parser(argparse.ArgumentParser):
         _fail(message)
 
 
-def _game_options():
-    """The options shared by ``analyze`` and ``table``."""
-    opts = argparse.ArgumentParser(add_help=False)
-    opts.add_argument("--family", choices=zoo.FAMILIES)
-    opts.add_argument("--fixture", choices=FIXTURE_NAMES)
-    opts.add_argument("--params", metavar="JSON",
-                      help="family parameters as a JSON object")
-    opts.add_argument("--a", type=int)
-    opts.add_argument("--b", type=int)
-    opts.add_argument("--n", type=int)
-    opts.add_argument("--k", type=int)
-    opts.add_argument("--shape")
-    opts.add_argument("--set", metavar="SET",
-                      help="subtraction set, comma separated")
-    opts.add_argument("--roots", "--piles", action="append",
-                      metavar="POSITION",
-                      help="starting positions, comma-separated coordinates")
-    opts.add_argument("--box", type=int,
-                      help="enumerate from every position with coordinates "
-                           "<= BOX")
-    opts.add_argument("--symmetry", action=argparse.BooleanOptionalAction,
-                      default=False,
-                      help="canonicalize positions under the family's "
-                           "symmetry")
-    return opts
+def _game_options(cmd):
+    """Add the options shared by ``analyze`` and ``table``."""
+    cmd.add_argument("--family", choices=zoo.FAMILIES)
+    cmd.add_argument("--fixture", choices=FIXTURE_NAMES)
+    cmd.add_argument("--params", metavar="JSON",
+                     help="family parameters as a JSON object")
+    cmd.add_argument("--a", type=int)
+    cmd.add_argument("--b", type=int)
+    cmd.add_argument("--n", type=int)
+    cmd.add_argument("--k", type=int)
+    cmd.add_argument("--shape")
+    cmd.add_argument("--set", metavar="SET",
+                     help="subtraction set, comma separated")
+    cmd.add_argument("--roots", "--piles", action="append",
+                     metavar="POSITION",
+                     help="starting positions, comma-separated coordinates")
+    cmd.add_argument("--box", type=int,
+                     help="enumerate from every position with coordinates "
+                          "<= BOX")
+    cmd.add_argument("--symmetry", action=argparse.BooleanOptionalAction,
+                     default=False,
+                     help="canonicalize positions under the family's "
+                          "symmetry")
 
 
-def _parser(prog):
-    top = _Parser(prog=prog, allow_abbrev=False,
-                  description="Sprague-Grundy analysis of impartial games "
-                              "under both play conventions.")
-    commands = top.add_subparsers(metavar="COMMAND", required=True)
-    game = [_game_options()]
-
-    def command(name, handler, parents=()):
-        doc = handler.__doc__
-        cmd = commands.add_parser(name, parents=parents, allow_abbrev=False,
-                                  help=doc, description=doc)
-        cmd.set_defaults(handler=handler)
-        return cmd
-
-    cmd = command("analyze", analyze, game)
+def _analyze_options(cmd):
+    _game_options(cmd)
     cmd.add_argument("--format", choices=["json", "text"], default="text")
 
-    cmd = command("table", table, game)
+
+def _table_options(cmd):
+    _game_options(cmd)
     cmd.add_argument("--sg", action="store_true",
                      help="emit the value table")
     cmd.add_argument("--p-sequence", action="store_true",
@@ -528,7 +520,10 @@ def _parser(prog):
     cmd.add_argument("--cache-dir",
                      help="cache directory (defaults to $GRUNDY_CACHE_DIR)")
 
-    cmd = command("verify", verify)
+
+def _verify_options(cmd):
+    from .suites import SUITES  # only verify needs the suites
+
     cmd.add_argument("suite", choices=SUITES + ("all",))
     cmd.add_argument("--seed", type=int, default=0,
                      help="(default: %(default)s)")
@@ -539,7 +534,8 @@ def _parser(prog):
                      help="(default: %(default)s)")
     cmd.add_argument("--format", choices=["json", "text"], default="text")
 
-    cmd = command("sum", sum_cmd)
+
+def _sum_options(cmd):
     cmd.add_argument("--game", action="append",
                      required=True, metavar="SPEC",
                      help="JSON game spec; repeat for each summand")
@@ -550,8 +546,34 @@ def _parser(prog):
     cmd.add_argument("--table", metavar="CSV",
                      help="also write the product SG table as CSV")
 
-    cmd = command("fixtures", fixtures_cmd)
+
+def _fixtures_options(cmd):
     cmd.add_argument("--format", choices=["json", "text"], default="text")
+
+
+# each command's handler and the function that adds its options, in the
+# order of the help's command list
+_COMMANDS = {"analyze": (analyze, _analyze_options),
+             "table": (table, _table_options),
+             "verify": (verify, _verify_options),
+             "sum": (sum_cmd, _sum_options),
+             "fixtures": (fixtures_cmd, _fixtures_options)}
+
+
+def _parser(prog, names=_COMMANDS):
+    """The command line's parser, with the subparsers of the commands
+    ``names`` (by default every command)."""
+    top = _Parser(prog=prog, allow_abbrev=False,
+                  description="Sprague-Grundy analysis of impartial games "
+                              "under both play conventions.")
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+    for name in names:
+        handler, add_options = _COMMANDS[name]
+        doc = handler.__doc__
+        cmd = commands.add_parser(name, allow_abbrev=False, help=doc,
+                                  description=doc)
+        cmd.set_defaults(handler=handler)
+        add_options(cmd)
     return top
 
 
@@ -562,7 +584,11 @@ class _Main:
     accepted and changes nothing."""
 
     def main(self, args=None, prog_name="grundylab", standalone_mode=True):
-        opts = _parser(prog_name).parse_args(args)
+        args = sys.argv[1:] if args is None else list(args)
+        # a command named exactly is parsed by its own subparser alone;
+        # help, a missing or an unknown command needs them all
+        names = args[:1] if args and args[0] in _COMMANDS else _COMMANDS
+        opts = _parser(prog_name, names).parse_args(args)
         opts.handler(opts)
 
     __call__ = main
@@ -576,18 +602,19 @@ _owns_process = False
 
 
 def run():
-    """Process entry point (``grundylab`` and ``python -m grundylab.cli``).
+    """Run the command line in ``sys.argv`` as the process's own command;
+    like ``main``, it ends in ``SystemExit``.  ``run_and_exit`` calls it.
 
     Everything alive now, the imported modules above all, lives until exit,
-    so ``gc.freeze()`` moves it out of the collector's reach: the full
-    collections of interpreter shutdown then skip it.  ``verify all`` may
-    fork a worker per further CPU (``_run_suites``).  Tests and in-process
-    callers call ``main`` directly, so they freeze nothing and fork nothing.
-    A stdout whose reader has gone is an exit 2: stdout is flushed here,
-    where that is caught, not at interpreter exit.  An unbuffered stdout
-    (``python -u``, ``PYTHONUNBUFFERED``) is given a buffer first: without
-    one a text write is a single raw write, which may take only part of the
-    text and drop the rest with no error.
+    so ``gc.freeze()`` moves it out of the collector's reach: the
+    collections that the command's own allocations set off then skip it.
+    ``verify all`` may fork a worker per further CPU (``_run_suites``).
+    Tests and in-process callers call ``main`` directly, so they freeze
+    nothing and fork nothing.  A stdout whose reader has gone is an exit 2:
+    stdout is flushed here, where that is caught, not at exit.  An
+    unbuffered stdout (``python -u``, ``PYTHONUNBUFFERED``) is given a
+    buffer first: without one a text write is a single raw write, which may
+    take only part of the text and drop the rest with no error.
     """
     global _owns_process
     gc.freeze()
@@ -603,11 +630,41 @@ def run():
         finally:
             sys.stdout.flush()
     except BrokenPipeError as exc:
-        # what is left of the output goes nowhere, so the interpreter's
-        # final flush cannot fail again
+        # what is left of the output goes nowhere, so a later flush cannot
+        # fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _fail(f"cannot write to stdout: {exc.strerror}")
 
 
+def run_and_exit():
+    """Process entry point (``grundylab`` and ``python -m grundylab.cli``):
+    ``run()``, then stdout and stderr flushed and the process ended by
+    ``os._exit``, without the interpreter's teardown, which costs about
+    3-5 ms and does nothing a command needs: every file it writes is
+    closed and every child it forks is reaped.
+
+    The status follows ``SystemExit``'s rules: None is 0, an int is the
+    status, anything else is printed to stderr and is 1.  Any other
+    exception propagates, with its traceback and exit 1.  Under
+    ``python -X dev`` the interpreter shuts down as usual, so that its
+    warnings about what was left open still show.
+    """
+    if sys.flags.dev_mode:
+        return run()
+    try:
+        run()
+        status = None
+    except SystemExit as exc:
+        status = exc.code
+    if status is None:
+        status = 0
+    elif not isinstance(status, int):
+        print(status, file=sys.stderr)
+        status = 1
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    run()
+    run_and_exit()

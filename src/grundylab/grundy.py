@@ -96,30 +96,41 @@ def verify_sg_consistency(lg: LabeledGraph) -> ConsistencyReport:
     no option repeats the node's value, and every smaller value is realized.
     Applied to the normal and the misere labels independently; a misere
     terminal's value is 1 by definition, and nothing else is checked there.
+    A negative value, the node's own or an option's, is a violation of its
+    own.
 
     The report lists every failed condition as (position, "normal" or
     "misere", detail), in graph order.  A node passes on one test per
-    convention; details are built only for a node that fails."""
+    convention: the OR m of ``1 << v`` over its options' values v has
+    exactly ``own`` trailing ones, ``m ^ (m + 1) == (2 << own) - 1``.  A
+    negative value makes a shift raise, which fails the node.  Details are
+    built only for a node that fails."""
     report = ConsistencyReport()
     graph, g, g_minus = lg.graph, lg.g, lg.g_minus
     row, positions = graph.row, graph.positions
     for x in graph.order:
         opts = row(x)
         own, own_m = g[x], g_minus[x]
-        if opts:
-            realized = set(map(g.__getitem__, opts))
-            realized_m = set(map(g_minus.__getitem__, opts))
-            if (own not in realized and realized.issuperset(range(own))
-                    and own_m not in realized_m
-                    and realized_m.issuperset(range(own_m))):
+        try:
+            if opts:
+                m = m_m = 0
+                for o in opts:
+                    m |= 1 << g[o]
+                    m_m |= 1 << g_minus[o]
+                if (m ^ (m + 1) == (2 << own) - 1
+                        and m_m ^ (m_m + 1) == (2 << own_m) - 1):
+                    continue
+            elif own == 0 and own_m == 1:
                 continue
-            failed = (_mex_failures(positions[x], "normal", own, realized)
+        except ValueError:  # a negative shift count
+            pass
+        if opts:
+            failed = (_mex_failures(positions[x], "normal", own,
+                                    [g[o] for o in opts])
                       + _mex_failures(positions[x], "misere", own_m,
-                                      realized_m))
-        elif own == 0 and own_m == 1:
-            continue
+                                      [g_minus[o] for o in opts]))
         else:
-            failed = _mex_failures(positions[x], "normal", own, set())
+            failed = _mex_failures(positions[x], "normal", own, [])
             if own_m != 1:
                 failed.append((positions[x], "misere",
                                f"terminal value {own_m}, not 1"))
@@ -127,10 +138,16 @@ def verify_sg_consistency(lg: LabeledGraph) -> ConsistencyReport:
     return report
 
 
-def _mex_failures(x, which: str, own: int, realized: set) -> list:
+def _mex_failures(x, which: str, own: int, values: list) -> list:
     """The failed conditions of a node x whose ``which`` value is ``own``
-    and whose options realize the values ``realized``."""
+    and whose options' values are ``values``."""
     out = []
+    if own < 0:
+        out.append((x, which, f"negative value {own}"))
+    negative = sorted({v for v in values if v < 0})
+    if negative:
+        out.append((x, which, f"negative option values {negative}"))
+    realized = set(values)
     if own in realized:
         out.append((x, which, f"option repeats value {own}"))
     missing = [k for k in range(own) if k not in realized]

@@ -457,6 +457,78 @@ def test_help_names_every_option(argv, names):
     assert set(names) <= words, set(names) - words
 
 
+def _full_parser(argv):
+    """``argv`` parsed by the parser of every command, which exits on each
+    of them: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        grundylab.cli._parser("grundylab").parse_args(list(argv))
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+_COMMAND_NAMES = ("analyze", "table", "verify", "sum", "fixtures")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",), *((name, "--help") for name in _COMMAND_NAMES),
+    ("play", "--family", "nim"),
+    *((name, "--fam", "nim") for name in _COMMAND_NAMES),
+    ("verify",), ("verify", "all", "--seed", "x"),
+    ("analyze", "--fixture", "pet", "--a", "x"),
+    ("table", "--family", "nim", "--box", "x", "--sg"),
+], ids=["help", *(f"{name}_help" for name in _COMMAND_NAMES),
+        "unknown_command",
+        *(f"{name}_option_prefix" for name in _COMMAND_NAMES),
+        "missing_suite", "verify_bad_int", "analyze_bad_int",
+        "table_bad_int"])
+def test_one_command_parser_prints_what_the_full_parser_prints(argv):
+    result = run(*argv)
+    assert (result.exit_code, result.stdout, result.stderr) == \
+        _full_parser(argv)
+
+
+@pytest.mark.parametrize("argv,built", [
+    (("analyze", "--fixture", "pet"), ["analyze"]),
+    (("verify", "fixtures"), ["verify"]),
+    (("fixtures", "--format", "json"), ["fixtures"]),
+    (("--help",), list(_COMMAND_NAMES)),
+    (("ana", "--fixture", "pet"), list(_COMMAND_NAMES)),
+    ((), list(_COMMAND_NAMES)),
+], ids=["analyze", "verify", "fixtures", "help", "command_prefix",
+        "no_command"])
+def test_main_builds_the_named_commands_parser_only(argv, built,
+                                                    monkeypatch):
+    calls, parser = [], grundylab.cli._parser
+
+    def counted(prog, names):
+        calls.append(list(names))
+        return parser(prog, names)
+
+    monkeypatch.setattr(grundylab.cli, "_parser", counted)
+    run(*argv)
+    assert calls == [built]
+
+
+def test_only_verify_imports_the_suites():
+    code = ("import sys, grundylab.cli as cli\n"
+            "def loaded():\n"
+            "    return sorted({'grundylab.suites',\n"
+            "                   'grundylab.random_games'}\n"
+            "                  & set(sys.modules))\n"
+            "print('import', loaded(), file=sys.stderr)\n"
+            "for argv in (['analyze', '--fixture', 'pet'],\n"
+            "             ['table', '--fixture', 'pet', '--sg'],\n"
+            "             ['fixtures'], ['verify', 'fixtures']):\n"
+            "    try:\n"
+            "        cli.main.main(args=argv)\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "    print(argv[0], loaded(), file=sys.stderr)\n")
+    assert _python("-c", code).stderr.decode().splitlines() == [
+        "import []", "analyze []", "table []", "fixtures []",
+        "verify ['grundylab.random_games', 'grundylab.suites']"]
+
 def test_cli_import_freezes_nothing():
     # only the process entry point freezes the heap, never an importer
     code = "import gc, grundylab.cli; print(gc.get_freeze_count())"
@@ -641,6 +713,96 @@ def test_forked_suite_failures_exit_as_in_process(tmp_path, case):
         assert stderr.count("Traceback (most recent call last)") == 1
         assert "broken_moore" in stderr
         assert stderr.rstrip().endswith("RuntimeError: moore broke")
+
+
+# python -m grundylab.cli on sys.argv[2:] after the source sys.argv[1],
+# with an exit handler that writes "shutdown" to stderr: it runs only when
+# the interpreter shuts down as usual
+_ENTRY_POINT = """
+import atexit, os, runpy, sys
+from grundylab import suites
+atexit.register(os.write, 2, b"shutdown\\n")
+exec(sys.argv[1])
+sys.argv = ["grundylab", *sys.argv[2:]]
+runpy.run_module("grundylab.cli", run_name="__main__", alter_sys=True)
+"""
+_SHUTDOWN = b"shutdown\n"
+
+
+def _entry_point(argv, prelude="", flags=(), stdout=subprocess.PIPE):
+    src = os.path.dirname(os.path.dirname(grundylab.__file__))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", _ENTRY_POINT, prelude, *argv],
+        stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+
+
+# name -> (argv, the _BROKEN_MOORE case its moore suite runs, or None)
+_EXITS = {"success": (("verify", "fixtures", "--format", "json"), None),
+          "usage_error": (("analyze", "--family", "nim"), None),
+          **{case: (("verify", "all", "--samples", "20"), case)
+             for case in _BROKEN_MOORE}}
+
+
+def _exit_case(name, flags=()):
+    """``_EXITS[name]`` through the entry point, run with ``flags``, and
+    in-process."""
+    argv, case = _EXITS[name]
+    if case is None:
+        return _entry_point(argv, flags=flags), run(*argv)
+    source = ("def broken_moore(seed, samples, max_nodes):\n"
+              + _BROKEN_MOORE[case])
+    proc = _entry_point(
+        argv, source + "suites._RUNNERS['moore'] = broken_moore\n", flags)
+    namespace = {"suites": grundylab.suites}
+    exec(source, namespace)
+    with mock.patch.dict(grundylab.suites._RUNNERS,
+                         moore=namespace["broken_moore"]):
+        return proc, run(*argv)
+
+
+@pytest.mark.parametrize("name", list(_EXITS))
+def test_entry_point_ends_without_teardown_as_main_exits(name):
+    proc, result = _exit_case(name)
+    if name == "runtime_error":
+        # not a SystemExit: its traceback, exit 1 and the usual shutdown
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.count(b"Traceback (most recent call last)") == 1
+        assert proc.stderr.endswith(b"RuntimeError: moore broke\n"
+                                    + _SHUTDOWN)
+        return
+    assert result.exit_code == {"success": 0, "failed_check": 1}.get(name, 2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        result.exit_code, result.stdout_bytes, result.stderr.encode())
+
+
+@pytest.mark.parametrize("name", ["success", "usage_error", "failed_check"])
+def test_entry_point_under_dev_mode_shuts_down_as_usual(name):
+    proc, result = _exit_case(name, ("-X", "dev"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        result.exit_code, result.stdout_bytes,
+        result.stderr.encode() + _SHUTDOWN)
+
+
+def test_large_table_written_to_a_file_is_flushed_before_the_exit(tmp_path):
+    # about 1 MB, with CI's pin: the last buffer is written before os._exit
+    path = tmp_path / "mark.csv"
+    with open(path, "wb") as fh:
+        proc = _entry_point(("table", "--family", "mark", "--roots",
+                             "100000", "--sg"), stdout=fh)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "a439fa15dfa796244fcd85a29cc9c80596a1672cae788d85e95dff9ffdad5b56")
+
+
+def test_closed_stdout_exits_2_with_one_line_without_teardown():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _entry_point(_LARGE_WRITE, stdout=write)
+    finally:
+        os.close(write)
+    _assert_broken_pipe_line(proc.returncode, proc.stderr)
 
 
 # a prelude for _FORKING_RUN: every suite runner appends "parent <suite>"

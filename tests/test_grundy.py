@@ -120,6 +120,68 @@ def test_consistency_reports_a_value_above_the_mex(which):
                                   "unrealized")]
 
 
+
+# the chain a -> b -> c: (g, g_minus) is (0, 1) at a, (1, 0) at b and
+# (0, 1) at the terminal c; one value is planted negative
+@pytest.mark.parametrize("node,which,value,want", [
+    ("a", "normal", -1, [("a", "normal", "negative value -1")]),
+    ("a", "misere", -3, [("a", "misere", "negative value -3")]),
+    ("c", "normal", -1, [("b", "normal", "negative option values [-1]"),
+                         ("b", "normal", "values [0] below 1 unrealized"),
+                         ("c", "normal", "negative value -1")]),
+    ("c", "misere", -1, [("b", "misere", "negative option values [-1]"),
+                         ("c", "misere", "terminal value -1, not 1")]),
+], ids=["inner_normal", "inner_misere", "terminal_normal",
+        "terminal_misere"])
+def test_consistency_reports_a_negative_value(node, which, value, want):
+    lg = sg_labels(graph_from_adjacency({"a": ["b"], "b": ["c"], "c": []}))
+    assert [tuple(lg.label(x)) for x in "abc"] == [(0, 1), (1, 0), (0, 1)]
+    values = {"normal": array("i", lg.g), "misere": array("i", lg.g_minus)}
+    values[which][lg.graph.index[node]] = value
+    report = verify_sg_consistency(
+        LabeledGraph(lg.graph, values["normal"], values["misere"]))
+    assert report.violations == want
+
+
+def _literal_violations(lg):
+    """verify_sg_consistency's report from the definition, node by node."""
+    out = []
+    for x in lg.graph.order:
+        p, opts = lg.graph.positions[x], lg.graph.row(x)
+        for which, values in (("normal", lg.g), ("misere", lg.g_minus)):
+            own, seen = values[x], [values[o] for o in opts]
+            if not opts and which == "misere":
+                if own != 1:
+                    out.append((p, which, f"terminal value {own}, not 1"))
+                continue
+            if own < 0:
+                out.append((p, which, f"negative value {own}"))
+            negative = sorted(set(v for v in seen if v < 0))
+            if negative:
+                out.append((p, which, f"negative option values {negative}"))
+            if own in seen:
+                out.append((p, which, f"option repeats value {own}"))
+            missing = [k for k in range(own) if k not in seen]
+            if missing:
+                out.append((p, which,
+                            f"values {missing} below {own} unrealized"))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), low=st.integers(-2, 0))
+def test_consistency_equals_the_definition_on_random_values(seed, low):
+    # the solver's labels with each value replaced, with probability 1/4,
+    # by a draw from low..4
+    rng = random.Random(seed)
+    lg = sg_labels(random_dag(rng, 12, 0.4))
+    g, g_minus = (array("i", [v if rng.random() < 0.75
+                              else rng.randint(low, 4) for v in values])
+                  for values in (lg.g, lg.g_minus))
+    planted = LabeledGraph(lg.graph, g, g_minus)
+    assert verify_sg_consistency(planted).violations == \
+        _literal_violations(planted)
+
 def test_consistency_lists_every_violation():
     # all zeros: every move repeats value 0 in both conventions, and the
     # misere terminal's value is not 1
