@@ -639,9 +639,9 @@ def run():
 def run_and_exit():
     """Process entry point (``grundylab`` and ``python -m grundylab.cli``):
     ``run()``, then stdout and stderr flushed and the process ended by
-    ``os._exit``, without the interpreter's teardown, which costs about
-    3-5 ms and does nothing a command needs: every file it writes is
-    closed and every child it forks is reaped.
+    ``os._exit``.  The interpreter's teardown (3-5 ms) does nothing a
+    command needs: every file it writes is closed and every child it
+    forks is reaped.
 
     The status follows ``SystemExit``'s rules: None is 0, an int is the
     status, anything else is printed to stderr and is 1.  Any other
