@@ -877,7 +877,7 @@ def verify_candidate_sets(graph: ReachableGraph, cand: CandidateSets,
         for i in ids:
             own[i] |= _PAIR_CLASS[_SET_LABELS[name]]
     reach, degrees = [], []
-    for opts in map(graph.row, range(len(graph))):
+    for opts in graph.rows():
         r = 0
         for y in opts:
             r |= own[y]

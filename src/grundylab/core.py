@@ -130,15 +130,17 @@ class ReachableGraph:
     """The finite subgame generated by a root set: numbered nodes and moves.
 
     Nodes are numbered 0..N-1.  ``positions[i]`` is node i's position and
-    the mapping ``index`` maps a position back to its number (a product of
-    summand graphs keeps both as read-only views over the summands' own).
+    the mapping ``index`` maps a position back to its number (a box and a
+    sum keep both as read-only views, ``_ProductPositions`` and
+    ``_ProductIndex``).
     Node i's options are ``targets[offsets[i]:offsets[i + 1]]`` (compressed
     sparse rows of ``array('i')``).  ``order`` lists the node numbers with
     every move source before its targets, and ``depths[i]`` is d(node i).
     ``succ``, ``topo`` and ``nodes`` are read-only views of the same data in
-    terms of positions, ``row(i)`` is node i's option numbers, and
-    ``node_rows()`` walks every node after its options; every reader but
-    the constructors of stored graphs takes the rows through these two.
+    terms of positions, ``row(i)`` is node i's option numbers, ``rows()``
+    every node's in node order, and ``node_rows()`` walks every node after
+    its options; every reader but the constructors of stored graphs takes
+    the rows through these three.
     Immutable after construction.  ``order`` and ``depths`` come from one
     depth-first pass, which is also the cycle check, unless the caller
     passes both.  The closure of a greatest root, with ``box_moves``, is a
@@ -169,6 +171,9 @@ class ReachableGraph:
         """Node i's option numbers, in the order the rule gave them."""
         return self.targets[self.offsets[i]:self.offsets[i + 1]]
 
+    def rows(self):
+        return map(self.row, range(len(self)))
+
     def node_rows(self):
         """``(x, row)`` for every node x, each after all of its options:
         ``row`` iterates x's option numbers, as ``row(x)`` lists them."""
@@ -195,8 +200,7 @@ class ReachableGraph:
         return len(self.targets)
 
     def terminals(self):
-        row = self.row
-        return [x for i, x in enumerate(self.positions) if not row(i)]
+        return [x for x, row in zip(self.positions, self.rows()) if not row]
 
     def depth(self, x) -> int:
         """d(x): the greatest number of successive moves from x to a terminal."""
@@ -219,25 +223,28 @@ class BoxGraph(ReachableGraph):
     """The origin box below ``bounds`` of a game with ``box_moves``: the
     closure of any root set whose greatest root is ``bounds``.
 
-    Node n is the mixed-radix number of its position, and ``strides[i]``
-    is the node-number step of coordinate i, so a move's step is the same
-    node-number step from every node.  When every move is a ray from its
-    step or a point, node n's options are one range per move (``lines``);
-    when a move has a start or is a region, they are ``options(p)``
-    numbered through the strides, in the rule's order, which no order of
-    moves need reproduce.  No row is stored.  Every move lowers the node
-    number, so the descending node numbers are ``order`` (they are also
-    what the depth-first pass would give), no cycle check runs, and
-    ``node_rows`` walks the nodes in ascending order.  A node's depth is its
-    position's coordinate sum, as the ``box_moves`` contract implies, so
-    ``depths`` reads no row.  The first reader of ``index`` or ``depths``
-    gets it built, once.
+    Node n is the mixed-radix number of its position, the last coordinate
+    fastest: ``positions`` and ``index`` are a sum's views over one
+    ``range`` per coordinate, so no position or index entry is stored, and
+    whole-graph readers take the positions from one pass over the view.
+    ``strides[i]`` is the node-number step of coordinate i, so a move's
+    step is the same node-number step from every node.  When every move is
+    a ray from its step or a point, node n's options are one range per
+    move (``lines``); when a move has a start or is a region, they are
+    ``options(p)`` numbered through the strides, in the rule's order,
+    which no order of moves need reproduce.  No row is stored.  Every move
+    lowers the node number, so the descending node numbers are ``order``
+    (also what the depth-first pass would give), no cycle check runs, and
+    ``node_rows`` walks the nodes in ascending order.  A node's depth is
+    its coordinate sum, as the ``box_moves`` contract implies, so
+    ``depths`` reads no row; its first reader gets it built, once.
     """
 
     def __init__(self, roots, bounds, moves, options):
         self.roots = frozenset(roots)
-        self.positions = list(itertools.product(*(range(b + 1)
-                                                  for b in bounds)))
+        self.positions = _ProductPositions([range(b + 1) for b in bounds])
+        self.index = _ProductIndex(self.positions,
+                                   [range(b + 1).index for b in bounds])
         self.strides = [math.prod(b + 1 for b in bounds[i + 1:])
                         for i in range(len(bounds))]
         self.moves = tuple(moves)
@@ -261,14 +268,14 @@ class BoxGraph(ReachableGraph):
             for step, order in self.moves]
         self.order = array("i", range(len(self.positions) - 1, -1, -1))
 
-    def lines(self, x) -> list:
-        """Node x's options as node-number sequences: one range per move,
-        a ray's in its order and a point's of at most one node, or, when the
-        rule lists the rows, one list."""
-        p, out = self.positions[x], []
+    def lines(self, x, p) -> list:
+        """Node x's options, p being its position, as node-number
+        sequences: one range per move, a ray's in its order and a point's
+        of at most one node, or, when the rule lists the rows, one list."""
         if self.rule is not None:
             strides = self.strides
             return [[sum(map(operator.mul, q, strides)) for q in self.rule(p)]]
+        out = []
         for s, nonzero, order in self._steps:
             if not order:
                 for i, c in nonzero:
@@ -287,24 +294,25 @@ class BoxGraph(ReachableGraph):
         return out
 
     def node_rows(self):
-        return enumerate(map(itertools.chain.from_iterable,
-                             map(self.lines, range(len(self.positions)))))
+        return enumerate(self.rows())
 
     def edge_count(self) -> int:
         # a region's options may be another region's: count rows, not moves
-        return sum(map(len, itertools.chain.from_iterable(
-            map(self.lines, range(len(self.positions))))))
+        return sum(map(len, itertools.chain.from_iterable(map(
+            self.lines, range(len(self)), self.positions))))
 
-    def row(self, i) -> list:
-        # a list takes a range faster than an array does
+    def row(self, i, p=None) -> list:
+        # p, when given, is node i's position; a list takes a range faster
+        # than an array does
         row = []
-        for line in self.lines(i):
+        for line in self.lines(i, self.positions[i] if p is None else p):
             row += line
         return row
 
-    # labelling and classifying read no position's number
-    index = cached_property(
-        lambda self: {x: i for i, x in enumerate(self.positions)})
+    def rows(self):
+        return map(self.row, range(len(self)), self.positions)
+
+    topo = property(lambda self: list(self.positions)[::-1])
     depths = cached_property(
         lambda self: array("i", map(sum, self.positions)))
 
@@ -344,6 +352,87 @@ class NodeView(Mapping):
 
     def __contains__(self, x):
         return x in self._index
+
+
+class _ProductPositions(Sequence):
+    """Node number -> position of a product of factors, each a sequence of
+    positions: a tuple of one per factor, in mixed radix, the last fastest."""
+
+    __slots__ = ("_factors", "_len")
+
+    def __init__(self, factors):
+        self._factors, self._len = factors, math.prod(map(len, factors))
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return itertools.product(*self._factors)
+
+    def __getitem__(self, n):
+        n = range(self._len)[n]
+        coords = []
+        for factor in reversed(self._factors):
+            n, c = divmod(n, len(factor))
+            coords.append(factor[c])
+        return tuple(reversed(coords))
+
+    def key_order(self):
+        """The product keys in sorted order, as (heads, tails, nodes):
+        ``heads`` lists the nodes of all factors but the last as (their
+        keys, each followed by a dash, node number), ``tails`` the last
+        factor's keys and ``nodes`` their node numbers, by key, so node
+        i·len(tails) + nodes[j] has key head + tails[j].  Product keys
+        first differ inside the first factor whose keys differ, or where
+        the shorter key's dash meets the longer, so the result is None only
+        if a factor has equal keys, or a key that is a prefix of the next
+        with a character at or below "-" after it (then key + "." sorts
+        after the next key).  A product of no factors has one key, ""."""
+        orders = []
+        for factor in self._factors:
+            keys = list(map(str, factor))
+            # the node numbers by key, held as an array and not as tuples
+            nodes = array("i", sorted(range(len(keys)), key=keys.__getitem__))
+            keys = list(map(keys.__getitem__, nodes))
+            dotted = map(operator.add, keys, itertools.repeat("."))
+            if any(map(operator.gt, dotted, keys[1:])):
+                return None
+            orders.append((keys, nodes))
+        *lefts, (tails, nodes) = orders or [([""], [0])]
+        heads = [("", 0)]
+        for keys, numbers in lefts:
+            n = len(keys)
+            heads = [(head + key + "-", i * n + j) for head, i in heads
+                     for key, j in zip(keys, numbers)]
+        return heads, tails, nodes
+
+
+class _ProductIndex(Mapping):
+    """Position -> node number of a ``_ProductPositions``, from one lookup
+    per factor whose miss, KeyError or ValueError, is a KeyError here."""
+
+    __slots__ = ("_positions", "_lookups")
+
+    def __init__(self, positions, lookups):
+        self._positions, self._lookups = positions, lookups
+
+    def __len__(self):
+        return len(self._positions)
+
+    def __iter__(self):
+        return iter(self._positions)
+
+    def __getitem__(self, x):
+        factors = self._positions._factors
+        if not isinstance(x, tuple) or len(x) != len(factors):
+            raise KeyError(x)
+        n = 0
+        try:
+            for factor, lookup, p in zip(factors, self._lookups, x):
+                n = n * len(factor) + lookup(p)
+        except ValueError:
+            raise KeyError(x) from None
+        return n
 
 
 def enumerate_subgame(game: GameDef, roots: Iterable[Position],
@@ -509,7 +598,7 @@ def disjoint_union(graphs) -> tuple[ReachableGraph, array]:
     order, depths, starts = array("i"), array("i"), array("i", [0])
     for k, g in enumerate(graphs):
         base = len(positions)
-        rows = list(map(g.row, range(len(g))))
+        rows = list(g.rows())
         positions += [(k, p) for p in g.positions]
         roots += [(k, r) for r in g.roots]
         degrees += map(len, rows)
@@ -536,7 +625,7 @@ def adjoin_misere_terminal(graph: ReachableGraph) -> ReachableGraph:
     """
     n = len(graph)
     offsets, rows = array("i", [0]), array("i")
-    for opts in map(graph.row, range(n)):
+    for opts in graph.rows():
         if opts:
             rows.extend(opts)
         else:

@@ -180,9 +180,9 @@ def write_csv(lg: LabeledGraph, fh, header_comment: str | None = None):
     ``CSV_CHUNK_ROWS`` rows at a time, so the whole text is never held at
     once.
 
-    A sum whose keys sort in summand order (``key_order`` of its
-    positions) is written a block at a time (``_product_chunks``); every
-    other graph sorts its rows (``table_rows``)."""
+    A box or a sum, whose keys sort in mixed radix (``key_order`` of its
+    positions), is written a block at a time (``_product_chunks``), with
+    no row sorted; every other graph sorts its rows (``table_rows``)."""
     if header_comment:
         fh.write(f"# {header_comment}\n")
     fh.write("position,g,g_minus\n")
@@ -198,36 +198,39 @@ def write_csv(lg: LabeledGraph, fh, header_comment: str | None = None):
                           for p, g, gm in rows[lo:lo + CSV_CHUNK_ROWS]]))
 
 
-def _product_chunks(lg: LabeledGraph, heads: list, tails: list):
-    """The rows of a sum's table in key order, a chunk at a time, from its
-    positions' ``key_order``: left node i, of key ``head``, has the block
-    of rows i·N .. i·N + N - 1, N = len(tails), each keyed head + tail.
+def _product_chunks(lg: LabeledGraph, heads: list, tails: list, nodes):
+    """The rows of a box's or a sum's table in key order, a chunk at a
+    time, from its positions' ``key_order``: left node i, of key ``head``,
+    has rows i·N + nodes[j], N = len(tails), keyed head + tails[j].
 
-    The "tail,g,g_minus" suffixes of a block, in the order of ``tails``,
-    are formatted once per distinct block of labels, and a block's text is
-    one join of them on its head.  No row is held as a tuple.
+    The "tail,g,g_minus" suffixes of a block are formatted once per
+    distinct block of labels, and a block's text is one join of them on
+    its head; a block of more than ``_SUFFIX_CAP`` rows is formatted a
+    chunk at a time and not kept.  No row is held as a tuple.
     """
     chunk, n = CSV_CHUNK_ROWS, len(tails)
     g, g_minus = memoryview(lg.g), memoryview(lg.g_minus)
+
+    def run(lo, k):  # the suffixes of rows k .. k + chunk - 1 of a block
+        return [f"{key},{g[lo + j]},{g_minus[lo + j]}\n"
+                for key, j in zip(tails[k:k + chunk], nodes[k:k + chunk])]
+
     # a distinct block's labels -> its suffixes, cut into runs of a chunk
-    suffixes, held = {}, 0
-    pieces, rows = [], 0
+    kept, pieces, rows = {}, [], 0
     for head, i in heads:
         lo = i * n
-        labels = g[lo:lo + n].tobytes() + g_minus[lo:lo + n].tobytes()
-        runs = suffixes.get(labels)
-        if runs is None:
-            if held >= _SUFFIX_CAP:
-                suffixes.clear()
-                held = 0
-            block = [f"{key},{g[lo + j]},{g_minus[lo + j]}\n"
-                     for key, j in tails]
-            runs = suffixes[labels] = [block[k:k + chunk]
-                                       for k in range(0, n, chunk)]
-            held += n
-        for run in runs:
-            pieces.append(head + head.join(run))
-            rows += len(run)
+        if n > _SUFFIX_CAP:
+            runs = (run(lo, k) for k in range(0, n, chunk))
+        else:
+            labels = g[lo:lo + n].tobytes() + g_minus[lo:lo + n].tobytes()
+            runs = kept.get(labels)
+            if runs is None:
+                if len(kept) * n >= _SUFFIX_CAP:
+                    kept.clear()
+                runs = kept[labels] = [run(lo, k) for k in range(0, n, chunk)]
+        for text in runs:
+            pieces.append(head + head.join(text))
+            rows += len(text)
             if rows >= chunk:
                 yield "".join(pieces)
                 pieces, rows = [], 0

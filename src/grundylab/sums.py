@@ -5,13 +5,13 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from collections.abc import Mapping, Sequence
 from functools import reduce
 from math import prod
 from operator import xor
 
 from .core import (DEFAULT_NODE_CAP, LimitExceeded, NotTameLabel,
-                   ReachableGraph, UnknownPredicate)
+                   ReachableGraph, UnknownPredicate, _ProductIndex,
+                   _ProductPositions)
 from .grundy import Label, LabeledGraph, sg_labels
 from .classify import PREDICATES, ClassReport, classify
 
@@ -123,8 +123,9 @@ class ProductGraph(ReachableGraph):
         right = summands[-1]
         self.roots = frozenset(itertools.product(*(g.roots
                                                    for g in summands)))
-        self.positions = _ProductPositions(summands)
-        self.index = _ProductIndex(summands)
+        self.positions = _ProductPositions([g.positions for g in summands])
+        self.index = _ProductIndex(self.positions,
+                                   [g.index.__getitem__ for g in summands])
         self.left, self.right = left, right
         m = len(right)
         self.order = _outer_sum(array("i", [i * m for i in left.order]),
@@ -140,19 +141,13 @@ class ProductGraph(ReachableGraph):
                 + [base + y for y in right.row(j)])
 
     def node_rows(self):
-        row = self.row
-        for x in reversed(self.order):
-            yield x, row(x)
+        return zip(reversed(self.order), map(self.row, reversed(self.order)))
 
     def edge_count(self) -> int:
         return _degrees(self)[0]
 
-    def terminals(self):
-        return list(map(self.positions.__getitem__, _terminal_nodes(self)))
-
     def factor_degrees(self) -> tuple:
-        """(edge count, most options of one node) of ``left`` and of
-        ``right``."""
+        """(edge count, most options of one node) of each factor."""
         return _degrees(self.left), _degrees(self.right)
 
 
@@ -162,22 +157,14 @@ def _degrees(graph) -> tuple:
     if isinstance(graph, ProductGraph):
         (e1, k1), (e2, k2) = graph.factor_degrees()
         return e1 * len(graph.right) + len(graph.left) * e2, k1 + k2
-    degrees = list(map(len, map(graph.row, range(len(graph)))))
+    degrees = list(map(len, graph.rows()))
     return sum(degrees), max(degrees)
-
-
-def _terminal_nodes(graph) -> list:
-    """A graph's terminal node numbers, ascending; a product's are the
-    pairs of its factors', with no product row built."""
-    if isinstance(graph, ProductGraph):
-        m, right = len(graph.right), _terminal_nodes(graph.right)
-        return [i * m + j for i in _terminal_nodes(graph.left) for j in right]
-    return [x for x in range(len(graph)) if not graph.row(x)]
 
 
 def _outer_sum(a, b) -> array:
     """``[x + y for x in a for y in b]`` as an ``array('i')``."""
-    packed, ones, out = _lanes(b), _ones(len(b)), array("i")
+    packed, out = _lanes(b), array("i")
+    ones = _lanes(array("i", [1]) * len(b))
     for x in a:
         out += _unlanes(packed + x * ones, len(b))
     return out
@@ -197,85 +184,6 @@ def _unlanes(number: int, n: int) -> array:
     out = array("i")
     out.frombytes(number.to_bytes(n * out.itemsize, sys.byteorder))
     return out
-
-
-def _ones(n: int) -> int:
-    return _lanes(array("i", [1]) * n)
-
-
-class _ProductPositions(Sequence):
-    """Node number -> product position, read from the summands' positions."""
-
-    __slots__ = ("_summands", "_len")
-
-    def __init__(self, summands):
-        self._summands, self._len = summands, prod(map(len, summands))
-
-    def __len__(self):
-        return self._len
-
-    def __iter__(self):
-        return itertools.product(*(g.positions for g in self._summands))
-
-    def __getitem__(self, n):
-        n = range(self._len)[n]
-        coords = []
-        for g in reversed(self._summands):
-            n, c = divmod(n, len(g))
-            coords.append(g.positions[c])
-        return tuple(reversed(coords))
-
-    def key_order(self):
-        """The product keys in sorted order, as (heads, tails): ``heads``
-        lists the left factor's nodes (all summands but the last) as (key
-        and a dash, node number), ``tails`` the last summand's as (key,
-        node number), each sorted by key, so that node i·len(tails) + j has
-        key head + tail.  A key is the ``str`` of a summand position, and
-        ``grundy.position_key`` joins them with dashes.
-
-        When no key of a summand is a prefix of another of its keys, two
-        product keys first differ inside the first summand whose keys
-        differ, so the sorted product keys are the mixed-radix product of
-        the summands' sorted keys.  Otherwise, equal keys included, the
-        result is None.  A key is a prefix of a later sorted key only if it
-        is one of the next key, so adjacent keys are tested."""
-        orders = []
-        for g in self._summands:
-            pairs = sorted(zip(map(str, g.positions), range(len(g))))
-            keys = [key for key, _ in pairs]
-            if any(map(str.startswith, keys[1:], keys)):
-                return None
-            orders.append(pairs)
-        *lefts, tails = orders
-        heads = [("", 0)]
-        for pairs in lefts:
-            n = len(pairs)
-            heads = [(head + key + "-", i * n + j) for head, i in heads
-                     for key, j in pairs]
-        return heads, tails
-
-
-class _ProductIndex(Mapping):
-    """Product position -> node number, read from the summands' indexes."""
-
-    __slots__ = ("_summands",)
-
-    def __init__(self, summands):
-        self._summands = summands
-
-    def __len__(self):
-        return prod(map(len, self._summands))
-
-    def __iter__(self):
-        return iter(_ProductPositions(self._summands))
-
-    def __getitem__(self, x):
-        if not isinstance(x, tuple) or len(x) != len(self._summands):
-            raise KeyError(x)
-        n = 0
-        for g, p in zip(self._summands, x):
-            n = n * len(g) + g.index[p]
-        return n
 
 
 def sum_sg(values) -> int:

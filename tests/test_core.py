@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 from array import array
@@ -22,7 +23,7 @@ from grundylab import (
     sg_labels,
     sum_graph,
 )
-from grundylab import sums
+from grundylab import core, sums
 from grundylab.core import (BoxGraph, DEFAULT_NODE_CAP, GameError,
                             ReachableGraph)
 from grundylab.fixtures import (FIXTURE_NAMES, fixture_adjacency,
@@ -309,6 +310,33 @@ def test_adjoined_views_behave_as_a_list_and_a_dict():
         adjoined.index[(3, 3)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 11), min_size=1, max_size=4).filter(
+    lambda bounds: math.prod(b + 1 for b in bounds) <= 3000))
+def test_box_index_is_the_literal_position_numbering(bounds):
+    bounds = tuple(bounds)
+    graph = enumerate_subgame(make_family("nim"), [bounds])
+    assert isinstance(graph, BoxGraph)
+    want = {p: i for i, p in enumerate(
+        itertools.product(*(range(b + 1) for b in bounds)))}
+    assert {p: graph.index[p] for p in want} == want
+    assert list(graph.positions) == list(want)
+    assert [graph.positions[i] for i in range(len(want))] == list(want)
+    assert len(graph.index) == len(want) and dict(graph.index) == want
+    k = len(bounds)
+    outside = [bounds[:-1] + (bounds[-1] + 1,), (bounds[0] + 1,) + bounds[1:],
+               (-1,) + bounds[1:], bounds[:-1] + (-1,), bounds + (0,),
+               bounds[:-1], (), list(bounds), bounds[0], "0" * k,
+               ("0",) + bounds[1:], (None,) * k, ((0,),) * k]
+    for x in outside:
+        with pytest.raises(KeyError):
+            graph.index[x]
+        with pytest.raises(UnknownPosition):
+            graph.depth(x)
+        assert x not in graph and x not in graph.index
+        assert graph.index.get(x) is None
+
+
 def test_adjoining_a_product_never_lists_its_positions(monkeypatch):
     summands = [enumerate_subgame(one_pile_nim(), [(3,)]),
                 enumerate_subgame(make_family("nim"), [(1, 2)])]
@@ -318,8 +346,8 @@ def test_adjoining_a_product_never_lists_its_positions(monkeypatch):
     def refuse(self):
         raise AssertionError(f"{type(self).__name__} iterated")
 
-    monkeypatch.setattr(sums._ProductPositions, "__iter__", refuse)
-    monkeypatch.setattr(sums._ProductIndex, "__iter__", refuse)
+    monkeypatch.setattr(core._ProductPositions, "__iter__", refuse)
+    monkeypatch.setattr(core._ProductIndex, "__iter__", refuse)
     adjoined = adjoin_misere_terminal(product)
     n = len(product)
     assert len(adjoined) == n + 1 and len(adjoined.index) == n + 1

@@ -1,7 +1,10 @@
 import io
+import itertools
+import math
 import random
 import tracemalloc
 from array import array
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +20,7 @@ from grundylab import (
     sg_labels,
     verify_sg_consistency,
 )
-from grundylab.core import graph_from_adjacency
+from grundylab.core import BoxGraph, graph_from_adjacency
 from grundylab.fixtures import fixture_roots
 from grundylab.grundy import (
     LabeledGraph,
@@ -335,9 +338,9 @@ def test_product_keys_equal_position_key(names):
     # the heads and tails of the summand key order, joined, list every
     # product key in sorted order, each with its node number
     graph = sum_graph([summand(n) for n in names])
-    heads, tails = graph.positions.key_order()
+    heads, tails, nodes = graph.positions.key_order()
     joined = [(head + key, i * len(tails) + j) for head, i in heads
-              for key, j in tails]
+              for key, j in zip(tails, nodes)]
     want = sorted((position_key(x), i) for i, x in enumerate(graph.positions))
     assert joined == want
 
@@ -378,15 +381,22 @@ csv_summands = st.builds(csv_summand,
                          st.integers(0, 2**32 - 1))
 
 
+def keys_sort_in_mixed_radix(keys):
+    """Whether a factor's sorted keys, each followed by a dash and any
+    text, keep their order: no two are equal, and no key is a prefix of
+    another where a character at or below "-" follows it."""
+    return not any(b.startswith(a) and (a == b or b[len(a)] <= "-")
+                   for a, b in itertools.combinations(keys, 2))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(csv_summands, min_size=2, max_size=3),
        st.sampled_from([1, 7, grundylab.grundy.CSV_CHUNK_ROWS]))
 def test_product_csv_equals_the_sorted_rows(summands, chunk):
     lg = sg_labels(sum_graph(summands))
     keys = [sorted(map(str, g.positions)) for g in summands]
-    prefix_free = not any(b.startswith(a) for k in keys
-                          for a, b in zip(k, k[1:]))
-    assert (lg.graph.positions.key_order() is not None) == prefix_free
+    assert ((lg.graph.positions.key_order() is not None)
+            == all(map(keys_sort_in_mixed_radix, keys)))
     buf = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grundylab.grundy, "CSV_CHUNK_ROWS", chunk)
@@ -404,6 +414,116 @@ def test_product_csv_with_a_prefix_key_takes_the_sort():
     assert text == joined_csv(lg)
     rows = text.splitlines()[1:]
     assert rows[0].startswith("A!-") and rows[-1].startswith("A-")
+
+
+def refuse_table_rows(lg):
+    raise AssertionError("table_rows called")
+
+
+def test_product_csv_with_integer_ids_takes_the_key_order(monkeypatch):
+    # ids 0-11: "1" is a prefix of "10" and "11", followed by a digit,
+    # which sorts above "-"
+    ids = graph_from_adjacency({i: [j for j in range(i) if (i + j) % 3]
+                                for i in range(12)})
+    lg = sg_labels(sum_graph([ids, summand("nim"), ids]))
+    want = joined_csv(lg)
+    monkeypatch.setattr(grundylab.grundy, "table_rows", refuse_table_rows)
+    assert lg.graph.positions.key_order() is not None
+    assert to_csv(lg) == want
+
+
+@st.composite
+def csv_boxes(draw):
+    """A family's box of 1-4 coordinates, as (game, bounds): one side
+    crosses 9/10 or 99/100, and the box has at most 5,000 nodes."""
+    sides = draw(st.lists(st.integers(0, 5), max_size=3))
+    room = 5000 // math.prod(c + 1 for c in sides)
+    long = draw(st.sampled_from([c for c in (10, 11, 99, 100, 120)
+                                 if c < room]))
+    sides.insert(draw(st.integers(0, len(sides))), long)
+    family = draw(st.sampled_from(
+        ["nim"] + {1: ["subtraction"], 2: ["wythoff"]}.get(len(sides), [])))
+    params = {}
+    if family == "subtraction":
+        params = {"x": sorted(draw(st.sets(st.integers(2, 6), max_size=3))
+                              | {1})}
+    return make_family(family, params), tuple(sides)
+
+
+@settings(max_examples=80, deadline=None)
+@given(csv_boxes(), st.sampled_from([1, 7, grundylab.grundy.CSV_CHUNK_ROWS]),
+       st.sampled_from([1, 16, grundylab.grundy._SUFFIX_CAP]))
+def test_box_csv_equals_the_sorted_rows(case, chunk, suffix_cap):
+    # a small suffix cap writes a large block a chunk at a time, uncached
+    game, bounds = case
+    lg = sg_labels(enumerate_subgame(game, [bounds]))
+    assert isinstance(lg.graph, BoxGraph)
+    assert lg.graph.positions.key_order() is not None
+    want = joined_csv(lg)
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grundylab.grundy, "CSV_CHUNK_ROWS", chunk)
+        mp.setattr(grundylab.grundy, "_SUFFIX_CAP", suffix_cap)
+        mp.setattr(grundylab.grundy, "table_rows", refuse_table_rows)
+        write_csv(lg, buf)
+    assert buf.getvalue() == want
+
+
+@pytest.mark.parametrize("family,params,root", [
+    ("wythoff", {}, (12, 12)),
+    ("nim", {}, (11, 10, 3)),
+    # one block of more than _SUFFIX_CAP rows
+    ("subtraction", {"x": [1, 2]}, (70_000,)),
+    # no coordinate: one node, of key ""
+    ("nim", {}, ()),
+], ids=["wythoff", "nim", "subtraction", "empty"])
+def test_box_table_sorts_no_row(family, params, root, monkeypatch):
+    lg = sg_labels(enumerate_subgame(make_family(family, params), [root]))
+    want = joined_csv(lg)
+    monkeypatch.setattr(grundylab.grundy, "table_rows", refuse_table_rows)
+    assert to_csv(lg) == want
+
+
+def traced(fn) -> tuple:
+    """(``fn()``, the bytes it left allocated, its peak), by
+    ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return (out, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family,params,root", [
+    ("wythoff", {}, (120, 120)),
+    ("subtraction", {"x": [1, 2]}, (100_000,)),
+], ids=["wythoff", "subtraction"])
+def test_a_labelled_box_holds_less_than_its_position_tuples(family, params,
+                                                             root):
+    game = make_family(family, params)
+    lg, held, _ = traced(lambda: sg_labels(enumerate_subgame(game, [root])))
+    positions, listed, _ = traced(lambda: list(lg.graph.positions))
+    assert len(positions) == len(lg.graph)
+    assert held < listed
+
+
+@pytest.mark.parametrize("family,params,root", [
+    ("wythoff", {}, (120, 120)),
+    # a single block of 100,001 rows
+    ("subtraction", {"x": [1, 2]}, (100_000,)),
+], ids=["wythoff", "subtraction"])
+def test_box_csv_peaks_below_the_sort_of_stored_rows(family, params, root):
+    # against the sort of (key, g, g_minus) tuples over a stored position
+    # list, which a box's table took before it had a key order
+    lg = sg_labels(enumerate_subgame(make_family(family, params), [root]))
+    stored = LabeledGraph(SimpleNamespace(positions=list(lg.graph.positions)),
+                          lg.g, lg.g_minus)
+    sink = Sink()
+    _, _, peak = traced(lambda: write_csv(lg, sink))
+    _, _, sort_peak = traced(lambda: table_rows(stored))
+    assert sink.size == len(joined_csv(lg))
+    assert peak < sort_peak
 
 
 def test_product_csv_holds_no_row_per_node(monkeypatch):

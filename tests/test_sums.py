@@ -35,7 +35,7 @@ from grundylab.core import BoxGraph
 from grundylab.fixtures import FIXTURE_NAMES, fixture_graph, fixture_roots
 from grundylab.grundy import LabeledGraph, to_csv
 from grundylab.random_games import random_dag, random_dag_union
-from grundylab.sums import ProductGraph, pair_sum_union
+from grundylab.sums import pair_sum_union
 from grundylab.suites import SuiteResult, check_xor_pairs, sodo_summands
 from grundylab.zoo import make_family
 
@@ -647,24 +647,6 @@ def test_product_terminals_are_the_literal_sums_terminals(case):
     assert product.terminals() == [x for x in product.positions
                                    if not want.succ[x]]
     assert vars(product).keys() == attributes
-
-
-def test_product_terminals_build_no_product_row(monkeypatch):
-    # the terminals are the factors' terminals paired, through a left
-    # factor that is itself a product; subtraction {2, 3} has two
-    summands = [_box("nim", {}, (3, 3, 3)),
-                _box("subtraction", {"x": [1, 2]}, (50,)),
-                _box("subtraction", {"x": [2, 3]}, (4,))]
-    product = sum_graph(summands)
-    want = [product.positions[x] for x in range(len(product))
-            if not product.row(x)]
-    assert len(want) == 2
-
-    def no_row(self, x):
-        raise AssertionError(f"product row {x} built")
-
-    monkeypatch.setattr(ProductGraph, "row", no_row)
-    assert product.terminals() == want
 
 
 def stored_copy(graph):

@@ -546,7 +546,7 @@ def _outcome(game, roots):
     """Everything enumeration, labelling and classification give."""
     lg = sg_labels(enumerate_subgame(game, roots))
     graph, report = lg.graph, classify(lg)
-    return (graph.positions, graph.index,
+    return (list(graph.positions), graph.index,
             [list(graph.row(i)) for i in range(len(graph))], graph.order, graph.depths, lg.g, lg.g_minus, lg.packed_masks,
             report.verdicts, report.witnesses)
 
@@ -1150,7 +1150,10 @@ def test_analyze_on_a_box_stores_no_rows_and_runs_no_dfs(monkeypatch):
                                     ["--family", "wythoff", "--box", "12"])
     assert report["verdicts"]["pet"] is False
     assert isinstance(graph, BoxGraph)
-    assert not {"offsets", "targets", "index"} & vars(graph).keys()
+    assert not {"offsets", "targets"} & vars(graph).keys()
+    # nor a per-node index dict
+    assert not isinstance(graph.index, dict)
+    assert not any(isinstance(v, dict) for v in vars(graph).values())
 
 
 def test_analyze_from_a_corner_root_stores_no_rows_and_runs_no_dfs(
@@ -1163,7 +1166,10 @@ def test_analyze_from_a_corner_root_stores_no_rows_and_runs_no_dfs(
     assert report["verdicts"]["pet"] is True
     assert isinstance(graph, BoxGraph) and len(graph) == 1001
     assert graph.roots == {(1000,)}
-    assert not {"offsets", "targets", "index"} & vars(graph).keys()
+    assert not {"offsets", "targets"} & vars(graph).keys()
+    # nor a per-node index dict
+    assert not isinstance(graph.index, dict)
+    assert not any(isinstance(v, dict) for v in vars(graph).values())
 
 
 @pytest.mark.parametrize("family,params,roots", [
