@@ -11,7 +11,6 @@ import math
 import operator
 from array import array
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable
 
@@ -75,11 +74,30 @@ MISERE_TERMINAL = _MisereTerminal()
 _UNTAKEN = object()
 
 
-# The one dataclass in the package: perfbench/spans.py rebuilds GameDefs
-# with dataclasses.replace.  Every other record is a plain class or a
-# NamedTuple, because a dataclass compiles its methods at import (0.3-1.0 ms
-# per class), a cost that every CLI call pays.
-@dataclass(frozen=True)
+class _DataclassFields:
+    """``GameDef.__dataclass_fields__``, built on its first read.
+
+    ``dataclasses.replace``, ``fields`` and ``is_dataclass`` read this
+    attribute, and perfbench/spans.py rebuilds GameDefs with
+    ``dataclasses.replace``.  Built on first read, it keeps the
+    ``dataclasses`` import and the ``inspect`` chain it brings out of every
+    process that calls none of them.  Delete it once nothing rebuilds a
+    GameDef that way.
+    """
+
+    def __get__(self, game, cls):
+        import dataclasses
+        fields = dataclasses.make_dataclass(cls.__name__, [
+            ("family", "str"),
+            ("params", "dict", dataclasses.field(default_factory=dict)),
+            ("options", "Callable[[Position], list]", None),
+            ("canonical", "Callable[[Position], Position] | None", None),
+            ("box_moves", "Callable[[int], tuple] | None", None),
+        ], frozen=True).__dataclass_fields__
+        cls.__dataclass_fields__ = fields
+        return fields
+
+
 class GameDef:
     """Rule object for one game instance: option enumeration and symmetry.
 
@@ -114,13 +132,54 @@ class GameDef:
     (every move lowers the sum, and each move to a ``p - e_i`` lowers it by
     one).  ``enumerate_subgame`` uses them when the roots' componentwise
     maximum is itself one of the roots.
+
+    A frozen record with a frozen dataclass's behaviour: the fields are
+    read-only, ``==`` and ``hash`` take the five fields in order, and
+    ``params`` left out (or None) is a fresh dict.  It is a plain class
+    because the ``dataclasses`` import, with ``inspect`` behind it, would
+    cost every CLI call several milliseconds.
     """
 
-    family: str
-    params: dict = field(default_factory=dict)
-    options: Callable[[Position], list] = None
-    canonical: Callable[[Position], Position] | None = None
-    box_moves: Callable[[int], tuple] | None = None
+    __slots__ = ("family", "params", "options", "canonical", "box_moves")
+    __match_args__ = __slots__
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(self, family: str, params: dict | None = None,
+                 options: Callable[[Position], list] = None,
+                 canonical: Callable[[Position], Position] | None = None,
+                 box_moves: Callable[[int], tuple] | None = None):
+        init = object.__setattr__
+        init(self, "family", family)
+        init(self, "params", {} if params is None else params)
+        init(self, "options", options)
+        init(self, "canonical", canonical)
+        init(self, "box_moves", box_moves)
+
+    def _values(self) -> tuple:
+        return (self.family, self.params, self.options, self.canonical,
+                self.box_moves)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def canon(self, p: Position) -> Position:
         return p if self.canonical is None else self.canonical(p)
