@@ -350,6 +350,53 @@ def test_cli_import_loads_only_the_standard_library():
     assert proc.stdout == b"[]\n"
 
 
+_IMPORT_GUARD = """\
+import os, sys
+before = set(sys.modules)
+import grundylab.cli as cli
+code = 0
+if len(sys.argv) > 1:
+    os.chdir(sys.argv[1])
+    try:
+        cli.main.main(args=sys.argv[2:])
+    except SystemExit as exc:
+        code = exc.code
+sys.stdout.flush()
+print(code, *sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)),
+      file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,ok_on_312", [
+    ((), []),
+    (("analyze", "--family", "subtraction", "--set", "1,2", "--roots", "300",
+      "--format", "json"), []),
+    (("analyze", "--family", "wythoff", "--box", "10", "--format", "json"),
+     []),
+    (("sum", "--game", "nim.json", "--game", "sub.json", "--target", "tame",
+      "--table", "sum.csv"), []),
+    (("verify", "all", "--samples", "20", "--format", "json"), ["inspect"]),
+    (("analyze", "--fixture", "pet"), ["inspect"]),
+    (("fixtures",), ["inspect"]),
+], ids=["import", "subtraction_chain", "wythoff_dense", "sum_table",
+        "verify_all", "analyze_fixture", "fixtures"])
+def test_cli_imports_neither_dataclasses_nor_inspect(tmp_path, argv,
+                                                     ok_on_312):
+    # dataclasses imports inspect, ast, dis, tokenize and more: several ms
+    # of every process.  On 3.12 and later importlib.resources, which a
+    # fixture read imports, brings inspect itself.  -S: no site-packages
+    # .pth file may import either first
+    (tmp_path / "nim.json").write_text('{"family": "nim", "roots": [[2, 3]]}')
+    (tmp_path / "sub.json").write_text(
+        '{"family": "subtraction", "params": {"x": [1, 2]}, "roots": [[9]]}')
+    proc = _python("-S", "-c", _IMPORT_GUARD,
+                   *((str(tmp_path), *argv) if argv else ()))
+    code, *imported = proc.stderr.decode().split()
+    assert code == "0", proc.stderr
+    allowed = set(ok_on_312) if sys.version_info >= (3, 12) else set()
+    assert set(imported) <= allowed, proc.stderr
+
+
 def _python(*args, **kwargs):
     """A fresh interpreter that imports this checkout's grundylab, also
     under -S; ``kwargs`` go to ``subprocess.run``."""
